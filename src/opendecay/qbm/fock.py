@@ -79,18 +79,24 @@ def truncated_basis_propagate(
     tau = np.asarray(tau_grid, dtype=float)
     w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
     m = osc.mass
-    p2 = p @ p
-    x2 = x @ x
+    x2, p2_2m, xp, px = x @ x, (p @ p) / (2.0 * m), x @ p, p @ x
 
+    # -i[H, rho] - D_xx [x, [x, rho]] - 2 D_xp [x, [p, rho]] - i G_xp [x, {p, rho}]
+    # expanded and regrouped by where the operators stand:
+    #   K rho + rho K' + x rho (2 D_xx x + (2 D_xp - i G_xp) p)
+    #         + (2 D_xp + i G_xp) p rho x,
+    # with K = -iH - D_xx x^2 - (2 D_xp + i G_xp) x p and
+    #      K' = iH - D_xx x^2 - (2 D_xp - i G_xp) p x;
+    # six matrix products per evaluation.
     def rhs(t, rho):
-        ham = p2 / (2.0 * m) + 0.5 * m * w2(t) * x2
-        out = -1j * (ham @ rho - rho @ ham)
-        xr = x @ rho - rho @ x
-        out -= d_xx(t) * (x @ xr - xr @ x)
-        pr = p @ rho - rho @ p
-        out -= 2.0 * d_xp(t) * (x @ pr - pr @ x)
-        anti = p @ rho + rho @ p
-        out -= 1j * g_xp(t) * (x @ anti - anti @ x)
+        dxx, c_minus = d_xx(t), 2.0 * d_xp(t) - 1j * g_xp(t)
+        c_plus = c_minus.conjugate()
+        ham = p2_2m + (0.5 * m * w2(t)) * x2
+        k_left = -1j * ham - dxx * x2 - c_plus * xp
+        k_right = 1j * ham - dxx * x2 - c_minus * px
+        out = k_left @ rho + rho @ k_right
+        out += (x @ rho) @ (2.0 * dxx * x + c_minus * p)
+        out += c_plus * ((p @ rho) @ x)
         return out
 
     states = integrate(rhs, rho0, tau, rtol=rtol, atol=1e-14)

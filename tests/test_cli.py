@@ -175,6 +175,16 @@ def test_cli_physics_failure_exits_2(capsys):
     assert "opendecay:" in capsys.readouterr().err
 
 
+def test_cli_exact_window_may_end_on_tau_max(capsys):
+    # the solve grid's last node is tau_max itself, so the window's last
+    # point is inside the solved window at every refinement level
+    rc = main(["qbm_exact", "--tau_min", "0.5", "--tau_max", "0.86",
+               "--lam", "0.4", "--tau_points", "5"])
+    assert rc == 0
+    table = parse_csv(capsys.readouterr().out)
+    assert table.columns["tau"][-1] == 0.86
+
+
 def test_cli_acceptance_failure_exits_3(tmp_path, monkeypatch, capsys):
     def fake_run_all(indices=None):
         return [CriterionResult(1, "stub", False, 0.01, "forced failure")]

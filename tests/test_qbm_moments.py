@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opendecay.errors import TruncationError, ValidationError
 from opendecay.model import GaussianState, OscillatorParams
 from opendecay.qbm.coefficients import QBMCoefficients, limit_coefficients
 from opendecay.qbm.fock import (
     coherent_density,
+    fock_liouvillian,
     fock_moments,
     ladder_operators,
     truncated_basis_propagate,
@@ -120,6 +122,23 @@ def test_truncated_basis_matches_moment_transport():
         co, OSC, GaussianState(0.5, 0.3, 0.5, 0.5), tau
     )
     assert np.max(np.abs(got - want)) < 1e-7
+
+
+def test_truncated_basis_matches_the_frozen_liouvillian():
+    # every term of the generator on (D_xp, G_xp != 0), against the dense
+    # superoperator exponential in the same truncated basis
+    w2, dxx, dxp, gxp = 1.1, 0.03, 0.02, 0.05
+    co = QBMCoefficients(np.array([0.0]), w2, dxx, dxp, gxp)
+    n_max = 8
+    rho0 = coherent_density(OSC, 0.3, -0.2, n_max)
+    tau = np.linspace(0.0, 1.5, 7)
+    states = truncated_basis_propagate(co, OSC, rho0, tau, rtol=1e-12,
+                                       boundary_tol=1.0)
+    liouv = fock_liouvillian(OSC, n_max, w2, dxx, dxp, gxp)
+    d = n_max + 1
+    for t, rho in zip(tau, states):
+        want = (scipy.linalg.expm(liouv * t) @ rho0.reshape(-1)).reshape(d, d)
+        assert np.max(np.abs(rho - want)) < 1e-9
 
 
 def test_truncation_guard_trips_on_a_small_basis():

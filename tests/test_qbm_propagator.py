@@ -1,14 +1,19 @@
 """Checks for the memory-equation fundamental solution G(tau)."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from opendecay.errors import AccuracyError, ValidationError
+from opendecay.errors import AccuracyError, InversionError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
+from opendecay.qbm.coefficients import exact_coefficients
 from opendecay.qbm.kernels import dissipation_kernel
 from opendecay.qbm.propagator import (
     PropagatorFunction,
+    _bromwich_sum,
+    _hermite_weights,
     propagator_via_laplace,
     solve_propagator,
 )
@@ -75,6 +80,72 @@ def test_laplace_route_free_case_is_exact():
     pf = propagator_via_laplace(FREE, OSC, 0.4, grid)
     assert np.allclose(pf.G, np.sin(grid), atol=1e-14)
     assert np.allclose(pf.G_dot, np.cos(grid), atol=1e-14)
+
+
+def test_laplace_refinement_check_raises_when_unreachable():
+    # the two Bromwich passes cannot agree below double rounding
+    with pytest.raises(InversionError, match="refinement"):
+        propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 2.0, 41),
+                               rel_tol=1e-17)
+
+
+def _dense_bromwich(tau, beta, wts, vals, sigma):
+    # reference form: every phase e^{i beta tau} evaluated explicitly
+    phase = np.exp(1j * np.outer(tau, beta))
+    out = np.stack([(phase @ (wts * vals)).real,
+                    (phase @ (wts * (sigma + 1j * beta) * vals)).real])
+    return out * np.exp(sigma * tau) / math.pi
+
+
+@pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+def test_streamed_bromwich_sum_matches_dense_phases(grid):
+    rng = np.random.default_rng(7)
+    beta = np.sort(rng.uniform(0.0, 5000.0, 2000))
+    wts = rng.uniform(0.1, 1.0, beta.size)
+    vals = rng.standard_normal(beta.size) + 1j * rng.standard_normal(beta.size)
+    sigma = 0.2
+    if grid == "uniform":
+        tau = np.linspace(0.0, 20.0, 300)  # > 3 anchor blocks, beta*tau to 1e5
+    else:
+        tau = np.sort(np.r_[0.0, rng.uniform(0.0, 20.0, 299)])
+    got = _bromwich_sum(tau, beta, wts, vals, sigma)
+    want = _dense_bromwich(tau, beta, wts, vals, sigma)
+    # error relative to the sum of term magnitudes, the scale any
+    # reordering or rephasing of the sum is judged against
+    scale = np.array([np.sum(np.abs(wts * vals)),
+                      np.sum(np.abs(wts * (sigma + 1j * beta) * vals))])
+    scale = scale[:, None] * np.exp(sigma * tau) / math.pi
+    assert np.max(np.abs(got - want) / scale) < 1e-12
+
+
+def test_third_derivative_matches_the_lag_sum():
+    lam, tau_max = 0.4, 1.5
+    pf = solve_propagator(EXP, OSC, lam, tau_max)
+    n = pf.tau_grid.size - 1
+    h = tau_max / n
+    alpha, beta, gamma, delta = _hermite_weights(n, h, EXP, OSC, lam)
+    wg = alpha.copy()
+    wg[1:] += gamma[:-1]
+    wd = h * beta
+    wd[1:] += h * delta[:-1]
+    gd, gdd = pf.G_dot, pf.G_ddot
+    # reference form: the product-integration memory sum node by node
+    want = np.empty(n + 1)
+    want[0] = -OSC.omega0**2 * gd[0]
+    for j in range(1, n + 1):
+        mem = (gamma[j - 1] * gd[0] + h * delta[j - 1] * gdd[0]
+               + np.dot(wg[:j], gd[j:0:-1]) + np.dot(wd[:j], gdd[j:0:-1]))
+        want[j] = -OSC.omega0**2 * gd[j] - 2.0 / OSC.mass * mem
+    assert np.max(np.abs(pf.G_dddot - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_grid_ends_exactly_on_tau_max():
+    # 0.86 / n * n rounds below 0.86 for some refinement levels n
+    pf = solve_propagator(EXP, OSC, 0.4, 0.86)
+    assert pf.tau_max == 0.86
+    co = exact_coefficients(pf, np.linspace(0.5, 0.86, 5))
+    assert co.tau[-1] == 0.86
+    assert np.all(np.isfinite(co.D_xx))
 
 
 def test_halving_certification_raises_when_unreachable():
