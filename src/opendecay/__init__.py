@@ -56,7 +56,6 @@ from .model import (
     GaussianState,
     OscillatorParams,
     SpinBosonParams,
-    UnitsConvention,
     make_spin_params,
     validate_density,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "InversionError",
     "TruncationError",
     # model
-    "UnitsConvention",
     "SpinBosonParams",
     "make_spin_params",
     "OscillatorParams",

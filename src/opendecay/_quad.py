@@ -28,26 +28,29 @@ def panel_integral(f, edges, n_nodes):
     return float(np.sum(half[:, None] * w[None, :] * vals))
 
 
-def integrate_to_tolerance(f, edges, rel_tol=1e-10, scale=0.0, n0=16,
+def integrate_to_tolerance(pieces, rel_tol=1e-10, scale=0.0, n0=16,
                            max_doublings=8, what="integral"):
-    """GL panel quadrature, doubling the node count until stable.
+    """Sum of GL panel integrals, doubling the node count until stable.
 
-    Convergence is judged against ``max(|I|, scale)`` so integrals that
-    legitimately vanish do not chase a relative target. Raises
-    :class:`AccuracyError` if doubling stalls.
+    ``pieces`` is a list of ``(integrand, edges)`` pairs that are summed
+    at a common node count per panel. Convergence is judged against
+    ``max(|I|, scale)`` so integrals that legitimately vanish do not
+    chase a relative target. Raises :class:`AccuracyError` if doubling
+    stalls.
     """
     n = n0
-    prev = panel_integral(f, edges, n)
+    prev = sum(panel_integral(f, edges, n) for f, edges in pieces)
     for _ in range(max_doublings):
         n *= 2
-        cur = panel_integral(f, edges, n)
+        cur = sum(panel_integral(f, edges, n) for f, edges in pieces)
+        change = abs(cur - prev)
         ref = max(abs(cur), abs(scale))
-        if ref == 0.0 or abs(cur - prev) <= rel_tol * ref:
+        if ref == 0.0 or change <= rel_tol * ref:
             return cur
         prev = cur
     raise AccuracyError(
         f"{what}: node doubling did not converge to rel_tol={rel_tol:g} "
-        f"(last change {abs(cur - prev):.3e} at {n} nodes/panel)"
+        f"(last change {change:.3e} at {n} nodes/panel)"
     )
 
 

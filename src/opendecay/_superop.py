@@ -35,14 +35,6 @@ def reshuffle(mat, d):
     return mat.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def pauli_basis():
-    """Unnormalized (sigma_x, sigma_y, sigma_z)."""
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    return [sx, sy, sz]
-
-
 def traceless_hermitian_basis(d):
     """Orthonormal traceless Hermitian basis (generalized Gell-Mann).
 

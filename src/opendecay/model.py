@@ -2,8 +2,7 @@
 
 Conventions used throughout the package:
 
-* natural units, ``hbar = kB = 1`` and unit mass unless stated otherwise
-  (see :class:`UnitsConvention`);
+* natural units, ``hbar = kB = 1`` and unit mass unless stated otherwise;
 * the two-level system ``H_S = (epsilon/2) sigma_z + (delta/2) sigma_x`` is
   stored in its energy eigenbasis, where the level splitting is
   ``omega0 = sqrt(epsilon**2 + delta**2)`` and the system side of the
@@ -27,7 +26,6 @@ import numpy as np
 from .errors import DegenerateSystemError, ValidationError
 
 __all__ = [
-    "UnitsConvention",
     "SpinBosonParams",
     "OscillatorParams",
     "BathSpectrum",
@@ -43,15 +41,6 @@ __all__ = [
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_TOL = -1e-10
-
-
-@dataclass(frozen=True)
-class UnitsConvention:
-    """Unit system marker. Natural units are the package-wide default."""
-
-    hbar: float = 1.0
-    kB: float = 1.0
-    M: float = 1.0
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import exp1
 
-from .._quad import panel_integral, split_edges
-from ..errors import AccuracyError
+from .._quad import integrate_to_tolerance, split_edges
 from ..model import BathSpectrum, CouplingScale, OscillatorParams
 
 __all__ = [
@@ -165,20 +164,11 @@ def noise_kernel(tau, bath: BathSpectrum, osc: OscillatorParams, lam):
         for i, th in enumerate(flat):
             width = min(wc / 4.0, math.pi / (2.0 * abs(th) + 1e-300))
             edges = split_edges(0.0, wc, max(width, wc / 4096.0))
-            n = 8
-            prev = panel_integral(lambda w: weighted(w, th), edges, n)
-            for _ in range(6):
-                n *= 2
-                cur = panel_integral(lambda w: weighted(w, th), edges, n)
-                scale = max(abs(cur), bath.eta * max(temp, wc))
-                if abs(cur - prev) <= 1e-11 * scale:
-                    break
-                prev = cur
-            else:
-                raise AccuracyError(
-                    f"hard-cutoff noise kernel quadrature stalled at tau={th * lam**2:g}"
-                )
-            vals[i] = cur
+            vals[i] = integrate_to_tolerance(
+                [(lambda w: weighted(w, th), edges)], rel_tol=1e-11,
+                scale=bath.eta * max(temp, wc), n0=8, max_doublings=6,
+                what=f"hard-cutoff noise kernel at tau={th * lam**2:g}",
+            )
         out = (osc.mass * osc.omega0 / lam**2) * vals.reshape(np.shape(theta))
     if np.ndim(tau) == 0:
         return float(np.atleast_1d(out)[0])

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pool import parallel_map
 from .bloch import (
     decay_spectrum,
     find_classification_boundary,
@@ -483,7 +482,7 @@ def _run_qbm_sweep(cfg):
         )
 
     lams = cfg["lambda_list"]
-    rows = parallel_map(deviations, lams)
+    rows = [deviations(lam) for lam in lams]
     cols = {
         "lam": list(lams),
         "dev_D_xx": [r[0] for r in rows],

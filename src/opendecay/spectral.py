@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import panel_integral, split_edges
-from .errors import AccuracyError, DivergenceError, OverdampedRenormalizationError
+from ._quad import integrate_to_tolerance, split_edges
+from .errors import DivergenceError, OverdampedRenormalizationError
 from .model import BathSpectrum, SpinBosonParams
 
 __all__ = [
@@ -223,25 +223,12 @@ def self_energy(omega: float, bath: BathSpectrum, branch: str = "+",
             (lambda wp: f(wp) / (omega - wp), split_edges(0.0, upper, 0.5 * bath.cutoff))
         )
 
-    scale = bath.eta * bath.cutoff / (2.0 * math.pi)
-    n = 16
-    prev = sum(panel_integral(g, e, n) for g, e in pieces)
-    converged = False
-    for _ in range(8):
-        n *= 2
-        cur = sum(panel_integral(g, e, n) for g, e in pieces)
-        ref = max(abs(cur), scale)
-        if ref == 0.0 or abs(cur - prev) <= rel_tol * ref:
-            converged = True
-            break
-        prev = cur
-    if not converged:
-        raise AccuracyError(
-            f"self_energy principal value did not converge at omega={omega:g} "
-            f"(last change {abs(cur - prev):.3e})"
-        )
+    real = integrate_to_tolerance(
+        pieces, rel_tol=rel_tol, scale=bath.eta * bath.cutoff / (2.0 * math.pi),
+        what=f"self_energy principal value at omega={omega:g}",
+    )
     imag = -0.5 * dressed_rate(omega, bath, branch)
-    return SelfEnergy(real_part=cur, imag_part=float(imag))
+    return SelfEnergy(real_part=real, imag_part=float(imag))
 
 
 def renormalized_frequency_sq(bath: BathSpectrum, osc, rel_tol: float = 1e-10) -> float:
@@ -257,19 +244,11 @@ def renormalized_frequency_sq(bath: BathSpectrum, osc, rel_tol: float = 1e-10) -
     def g(w):
         return spectral_density(w, bath) / np.maximum(w, 1e-300) / (2.0 * math.pi)
 
-    edges = split_edges(0.0, upper, 0.5 * bath.cutoff)
-    n = 16
-    prev = panel_integral(g, edges, n)
-    shift = prev
-    for _ in range(8):
-        n *= 2
-        shift = panel_integral(g, edges, n)
-        ref = max(abs(shift), bath.eta * bath.cutoff / (2.0 * math.pi))
-        if ref == 0.0 or abs(shift - prev) <= rel_tol * ref:
-            break
-        prev = shift
-    else:
-        raise AccuracyError("renormalized_frequency_sq quadrature did not converge")
+    shift = integrate_to_tolerance(
+        [(g, split_edges(0.0, upper, 0.5 * bath.cutoff))], rel_tol=rel_tol,
+        scale=bath.eta * bath.cutoff / (2.0 * math.pi),
+        what="renormalized_frequency_sq",
+    )
     w2 = osc.omega0**2 - 2.0 * osc.omega0 * shift
     if w2 <= 0.0:
         raise OverdampedRenormalizationError(

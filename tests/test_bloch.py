@@ -14,7 +14,8 @@ from opendecay.bloch import (
     scan_decay_regimes,
     weak_generator,
 )
-from opendecay.errors import AccuracyError
+from opendecay._integrate import integrate
+from opendecay.errors import AccuracyError, StiffnessError
 from opendecay.model import BathSpectrum, make_spin_params
 
 eps_st = st.floats(-4.0, 4.0)
@@ -97,6 +98,11 @@ def test_propagation_routes_agree():
     adaptive = propagate_bloch(gen, c0, tau, rtol=1e-11)
     exact = propagate_bloch(gen, c0, tau, method="expm")
     assert np.max(np.abs(adaptive - exact)) < 1e-8
+
+
+def test_integrator_refuses_a_stiff_system():
+    with pytest.raises(StiffnessError, match="step size underflow"):
+        integrate(lambda t, y: -1e16 * y, np.ones(2), [0.0, 1.0])
 
 
 def test_propagator_matrix_is_semigroup():

@@ -1,4 +1,4 @@
-"""Scenario configuration, table round trips, CLI exit codes, threading."""
+"""Scenario configuration, table round trips, CLI exit codes."""
 
 import re
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import opendecay.acceptance
-from opendecay._pool import parallel_map, worker_count
 from opendecay.acceptance import CriterionResult
 from opendecay.cli import main
 from opendecay.errors import ConfigError
@@ -167,6 +166,12 @@ def test_cli_usage_problems_exit_1(argv, capsys):
     assert "opendecay: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [["--rho_ee", "1.5"], ["--coh_re", "0.9"]])
+def test_cli_spin_master_rejects_a_non_density_initial_state(override, capsys):
+    assert main(["spin_master", *override]) == 1
+    assert "initial state is not a density matrix" in capsys.readouterr().err
+
+
 def test_cli_physics_failure_exits_2(capsys):
     # overdamped renormalization: the requested bath has no stable
     # renormalized frequency, so the computation refuses to run
@@ -226,37 +231,3 @@ def test_cli_scenario_list_matches_schema():
         ["spin_bloch", "spin_master", "weak_compare", "decay_scan",
          "qbm_limit", "qbm_exact", "qbm_sweep", "bridge_check", "acceptance"]
     )
-
-
-# ----------------------------------------------------------------- threads
-
-
-def test_worker_count_defaults_to_cpu_bound(monkeypatch):
-    monkeypatch.delenv("OPENDECAY_THREADS", raising=False)
-    assert 1 <= worker_count(5) <= 5
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("OPENDECAY_THREADS", "3")
-    assert worker_count(10) == 3
-    assert worker_count(2) == 2  # never more workers than tasks
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "abc", "2.5"])
-def test_worker_count_rejects_bad_env(monkeypatch, value):
-    monkeypatch.setenv("OPENDECAY_THREADS", value)
-    with pytest.raises(ConfigError):
-        worker_count(4)
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("OPENDECAY_THREADS", "4")
-    got = parallel_map(lambda x: x * x, range(23))
-    assert got == [x * x for x in range(23)]
-
-
-def test_bad_thread_env_surfaces_as_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("OPENDECAY_THREADS", "nope")
-    rc = main(["qbm_sweep", "--lambda_list", "0.2"])
-    assert rc == 1
-    assert "OPENDECAY_THREADS" in capsys.readouterr().err

@@ -4,7 +4,18 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from opendecay import _superop as so
-from opendecay.errors import StructuralError
+from opendecay import lindblad
+from opendecay.bloch import (
+    BlochGenerator,
+    propagate_bloch,
+    propagator_matrix,
+    rapid_generator,
+)
+from opendecay.errors import (
+    ConventionMismatchError,
+    IntegratorAccuracyError,
+    StructuralError,
+)
 from opendecay.lindblad import (
     Liouvillian2,
     bloch_density_bridge,
@@ -158,6 +169,42 @@ def test_bridge_consistency_small_case():
 
 
 def test_propagate_density_rejects_bad_method():
-    liouv = spin_liouvillian(make_spin_params(1.0, 1.0), 0.4)
-    with pytest.raises(ValueError):
-        propagate_density(liouv, 0.5 * np.eye(2), [0.0, 1.0], method="euler")
+    # every constant-generator entry point refuses an unknown method
+    spin = make_spin_params(1.0, 1.0)
+    gen = rapid_generator(spin, 0.4)
+    liouv = spin_liouvillian(spin, 0.4)
+    tau = [0.0, 1.0]
+    for propagate in (
+        lambda: propagate_bloch(gen, [0.0, 1.0, 0.0], tau, method="euler"),
+        lambda: propagator_matrix(gen, tau, method="euler"),
+        lambda: propagate_density(liouv, 0.5 * np.eye(2), tau, method="euler"),
+    ):
+        with pytest.raises(ValueError, match="unknown method"):
+            propagate()
+
+
+def test_non_cp_generator_is_refused_by_the_physicality_check():
+    # flipping the dissipator's sign keeps trace and Hermiticity but not
+    # complete positivity, so an excited state grows a negative eigenvalue
+    good = spin_liouvillian(make_spin_params(1.0, 1.0), 0.4)
+    bad = Liouvillian2(
+        matrix=good.hamiltonian_part - good.dissipator_part,
+        hamiltonian_part=good.hamiltonian_part,
+        dissipator_part=-good.dissipator_part,
+    )
+    excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(IntegratorAccuracyError, match="negative eigenvalue"):
+        propagate_density(bad, excited, np.linspace(0.0, 2.0, 9))
+
+
+def test_bridge_refuses_mismatched_conventions(monkeypatch):
+    def conjugated(spin, gamma_theta):
+        gen = rapid_generator(spin, gamma_theta)
+        return BlochGenerator(matrix=gen.matrix.conj(), gamma_theta=gen.gamma_theta,
+                              regime=gen.regime)
+
+    monkeypatch.setattr(lindblad, "rapid_generator", conjugated)
+    rho0 = np.array([[0.8, 0.1 + 0.2j], [0.1 - 0.2j, 0.2]])
+    with pytest.raises(ConventionMismatchError, match="disagree"):
+        bloch_density_bridge(make_spin_params(1.0, 2.0), 0.7, rho0,
+                             np.linspace(0.0, 5.0, 21))

@@ -1,10 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opendecay.errors import DivergenceError, OverdampedRenormalizationError
+from opendecay.errors import (
+    AccuracyError,
+    DivergenceError,
+    OverdampedRenormalizationError,
+)
 from opendecay.model import BathSpectrum, OscillatorParams, make_spin_params
 from opendecay.spectral import (
     bose_occupation,
@@ -114,6 +119,16 @@ def test_self_energy_matches_slow_quadrature():
     val = float(trapezoid((f - f0) / (w0 - u), u))
     val += f0 * math.log(w0 / (u[-1] - w0))
     assert se.real_part == pytest.approx(val, abs=1e-7)
+
+def test_self_energy_refusal_reports_the_last_change():
+    # rel_tol below double precision cannot be met; the refusal must name
+    # the change of the final doubling, not the zero left by prev = cur
+    bath = BathSpectrum(0.3, 4.0, "exponential", 2.0)
+    with pytest.raises(AccuracyError, match="last change") as err:
+        self_energy(1.3, bath, "+", rel_tol=1e-20)
+    change = float(re.search(r"last change (\S+)", str(err.value)).group(1))
+    assert change > 0.0
+
 
 
 @pytest.mark.parametrize("bath", [BATH, HARD])
