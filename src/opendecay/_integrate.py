@@ -29,9 +29,18 @@ _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 
+# Attempted steps, accepted and rejected, after which one call refuses.
+# The most any test or acceptance criterion takes in one call is 2581
+# (a 4-vector over tau in [0, 40] at rtol 1e-10).
+_MAX_STEPS = 1_000_000
+
 
 def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
-    """Integrate y' = f(t, y) from t_grid[0], returning y at every node."""
+    """Integrate y' = f(t, y) from t_grid[0], returning y at every node.
+
+    Raises StiffnessError when the step size underflows or after
+    ``_MAX_STEPS`` attempted steps.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise ValueError("t_grid must be a 1-d array with at least one node")
@@ -52,7 +61,7 @@ def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
     target = t_grid[idx]
     n_comp = y.size
 
-    while True:
+    for _ in range(_MAX_STEPS):
         if h <= 1e-14 * max(abs(t), span):
             raise StiffnessError(
                 f"step size underflow at t={t:.6g} (h={h:.3e}); "
@@ -95,6 +104,11 @@ def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
                 h = min(h_try * min(5.0, max(0.2, factor)), max_step)
         else:
             h = h_try * min(1.0, max(0.2, factor))
+    raise StiffnessError(
+        f"step budget of {_MAX_STEPS} attempted steps exhausted at t={t:.6g} "
+        f"of [{t_grid[0]:.6g}, {t_grid[-1]:.6g}]; the system is too stiff or "
+        "the span too long for the requested tolerance"
+    )
 
 
 def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):

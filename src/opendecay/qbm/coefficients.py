@@ -14,10 +14,26 @@ reduced evolution is Gaussian and fully described by
 
       Theta_kl(tau) = 1/2 int_0^tau int_0^tau c_k(t') nu(t'-t'') c_l(t'')
 
-  evaluated by a trapezoidal double sum (one FFT convolution per pair)
-  on a grid fine enough for the noise-kernel boundary layer, Richardson
-  extrapolated in the grid step with a third level as convergence
-  check;
+  Expanding ``c_f`` and ``c_i`` leaves three integrals over the square
+  ``[0, tau]**2``, ``Q_gg = <G nu G>``, ``Q_dg = <G' nu G>`` and
+  ``Q_dd = <G' nu G'>``. Each is a function of its upper limit (Hu, Paz
+  and Zhang, Phys. Rev. D 45, 2843 (1992)), so one pass serves a whole
+  window of times. One grid on ``[0, tau_last]``, fine enough for the
+  noise-kernel boundary layer, carries one noise-kernel evaluation; its
+  m0-, 2m0- and 4m0-panel subsamples are the three Richardson levels.
+  Per level, two FFT convolutions ``nu*(wG)`` and ``nu*(wG')`` give by
+  running sums the trapezoidal Q ending at every node, and also their
+  tau-derivatives (``nu`` is even):
+
+      dQ_gg/dtau = 2 G (nu*G),   dQ_dg/dtau = G' (nu*G) + G (nu*G'),
+      dQ_dd/dtau = 2 G' (nu*G').
+
+  Cubic Hermite interpolation on each level's own nodes carries Q to the
+  requested times. Richardson extrapolation in the grid step follows,
+  and at every requested time the third level is the convergence check
+  against that time's own scale. A time with fewer than 32 coarse
+  panels below it gets a grid ending at itself, the grid a one-point
+  window has;
 
 * the master-equation coefficients, obtained from Lambda/Theta and
   their time derivatives.  With ``W = G'' G - G'**2`` (note
@@ -27,8 +43,13 @@ reduced evolution is Gaussian and fully described by
       Gamma_xp   = -W' / (2 W),
       OmegaR_sq  = (G'/G) (W'/W) - G''/G,
 
-  while the diffusion coefficients mix in Theta and its derivative
-  (computed by spline differentiation across the requested window).
+  while the diffusion coefficients mix in Theta and its time derivative.
+  That derivative is still taken by a cubic spline across the requested
+  window, which is why a window needs at least 5 points. The Q
+  derivatives above would give it exactly, but they move D_xx on a
+  5-point window by up to ~10% relative and so would change every
+  coefficient this module has reported so far; that change is left to
+  its own step.
 
 In the rapid-decay limit everything collapses to the constant
 coefficients of ``limit_coefficients`` and the closed trigonometric
@@ -41,7 +62,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.signal import fftconvolve
 
 from ..errors import AccuracyError, NodeSingularityError, ValidationError
@@ -63,6 +84,7 @@ __all__ = [
 ]
 
 _NODE_FRACTION = 1e-3  # |G| below this times max|G| counts as a node
+_MIN_PANELS = 32  # fewest coarse Theta panels below any time
 
 
 @dataclass(frozen=True)
@@ -130,23 +152,89 @@ def _theta_grid_step(prop: PropagatorFunction) -> float:
     return min(layer / 8.0, 0.03 / osc.omega0)
 
 
-def _theta_q_values(prop: PropagatorFunction, tau_star: float, m: int):
-    """Trapezoidal (Q_GG, Q_GdG, Q_GdGd) on an m-panel grid ending at tau_star."""
-    h = tau_star / m
-    t = h * np.arange(m + 1)
-    gv = prop.g(t)
-    gdv = prop.g_dot(t)
-    nu_half = noise_kernel(h * np.arange(m + 1), prop.bath, prop.osc, prop.lam)
-    nu_full = np.concatenate([nu_half[m:0:-1], nu_half])
-    w = np.ones(m + 1)
-    w[0] = w[-1] = 0.5
-    out = {}
-    conv_g = fftconvolve(nu_full, w * gv)[m : 2 * m + 1]
-    conv_gd = fftconvolve(nu_full, w * gdv)[m : 2 * m + 1]
-    out["gg"] = h * h * np.dot(w * gv, conv_g)
-    out["dg"] = h * h * np.dot(w * gdv, conv_g)
-    out["dd"] = h * h * np.dot(w * gdv, conv_gd)
-    return out
+def _q_level(g, gd, nu, h):
+    """Trapezoidal (Q_gg, Q_dg, Q_dd) ending at every node, and their tau-derivatives.
+
+    ``g``, ``gd`` and ``nu`` hold G, G' and nu at the nodes ``h*n``. Row n
+    of ``q`` is the double sum over ``[0, t_n]**2`` with end weight 1/2 at
+    0 and at ``t_n``; row n of ``dq`` is the derivative of the double
+    integral in its upper limit, with the inner integral taken by the same
+    trapezoid (nu is even, so each is G or G' at ``t_n`` times one inner
+    integral).
+    """
+    a = np.ones(g.size)
+    a[0] = 0.5
+    ag, ad = a * g, a * gd
+    # c[n] = sum_{j <= n} nu(t_n - t_j) a_j f_j, full weight at j = n
+    cg = fftconvolve(nu, ag)[: g.size]
+    cd = fftconvolve(nu, ad)[: g.size]
+    nu0 = nu[0]
+    # Node n adds a row and a column to the square: the cumulative sums of
+    # these increments are the double sums with full weight at t_n, and
+    # subtracting the end terms halves that weight.
+    inc = np.stack([2.0 * ag * cg - nu0 * ag * ag,
+                    ad * cg + ag * cd - nu0 * ad * ag,
+                    2.0 * ad * cd - nu0 * ad * ad], axis=1)
+    end = np.stack([g * cg - 0.25 * nu0 * g * g,
+                    0.5 * (gd * cg + g * cd) - 0.25 * nu0 * gd * g,
+                    gd * cd - 0.25 * nu0 * gd * gd], axis=1)
+    q = np.cumsum(inc, axis=0) - end
+    inner_g = h * (cg - 0.5 * nu0 * g)
+    inner_d = h * (cd - 0.5 * nu0 * gd)
+    dq = np.stack([2.0 * g * inner_g,
+                   gd * inner_g + g * inner_d,
+                   2.0 * gd * inner_d], axis=1)
+    return h * h * q, dq
+
+
+def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
+    """(T_ff, T_fi, T_ii) rows on an increasing window of checked times.
+
+    The one implementation behind :func:`theta_coefficients` and
+    :func:`exact_coefficients`; see the module docstring.
+    """
+    if prop.bath.eta == 0.0:
+        return np.zeros((3, tau.size))
+    m0 = max(_MIN_PANELS, math.ceil(tau[-1] / _theta_grid_step(prop)))
+    # Every time keeps at least _MIN_PANELS coarse panels below it, as a
+    # grid ending at it has; short of that the interpolated levels lose
+    # orders of magnitude of accuracy. Earlier times take such a grid of
+    # their own, as one-point windows.
+    k = int(np.searchsorted(tau, _MIN_PANELS * tau[-1] / m0))
+    if k:
+        parts = [_theta_window(prop, tau[i : i + 1], rel_tol) for i in range(k)]
+        return np.concatenate(parts + [_theta_window(prop, tau[k:], rel_tol)], axis=1)
+    h = tau[-1] / (4 * m0)
+    t = np.linspace(0.0, tau[-1], 4 * m0 + 1)
+    g = prop.g(t)
+    gd = prop.g_dot(t)
+    nu = noise_kernel(t, prop.bath, prop.osc, prop.lam)
+    # The m0-, 2m0- and 4m0-panel levels subsample one grid. Each level is
+    # interpolated on its own nodes, so its interpolation error shrinks
+    # with the level like the quadrature error and shows in the spread.
+    q1, q2, q3 = (
+        CubicHermiteSpline(t[::s], *_q_level(g[::s], gd[::s], nu[::s], s * h), axis=0)(tau)
+        for s in (4, 2, 1)
+    )
+    first = (4.0 * q2 - q1) / 3.0
+    second = (4.0 * q3 - q2) / 3.0
+    scale = np.max(np.abs(q3), axis=1, keepdims=True)
+    spread = np.abs(second - first)
+    bad = np.argwhere(spread > rel_tol * np.maximum(scale, 1e-300))
+    if bad.size:
+        i, j = bad[0]
+        raise AccuracyError(
+            f"noise double integral Q_{('gg', 'dg', 'dd')[j]} not converged at "
+            f"tau={tau[i]:g}: Richardson levels differ by {spread[i, j]:.3e} "
+            f"against scale {scale[i, 0]:.3e}"
+        )
+    q_gg, q_dg, q_dd = second.T
+    g_tau = prop.g(tau)
+    r = prop.g_dot(tau) / g_tau
+    t_ff = 0.5 * (q_dd - 2.0 * r * q_dg + r * r * q_gg)
+    t_fi = (q_dg - r * q_gg) / (2.0 * g_tau)
+    t_ii = q_gg / (2.0 * g_tau * g_tau)
+    return np.array([t_ff, t_fi, t_ii])
 
 
 def theta_coefficients(
@@ -154,35 +242,15 @@ def theta_coefficients(
 ):
     """(T_ff, T_fi, T_ii) at one time, Richardson extrapolated.
 
-    Three grid levels are computed; the last two Richardson pairs must
-    agree to ``rel_tol`` relative to the largest double integral, else
+    The one-point window of the pass that :func:`exact_coefficients` makes
+    over a whole window: the grid ends at ``tau_star``, which is then a
+    node of every level, and the last two Richardson pairs must agree to
+    ``rel_tol`` relative to the largest double integral, else
     AccuracyError.
     """
     tau_star = _check_tau(prop, tau_star)
-    if prop.bath.eta == 0.0:
-        return 0.0, 0.0, 0.0
-    m0 = max(32, math.ceil(tau_star / _theta_grid_step(prop)))
-    q1, q2, q3 = (
-        _theta_q_values(prop, tau_star, k * m0) for k in (1, 2, 4)
-    )
-    rich = {}
-    scale = max(abs(v) for v in q3.values())
-    for key in q1:
-        first = (4.0 * q2[key] - q1[key]) / 3.0
-        second = (4.0 * q3[key] - q2[key]) / 3.0
-        if abs(second - first) > rel_tol * max(scale, 1e-300):
-            raise AccuracyError(
-                f"noise double integral Q_{key} not converged at tau={tau_star:g}: "
-                f"Richardson levels differ by {abs(second - first):.3e} "
-                f"against scale {scale:.3e}"
-            )
-        rich[key] = second
-    g = float(prop.g(tau_star))
-    r = float(prop.g_dot(tau_star)) / g
-    t_ff = 0.5 * (rich["dd"] - 2.0 * r * rich["dg"] + r * r * rich["gg"])
-    t_fi = (rich["dg"] - r * rich["gg"]) / (2.0 * g)
-    t_ii = rich["gg"] / (2.0 * g * g)
-    return t_ff, t_fi, t_ii
+    t_ff, t_fi, t_ii = _theta_window(prop, np.array([tau_star]), rel_tol)
+    return float(t_ff[0]), float(t_fi[0]), float(t_ii[0])
 
 
 def lambda_theta(
@@ -230,8 +298,14 @@ def exact_coefficients(
     """Master-equation coefficients on a window of times.
 
     ``tau_points`` needs at least 5 strictly increasing entries inside
-    the solved window (the Theta derivative is taken by splining across
-    the window), none of them near a node of G.
+    the solved window, none of them near a node of G. Theta comes from
+    one pass over a grid ending at the last point (see the module
+    docstring): one noise-kernel evaluation, two FFT convolutions per
+    Richardson level, and a convergence check at every point that raises
+    AccuracyError naming the first point whose last two Richardson pairs
+    differ by more than ``rel_tol`` of its largest double integral. The
+    Theta derivative is a cubic spline across the window, hence the 5
+    points.
     """
     tau = np.asarray(tau_points, dtype=float)
     if tau.ndim != 1 or tau.size < 5:
@@ -253,8 +327,7 @@ def exact_coefficients(
     gamma_xp = -0.5 * wdot / w
     omega_sq = (gd / g) * (wdot / w) - gdd / g
 
-    theta = np.array([theta_coefficients(prop, t, rel_tol) for t in tau])
-    t_ff, t_fi, t_ii = theta.T
+    t_ff, t_fi, t_ii = _theta_window(prop, tau, rel_tol)
     td_ff = CubicSpline(tau, t_ff)(tau, 1)
     td_fi = CubicSpline(tau, t_fi)(tau, 1)
     td_ii = CubicSpline(tau, t_ii)(tau, 1)

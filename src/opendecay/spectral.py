@@ -197,8 +197,18 @@ def self_energy(omega: float, bath: BathSpectrum, branch: str = "+",
     ``u = 0``, and the remaining segments use graded panels. All pieces
     are node-doubled together until the total is stable to ``rel_tol``
     (relative to ``max(|value|, eta*cutoff/2pi)``).
+
+    At ``omega = 0`` with ``T > 0`` the dressed rate tends to ``eta*T`` as
+    ``w' -> 0+``, so the principal value diverges logarithmically; that
+    raises :class:`DivergenceError`.
     """
     omega = float(omega)
+    if omega == 0.0 and bath.eta * bath.temperature > 0.0:
+        raise DivergenceError(
+            "self_energy diverges at omega=0: the dressed rate there is "
+            f"eta*T/2 = {0.5 * bath.eta * bath.temperature:g}, not 0, so the "
+            "principal value diverges like log|omega|"
+        )
     upper = _support_upper(bath)
 
     def f(wp):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from opendecay import _integrate
 from opendecay.bloch import (
     TRIPLE_AT_ZERO,
     decay_spectrum,
@@ -103,6 +104,15 @@ def test_propagation_routes_agree():
 def test_integrator_refuses_a_stiff_system():
     with pytest.raises(StiffnessError, match="step size underflow"):
         integrate(lambda t, y: -1e16 * y, np.ones(2), [0.0, 1.0])
+
+
+def test_integrator_refuses_past_its_step_budget(monkeypatch):
+    # a smooth decay needs hundreds of steps at rtol 1e-12
+    out = integrate(lambda t, y: -y, np.ones(2), [0.0, 10.0], rtol=1e-12)
+    assert out[-1] == pytest.approx(np.exp(-10.0) * np.ones(2), rel=1e-10)
+    monkeypatch.setattr(_integrate, "_MAX_STEPS", 50)
+    with pytest.raises(StiffnessError, match="step budget of 50 attempted steps"):
+        integrate(lambda t, y: -y, np.ones(2), [0.0, 10.0], rtol=1e-12)
 
 
 def test_propagator_matrix_is_semigroup():

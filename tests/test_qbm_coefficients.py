@@ -1,9 +1,11 @@
 """Tests for the two-point-kernel entries and master-equation coefficients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from opendecay.errors import (
     AccuracyError,
@@ -11,6 +13,7 @@ from opendecay.errors import (
     ValidationError,
 )
 from opendecay.model import BathSpectrum, OscillatorParams
+from opendecay.qbm import coefficients
 from opendecay.qbm.coefficients import (
     LambdaTheta,
     QBMCoefficients,
@@ -21,13 +24,17 @@ from opendecay.qbm.coefficients import (
     limit_coefficients,
     limit_lambda_theta,
     theta_coefficients,
+    _theta_grid_step,
+    _theta_window,
 )
+from opendecay.qbm.kernels import noise_kernel
 from opendecay.qbm.propagator import solve_propagator
 from opendecay.spectral import renormalized_frequency_sq
 
 OSC = OscillatorParams(1.0, 1.0)
 EXP = BathSpectrum(0.2, 5.0, "exponential", 2.0)
 FREE = BathSpectrum(0.0, 5.0, "exponential", 2.0)
+HARD = BathSpectrum(0.2, 5.0, "hard", 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +183,83 @@ def test_lambda_theta_is_frozen(exp_prop):
     assert isinstance(lt, LambdaTheta)
     with pytest.raises(AttributeError):
         lt.T_ff = 1.0
+
+
+def _per_time_theta(prop, tau_star):
+    """Theta at one time by the per-time route: trapezoidal double sums on
+    2m0- and 4m0-panel grids ending at tau_star (the symmetric noise kernel
+    against w*G and w*G', one FFT convolution each), extrapolated once in
+    the grid step."""
+    m0 = max(32, math.ceil(tau_star / _theta_grid_step(prop)))
+    levels = []
+    for m in (2 * m0, 4 * m0):
+        h = tau_star / m
+        t = h * np.arange(m + 1)
+        gv, gdv = prop.g(t), prop.g_dot(t)
+        nu_half = noise_kernel(t, prop.bath, prop.osc, prop.lam)
+        nu_full = np.concatenate([nu_half[m:0:-1], nu_half])
+        w = np.ones(m + 1)
+        w[0] = w[-1] = 0.5
+        conv_g = fftconvolve(nu_full, w * gv)[m : 2 * m + 1]
+        conv_gd = fftconvolve(nu_full, w * gdv)[m : 2 * m + 1]
+        levels.append(h * h * np.array([np.dot(w * gv, conv_g), np.dot(w * gdv, conv_g),
+                                        np.dot(w * gdv, conv_gd)]))
+    q_gg, q_dg, q_dd = (4.0 * levels[1] - levels[0]) / 3.0
+    g = float(prop.g(tau_star))
+    r = float(prop.g_dot(tau_star)) / g
+    return np.array([0.5 * (q_dd - 2.0 * r * q_dg + r * r * q_gg),
+                     (q_dg - r * q_gg) / (2.0 * g), q_gg / (2.0 * g * g)])
+
+
+@pytest.mark.parametrize("bath, lam, tau_last", [(EXP, 0.2, 1.6), (HARD, 0.4, 1.2)])
+def test_window_theta_matches_the_per_time_route(bath, lam, tau_last):
+    prop = solve_propagator(bath, OSC, lam, tau_last + 0.1)
+    m0 = max(32, math.ceil(tau_last / _theta_grid_step(prop)))
+    coarse, fine = tau_last / m0, tau_last / (4 * m0)
+    on_grid = np.array([0.6 * m0, 0.8 * m0]).round() * coarse
+    off_grid = np.array([0.5 * tau_last + 0.37 * fine, 0.7 * tau_last + 2.5 * fine,
+                         tau_last - 0.5 * fine])
+    tau = np.sort(np.concatenate([on_grid, off_grid, [tau_last]]))
+    window = np.array(_theta_window(prop, tau, 1e-3)).T
+    for ts, got in zip(tau, window):
+        want = _per_time_theta(prop, ts)
+        rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        if ts in off_grid:
+            # different grids: the routes differ by their Richardson
+            # residuals and the window route's interpolation (<= 7.3e-9 here)
+            assert rel < 1e-7, (ts, rel)
+        else:
+            # the same double sums, summed in another order
+            assert rel < 1e-12, (ts, rel)
+
+
+def test_window_refusal_names_a_time(exp_prop):
+    tau = np.linspace(0.9, 1.4, 6)
+    with pytest.raises(AccuracyError, match=r"not converged at tau=") as err:
+        exact_coefficients(exp_prop, tau, rel_tol=1e-14)
+    named = float(re.search(r"at tau=(\S+):", str(err.value)).group(1))
+    assert np.min(np.abs(tau - named)) < 1e-5
+
+
+def test_window_takes_one_noise_kernel_call(exp_prop, monkeypatch):
+    sizes = []
+
+    def counting(tau, *args):
+        sizes.append(np.size(tau))
+        return noise_kernel(tau, *args)
+
+    monkeypatch.setattr(coefficients, "noise_kernel", counting)
+    tau = np.linspace(0.9, 1.4, 11)
+    exact_coefficients(exp_prop, tau)
+    m0 = max(32, math.ceil(1.4 / _theta_grid_step(exp_prop)))
+    assert len(sizes) == 1
+    assert sizes[0] <= 4 * m0 + 1
+
+
+def test_points_near_zero_take_a_grid_of_their_own(exp_prop):
+    # 0.004 lies 4 coarse panels into the 1.2-long window's grid; it is
+    # computed as a one-point window, so a tight tolerance holds as before
+    tau = np.array([0.004, 0.9, 1.0, 1.1, 1.2])
+    window = np.array(_theta_window(exp_prop, tau, 1e-6))
+    assert tuple(window[:, 0]) == theta_coefficients(exp_prop, 0.004, 1e-6)
+    assert tuple(window[:, -1]) == theta_coefficients(exp_prop, 1.2, 1e-6)

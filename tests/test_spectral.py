@@ -130,6 +130,25 @@ def test_self_energy_refusal_reports_the_last_change():
     assert change > 0.0
 
 
+@pytest.mark.parametrize("bath", [BATH, HARD])
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_self_energy_diverges_at_zero_frequency_when_warm(bath, branch):
+    # the dressed rate tends to eta*T at w -> 0+, so the principal value
+    # at omega = 0 grows like log|omega|: an input error, not a quadrature one
+    with pytest.raises(DivergenceError, match=r"omega=0.*eta\*T/2 = 0\.3\b"):
+        self_energy(0.0, bath, branch)
+
+
+def test_self_energy_at_zero_frequency_when_cold():
+    # at T = 0 the rate vanishes at w = 0 and the integral is finite:
+    # PV int_0^inf dw eta w exp(-w/wc) / (2 pi (0 - w)) = -eta wc / (2 pi)
+    bath = BathSpectrum(0.3, 5.0, "exponential", 0.0)
+    se = self_energy(0.0, bath)
+    assert se.real_part == pytest.approx(-0.23873241463784298, rel=1e-14)
+    assert se.real_part == pytest.approx(-0.3 * 5.0 / (2.0 * math.pi), rel=1e-13)
+    assert se.imag_part == 0.0
+
+
 
 @pytest.mark.parametrize("bath", [BATH, HARD])
 def test_renormalized_frequency_closed_form(bath):
