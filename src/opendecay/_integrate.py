@@ -2,32 +2,53 @@
 
 Works on complex or real arrays of any shape; steps are clipped so every
 requested output time is hit exactly (no dense-output interpolation).
-:func:`propagate_constant` is the one entry point for linear systems with a
-constant generator, with the matrix exponential as its reference route.
+
+One step controller (:func:`_advance`) serves two stage evaluators:
+
+- :func:`integrate` evaluates the seven Runge-Kutta stages of a general
+  right-hand side ``f(t, y)``, reusing the last stage of an accepted step
+  as the first of the next (first same as last).
+- :func:`propagate_constant` solves ``y' = M y`` for a constant matrix
+  ``M``. There every stage is a polynomial in ``z = h M`` applied to
+  ``y``: the 5th-order update is ``R5(z) y`` with the method's stability
+  polynomial ``R5`` (degree 6) and the error estimate is ``E(z) y``
+  (degree 7, no term below ``z^5``). With the powers ``[M^0, ..., M^7]``
+  formed once per call, a step is one product with ``y`` and one with
+  the coefficients scaled by ``h^p``. Both polynomials are derived from
+  the Butcher tableau in exact rational arithmetic.
+
+The matrix exponential is the reference route of :func:`propagate_constant`.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
 from .errors import StiffnessError
 
-# Dormand-Prince coefficients
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince coefficients, exact; the stepper uses their nearest floats
+_F = Fraction
+_A_EXACT = (
+    (),
+    (_F(1, 5),),
+    (_F(3, 40), _F(9, 40)),
+    (_F(44, 45), _F(-56, 15), _F(32, 9)),
+    (_F(19372, 6561), _F(-25360, 2187), _F(64448, 6561), _F(-212, 729)),
+    (_F(9017, 3168), _F(-355, 33), _F(46732, 5247), _F(49, 176), _F(-5103, 18656)),
+    (_F(35, 384), _F(0), _F(500, 1113), _F(125, 192), _F(-2187, 6784), _F(11, 84)),
 )
+_B5_EXACT = (_F(35, 384), _F(0), _F(500, 1113), _F(125, 192), _F(-2187, 6784),
+             _F(11, 84), _F(0))
+_B4_EXACT = (_F(5179, 57600), _F(0), _F(7571, 16695), _F(393, 640),
+             _F(-92097, 339200), _F(187, 2100), _F(1, 40))
+
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_A = [[float(a) for a in row] for row in _A_EXACT]
+_B5 = np.array([float(b) for b in _B5_EXACT])
+_B4 = np.array([float(b) for b in _B4_EXACT])
 
 # Attempted steps, accepted and rejected, after which one call refuses.
 # The most any test or acceptance criterion takes in one call is 2581
@@ -35,18 +56,96 @@ _B4 = np.array(
 _MAX_STEPS = 1_000_000
 
 
-def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
-    """Integrate y' = f(t, y) from t_grid[0], returning y at every node.
+def _stage_polynomials():
+    """Exact coefficients of ``(R5, E)`` in powers ``z^0 .. z^7``.
 
-    Raises StiffnessError when the step size underflows or after
-    ``_MAX_STEPS`` attempted steps.
+    For ``f(t, y) = M y`` stage ``i`` is ``h k_i = P_i(z) y`` with
+    ``P_i(z) = z (1 + sum_j a_ij P_j(z))``, so ``R5 = 1 + sum_i b5_i P_i``
+    and ``E = sum_i (b5_i - b4_i) P_i``. Stage ``i`` has degree ``i + 1``.
+    """
+    stages = []
+    for row in _A_EXACT:
+        inner = [_F(1)] + [_F(0)] * 7
+        for a, p in zip(row, stages):
+            inner = [c + a * q for c, q in zip(inner, p)]
+        stages.append([_F(0)] + inner[:-1])
+    r5 = [_F(1)] + [_F(0)] * 7
+    err = [_F(0)] * 8
+    for b5, b4, p in zip(_B5_EXACT, _B4_EXACT, stages):
+        r5 = [c + b5 * q for c, q in zip(r5, p)]
+        err = [c + (b5 - b4) * q for c, q in zip(err, p)]
+    return r5, err
+
+
+# rows R5 and E as floats, converted once from the exact coefficients
+_STEP_POLY = np.array([[float(c) for c in poly] for poly in _stage_polynomials()])
+_EXPONENTS = np.arange(_STEP_POLY.shape[1], dtype=float)
+
+
+class _RungeKuttaStages:
+    """Dormand-Prince stages of a general right-hand side ``f(t, y)``."""
+
+    def __init__(self, f):
+        self.f = f
+        self.k = [None] * 7
+
+    def __call__(self, t, h, y):
+        """Return ``(y5, err)`` of one trial step of size ``h`` from ``(t, y)``."""
+        f, k = self.f, self.k
+        if k[0] is None:
+            k[0] = np.asarray(f(t, y), dtype=y.dtype)
+        for i in range(1, 7):
+            yi = y.copy()
+            for j, a in enumerate(_A[i]):
+                yi += (h * a) * k[j]
+            k[i] = np.asarray(f(t + _C[i] * h, yi), dtype=y.dtype)
+        y5 = y.copy()
+        for i in range(7):
+            if _B5[i] != 0.0:
+                y5 += (h * _B5[i]) * k[i]
+        err = np.zeros_like(y)
+        for i in range(7):
+            d = _B5[i] - _B4[i]
+            if d != 0.0:
+                err += (h * d) * k[i]
+        return y5, err
+
+    def accept(self):
+        self.k[0] = self.k[6]  # FSAL: last stage is f at the accepted point
+
+
+class _PolynomialStages:
+    """Dormand-Prince stages of ``y' = M y``: ``(y5, err) = (R5(hM) y, E(hM) y)``."""
+
+    def __init__(self, matrix):
+        powers = [np.eye(matrix.shape[0], dtype=matrix.dtype)]
+        for _ in range(1, len(_EXPONENTS)):
+            powers.append(matrix @ powers[-1])
+        self.powers = np.concatenate(powers)  # rows of M^0, ..., M^7 in turn
+
+    def __call__(self, t, h, y):
+        """Return ``(y5, err)`` of one trial step of size ``h`` from ``y``."""
+        v = (self.powers @ y).reshape(len(_EXPONENTS), -1)
+        y5, err = ((_STEP_POLY * h**_EXPONENTS) @ v).reshape((2,) + y.shape)
+        return y5, err
+
+    def accept(self):
+        pass
+
+
+def _advance(stages, y, t_grid, rtol, atol, max_step):
+    """Step ``y`` from ``t_grid[0]`` over the grid with DOPRI 5(4) step control.
+
+    ``stages(t, h, y)`` returns the 5th-order update and the embedded error
+    estimate of one trial step; ``stages.accept()`` is called after each
+    accepted one. Raises StiffnessError when the step size underflows or
+    after ``_MAX_STEPS`` attempted steps.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise ValueError("t_grid must be a 1-d array with at least one node")
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     out = np.empty((len(t_grid),) + y.shape, dtype=y.dtype)
     out[0] = y
     if len(t_grid) == 1:
@@ -54,8 +153,6 @@ def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
 
     t = t_grid[0]
     span = t_grid[-1] - t_grid[0]
-    k = [None] * 7
-    k[0] = np.asarray(f(t, y), dtype=y.dtype)
     h = min(span / 100.0, max_step)
     idx = 1
     target = t_grid[idx]
@@ -72,27 +169,14 @@ def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
         if t + h_try >= target:
             h_try = target - t
             clipped = True
-        for i in range(1, 7):
-            yi = y.copy()
-            for j, a in enumerate(_A[i]):
-                yi += (h_try * a) * k[j]
-            k[i] = np.asarray(f(t + _C[i] * h_try, yi), dtype=y.dtype)
-        y5 = y.copy()
-        for i in range(7):
-            if _B5[i] != 0.0:
-                y5 += (h_try * _B5[i]) * k[i]
-        err = np.zeros_like(y)
-        for i in range(7):
-            d = _B5[i] - _B4[i]
-            if d != 0.0:
-                err += (h_try * d) * k[i]
+        y5, err = stages(t, h_try, y)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         enorm = float(np.sqrt(np.sum(np.abs(err / scale) ** 2) / n_comp))
         factor = 0.9 * (enorm ** -0.2) if enorm > 0.0 else 5.0
         if enorm <= 1.0:
             t = target if clipped else t + h_try
             y = y5
-            k[0] = k[6]  # FSAL: last stage is f at the accepted point
+            stages.accept()
             if clipped:
                 out[idx] = y
                 idx += 1
@@ -111,17 +195,41 @@ def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
     )
 
 
+def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
+    """Integrate y' = f(t, y) from t_grid[0], returning y at every node.
+
+    Raises StiffnessError when the step size underflows or after
+    ``_MAX_STEPS`` attempted steps.
+    """
+    y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
+    return _advance(_RungeKuttaStages(f), y, t_grid, rtol, atol, max_step)
+
+
 def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
     """Solve y' = M y for a constant matrix M, returning y at every node.
 
-    ``method="adaptive"`` steps with :func:`integrate` at the relative
-    tolerance ``rtol``; ``method="expm"`` evaluates ``expm(M t) @ y0`` at
+    ``method="adaptive"`` takes Dormand-Prince steps at the relative
+    tolerance ``rtol``, with the same step control and refusals as
+    :func:`integrate`; ``method="expm"`` evaluates ``expm(M t) @ y0`` at
     every node, the reference route for the adaptive one. ``y0`` is a
-    vector or a matrix whose columns are propagated together.
+    vector or a matrix whose columns are propagated together; a matrix
+    that is not square or does not match ``y0``'s leading dimension
+    raises ValueError.
     """
+    matrix = np.asarray(matrix)
+    y0 = np.asarray(y0)
+    if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
+            or y0.ndim not in (1, 2) or y0.shape[0] != matrix.shape[0]):
+        raise ValueError(
+            f"generator of shape {matrix.shape} cannot propagate y0 of shape "
+            f"{y0.shape}: it must be a square matrix whose size is the leading "
+            "dimension of a vector or matrix y0"
+        )
     t_grid = np.asarray(t_grid, dtype=float)
     if method == "expm":
         return np.stack([scipy.linalg.expm(matrix * t) @ y0 for t in t_grid])
     if method != "adaptive":
         raise ValueError(f"unknown method {method!r}")
-    return integrate(lambda t, y: matrix @ y, y0, t_grid, rtol=rtol)
+    dtype = complex if np.iscomplexobj(matrix) or np.iscomplexobj(y0) else float
+    return _advance(_PolynomialStages(matrix.astype(dtype)), y0.astype(dtype),
+                    t_grid, rtol, 1e-14, np.inf)

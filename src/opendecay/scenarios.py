@@ -494,16 +494,14 @@ def _run_qbm_sweep(cfg):
 
 def _run_bridge_check(cfg):
     spin = _spin_bath(cfg)
+    if cfg["n_states"] < 1:
+        raise ConfigError("n_states must be at least 1")
     rng = np.random.default_rng(cfg["seed"])
     tau = np.linspace(0.0, cfg["tau_max"], cfg["tau_points"])
-    idx, devs = [], []
-    for i in range(cfg["n_states"]):
-        rho0 = random_density_matrix(rng)
-        devs.append(
-            bloch_density_bridge(spin, cfg["gamma_theta"], rho0, tau, rtol=cfg["rtol"])
-        )
-        idx.append(i)
-    cols = {"state_index": idx, "deviation": devs}
+    states = np.stack([random_density_matrix(rng) for _ in range(cfg["n_states"])])
+    devs = bloch_density_bridge(spin, cfg["gamma_theta"], states, tau,
+                                rtol=cfg["rtol"]).tolist()
+    cols = {"state_index": list(range(cfg["n_states"])), "deviation": devs}
     return ResultTable("bridge_check", cols, {"max_deviation": max(devs)})
 
 

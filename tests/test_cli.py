@@ -160,6 +160,7 @@ def test_cli_writes_output_file(tmp_path):
     ["spin_bloch", "--config", "/nonexistent/path.cfg"],
     ["qbm_sweep"],                        # missing required lambda_list
     ["acceptance", "--criteria", "x,y"],
+    ["bridge_check", "--n_states", "0"],
 ])
 def test_cli_usage_problems_exit_1(argv, capsys):
     assert main(argv) == 1

@@ -1,0 +1,92 @@
+"""The constant-generator route of the DOPRI stepper against its general route."""
+
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from opendecay import _integrate
+from opendecay._integrate import integrate, propagate_constant
+from opendecay.bloch import propagator_matrix, rapid_generator
+from opendecay.errors import StiffnessError
+from opendecay.lindblad import spin_liouvillian
+from opendecay.model import make_spin_params
+
+
+def test_stage_polynomials_are_exact():
+    r5, err = _integrate._stage_polynomials()
+    assert r5 == [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6),
+                  Fraction(1, 24), Fraction(1, 120), Fraction(1, 600), Fraction(0)]
+    assert err[:5] == [0] * 5
+    assert all(c != 0 for c in err[5:])
+
+
+def _general_route(matrix, y0, tau):
+    return integrate(lambda t, y: matrix @ y, y0, tau)
+
+
+def _assert_routes_agree(matrix, y0, tau):
+    poly = propagate_constant(matrix, y0, tau)
+    general = _general_route(matrix, y0, tau)
+    assert poly.shape == general.shape and poly.dtype == general.dtype
+    assert np.max(np.abs(poly - general)) <= 1e-12 * np.max(np.abs(general))
+
+
+@pytest.mark.parametrize("eps, delta, gamma", [
+    (0.6, 0.8, 10.0),  # rapid generator, gamma_theta / omega0 = 10
+    (0.0, 1.0, 2.0),   # zero bias at the flip: a defective generator
+])
+def test_triple_generator_matches_the_general_route(eps, delta, gamma):
+    gen = rapid_generator(make_spin_params(eps, delta), gamma)
+    c0 = np.array([0.3 + 0.1j, -0.2, 0.5j])
+    _assert_routes_agree(gen.matrix, c0, np.linspace(0.0, 6.0, 31))
+
+
+def test_liouvillian_on_a_matrix_of_columns_matches_the_general_route():
+    liouv = spin_liouvillian(make_spin_params(1.0, 2.0), 0.7)
+    rng = np.random.default_rng(5)
+    y0 = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    _assert_routes_agree(liouv.matrix, y0, np.linspace(0.0, 8.0, 17))
+
+
+def test_propagator_matrix_matches_the_general_route():
+    gen = rapid_generator(make_spin_params(0.5, 1.5), 0.4)
+    tau = np.linspace(0.0, 5.0, 11)
+    props = propagator_matrix(gen, tau)
+    general = _general_route(gen.matrix, np.eye(3, dtype=complex), tau)
+    assert np.max(np.abs(props - general)) <= 1e-12 * np.max(np.abs(general))
+
+
+def test_real_matrix_and_real_state_stay_real():
+    matrix = np.array([[-0.3, 1.0], [-1.0, -0.1]])
+    tau = np.linspace(0.0, 10.0, 21)
+    assert propagate_constant(matrix, np.array([1.0, 0.5]), tau).dtype == float
+    _assert_routes_agree(matrix, np.array([1.0, 0.5]), tau)
+
+
+def test_constant_route_refuses_past_its_step_budget(monkeypatch):
+    matrix = -np.eye(2)
+    out = propagate_constant(matrix, np.ones(2), [0.0, 10.0], rtol=1e-12)
+    assert out[-1] == pytest.approx(np.exp(-10.0) * np.ones(2), rel=1e-10)
+    monkeypatch.setattr(_integrate, "_MAX_STEPS", 50)
+    with pytest.raises(StiffnessError, match="step budget of 50 attempted steps"):
+        propagate_constant(matrix, np.ones(2), [0.0, 10.0], rtol=1e-12)
+
+
+def test_constant_route_refuses_a_stiff_system():
+    with pytest.raises(StiffnessError, match="step size underflow"):
+        propagate_constant(-1e16 * np.eye(2), np.ones(2), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("matrix, y0", [
+    (np.ones((3, 2)), np.ones(3)),        # not square
+    (np.ones((2, 2, 2)), np.ones(2)),     # not 2-d
+    (np.eye(3), np.ones(4)),              # size does not match y0
+    (np.eye(3), np.ones((3, 2, 2))),      # y0 neither a vector nor a matrix
+])
+def test_constant_route_validates_its_matrix(matrix, y0):
+    shapes = re.escape(str(matrix.shape)) + ".*" + re.escape(str(y0.shape))
+    for method in ("adaptive", "expm"):
+        with pytest.raises(ValueError, match=shapes):
+            propagate_constant(matrix, y0, [0.0, 1.0], method=method)

@@ -168,6 +168,21 @@ def test_bridge_consistency_small_case():
     assert dev < 1e-9
 
 
+def test_bridge_on_a_stack_equals_the_per_state_calls():
+    spin = make_spin_params(3.0, 4.0)
+    rng = np.random.default_rng(606)
+    states = np.stack([random_density_matrix(rng) for _ in range(4)])
+    tau = np.linspace(0.0, 10.0, 51)
+    devs = bloch_density_bridge(spin, 1.0, states, tau)
+    assert isinstance(devs, np.ndarray) and devs.shape == (4,)
+    single = [bloch_density_bridge(spin, 1.0, rho, tau) for rho in states]
+    assert all(isinstance(d, float) for d in single)
+    assert devs.tolist() == single
+    assert bloch_density_bridge(spin, 1.0, DensityMatrix2(states[0]), tau) == single[0]
+    with pytest.raises(ValueError, match="rho0 must have shape"):
+        bloch_density_bridge(spin, 1.0, states[:, :1], tau)
+
+
 def test_propagate_density_rejects_bad_method():
     # every constant-generator entry point refuses an unknown method
     spin = make_spin_params(1.0, 1.0)
@@ -207,4 +222,10 @@ def test_bridge_refuses_mismatched_conventions(monkeypatch):
     rho0 = np.array([[0.8, 0.1 + 0.2j], [0.1 - 0.2j, 0.2]])
     with pytest.raises(ConventionMismatchError, match="disagree"):
         bloch_density_bridge(make_spin_params(1.0, 2.0), 0.7, rho0,
+                             np.linspace(0.0, 5.0, 21))
+    # one mismatched state in a stack is enough; the maximally mixed one
+    # carries no coherence or inversion and agrees under either convention
+    stack = np.stack([0.5 * np.eye(2, dtype=complex), rho0])
+    with pytest.raises(ConventionMismatchError, match="disagree"):
+        bloch_density_bridge(make_spin_params(1.0, 2.0), 0.7, stack,
                              np.linspace(0.0, 5.0, 21))
