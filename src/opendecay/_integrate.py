@@ -93,7 +93,14 @@ class _RungeKuttaStages:
         """Return ``(y5, err)`` of one trial step of size ``h`` from ``(t, y)``."""
         f, k = self.f, self.k
         if k[0] is None:
-            k[0] = np.asarray(f(t, y), dtype=y.dtype)
+            k0 = np.asarray(f(t, y))
+            if np.iscomplexobj(k0) and not np.iscomplexobj(y):
+                raise ValueError(
+                    f"right-hand side returned {k0.dtype} for a state of dtype "
+                    f"{y.dtype}; the real state would drop its imaginary part, "
+                    "so pass a complex y0"
+                )
+            k[0] = k0.astype(y.dtype, copy=False)
         for i in range(1, 7):
             yi = y.copy()
             for j, a in enumerate(_A[i]):
@@ -199,7 +206,8 @@ def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
     """Integrate y' = f(t, y) from t_grid[0], returning y at every node.
 
     Raises StiffnessError when the step size underflows or after
-    ``_MAX_STEPS`` attempted steps.
+    ``_MAX_STEPS`` attempted steps, and ValueError when ``f`` returns a
+    complex value for a real ``y0``.
     """
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     return _advance(_RungeKuttaStages(f), y, t_grid, rtol, atol, max_step)

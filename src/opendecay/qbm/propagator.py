@@ -18,14 +18,19 @@ Two independent routes are provided:
     ``mu`` is integrated exactly against the cubic Hermite interpolant
     of ``G`` (the kernel is concentrated in a boundary layer of width
     ``lam**2/cutoff`` that no polynomial rule on the ``G`` grid could
-    resolve, but its monomial moments have closed forms).  Stepping is
-    an Adams-Bashforth-4 predictor with two Adams-Moulton-4 corrector
-    sweeps; the first three nodes come from a trapezoidal PECE run on a
-    16x/32x finer subgrid, Richardson extrapolated.  Once the history is
-    complete, ``G'''`` follows from the same product weights applied to
-    ``(G', G'')``, all nodes at once by FFT convolution.  The whole solve
-    is repeated on a half-step grid and the two solutions compared, so
-    the returned accuracy is certified rather than hoped for.
+    resolve, but its monomial moments have closed forms).  The first
+    three nodes come from a trapezoidal PECE run on a 16x/32x finer
+    subgrid, Richardson extrapolated; the later ones from an
+    Adams-Bashforth-4 predictor with two Adams-Moulton-4 corrector
+    sweeps.  Either step is linear with constant coefficients in the
+    last nodes and in the memory sum, so each run is one causal 3x3
+    matrix power-series equation ``M(z) X(z) = R(z)``.  It is solved by
+    Newton's iteration for ``M^{-1}`` with FFT products rather than node
+    by node, which gives the stepped solution to round-off.  Once the
+    history is complete, ``G'''`` follows from the same product weights
+    applied to ``(G', G'')``, all nodes at once by FFT convolution.  The
+    whole solve is repeated on a half-step grid and the two solutions
+    compared, so the returned accuracy is certified rather than hoped for.
 
 ``propagator_via_laplace``
     Numerical Bromwich inversion of
@@ -45,7 +50,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_triangular
 from scipy.signal import fftconvolve
 from scipy.special import sici
 
@@ -64,6 +71,7 @@ __all__ = [
 _POINTS_PER_UNIT_PHASE = 409.6  # 4096 nodes per 10/w0 of elapsed phase
 _MAX_NODES = 1 << 20
 _ANCHOR_NODES = 64  # Bromwich phases are recomputed exactly this often
+_DENSE_TERMS = 16  # terms of M^{-1} found by a dense solve before Newton
 
 
 @dataclass(frozen=True)
@@ -220,36 +228,141 @@ def _linear_weights(n: int, h: float, bath, osc, lam: float):
     return w  # the lag-n weight m1[n-1] multiplies G(0) = 0 and is dropped
 
 
+def _trapezoid_step(h: float, w0sq: float, two_over_m: float, w0: float):
+    """One trapezoidal PECE step (four corrector sweeps) of the startup grid."""
+
+    def step(g, gd, gdd, base):  # values at node m; base: lag sum of node m + 1
+        gs = g[0] + h * gd[0] + 0.5 * h * h * gdd[0]
+        gds = gd[0] + h * gdd[0]
+        for _ in range(4):
+            gdds = -w0sq * gs - two_over_m * (base + w0 * gs)
+            gds = gd[0] + 0.5 * h * (gdd[0] + gdds)
+            gs = g[0] + 0.5 * h * (gd[0] + gds)
+        return gs, gds, -w0sq * gs - two_over_m * (base + w0 * gs)
+
+    return step
+
+
+def _adams_step(h: float, w0sq: float, two_over_m: float, wg0: float, wd0: float):
+    """One AB4 predictor and two AM4 corrector sweeps from node m to m + 1."""
+
+    def step(g, gd, gdd, base):  # index k: node m - k; base: lag sum of node m + 1
+        gc = g[0] + h * (55.0 * gd[0] - 59.0 * gd[1] + 37.0 * gd[2] - 9.0 * gd[3]) / 24.0
+        gdc = gd[0] + h * (55.0 * gdd[0] - 59.0 * gdd[1] + 37.0 * gdd[2] - 9.0 * gdd[3]) / 24.0
+        for _ in range(2):
+            gddc = -w0sq * gc - two_over_m * (base + wg0 * gc + wd0 * gdc)
+            gdc = gd[0] + h * (9.0 * gddc + 19.0 * gdd[0] - 5.0 * gdd[1] + gdd[2]) / 24.0
+            gc = g[0] + h * (9.0 * gdc + 19.0 * gd[0] - 5.0 * gd[1] + gd[2]) / 24.0
+        return gc, gdc, -w0sq * gc - two_over_m * (base + wg0 * gc + wd0 * gdc)
+
+    return step
+
+
+def _step_map(step, nodes: int):
+    """Coefficients ``(K, v)`` of a linear step over ``nodes`` past nodes.
+
+    A step of the schemes above is linear with constant coefficients in
+    the last nodes ``x_{m-k} = (G, G', G'')_{m-k}``, k < nodes, and in the
+    lag sum ``b`` of the older history: ``x_{m+1} = sum_k K[k] x_{m-k} + v b``.
+    The columns are read off by pushing unit vectors through the step's
+    own arithmetic.
+    """
+    unit = np.eye(3 * nodes + 1)
+    x = unit[:-1].reshape(nodes, 3, -1)  # x[k, c]: component c of node m - k
+    out = np.stack(step(x[:, 0], x[:, 1], x[:, 2], unit[-1]))
+    return out[:, :-1].reshape(3, nodes, 3).transpose(1, 0, 2), out[:, -1]
+
+
 def _startup_nodes(h: float, w0sq: float, mass: float, bath, osc, lam: float):
     """(G, G') at tau = h, 2h, 3h from Richardson-paired fine PECE runs."""
 
     def run(nsub: int):
+        # the PECE recursion over nodes 1 .. nsub as one causal solve; only
+        # node 1 sees the initial data x_0 = (0, 1, 0)
         hf = 3.0 * h / nsub
         w = _linear_weights(nsub, hf, bath, osc, lam)
-        g = np.zeros(nsub + 1)
-        gd = np.zeros(nsub + 1)
-        gdd = np.zeros(nsub + 1)
-        gd[0] = 1.0
-        two_over_m = 2.0 / mass
-        for j in range(nsub):
-            gs = g[j] + hf * gd[j] + 0.5 * hf * hf * gdd[j]
-            gds = gd[j] + hf * gdd[j]
-            lagd = np.dot(w[1 : j + 1], g[j:0:-1]) if j >= 1 else 0.0
-            for _ in range(4):
-                gdds = -w0sq * gs - two_over_m * (lagd + w[0] * gs)
-                gds = gd[j] + 0.5 * hf * (gdd[j] + gdds)
-                gs = g[j] + 0.5 * hf * (gd[j] + gds)
-            g[j + 1], gd[j + 1] = gs, gds
-            gdd[j + 1] = -w0sq * gs - two_over_m * (lagd + w[0] * gs)
-        return g, gd
+        K, v = _step_map(_trapezoid_step(hf, w0sq, 2.0 / mass, w[0]), 1)
+        rhs = np.zeros((3, nsub))
+        rhs[:, 0] = K[0][:, 1]
+        x = _causal_solve(K, v, np.stack([w, np.zeros(nsub)]), rhs)
+        return x[0], x[1]
 
     g16, gd16 = run(48)
     g32, gd32 = run(96)
-    i16 = np.array([16, 32, 48])
-    i32 = np.array([32, 64, 96])
+    i16 = np.array([15, 31, 47])  # nodes 16, 32, 48
+    i32 = np.array([31, 63, 95])
     g = (4.0 * g32[i32] - g16[i16]) / 3.0
     gd = (4.0 * gd32[i32] - gd16[i16]) / 3.0
     return g, gd
+
+
+def _product(a_hat, b_hat, size: int):
+    """Coefficients of A(z) B(z) from the rfft stacks of a (3, 3) and a (3, c) series."""
+    return irfft(np.einsum("ijf,jcf->icf", a_hat, b_hat), size)
+
+
+def _causal_solve(K, v, w, rhs):
+    """Solve ``M(z) X(z) = R(z) mod z^N`` for the 3-vector series X.
+
+    ``M(z) = I - sum_k K[k-1] z^k - v w(z)^T`` with the lag row
+    ``w_l = (w[0, l], w[1, l], 0)`` for l >= 1 (entries l = 0 are
+    ignored); ``rhs`` holds R as (3, N).  The first terms of
+    ``Y = M^{-1}`` come from a dense block-triangular solve; Newton's
+    iteration ``Y <- Y - Y (M Y - I)`` then doubles the number of correct
+    terms per pass up to ``ceil(N/2)`` (Brent and Kung, J. ACM 25, 581
+    (1978)), and one more correction ``X <- X + Y (R - M X)`` takes X
+    from half to full length.  Products are cyclic rfft products of
+    (3, c, len) stacks, sized so that wrap-around lands only on terms
+    already known.
+    """
+    n = rhs.shape[1]
+    half = (n + 1) // 2
+    w = np.array(w, dtype=float)
+    w[:, 0] = 0.0  # the lag-0 weights belong to K and v
+
+    def tail(z, z_hat, lo, hi, size):
+        # (M Z)[lo:hi] for a series Z of length lo (zero from lo on); the
+        # lag product wraps only onto terms below lo
+        w_hat = rfft(w[:, :size], size)
+        wz = irfft(w_hat[0] * z_hat[0] + w_hat[1] * z_hat[1], size)[..., lo:hi]
+        out = -v[:, None, None] * wz
+        for k in range(1, len(K) + 1):
+            first = max(0, k - lo)  # rows lo + r, r < k, reach back to Z[lo + r - k]
+            last = min(k, hi - lo)
+            if first < last:
+                out[..., first:last] -= np.einsum(
+                    "ij,jcr->icr", K[k - 1], z[..., lo - k + first : lo - k + last]
+                )
+        return out
+
+    # dense start: block column 0 of the inverse of the lower-triangular
+    # block-Toeplitz matrix of M's first terms
+    m = min(half, _DENSE_TERMS)
+    coef = np.zeros((m, 3, 3))
+    coef[:, :, :2] = -v[None, :, None] * w[:, :m].T[:, None, :]
+    coef[0] += np.eye(3)
+    coef[1 : len(K) + 1] -= K[: m - 1]
+    offset = np.subtract.outer(np.arange(m), np.arange(m))
+    blocks = np.where((offset >= 0)[:, :, None, None], coef[np.maximum(offset, 0)], 0.0)
+    e0 = np.zeros((3 * m, 3))
+    e0[:3] = np.eye(3)
+    y = solve_triangular(blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m), e0, lower=True)
+    y = y.reshape(m, 3, 3).transpose(1, 2, 0)
+
+    while y.shape[2] < half:
+        lo = y.shape[2]
+        hi = min(2 * lo, half)
+        size = next_fast_len(hi, real=True)
+        y_hat = rfft(y, size)
+        err = tail(y, y_hat, lo, hi, size)  # (M Y - I)[lo:hi]; lower terms are 0
+        y = np.concatenate([y, -_product(y_hat, rfft(err, size), size)[..., : hi - lo]], 2)
+
+    size = next_fast_len(n, real=True)
+    y_hat = rfft(y, size)
+    x = _product(y_hat, rfft(rhs[:, None, :half], size), size)[..., :half]
+    res = rhs[:, None, half:] - tail(x, rfft(x, size), half, n, size)
+    x = np.concatenate([x, _product(y_hat, rfft(res, size), size)[..., : n - half]], 2)
+    return x[:, 0, :]
 
 
 def _volterra_solve(bath, osc, lam: float, tau_max: float, n: int):
@@ -265,44 +378,45 @@ def _volterra_solve(bath, osc, lam: float, tau_max: float, n: int):
     wd = h * beta
     wd[1:] += h * delta[:-1]
 
+    def memory(a, ad, conv=fftconvolve):
+        # product-integration memory sum at nodes 1 .. len(a) - 1 applied
+        # to the history (a, ad), the tau = 0 node through gamma/delta
+        m = a.size - 1
+        out = conv(wg[:m], a[1:])[:m] + conv(wd[:m], ad[1:])[:m]
+        return out + gamma[:m] * a[0] + h * delta[:m] * ad[0]
+
     G = np.zeros(n + 1)
     Gd = np.zeros(n + 1)
     Gdd = np.zeros(n + 1)
     Gd[0] = 1.0
-
-    def lag(j, a, ad):
-        # memory over history nodes j-1 .. 1 plus the tau=0 boundary node
-        s = gamma[j - 1] * a[0] + h * delta[j - 1] * ad[0]
-        if j > 1:
-            s += np.dot(wg[1:j], a[j - 1 : 0 : -1])
-            s += np.dot(wd[1:j], ad[j - 1 : 0 : -1])
-        return s
-
     G[1:4], Gd[1:4] = _startup_nodes(h, w0sq, mass, bath, osc, lam)
-    for i in (1, 2, 3):
-        mem = lag(i, G, Gd) + wg[0] * G[i] + wd[0] * Gd[i]
-        Gdd[i] = -w0sq * G[i] - two_over_m * mem
+    Gdd[1:4] = -w0sq * G[1:4] - two_over_m * memory(G[:4], Gd[:4], np.convolve)
 
-    for m in range(3, n):
-        gp = G[m] + h * (55.0 * Gd[m] - 59.0 * Gd[m - 1] + 37.0 * Gd[m - 2] - 9.0 * Gd[m - 3]) / 24.0
-        gdp = Gd[m] + h * (55.0 * Gdd[m] - 59.0 * Gdd[m - 1] + 37.0 * Gdd[m - 2] - 9.0 * Gdd[m - 3]) / 24.0
-        base = lag(m + 1, G, Gd)
-        gc, gdc = gp, gdp
-        for _ in range(2):
-            gddc = -w0sq * gc - two_over_m * (base + wg[0] * gc + wd[0] * gdc)
-            gdc = Gd[m] + h * (9.0 * gddc + 19.0 * Gdd[m] - 5.0 * Gdd[m - 1] + Gdd[m - 2]) / 24.0
-            gc = G[m] + h * (9.0 * gdc + 19.0 * Gd[m] - 5.0 * Gd[m - 1] + Gd[m - 2]) / 24.0
-        G[m + 1], Gd[m + 1] = gc, gdc
-        Gdd[m + 1] = -w0sq * gc - two_over_m * (base + wg[0] * gc + wd[0] * gdc)
+    # From node 4 on, one AB4/AM4 step is linear with constant
+    # coefficients: x_j = (G, G', G'')_j obeys x_j = sum_k K_k x_{j-k} + v b_j,
+    # where b_j is the memory sum over nodes j-1 .. 0.  Taking x_4 .. x_n as
+    # one series X(z), this is M(z) X(z) = R(z) with
+    # M = I - sum_k K_k z^k - v w(z)^T, and R holds every term on the known
+    # nodes 0 .. 3.  Do not apply (I - sum_k K_k z^k)^{-1} as a rational
+    # filter (lfilter): its determinant has a double root on the unit
+    # circle, and the recursion loses digits (1.7e-10 relative).
+    # The whole matrix series is inverted instead.
+    K, v = _step_map(_adams_step(h, w0sq, two_over_m, wg[0], wd[0]), 4)
+    known = np.stack([G[:4], Gd[:4], Gdd[:4]])
+    b_known = gamma[3:n] * G[0] + h * delta[3:n] * Gd[0]
+    for i in (1, 2, 3):
+        b_known += wg[4 - i : n + 1 - i] * G[i] + wd[4 - i : n + 1 - i] * Gd[i]
+    rhs = np.outer(v, b_known)
+    for k in range(1, 5):
+        rows = min(k, n - 3)  # node 3 + r, r < k, reaches back to node 3 + r - k
+        rhs[:, :rows] += K[k - 1] @ known[:, 4 - k : 4 - k + rows]
+    G[4:], Gd[4:], Gdd[4:] = _causal_solve(K, v, np.stack([wg, wd]), rhs)
 
     # third derivative: differentiating the memory term moves the same
-    # product weights onto (G', G'') since mu(tau) G(0) vanishes.  With
-    # the history complete, the lag sums of all nodes are one convolution.
-    mem = fftconvolve(wg, Gd[1:])[:n] + fftconvolve(wd, Gdd[1:])[:n]
-    mem += gamma * Gd[0] + h * delta * Gdd[0]
+    # product weights onto (G', G'') since mu(tau) G(0) vanishes.
     Gddd = np.empty(n + 1)
     Gddd[0] = -w0sq * Gd[0]
-    Gddd[1:] = -w0sq * Gd[1:] - two_over_m * mem
+    Gddd[1:] = -w0sq * Gd[1:] - two_over_m * memory(Gd, Gdd)
 
     # linspace keeps the interior nodes of h * arange(n + 1) and ends on
     # tau_max exactly, so a window ending at tau_max stays inside the grid
@@ -323,7 +437,9 @@ def solve_propagator(
     The grid is halved (node count doubled) until two consecutive
     solutions agree to ``rel_tol`` relative to ``max |G|``; the finer of
     the agreeing pair is returned.  Raises AccuracyError when agreement
-    is not reached within ``max_refinements`` extra halvings.
+    is not reached within ``max_refinements`` extra halvings or before a
+    halving would exceed ``_MAX_NODES`` nodes, and ValidationError when
+    already the first halving would exceed it.
     """
     lam = _lam_value(lam)
     if not tau_max > 0.0:
@@ -332,14 +448,21 @@ def solve_propagator(
         n = max(16, math.ceil(_POINTS_PER_UNIT_PHASE * osc.omega0 * tau_max))
     else:
         n = max(16, int(n_points))
-    if n > _MAX_NODES:
-        raise ValidationError(f"requested grid of {n} nodes exceeds {_MAX_NODES}")
+    if 2 * n > _MAX_NODES:
+        raise ValidationError(
+            f"a grid of n={n} nodes cannot be certified: its first halving "
+            f"needs {2 * n} nodes, beyond the budget _MAX_NODES={_MAX_NODES}"
+        )
 
     coarse = _volterra_solve(bath, osc, lam, tau_max, n)
     err = math.inf
     for _ in range(max_refinements + 1):
         if 2 * n > _MAX_NODES:
-            break
+            raise AccuracyError(
+                f"propagator grid halving reached the budget _MAX_NODES="
+                f"{_MAX_NODES} at n={n}: successive solutions differ by "
+                f"{err:.3e} relative (target {rel_tol:g})"
+            )
         fine = _volterra_solve(bath, osc, lam, tau_max, 2 * n)
         scale_g = max(np.max(np.abs(fine[1])), 1e-300)
         scale_gd = max(np.max(np.abs(fine[2])), 1e-300)
@@ -353,8 +476,9 @@ def solve_propagator(
         coarse = fine
         n *= 2
     raise AccuracyError(
-        f"propagator grid halving stalled at n={n}: successive solutions "
-        f"differ by {err:.3e} relative (target {rel_tol:g})"
+        f"propagator grid halving stalled at n={n} after {max_refinements} "
+        f"refinements: successive solutions differ by {err:.3e} relative "
+        f"(target {rel_tol:g})"
     )
 
 

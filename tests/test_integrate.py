@@ -90,3 +90,11 @@ def test_constant_route_validates_its_matrix(matrix, y0):
     for method in ("adaptive", "expm"):
         with pytest.raises(ValueError, match=shapes):
             propagate_constant(matrix, y0, [0.0, 1.0], method=method)
+
+
+def test_general_route_refuses_a_complex_rhs_on_a_real_state():
+    rhs = lambda t, y: 1j * y  # noqa: E731
+    with pytest.raises(ValueError, match="complex128.*float64"):
+        integrate(rhs, np.ones(1), [0.0, 1.0])
+    out = integrate(rhs, np.ones(1, dtype=complex), [0.0, 1.0])
+    assert out[-1, 0] == pytest.approx(np.exp(1j), rel=1e-9)

@@ -9,11 +9,17 @@ import scipy.integrate
 from opendecay.errors import AccuracyError, InversionError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
 from opendecay.qbm.coefficients import exact_coefficients
+from opendecay.qbm import propagator
 from opendecay.qbm.kernels import dissipation_kernel
 from opendecay.qbm.propagator import (
     PropagatorFunction,
     _bromwich_sum,
+    _adams_step,
     _hermite_weights,
+    _linear_weights,
+    _step_map,
+    _trapezoid_step,
+    _volterra_solve,
     propagator_via_laplace,
     solve_propagator,
 )
@@ -118,16 +124,21 @@ def test_streamed_bromwich_sum_matches_dense_phases(grid):
     assert np.max(np.abs(got - want) / scale) < 1e-12
 
 
+def _lag_weights(n, h, bath, lam):
+    alpha, beta, gamma, delta = _hermite_weights(n, h, bath, OSC, lam)
+    wg = alpha.copy()
+    wg[1:] += gamma[:-1]
+    wd = h * beta
+    wd[1:] += h * delta[:-1]
+    return wg, wd, gamma, delta
+
+
 def test_third_derivative_matches_the_lag_sum():
     lam, tau_max = 0.4, 1.5
     pf = solve_propagator(EXP, OSC, lam, tau_max)
     n = pf.tau_grid.size - 1
     h = tau_max / n
-    alpha, beta, gamma, delta = _hermite_weights(n, h, EXP, OSC, lam)
-    wg = alpha.copy()
-    wg[1:] += gamma[:-1]
-    wd = h * beta
-    wd[1:] += h * delta[:-1]
+    wg, wd, gamma, delta = _lag_weights(n, h, EXP, lam)
     gd, gdd = pf.G_dot, pf.G_ddot
     # reference form: the product-integration memory sum node by node
     want = np.empty(n + 1)
@@ -137,6 +148,118 @@ def test_third_derivative_matches_the_lag_sum():
                + np.dot(wg[:j], gd[j:0:-1]) + np.dot(wd[:j], gdd[j:0:-1]))
         want[j] = -OSC.omega0**2 * gd[j] - 2.0 / OSC.mass * mem
     assert np.max(np.abs(pf.G_dddot - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def _loop_trapezoid_step(h, w0sq, two_over_m, w0, g, gd, gdd, lagd):
+    # one trapezoidal PECE step with four corrector sweeps from node m
+    gs = g + h * gd + 0.5 * h * h * gdd
+    gds = gd + h * gdd
+    for _ in range(4):
+        gdds = -w0sq * gs - two_over_m * (lagd + w0 * gs)
+        gds = gd + 0.5 * h * (gdd + gdds)
+        gs = g + 0.5 * h * (gd + gds)
+    return gs, gds, -w0sq * gs - two_over_m * (lagd + w0 * gs)
+
+
+def _loop_startup(h, bath, lam):
+    # (G, G') at h, 2h, 3h: fine PECE runs stepped node by node, Richardson paired
+    w0sq, two_over_m = OSC.omega0**2, 2.0 / OSC.mass
+
+    def run(nsub):
+        hf = 3.0 * h / nsub
+        w = _linear_weights(nsub, hf, bath, OSC, lam)
+        g, gd, gdd = np.zeros(nsub + 1), np.zeros(nsub + 1), np.zeros(nsub + 1)
+        gd[0] = 1.0
+        for j in range(nsub):
+            lagd = np.dot(w[1 : j + 1], g[j:0:-1]) if j >= 1 else 0.0
+            g[j + 1], gd[j + 1], gdd[j + 1] = _loop_trapezoid_step(
+                hf, w0sq, two_over_m, w[0], g[j], gd[j], gdd[j], lagd)
+        return g, gd
+
+    g16, gd16 = run(48)
+    g32, gd32 = run(96)
+    i16, i32 = np.array([16, 32, 48]), np.array([32, 64, 96])
+    return (4.0 * g32[i32] - g16[i16]) / 3.0, (4.0 * gd32[i32] - gd16[i16]) / 3.0
+
+
+def _loop_step(h, w0sq, two_over_m, wg0, wd0, g, gd, gdd, base):
+    # one AB4 predictor and two AM4 corrector sweeps; index k is node m - k
+    gp = g[0] + h * (55.0 * gd[0] - 59.0 * gd[1] + 37.0 * gd[2] - 9.0 * gd[3]) / 24.0
+    gdp = gd[0] + h * (55.0 * gdd[0] - 59.0 * gdd[1] + 37.0 * gdd[2] - 9.0 * gdd[3]) / 24.0
+    gc, gdc = gp, gdp
+    for _ in range(2):
+        gddc = -w0sq * gc - two_over_m * (base + wg0 * gc + wd0 * gdc)
+        gdc = gd[0] + h * (9.0 * gddc + 19.0 * gdd[0] - 5.0 * gdd[1] + gdd[2]) / 24.0
+        gc = g[0] + h * (9.0 * gdc + 19.0 * gd[0] - 5.0 * gd[1] + gd[2]) / 24.0
+    return gc, gdc, -w0sq * gc - two_over_m * (base + wg0 * gc + wd0 * gdc)
+
+
+def _loop_solve(bath, lam, tau_max, n):
+    # reference form: the product-integration scheme stepped node by node
+    h = tau_max / n
+    w0sq, two_over_m = OSC.omega0**2, 2.0 / OSC.mass
+    wg, wd, gamma, delta = _lag_weights(n, h, bath, lam)
+
+    def lag(j, a, ad):
+        # memory over history nodes j-1 .. 1 plus the tau=0 boundary node
+        s = gamma[j - 1] * a[0] + h * delta[j - 1] * ad[0]
+        if j > 1:
+            s += np.dot(wg[1:j], a[j - 1 : 0 : -1])
+            s += np.dot(wd[1:j], ad[j - 1 : 0 : -1])
+        return s
+
+    G, Gd, Gdd, Gddd = (np.zeros(n + 1) for _ in range(4))
+    Gd[0] = 1.0
+    G[1:4], Gd[1:4] = _loop_startup(h, bath, lam)
+    for i in (1, 2, 3):
+        mem = lag(i, G, Gd) + wg[0] * G[i] + wd[0] * Gd[i]
+        Gdd[i] = -w0sq * G[i] - two_over_m * mem
+    for m in range(3, n):
+        back = slice(m, m - 4 if m > 3 else None, -1)
+        G[m + 1], Gd[m + 1], Gdd[m + 1] = _loop_step(
+            h, w0sq, two_over_m, wg[0], wd[0], G[back], Gd[back], Gdd[back],
+            lag(m + 1, G, Gd))
+    Gddd[0] = -w0sq * Gd[0]
+    for j in range(1, n + 1):
+        mem = lag(j, Gd, Gdd) + wg[0] * Gd[j] + wd[0] * Gdd[j]
+        Gddd[j] = -w0sq * Gd[j] - two_over_m * mem
+    return G, Gd, Gdd, Gddd
+
+
+@pytest.mark.parametrize("n, tau_max", [(16, 1.0), (17, 1.0), (1000, 2.5), (8192, 20.0)])
+@pytest.mark.parametrize("lam", [0.4, 0.1])
+@pytest.mark.parametrize("bath", [EXP, HARD, FREE], ids=["exp", "hard", "free"])
+def test_series_solve_matches_the_node_loop(bath, lam, n, tau_max):
+    tau, *got = _volterra_solve(bath, OSC, lam, tau_max, n)
+    want = _loop_solve(bath, lam, tau_max, n)
+    assert tau.size == n + 1
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("scheme", ["adams", "trapezoid"])
+def test_step_map_reproduces_one_loop_step(scheme):
+    rng = np.random.default_rng(11)
+    h, lam = 0.01, 0.4
+    w0sq, two_over_m = OSC.omega0**2, 2.0 / OSC.mass
+    wg, wd, _, _ = _lag_weights(64, h, EXP, lam)
+    if scheme == "adams":
+        nodes = 4
+        K, v = _step_map(_adams_step(h, w0sq, two_over_m, wg[0], wd[0]), nodes)
+        loop = lambda hist, b: _loop_step(  # noqa: E731
+            h, w0sq, two_over_m, wg[0], wd[0], *hist, b)
+    else:
+        nodes = 1
+        K, v = _step_map(_trapezoid_step(h, w0sq, two_over_m, wg[0]), nodes)
+        loop = lambda hist, b: _loop_trapezoid_step(  # noqa: E731
+            h, w0sq, two_over_m, wg[0], *hist[:, 0], b)
+    assert K.shape == (nodes, 3, 3) and v.shape == (3,)
+    for _ in range(5):
+        hist = rng.standard_normal((3, nodes))  # rows G, G', G''; column k: node m - k
+        base = rng.standard_normal()
+        want = np.array(loop(hist, base))
+        got = sum(K[k] @ hist[:, k] for k in range(nodes)) + v * base
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_grid_ends_exactly_on_tau_max():
@@ -152,6 +275,18 @@ def test_halving_certification_raises_when_unreachable():
     with pytest.raises(AccuracyError):
         solve_propagator(EXP, OSC, 0.4, 1.0, n_points=16,
                          rel_tol=1e-15, max_refinements=0)
+
+
+def test_halving_refuses_a_first_step_past_the_node_budget(monkeypatch):
+    monkeypatch.setattr(propagator, "_MAX_NODES", 1000)
+    with pytest.raises(ValidationError, match="n=600 .*_MAX_NODES=1000"):
+        solve_propagator(EXP, OSC, 0.4, 1.0, n_points=600)
+
+
+def test_halving_names_the_node_budget_when_it_stops_there(monkeypatch):
+    monkeypatch.setattr(propagator, "_MAX_NODES", 1000)
+    with pytest.raises(AccuracyError, match="_MAX_NODES=1000 at n=800: .* differ by"):
+        solve_propagator(EXP, OSC, 0.4, 1.0, n_points=200, rel_tol=1e-14)
 
 
 def test_coupling_scale_wrapper_is_equivalent():
