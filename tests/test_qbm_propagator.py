@@ -8,13 +8,13 @@ import scipy.integrate
 
 from opendecay.errors import AccuracyError, InversionError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
-from opendecay.qbm.coefficients import exact_coefficients
 from opendecay.qbm import propagator
+from opendecay.qbm.coefficients import exact_coefficients
 from opendecay.qbm.kernels import dissipation_kernel
 from opendecay.qbm.propagator import (
     PropagatorFunction,
-    _bromwich_sum,
     _adams_step,
+    _bromwich_sum,
     _hermite_weights,
     _linear_weights,
     _step_map,
