@@ -28,9 +28,7 @@ from .fock import (
     truncated_basis_propagate,
 )
 from .kernels import (
-    KernelSet,
     dissipation_kernel,
-    kernel_set,
     mu_laplace,
     noise_kernel,
     trigamma_complex,
@@ -43,10 +41,8 @@ from .propagator import (
 )
 
 __all__ = [
-    "KernelSet",
     "dissipation_kernel",
     "noise_kernel",
-    "kernel_set",
     "mu_laplace",
     "trigamma_complex",
     "PropagatorFunction",

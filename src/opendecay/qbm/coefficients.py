@@ -119,24 +119,27 @@ class QBMCoefficients:
             object.__setattr__(self, name, arr)
 
 
-def _check_tau(prop: PropagatorFunction, tau_star: float) -> float:
-    tau_star = float(tau_star)
-    if not 0.0 < tau_star <= prop.tau_max:
-        raise ValidationError(
-            f"tau={tau_star:g} outside the solved window (0, {prop.tau_max:g}]"
-        )
-    g = float(prop.g(tau_star))
-    if abs(g) < _NODE_FRACTION * prop.max_abs_g:
-        raise NodeSingularityError(
-            f"G({tau_star:g}) = {g:.3e} is too close to a node of the "
-            "propagator; the kernel coefficients diverge there"
-        )
-    return tau_star
+def _check_tau(prop: PropagatorFunction, tau):
+    """``tau`` as floats; raises for the first time outside (0, tau_max] or near a node."""
+    tau = np.asarray(tau, dtype=float)
+    t = np.atleast_1d(tau)
+    g = prop.g(t)
+    outside = ~((t > 0.0) & (t <= prop.tau_max))
+    bad = np.flatnonzero(outside | (np.abs(g) < _NODE_FRACTION * prop.max_abs_g))
+    if bad.size == 0:
+        return tau
+    i = bad[0]  # the first offending time; its range is checked before its node
+    if outside[i]:
+        raise ValidationError(f"tau={t[i]:g} outside the solved window (0, {prop.tau_max:g}]")
+    raise NodeSingularityError(
+        f"G({t[i]:g}) = {g[i]:.3e} is too close to a node of the "
+        "propagator; the kernel coefficients diverge there"
+    )
 
 
 def lambda_coefficients(prop: PropagatorFunction, tau_star: float):
     """(L_ff, L_fi, L_if) at one time; raises near nodes of G."""
-    tau_star = _check_tau(prop, tau_star)
+    tau_star = float(_check_tau(prop, tau_star))
     m = prop.osc.mass
     g = float(prop.g(tau_star))
     gd = float(prop.g_dot(tau_star))
@@ -248,7 +251,7 @@ def theta_coefficients(
     ``rel_tol`` relative to the largest double integral, else
     AccuracyError.
     """
-    tau_star = _check_tau(prop, tau_star)
+    tau_star = float(_check_tau(prop, tau_star))
     t_ff, t_fi, t_ii = _theta_window(prop, np.array([tau_star]), rel_tol)
     return float(t_ff[0]), float(t_fi[0]), float(t_ii[0])
 
@@ -312,8 +315,7 @@ def exact_coefficients(
         raise ValidationError("need at least 5 tau points for the derivative")
     if np.any(np.diff(tau) <= 0.0):
         raise ValidationError("tau points must increase strictly")
-    for t in tau:
-        _check_tau(prop, t)
+    _check_tau(prop, tau)
 
     mass = prop.osc.mass
     g = prop.g(tau)

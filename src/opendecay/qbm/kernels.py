@@ -20,7 +20,10 @@ below evaluates them in closed form where possible:
   ``nu = (M w0 eta / 2 pi lam**4) Re[ 1/z**2 + psi_1(1 + z/(2 b'))/(2 b'**2) ]``
   where ``z = (1/cutoff - i tau/lam**2)``, ``b' = 1/(2 T)`` and ``psi_1``
   is the trigamma function (the ``1/z**2`` term alone is the T = 0 noise);
-* hard cutoff, ``nu``:          finite-interval quadrature.
+* hard cutoff, ``nu``:          Gauss-Legendre quadrature over ``[0, cutoff]``
+  with one node-doubling loop per block of times sorted by ``|tau|``; a
+  block's panels are a quarter period of its fastest ``cos(W tau)`` wide,
+  and each of its integrals converges to 1e-11 of ``eta max(T, cutoff)``.
 
 The Laplace transform of the unscaled dissipation kernel,
 ``mu_hat(s) = -M w0 int_0^inf dw/(2 pi) Gamma(w) w/(s**2 + w**2)``, has
@@ -31,8 +34,6 @@ the propagator consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import exp1
@@ -41,10 +42,8 @@ from .._quad import integrate_to_tolerance, split_edges
 from ..model import BathSpectrum, CouplingScale, OscillatorParams
 
 __all__ = [
-    "KernelSet",
     "dissipation_kernel",
     "noise_kernel",
-    "kernel_set",
     "mu_laplace",
     "trigamma_complex",
 ]
@@ -86,13 +85,9 @@ def trigamma_complex(z):
     return acc + series
 
 
-@dataclass(frozen=True)
-class KernelSet:
-    """Dissipation/noise kernel pair at a fixed coupling scale."""
-
-    mu: Callable[[np.ndarray], np.ndarray]
-    nu: Callable[[np.ndarray], np.ndarray]
-    lam: float
+# Panels x times in one block of the hard-cutoff noise kernel: 2**21 node-times
+# at the last doubling (512 nodes per panel), one time on the finest panels, < 17 MB.
+_BLOCK_PANEL_TIMES = 4096
 
 
 def _lam_value(lam) -> float:
@@ -127,17 +122,16 @@ def dissipation_kernel(tau, bath: BathSpectrum, osc: OscillatorParams, lam):
 def noise_kernel(tau, bath: BathSpectrum, osc: OscillatorParams, lam):
     """Even thermal kernel nu(tau).
 
-    Exponential cutoff uses the trigamma closed form; the hard cutoff
-    falls back to node-doubled quadrature over the finite support.
+    Exponential cutoff uses the trigamma closed form; the hard cutoff uses
+    block quadrature (module docstring), which names a time it cannot resolve.
     """
     lam = _lam_value(lam)
     t = np.asarray(tau, dtype=float)
+    theta = t / lam**2
     if bath.eta == 0.0:
         out = np.zeros_like(t)
-        return float(out) if np.ndim(tau) == 0 else out
-    pref = osc.mass * osc.omega0 * bath.eta / (2.0 * math.pi * lam**2)
-    theta = t / lam**2
-    if bath.shape == "exponential":
+    elif bath.shape == "exponential":
+        pref = osc.mass * osc.omega0 * bath.eta / (2.0 * math.pi * lam**2)
         z = 1.0 / bath.cutoff - 1j * theta
         val = 1.0 / (z * z)
         if bath.temperature > 0.0:
@@ -147,42 +141,34 @@ def noise_kernel(tau, bath: BathSpectrum, osc: OscillatorParams, lam):
             )
         out = pref * val.real
     else:
-        flat = np.atleast_1d(theta).ravel()
         wc, temp = bath.cutoff, bath.temperature
 
-        def weighted(w, th):
-            if temp > 0.0:
-                x = 0.5 * w / temp
-                wcoth = np.where(
-                    x < 1e-4, 2.0 * temp * (1.0 + x * x / 3.0), w / np.tanh(np.maximum(x, 1e-300))
-                )
-            else:
-                wcoth = w
-            return bath.eta * wcoth * np.cos(w * th) / (2.0 * math.pi)
+        def integrand(w, th):  # one column per theta; GL nodes never reach w = 0
+            wcoth = w / np.tanh(0.5 * w / temp) if temp > 0.0 else w
+            return (bath.eta * wcoth)[:, None] * np.cos(np.outer(w, th)) / (2.0 * math.pi)
 
+        flat = np.ravel(theta)
+        order = np.argsort(np.abs(flat))
+        width = np.maximum(
+            np.minimum(wc / 4.0, math.pi / (2.0 * np.abs(flat[order]) + 1e-300)), wc / 4096.0
+        )
+        panels = np.ceil(wc / width)  # nondecreasing along ``order``
+        count = np.arange(1, _BLOCK_PANEL_TIMES + 1)  # times in a block, at most
         vals = np.empty_like(flat)
-        for i, th in enumerate(flat):
-            width = min(wc / 4.0, math.pi / (2.0 * abs(th) + 1e-300))
-            edges = split_edges(0.0, wc, max(width, wc / 4096.0))
-            vals[i] = integrate_to_tolerance(
-                [(lambda w: weighted(w, th), edges)], rel_tol=1e-11,
-                scale=bath.eta * max(temp, wc), n0=8, max_doublings=6,
-                what=f"hard-cutoff noise kernel at tau={th * lam**2:g}",
+        start = 0
+        while start < flat.size:
+            head = panels[start:start + count.size]
+            fits = head * count[:head.size] <= _BLOCK_PANEL_TIMES
+            stop = start + max(1, int(np.count_nonzero(fits)))
+            idx = order[start:stop]
+            vals[idx] = integrate_to_tolerance(
+                [(lambda w: integrand(w, flat[idx]), split_edges(0.0, wc, width[stop - 1]))],
+                rel_tol=1e-11, scale=bath.eta * max(temp, wc), n0=8, max_doublings=6,
+                what=lambda i: f"hard-cutoff noise kernel at tau={t.flat[idx[i]]:g}",
             )
+            start = stop
         out = (osc.mass * osc.omega0 / lam**2) * vals.reshape(np.shape(theta))
-    if np.ndim(tau) == 0:
-        return float(np.atleast_1d(out)[0])
-    return out
-
-
-def kernel_set(bath: BathSpectrum, osc: OscillatorParams, lam) -> KernelSet:
-    """Bundle both kernels as vectorized callables of rescaled time."""
-    lam = _lam_value(lam)
-    return KernelSet(
-        mu=lambda t: dissipation_kernel(t, bath, osc, lam),
-        nu=lambda t: noise_kernel(t, bath, osc, lam),
-        lam=lam,
-    )
+    return float(out) if np.ndim(tau) == 0 else out
 
 
 def _arctan_complex(w):

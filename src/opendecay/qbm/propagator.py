@@ -56,7 +56,7 @@ from scipy.linalg import solve_triangular
 from scipy.signal import fftconvolve
 from scipy.special import sici
 
-from .._quad import _leggauss
+from .._quad import panel_nodes, split_edges
 from ..errors import AccuracyError, InversionError, ValidationError
 from ..model import BathSpectrum, OscillatorParams
 from ..spectral import renormalized_frequency_sq
@@ -486,22 +486,6 @@ def solve_propagator(
 # Bromwich route
 
 
-def _panel_nodes(edges: np.ndarray, n_nodes: int):
-    x, w = _leggauss(n_nodes)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _even_edges(a: float, b: float, width: float) -> np.ndarray:
-    if b <= a:
-        return np.array([a])
-    m = max(1, int(math.ceil((b - a) / width)))
-    return np.linspace(a, b, m + 1)
-
-
 def _bromwich_sum(tau, beta, wts, vals, sigma):
     """(e^{sigma tau}/pi) Re sum_i w_i e^{i beta_i tau} v_i, streamed in tau.
 
@@ -582,13 +566,13 @@ def propagator_via_laplace(
     def invert(bcut: float, n_nodes: int, shrink: float):
         lo, hi = max(0.0, wr - 3.0), wr + 3.0
         segs = [
-            _even_edges(0.0, lo, 0.5 * shrink),
-            _even_edges(lo, hi, 0.5 * sigma * shrink),
-            _even_edges(hi, min(60.0, bcut), 0.5 * shrink),
-            _even_edges(min(60.0, bcut), bcut, tail_width * shrink),
+            split_edges(0.0, lo, 0.5 * shrink),
+            split_edges(lo, hi, 0.5 * sigma * shrink),
+            split_edges(hi, min(60.0, bcut), 0.5 * shrink),
+            split_edges(min(60.0, bcut), bcut, tail_width * shrink),
         ]
         edges = np.unique(np.concatenate(segs))
-        beta, wts = _panel_nodes(edges, n_nodes)
+        beta, wts = panel_nodes(edges, n_nodes)
         s = sigma + 1j * beta
         mu_hat = mu_laplace(lam**2 * s, bath, osc)
         numer = wr_sq - w0**2 - (2.0 / osc.mass) * mu_hat

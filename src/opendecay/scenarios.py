@@ -21,6 +21,7 @@ from .bloch import (
     find_classification_boundary,
     propagate_bloch,
     rapid_generator,
+    scan_decay_regimes,
 )
 from .errors import AccuracyError, ConfigError, ValidationError
 from .lindblad import (
@@ -385,9 +386,8 @@ def _run_decay_scan(cfg):
         "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im",
         "oscillating",
     )}
-    for g in gammas:
-        spec = decay_spectrum(rapid_generator(spin, float(g)))
-        cols["gamma_theta"].append(float(g))
+    for g, spec in scan_decay_regimes(spin, gammas):
+        cols["gamma_theta"].append(g)
         for i, z in enumerate(spec.eigenvalues, 1):
             cols[f"eig{i}_re"].append(z.real)
             cols[f"eig{i}_im"].append(z.imag)

@@ -99,6 +99,16 @@ def test_node_guard_near_propagator_zero(free_prop):
         lambda_coefficients(free_prop, 0.0)
 
 
+def test_window_check_names_the_first_offending_point(free_prop):
+    # one pass over the window still reports the first bad point: the third
+    # sits on the node of G = sin(tau) at pi, the last beyond tau_max = 4
+    tau = np.array([2.0, 2.5, math.pi, 3.5, 5.0])
+    with pytest.raises(NodeSingularityError, match=r"^G\(3\.14159\) = "):
+        exact_coefficients(free_prop, tau)
+    with pytest.raises(ValidationError, match=r"^tau=5 outside"):
+        exact_coefficients(free_prop, np.array([2.0, 2.5, 3.0, 3.5, 5.0]))
+
+
 def test_decoherence_matrix_is_positive(exp_prop):
     for ts in (1.2, 2.2):
         t_ff, t_fi, t_ii = theta_coefficients(exp_prop, ts)

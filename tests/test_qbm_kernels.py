@@ -19,11 +19,12 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
+from opendecay._quad import integrate_to_tolerance, split_edges
 from opendecay.errors import AccuracyError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
+from opendecay.qbm import kernels
 from opendecay.qbm.kernels import (
     dissipation_kernel,
-    kernel_set,
     mu_laplace,
     noise_kernel,
     trigamma_complex,
@@ -105,13 +106,6 @@ def test_dissipation_kernel_accepts_coupling_scale_wrapper():
         dissipation_kernel(0.2, EXP2, OSC, 1.7)
 
 
-def test_kernel_set_bundles_the_same_functions():
-    ks = kernel_set(EXP2, OSC, LAM)
-    assert ks.lam == LAM
-    assert ks.mu(0.3) == dissipation_kernel(0.3, EXP2, OSC, LAM)
-    assert ks.nu(0.3) == noise_kernel(0.3, EXP2, OSC, LAM)
-
-
 def test_hard_cutoff_small_time_series_is_smooth():
     # the series branch and the closed form must join without a visible seam
     c = HARD2.cutoff / LAM**2  # switch at x = c*tau = 1e-4
@@ -186,9 +180,93 @@ def test_trigamma_rejects_left_half_plane():
         trigamma_complex(np.array([0.5 + 1.0j]))
 
 
+def _per_tau_hard_noise(tau, bath, osc, lam):
+    """The hard-cutoff noise kernel as one node-doubled quadrature per tau."""
+    wc, temp = bath.cutoff, bath.temperature
+
+    def weighted(w, th):
+        if temp > 0.0:
+            x = 0.5 * w / temp
+            wcoth = np.where(
+                x < 1e-4, 2.0 * temp * (1.0 + x * x / 3.0), w / np.tanh(np.maximum(x, 1e-300))
+            )
+        else:
+            wcoth = w
+        return bath.eta * wcoth * np.cos(w * th) / (2.0 * math.pi)
+
+    flat = np.atleast_1d(np.asarray(tau, dtype=float) / lam**2).ravel()
+    vals = np.empty_like(flat)
+    for i, th in enumerate(flat):
+        width = min(wc / 4.0, math.pi / (2.0 * abs(th) + 1e-300))
+        edges = split_edges(0.0, wc, max(width, wc / 4096.0))
+        vals[i] = integrate_to_tolerance(
+            [(lambda w: weighted(w, th), edges)], rel_tol=1e-11,
+            scale=bath.eta * max(temp, wc), n0=8, max_doublings=6,
+        )
+    return (osc.mass * osc.omega0 / lam**2) * vals.reshape(np.shape(tau))
+
+
+@pytest.mark.parametrize("temp", [0.0, 2.0])
+def test_hard_noise_blocks_match_the_per_tau_loop(temp):
+    bath = BathSpectrum(0.3, 4.0, "hard", temp)
+    lam = 0.4
+    scale = OSC.mass * OSC.omega0 * bath.eta * max(temp, bath.cutoff) / lam**2
+    # zero, negative, small and theta = tau/lam**2 up to 1.2e3, in one call
+    tau = np.concatenate([
+        [0.0, -1e-6, 3e-7, -0.02, 160.0, -190.0],
+        np.linspace(-0.7, 2.3, 61),
+        np.geomspace(1e-5, 1e-2, 9),
+    ])
+    want = _per_tau_hard_noise(tau, bath, OSC, lam)
+    got = noise_kernel(tau, bath, OSC, lam)
+    assert got.shape == tau.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    grid = tau[6:66].reshape(6, 10)
+    got2 = noise_kernel(grid, bath, OSC, lam)
+    assert got2.shape == (6, 10)
+    assert np.max(np.abs(got2 - want[6:66].reshape(6, 10))) <= 1e-13 * scale
+    got0 = noise_kernel(0.37, bath, OSC, lam)
+    assert isinstance(got0, float)
+    assert abs(got0 - _per_tau_hard_noise(0.37, bath, OSC, lam)) <= 1e-13 * scale
+
+
+def test_hard_noise_evaluates_once_per_block_and_doubling(monkeypatch):
+    # 453 grid times (theta up to 14): the integrand sees whole blocks of
+    # times, once per doubling level, never one time at a time; panels a
+    # quarter period of each block's fastest cosine settle on the first doubling
+    calls = []
+
+    def counting(pieces, **kw):
+        calls.append([0, 0])  # evaluations, times per evaluation
+
+        def counted(f):
+            def g(w):
+                vals = f(w)
+                calls[-1][0] += 1
+                calls[-1][1] = vals.shape[1]
+                return vals
+            return g
+
+        return integrate_to_tolerance([(counted(f), e) for f, e in pieces], **kw)
+
+    monkeypatch.setattr(kernels, "integrate_to_tolerance", counting)
+    tau = np.linspace(0.0, 2.3, 453)
+    noise_kernel(tau, HARD2, OSC, LAM)
+    assert sum(times for _, times in calls) == tau.size
+    assert [evals for evals, _ in calls] == [2] * len(calls)  # n0 = 8, then 16
+    assert 1 < len(calls) < 10
+
+
 def test_hard_noise_quadrature_flags_impossible_tolerance():
-    # per-tau quadrature certifies itself; an enormous frequency makes the
+    # the quadrature certifies itself; an enormous frequency makes the
     # integrand unresolvable within the node budget
     bath = BathSpectrum(0.3, 4.0, "hard", 2.0)
     with pytest.raises(AccuracyError):
         noise_kernel(10000.0, bath, OSC, 0.05)
+
+
+def test_hard_noise_refusal_names_the_unresolved_tau():
+    bath = BathSpectrum(0.3, 4.0, "hard", 2.0)
+    tau = np.array([0.01, 10000.0, -0.3, 0.2])
+    with pytest.raises(AccuracyError, match=r"noise kernel at tau=10000: node doubling"):
+        noise_kernel(tau, bath, OSC, 0.05)
