@@ -2,6 +2,7 @@
 
 Works on complex or real arrays of any shape; steps are clipped so every
 requested output time is hit exactly (no dense-output interpolation).
+Callers set ``rtol`` only; a component's error scale is ``1e-14 + rtol*|y|``.
 
 One step controller (:func:`_advance`) serves two stage evaluators:
 
@@ -22,12 +23,13 @@ The matrix exponential is the reference route of :func:`propagate_constant`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
-from .errors import StiffnessError
+from .errors import IntegratorAccuracyError, StiffnessError
 
 # Dormand-Prince coefficients, exact; the stepper uses their nearest floats
 _F = Fraction
@@ -140,13 +142,14 @@ class _PolynomialStages:
         pass
 
 
-def _advance(stages, y, t_grid, rtol, atol, max_step):
+def _advance(stages, y, t_grid, rtol):
     """Step ``y`` from ``t_grid[0]`` over the grid with DOPRI 5(4) step control.
 
     ``stages(t, h, y)`` returns the 5th-order update and the embedded error
     estimate of one trial step; ``stages.accept()`` is called after each
     accepted one. Raises StiffnessError when the step size underflows or
-    after ``_MAX_STEPS`` attempted steps.
+    after ``_MAX_STEPS`` attempted steps, and IntegratorAccuracyError on
+    the first step whose error estimate is not finite.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -160,7 +163,7 @@ def _advance(stages, y, t_grid, rtol, atol, max_step):
 
     t = t_grid[0]
     span = t_grid[-1] - t_grid[0]
-    h = min(span / 100.0, max_step)
+    h = span / 100.0
     idx = 1
     target = t_grid[idx]
     n_comp = y.size
@@ -177,8 +180,14 @@ def _advance(stages, y, t_grid, rtol, atol, max_step):
             h_try = target - t
             clipped = True
         y5, err = stages(t, h_try, y)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        scale = 1e-14 + rtol * np.maximum(np.abs(y), np.abs(y5))
         enorm = float(np.sqrt(np.sum(np.abs(err / scale) ** 2) / n_comp))
+        if not math.isfinite(enorm):
+            # a NaN estimate would be rejected forever without shrinking h
+            raise IntegratorAccuracyError(
+                f"error estimate is {enorm} in the step from t={t:.6g} "
+                f"(h={h_try:.3e}): the state or the right-hand side is not finite"
+            )
         factor = 0.9 * (enorm ** -0.2) if enorm > 0.0 else 5.0
         if enorm <= 1.0:
             t = target if clipped else t + h_try
@@ -192,7 +201,7 @@ def _advance(stages, y, t_grid, rtol, atol, max_step):
                 target = t_grid[idx]
                 # keep the controller step: a clip says nothing about error
             else:
-                h = min(h_try * min(5.0, max(0.2, factor)), max_step)
+                h = h_try * min(5.0, max(0.2, factor))
         else:
             h = h_try * min(1.0, max(0.2, factor))
     raise StiffnessError(
@@ -202,15 +211,16 @@ def _advance(stages, y, t_grid, rtol, atol, max_step):
     )
 
 
-def integrate(f, y0, t_grid, rtol=1e-10, atol=1e-14, max_step=np.inf):
+def integrate(f, y0, t_grid, rtol=1e-10):
     """Integrate y' = f(t, y) from t_grid[0], returning y at every node.
 
     Raises StiffnessError when the step size underflows or after
-    ``_MAX_STEPS`` attempted steps, and ValueError when ``f`` returns a
-    complex value for a real ``y0``.
+    ``_MAX_STEPS`` attempted steps, IntegratorAccuracyError when a step's
+    error estimate is not finite (a NaN or infinite state or ``f``), and
+    ValueError when ``f`` returns a complex value for a real ``y0``.
     """
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
-    return _advance(_RungeKuttaStages(f), y, t_grid, rtol, atol, max_step)
+    return _advance(_RungeKuttaStages(f), y, t_grid, rtol)
 
 
 def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
@@ -240,4 +250,4 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
         raise ValueError(f"unknown method {method!r}")
     dtype = complex if np.iscomplexobj(matrix) or np.iscomplexobj(y0) else float
     return _advance(_PolynomialStages(matrix.astype(dtype)), y0.astype(dtype),
-                    t_grid, rtol, 1e-14, np.inf)
+                    t_grid, rtol)

@@ -33,7 +33,7 @@ import numpy as np
 # ``integrate`` stays importable here: the benchmark's tracer test checks
 # that its reference in this module is rebound (bench/tests/test_bench.py)
 from ._integrate import integrate, propagate_constant  # noqa: F401
-from .errors import AccuracyError
+from .errors import AccuracyError, ValidationError
 from .model import BathSpectrum, SpinBosonParams
 from .spectral import gamma_theta_weak
 
@@ -64,7 +64,6 @@ class BlochGenerator:
 
     matrix: np.ndarray
     gamma_theta: float
-    regime: str  # "rapid" | "weak"
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,18 @@ class DecaySpectrum:
     classification: str
 
 
+def _checked_gamma(gamma_theta) -> float:
+    """``gamma_theta`` as a float; ValidationError unless finite and >= 0."""
+    g = float(gamma_theta)
+    if not 0.0 <= g < np.inf:
+        raise ValidationError(f"gamma_theta must be finite and >= 0, got {g}")
+    return g
+
+
 def rapid_generator(spin: SpinBosonParams, gamma_theta: float) -> BlochGenerator:
-    """Triple generator in the rapid-decay (flat-band) regime."""
-    if gamma_theta < 0.0:
-        raise ValueError(f"gamma_theta must be >= 0, got {gamma_theta}")
-    e, d, w0, g = spin.eps_tilde, spin.delta_tilde, spin.omega0, float(gamma_theta)
+    """Triple generator in the rapid-decay (flat-band) regime, gamma_theta >= 0."""
+    e, d, w0 = spin.eps_tilde, spin.delta_tilde, spin.omega0
+    g = _checked_gamma(gamma_theta)
     diag = -(d * d + 2.0 * e * e) * g / 2.0
     m = np.array(
         [
@@ -90,7 +96,7 @@ def rapid_generator(spin: SpinBosonParams, gamma_theta: float) -> BlochGenerator
         ],
         dtype=complex,
     )
-    return BlochGenerator(matrix=m, gamma_theta=g, regime="rapid")
+    return BlochGenerator(matrix=m, gamma_theta=g)
 
 
 def weak_generator(spin: SpinBosonParams, bath: BathSpectrum) -> BlochGenerator:
@@ -106,7 +112,7 @@ def weak_generator(spin: SpinBosonParams, bath: BathSpectrum) -> BlochGenerator:
             -gamma_d - 1j * spin.omega0,
         ]
     )
-    return BlochGenerator(matrix=m, gamma_theta=gw, regime="weak")
+    return BlochGenerator(matrix=m, gamma_theta=gw)
 
 
 def propagate_bloch(gen: BlochGenerator, triple0, tau_grid, rtol: float = 1e-10,

@@ -39,7 +39,7 @@ class StiffnessError(OpenDecayError):
 
 
 class IntegratorAccuracyError(OpenDecayError):
-    """A propagated state violated trace/positivity bounds beyond tolerance."""
+    """A propagated state was not finite or violated trace/positivity bounds."""
 
 
 class ConventionMismatchError(OpenDecayError):

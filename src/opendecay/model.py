@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * natural units, ``hbar = kB = 1`` and unit mass unless stated otherwise;
 * the two-level system ``H_S = (epsilon/2) sigma_z + (delta/2) sigma_x`` is
-  stored in its energy eigenbasis, where the level splitting is
+  given by ``epsilon`` and ``delta`` alone and stored in its energy
+  eigenbasis, where the level splitting is
   ``omega0 = sqrt(epsilon**2 + delta**2)`` and the system side of the
   coupling becomes
 
@@ -45,13 +46,31 @@ _EIG_TOL = -1e-10
 
 @dataclass(frozen=True)
 class SpinBosonParams:
-    """Two-level system parameters in the lab and eigenbasis pictures."""
+    """Two-level system given by finite ``epsilon`` and ``delta``, not both 0.
+
+    ``omega0``, ``eps_tilde`` and ``delta_tilde`` are derived from them.
+    """
 
     epsilon: float
     delta: float
-    omega0: float
-    eps_tilde: float
-    delta_tilde: float
+    omega0: float = field(init=False)
+    eps_tilde: float = field(init=False)
+    delta_tilde: float = field(init=False)
+
+    def __post_init__(self):
+        epsilon = float(self.epsilon)
+        delta = float(self.delta)
+        if not (math.isfinite(epsilon) and math.isfinite(delta)):
+            raise ValidationError(f"epsilon={epsilon} and delta={delta} must be finite")
+        omega0 = math.hypot(epsilon, delta)
+        if omega0 == 0.0:
+            raise DegenerateSystemError(
+                "epsilon = delta = 0: the two-level splitting vanishes"
+            )
+        for name, value in (("epsilon", epsilon), ("delta", delta),
+                            ("omega0", omega0), ("eps_tilde", epsilon / omega0),
+                            ("delta_tilde", delta / omega0)):
+            object.__setattr__(self, name, value)
 
     def coupling_matrix(self) -> np.ndarray:
         """Eigenbasis coupling operator S (unit Pauli vector, S**2 = 1)."""
@@ -69,26 +88,8 @@ class SpinBosonParams:
 
 
 def make_spin_params(epsilon: float, delta: float) -> SpinBosonParams:
-    """Diagonalize the two-level Hamiltonian.
-
-    Returns the splitting ``omega0`` together with the normalized bias and
-    tunneling weights; raises :class:`DegenerateSystemError` when both
-    inputs vanish and no eigenbasis is selected.
-    """
-    epsilon = float(epsilon)
-    delta = float(delta)
-    omega0 = math.hypot(epsilon, delta)
-    if omega0 == 0.0:
-        raise DegenerateSystemError(
-            "epsilon = delta = 0: the two-level splitting vanishes"
-        )
-    return SpinBosonParams(
-        epsilon=epsilon,
-        delta=delta,
-        omega0=omega0,
-        eps_tilde=epsilon / omega0,
-        delta_tilde=delta / omega0,
-    )
+    """Two-level system of bias ``epsilon`` and tunneling ``delta``."""
+    return SpinBosonParams(epsilon, delta)
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def truncated_basis_propagate(
         out += c_plus * ((p @ rho) @ x)
         return out
 
-    states = integrate(rhs, rho0, tau, rtol=rtol, atol=1e-14)
+    states = integrate(rhs, rho0, tau, rtol=rtol)
     edge = np.max(np.abs(states[:, -1, -1].real))
     if edge > boundary_tol:
         raise TruncationError(

@@ -88,4 +88,4 @@ def propagate_moments(
         )
 
     y0 = state0.as_array()
-    return integrate(rhs, y0, tau, rtol=rtol, atol=1e-14)
+    return integrate(rhs, y0, tau, rtol=rtol)

@@ -34,7 +34,7 @@ from .model import BathSpectrum, GaussianState, OscillatorParams, make_spin_para
 from .qbm.coefficients import exact_coefficients, limit_coefficients
 from .qbm.moments import MOMENT_LABELS, propagate_moments
 from .qbm.propagator import solve_propagator
-from .spectral import gamma_theta_weak
+from .spectral import gamma_theta, gamma_theta_weak
 
 __all__ = [
     "REQUIRED",
@@ -364,7 +364,7 @@ def _run_weak_compare(cfg):
     g_rapid, g_weak = [], []
     for t in temps:
         bath = BathSpectrum(cfg["eta"], cfg["cutoff"], cfg["shape"], float(t))
-        g_rapid.append(2.0 * cfg["eta"] * float(t))
+        g_rapid.append(gamma_theta(bath))
         g_weak.append(gamma_theta_weak(spin, bath))
     ratio = [r / w if w else float("nan") for r, w in zip(g_rapid, g_weak)]
     cols = {

@@ -140,12 +140,6 @@ def gamma_theta(bath: BathSpectrum) -> float:
     return 2.0 * bath.eta * bath.temperature
 
 
-def _coth(x: float) -> float:
-    if x > 350.0:
-        return 1.0
-    return 1.0 / math.tanh(x)
-
-
 def gamma_theta_weak(spin: SpinBosonParams, bath: BathSpectrum) -> float:
     """Weak-coupling dephasing scale Gamma(omega0) * coth(omega0 / 2T)."""
     gam = spectral_density(spin.omega0, bath)
@@ -153,7 +147,7 @@ def gamma_theta_weak(spin: SpinBosonParams, bath: BathSpectrum) -> float:
         return 0.0
     if bath.temperature == 0.0:
         return gam
-    return gam * _coth(0.5 * spin.omega0 / bath.temperature)
+    return gam * (1.0 / math.tanh(0.5 * spin.omega0 / bath.temperature))
 
 
 def _support_upper(bath: BathSpectrum) -> float:
@@ -241,25 +235,18 @@ def self_energy(omega: float, bath: BathSpectrum, branch: str = "+",
     return SelfEnergy(real_part=real, imag_part=float(imag))
 
 
-def renormalized_frequency_sq(bath: BathSpectrum, osc, rel_tol: float = 1e-10) -> float:
+def renormalized_frequency_sq(bath: BathSpectrum, osc) -> float:
     """Bath-renormalized squared frequency of the oscillator.
 
-    Evaluates ``omega0**2 - 2*omega0 * int_0^inf dw/(2 pi) Gamma(w)/w`` by
-    node-doubled panel quadrature and raises
+    The shift ``2*omega0 * int_0^inf dw/(2 pi) Gamma(w)/w`` is
+    ``omega0*eta*cutoff/pi`` for both cutoff shapes (the cutoff function
+    integrates to ``cutoff``), so this returns
+    ``omega0**2 - omega0*eta*cutoff/pi``, the ``s -> 0+`` limit of
+    ``omega0**2 + 2*mu_hat(s)/M``. Raises
     :class:`OverdampedRenormalizationError` when the shift drives the
     square non-positive (the renormalized oscillator would not oscillate).
     """
-    upper = _support_upper(bath)
-
-    def g(w):
-        return spectral_density(w, bath) / np.maximum(w, 1e-300) / (2.0 * math.pi)
-
-    shift = integrate_to_tolerance(
-        [(g, split_edges(0.0, upper, 0.5 * bath.cutoff))], rel_tol=rel_tol,
-        scale=bath.eta * bath.cutoff / (2.0 * math.pi),
-        what="renormalized_frequency_sq",
-    )
-    w2 = osc.omega0**2 - 2.0 * osc.omega0 * shift
+    w2 = osc.omega0**2 - osc.omega0 * bath.eta * bath.cutoff / math.pi
     if w2 <= 0.0:
         raise OverdampedRenormalizationError(
             f"renormalized squared frequency {w2:.6g} <= 0 "

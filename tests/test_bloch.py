@@ -16,7 +16,7 @@ from opendecay.bloch import (
     weak_generator,
 )
 from opendecay._integrate import integrate
-from opendecay.errors import AccuracyError, StiffnessError
+from opendecay.errors import AccuracyError, StiffnessError, ValidationError
 from opendecay.model import BathSpectrum, make_spin_params
 
 eps_st = st.floats(-4.0, 4.0)
@@ -158,5 +158,7 @@ def test_biased_system_oscillates_at_any_damping():
 
 
 def test_rejects_negative_gamma():
-    with pytest.raises(ValueError):
-        rapid_generator(make_spin_params(1.0, 1.0), -0.1)
+    # ValidationError is a ValueError; NaN and inf are refused with it
+    for g in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="gamma_theta"):
+            rapid_generator(make_spin_params(1.0, 1.0), g)

@@ -1,6 +1,7 @@
 """Scenario configuration, table round trips, CLI exit codes."""
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -179,6 +180,20 @@ def test_cli_physics_failure_exits_2(capsys):
     rc = main(["qbm_limit", "--eta", "1.0", "--cutoff", "4.0"])
     assert rc == 2
     assert "opendecay:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spin_bloch", "--gamma_theta", "-1"], "gamma_theta"),
+    (["decay_scan", "--gamma_max", "nan"], "gamma_theta"),
+    (["spin_bloch", "--epsilon", "nan"], "epsilon"),
+])
+def test_cli_invalid_spin_inputs_exit_2_promptly(argv, named, capsys):
+    # refused where the input enters, before the step controller sees a NaN
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: ValidationError:") and named in err
 
 
 def test_cli_exact_window_may_end_on_tau_max(capsys):

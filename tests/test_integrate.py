@@ -9,7 +9,7 @@ import pytest
 from opendecay import _integrate
 from opendecay._integrate import integrate, propagate_constant
 from opendecay.bloch import propagator_matrix, rapid_generator
-from opendecay.errors import StiffnessError
+from opendecay.errors import IntegratorAccuracyError, StiffnessError
 from opendecay.lindblad import spin_liouvillian
 from opendecay.model import make_spin_params
 
@@ -77,6 +77,19 @@ def test_constant_route_refuses_past_its_step_budget(monkeypatch):
 def test_constant_route_refuses_a_stiff_system():
     with pytest.raises(StiffnessError, match="step size underflow"):
         propagate_constant(-1e16 * np.eye(2), np.ones(2), [0.0, 1.0])
+
+
+def test_both_routes_refuse_a_non_finite_error_estimate_at_once():
+    # a NaN estimate is neither accepted nor shrinks the step, so without
+    # the check a call would spin through its whole step budget
+    def rhs(t, y):
+        return -y if t < 0.5 else np.full_like(y, np.nan)
+
+    with pytest.raises(IntegratorAccuracyError,
+                       match=r"error estimate is nan .*t=0\.4.*not finite"):
+        integrate(rhs, np.ones(2), [0.0, 1.0])
+    with pytest.raises(IntegratorAccuracyError, match=r"from t=0 .*not finite"):
+        propagate_constant(np.diag([np.nan, -1.0]), np.ones(2), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("matrix, y0", [

@@ -15,6 +15,7 @@ from opendecay.errors import (
     ConventionMismatchError,
     IntegratorAccuracyError,
     StructuralError,
+    ValidationError,
 )
 from opendecay.lindblad import (
     Liouvillian2,
@@ -74,12 +75,27 @@ def test_spin_liouvillian_structure_checks():
     liouv = spin_liouvillian(make_spin_params(1.0, 2.0), 0.5)
     assert so.trace_dual_defect(liouv.matrix, 2) < 1e-14
     assert so.hermiticity_involution_defect(liouv.matrix, 2) < 1e-14
-    with pytest.raises(StructuralError):
+    assert np.array_equal(liouv.matrix,
+                          liouv.hamiltonian_part + liouv.dissipator_part)
+    with pytest.raises(StructuralError, match="does not preserve the trace"):
         Liouvillian2(
-            matrix=liouv.matrix + 0.01 * np.eye(4),
             hamiltonian_part=liouv.hamiltonian_part,
+            dissipator_part=liouv.dissipator_part + 0.01 * np.eye(4),
+        )
+    # i[H, .] keeps the trace but maps Hermitian states to anti-Hermitian ones
+    with pytest.raises(StructuralError, match="Hermitian conjugation"):
+        Liouvillian2(
+            hamiltonian_part=1j * liouv.hamiltonian_part,
             dissipator_part=liouv.dissipator_part,
         )
+    with pytest.raises(StructuralError, match="must be 4x4"):
+        Liouvillian2(hamiltonian_part=np.eye(2), dissipator_part=np.eye(2))
+
+
+def test_spin_liouvillian_rejects_a_negative_or_non_finite_gamma():
+    for g in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="gamma_theta"):
+            spin_liouvillian(make_spin_params(1.0, 2.0), g)
 
 
 def test_propagation_conserves_trace_and_positivity():
@@ -203,7 +219,6 @@ def test_non_cp_generator_is_refused_by_the_physicality_check():
     # complete positivity, so an excited state grows a negative eigenvalue
     good = spin_liouvillian(make_spin_params(1.0, 1.0), 0.4)
     bad = Liouvillian2(
-        matrix=good.hamiltonian_part - good.dissipator_part,
         hamiltonian_part=good.hamiltonian_part,
         dissipator_part=-good.dissipator_part,
     )
@@ -215,8 +230,7 @@ def test_non_cp_generator_is_refused_by_the_physicality_check():
 def test_bridge_refuses_mismatched_conventions(monkeypatch):
     def conjugated(spin, gamma_theta):
         gen = rapid_generator(spin, gamma_theta)
-        return BlochGenerator(matrix=gen.matrix.conj(), gamma_theta=gen.gamma_theta,
-                              regime=gen.regime)
+        return BlochGenerator(matrix=gen.matrix.conj(), gamma_theta=gen.gamma_theta)
 
     monkeypatch.setattr(lindblad, "rapid_generator", conjugated)
     rho0 = np.array([[0.8, 0.1 + 0.2j], [0.1 - 0.2j, 0.2]])

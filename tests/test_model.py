@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from opendecay.model import (
     DensityMatrix2,
     GaussianState,
     OscillatorParams,
+    SpinBosonParams,
     make_spin_params,
     validate_density,
 )
@@ -45,6 +47,31 @@ def test_hamiltonian_is_half_splitting():
 def test_degenerate_spin_rejected():
     with pytest.raises(DegenerateSystemError):
         make_spin_params(0.0, 0.0)
+
+
+@pytest.mark.parametrize("eps, delta", [(3.0, 4.0), (-0.7, 0.2), (0.0, 1.5), (2, 0)])
+def test_spin_params_derive_splitting_and_weights(eps, delta):
+    spin = SpinBosonParams(eps, delta)
+    assert dataclasses.astuple(spin) == dataclasses.astuple(make_spin_params(eps, delta))
+    omega0 = math.hypot(eps, delta)
+    assert dataclasses.astuple(spin) == (eps, delta, omega0, eps / omega0, delta / omega0)
+    assert all(type(v) is float for v in dataclasses.astuple(spin))
+
+
+@pytest.mark.parametrize("eps, delta", [
+    (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, -float("inf")),
+])
+def test_spin_params_reject_non_finite_input(eps, delta):
+    with pytest.raises(ValidationError, match="and delta=.* must be finite"):
+        SpinBosonParams(eps, delta)
+
+
+def test_spin_params_take_only_bias_and_tunneling():
+    with pytest.raises(TypeError):
+        SpinBosonParams(1.0, 1.0, omega0=5.0)
+    # inconsistent derived values cannot be supplied
+    with pytest.raises(TypeError):
+        SpinBosonParams(1.0, 1.0, 5.0, 0.3, 0.3)
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from opendecay._quad import integrate_to_tolerance, split_edges
 from opendecay.errors import (
     AccuracyError,
     DivergenceError,
     OverdampedRenormalizationError,
 )
 from opendecay.model import BathSpectrum, OscillatorParams, make_spin_params
+from opendecay.qbm.kernels import mu_laplace
 from opendecay.spectral import (
     bose_occupation,
     dressed_rate,
@@ -159,6 +161,31 @@ def test_renormalized_frequency_closed_form(bath):
     assert renormalized_frequency_sq(small, osc) == pytest.approx(
         0.6816901138162093, rel=1e-9
     )
+
+
+@pytest.mark.parametrize("shape", ["exponential", "hard"])
+@pytest.mark.parametrize("eta, cutoff, mass, omega0", [
+    (0.2, 5.0, 1.0, 1.0), (0.3, 5.0, 1.0, 1.0), (0.1, 10.0, 2.0, 3.0), (0.05, 20.0, 1.0, 2.0),
+])
+def test_renormalized_frequency_matches_quadrature_and_laplace_limit(
+        shape, eta, cutoff, mass, omega0):
+    bath = BathSpectrum(eta, cutoff, shape, 1.0)
+    osc = OscillatorParams(mass, omega0)
+    closed = renormalized_frequency_sq(bath, osc)
+
+    # reference: node-doubled quadrature of int_0^inf dw Gamma(w)/(2 pi w)
+    upper = cutoff if shape == "hard" else 46.0 * cutoff
+    shift = integrate_to_tolerance(
+        [(lambda w: spectral_density(w, bath) / (2.0 * math.pi * w),
+          split_edges(0.0, upper, 0.5 * cutoff))],
+        rel_tol=1e-10, scale=eta * cutoff / (2.0 * math.pi), what="frequency shift",
+    )
+    assert abs(closed - (omega0**2 - 2.0 * omega0 * shift)) <= 1e-13 * closed
+
+    # the renormalized frequency is the s -> 0+ limit of w0^2 + 2 mu_hat(s)/M;
+    # mu_hat departs from that limit linearly in s
+    limit = omega0**2 + 2.0 * mu_laplace(1e-12, bath, osc) / mass
+    assert limit.real == pytest.approx(closed, rel=1e-11)
 
 
 def test_renormalized_frequency_zero_coupling_exact():
