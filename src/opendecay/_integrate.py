@@ -142,6 +142,24 @@ class _PolynomialStages:
         pass
 
 
+def _checked_grid(t_grid):
+    """The output grid as floats, checked once for every stepping route.
+
+    Raises ValueError naming ``t_grid`` unless it is 1-d with at least one
+    node, finite and strictly increasing.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 1:
+        raise ValueError("t_grid must be a 1-d array with at least one node")
+    finite = np.isfinite(t_grid)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise ValueError(f"t_grid must be finite; node {i} is {t_grid[i]}")
+    if np.any(np.diff(t_grid) <= 0.0):
+        raise ValueError("t_grid must be strictly increasing")
+    return t_grid
+
+
 def _advance(stages, y, t_grid, rtol):
     """Step ``y`` from ``t_grid[0]`` over the grid with DOPRI 5(4) step control.
 
@@ -151,11 +169,7 @@ def _advance(stages, y, t_grid, rtol):
     after ``_MAX_STEPS`` attempted steps, and IntegratorAccuracyError on
     the first step whose error estimate is not finite.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1:
-        raise ValueError("t_grid must be a 1-d array with at least one node")
-    if np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing")
+    t_grid = _checked_grid(t_grid)
     out = np.empty((len(t_grid),) + y.shape, dtype=y.dtype)
     out[0] = y
     if len(t_grid) == 1:
@@ -217,7 +231,8 @@ def integrate(f, y0, t_grid, rtol=1e-10):
     Raises StiffnessError when the step size underflows or after
     ``_MAX_STEPS`` attempted steps, IntegratorAccuracyError when a step's
     error estimate is not finite (a NaN or infinite state or ``f``), and
-    ValueError when ``f`` returns a complex value for a real ``y0``.
+    ValueError when ``f`` returns a complex value for a real ``y0`` or
+    ``t_grid`` is not a finite, strictly increasing 1-d grid.
     """
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     return _advance(_RungeKuttaStages(f), y, t_grid, rtol)
@@ -232,7 +247,8 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
     every node, the reference route for the adaptive one. ``y0`` is a
     vector or a matrix whose columns are propagated together; a matrix
     that is not square or does not match ``y0``'s leading dimension
-    raises ValueError.
+    raises ValueError, and so does, on either route, a ``t_grid`` that is
+    not a finite, strictly increasing 1-d grid.
     """
     matrix = np.asarray(matrix)
     y0 = np.asarray(y0)
@@ -243,8 +259,8 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
             f"{y0.shape}: it must be a square matrix whose size is the leading "
             "dimension of a vector or matrix y0"
         )
-    t_grid = np.asarray(t_grid, dtype=float)
     if method == "expm":
+        t_grid = _checked_grid(t_grid)
         return np.stack([scipy.linalg.expm(matrix * t) @ y0 for t in t_grid])
     if method != "adaptive":
         raise ValueError(f"unknown method {method!r}")

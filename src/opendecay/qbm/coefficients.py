@@ -21,7 +21,9 @@ reduced evolution is Gaussian and fully described by
   window of times. One grid on ``[0, tau_last]``, fine enough for the
   noise-kernel boundary layer, carries one noise-kernel evaluation; its
   m0-, 2m0- and 4m0-panel subsamples are the three Richardson levels.
-  Per level, two FFT convolutions ``nu*(wG)`` and ``nu*(wG')`` give by
+  Per level, two FFT convolutions ``nu*(wG)`` and ``nu*(wG')``, each one
+  call of :func:`.propagator._convolve` (the package's only linear
+  convolution, also behind the Volterra memory sums), give by
   running sums the trapezoidal Q ending at every node, and also their
   tau-derivatives (``nu`` is even):
 
@@ -63,13 +65,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.signal import fftconvolve
 
 from ..errors import AccuracyError, NodeSingularityError, ValidationError
 from ..model import BathSpectrum, OscillatorParams
 from ..spectral import renormalized_frequency_sq
 from .kernels import noise_kernel
-from .propagator import PropagatorFunction
+from .propagator import PropagatorFunction, _convolve
 
 __all__ = [
     "LambdaTheta",
@@ -169,8 +170,8 @@ def _q_level(g, gd, nu, h):
     a[0] = 0.5
     ag, ad = a * g, a * gd
     # c[n] = sum_{j <= n} nu(t_n - t_j) a_j f_j, full weight at j = n
-    cg = fftconvolve(nu, ag)[: g.size]
-    cd = fftconvolve(nu, ad)[: g.size]
+    cg = _convolve(nu, ag, g.size)
+    cd = _convolve(nu, ad, g.size)
     nu0 = nu[0]
     # Node n adds a row and a column to the square: the cumulative sums of
     # these increments are the double sums with full weight at t_n, and

@@ -28,7 +28,9 @@ Two independent routes are provided:
     Newton's iteration for ``M^{-1}`` with FFT products rather than node
     by node, which gives the stepped solution to round-off.  Once the
     history is complete, ``G'''`` follows from the same product weights
-    applied to ``(G', G'')``, all nodes at once by FFT convolution.  The
+    applied to ``(G', G'')``, all nodes at once.  Every memory sum, on
+    the startup nodes and for ``G'''``, is one call of ``_convolve``, the
+    package's only linear convolution.  The
     whole solve is repeated on a half-step grid and the two solutions
     compared, so the returned accuracy is certified rather than hoped for.
 
@@ -53,7 +55,6 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_triangular
-from scipy.signal import fftconvolve
 from scipy.special import sici
 
 from .._quad import panel_nodes, split_edges
@@ -296,6 +297,18 @@ def _startup_nodes(h: float, w0sq: float, mass: float, bath, osc, lam: float):
     return g, gd
 
 
+def _convolve(a, b, m: int):
+    """First ``m`` terms of the linear convolution of two real 1-D arrays.
+
+    The one linear convolution of the package: the Volterra memory sums
+    here and the Theta noise sums of :mod:`.coefficients`.  It is the rfft
+    product at the next fast real length, step for step SciPy's FFT
+    convolution of real 1-D input, whose values it returns to the bit.
+    """
+    n = next_fast_len(a.size + b.size - 1, real=True)
+    return irfft(rfft(a, n) * rfft(b, n), n)[:m]
+
+
 def _product(a_hat, b_hat, size: int):
     """Coefficients of A(z) B(z) from the rfft stacks of a (3, 3) and a (3, c) series."""
     return irfft(np.einsum("ijf,jcf->icf", a_hat, b_hat), size)
@@ -378,11 +391,11 @@ def _volterra_solve(bath, osc, lam: float, tau_max: float, n: int):
     wd = h * beta
     wd[1:] += h * delta[:-1]
 
-    def memory(a, ad, conv=fftconvolve):
+    def memory(a, ad):
         # product-integration memory sum at nodes 1 .. len(a) - 1 applied
         # to the history (a, ad), the tau = 0 node through gamma/delta
         m = a.size - 1
-        out = conv(wg[:m], a[1:])[:m] + conv(wd[:m], ad[1:])[:m]
+        out = _convolve(wg[:m], a[1:], m) + _convolve(wd[:m], ad[1:], m)
         return out + gamma[:m] * a[0] + h * delta[:m] * ad[0]
 
     G = np.zeros(n + 1)
@@ -390,7 +403,7 @@ def _volterra_solve(bath, osc, lam: float, tau_max: float, n: int):
     Gdd = np.zeros(n + 1)
     Gd[0] = 1.0
     G[1:4], Gd[1:4] = _startup_nodes(h, w0sq, mass, bath, osc, lam)
-    Gdd[1:4] = -w0sq * G[1:4] - two_over_m * memory(G[:4], Gd[:4], np.convolve)
+    Gdd[1:4] = -w0sq * G[1:4] - two_over_m * memory(G[:4], Gd[:4])
 
     # From node 4 on, one AB4/AM4 step is linear with constant
     # coefficients: x_j = (G, G', G'')_j obeys x_j = sum_k K_k x_{j-k} + v b_j,

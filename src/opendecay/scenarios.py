@@ -317,10 +317,19 @@ def _spin_bath(cfg):
     return make_spin_params(cfg["epsilon"], cfg["delta"])
 
 
+def _time_grid(cfg):
+    """The output grid ``linspace(0, tau_max, tau_points)``, its keys checked."""
+    if not 0.0 < cfg["tau_max"] < np.inf:
+        raise ConfigError(f"tau_max must be finite and positive, got {cfg['tau_max']!r}")
+    if cfg["tau_points"] < 1:
+        raise ConfigError(f"tau_points must be at least 1, got {cfg['tau_points']}")
+    return np.linspace(0.0, cfg["tau_max"], cfg["tau_points"])
+
+
 def _run_spin_bloch(cfg):
     spin = _spin_bath(cfg)
     gen = rapid_generator(spin, cfg["gamma_theta"])
-    tau = np.linspace(0.0, cfg["tau_max"], cfg["tau_points"])
+    tau = _time_grid(cfg)
     c0 = np.array([cfg["init_plus"], cfg["init_zero"], cfg["init_minus"]], dtype=complex)
     traj = propagate_bloch(gen, c0, tau, rtol=cfg["rtol"])
     spec = decay_spectrum(gen)
@@ -341,7 +350,7 @@ def _run_spin_master(cfg):
     pe = cfg["rho_ee"]
     coh = cfg["coh_re"] + 1j * cfg["coh_im"]
     rho0 = np.array([[pe, coh], [np.conj(coh), 1.0 - pe]], dtype=complex)
-    tau = np.linspace(0.0, cfg["tau_max"], cfg["tau_points"])
+    tau = _time_grid(cfg)
     try:
         states = propagate_density(liouv, rho0, tau, rtol=cfg["tol"])
     except ValidationError as exc:
@@ -378,8 +387,15 @@ def _run_weak_compare(cfg):
 
 def _run_decay_scan(cfg):
     spin = _spin_bath(cfg)
+    for key in ("gamma_min", "gamma_max"):
+        if not np.isfinite(cfg[key]):
+            raise ValidationError(
+                f"{key} = {cfg[key]!r}: the scanned gamma_theta range needs finite ends"
+            )
     if cfg["gamma_min"] <= 0.0:
         raise ConfigError("gamma_min must be positive")
+    if cfg["points"] < 1:
+        raise ConfigError(f"points must be at least 1, got {cfg['points']}")
     gammas = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["points"])
     cols = {name: [] for name in (
         "gamma_theta",
@@ -419,7 +435,7 @@ def _run_qbm_limit(cfg):
     coeffs = limit_coefficients(bath, osc, [0.0])
     mw = osc.mass * osc.omega0
     state0 = GaussianState(cfg["x0"], cfg["p0"], 0.5 / mw, 0.5 * mw)
-    tau = np.linspace(0.0, cfg["tau_max"], cfg["tau_points"])
+    tau = _time_grid(cfg)
     traj = propagate_moments(coeffs, osc, state0, tau, rtol=cfg["rtol"])
     cols = {"tau": tau.tolist()}
     for i, name in enumerate(MOMENT_LABELS):
@@ -438,8 +454,8 @@ def _run_qbm_limit(cfg):
 
 
 def _coefficient_window(cfg):
-    if not 0.0 < cfg["tau_min"] < cfg["tau_max"]:
-        raise ConfigError("need 0 < tau_min < tau_max")
+    if not 0.0 < cfg["tau_min"] < cfg["tau_max"] < np.inf:
+        raise ConfigError("need 0 < tau_min < tau_max < inf")
     if cfg["tau_points"] < 5:
         raise ConfigError("tau_points must be at least 5")
     return np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_points"])
@@ -497,7 +513,7 @@ def _run_bridge_check(cfg):
     if cfg["n_states"] < 1:
         raise ConfigError("n_states must be at least 1")
     rng = np.random.default_rng(cfg["seed"])
-    tau = np.linspace(0.0, cfg["tau_max"], cfg["tau_points"])
+    tau = _time_grid(cfg)
     states = np.stack([random_density_matrix(rng) for _ in range(cfg["n_states"])])
     devs = bloch_density_bridge(spin, cfg["gamma_theta"], states, tau,
                                 rtol=cfg["rtol"]).tolist()

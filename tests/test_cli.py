@@ -162,6 +162,10 @@ def test_cli_writes_output_file(tmp_path):
     ["qbm_sweep"],                        # missing required lambda_list
     ["acceptance", "--criteria", "x,y"],
     ["bridge_check", "--n_states", "0"],
+    ["spin_bloch", "--tau_points", "0"],
+    ["spin_bloch", "--tau_max", "-1"],
+    ["spin_bloch", "--tau_max", "nan"],
+    ["qbm_limit", "--tau_max", "inf"],
 ])
 def test_cli_usage_problems_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -194,6 +198,32 @@ def test_cli_invalid_spin_inputs_exit_2_promptly(argv, named, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("opendecay: ValidationError:") and named in err
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["spin_master", "--tau_points", "0"], 1, "tau_points"),
+    (["spin_master", "--tau_max", "-1"], 1, "tau_max"),
+    (["bridge_check", "--tau_max", "nan"], 1, "tau_max"),
+    (["qbm_limit", "--tau_points", "-3"], 1, "tau_points"),
+    (["spin_bloch", "--tau_max", "inf"], 1, "tau_max"),
+    (["decay_scan", "--points", "0"], 1, "points"),
+    (["decay_scan", "--gamma_max", "nan"], 2, "gamma_max"),
+    (["decay_scan", "--gamma_min", "nan"], 2, "gamma_min"),
+    (["decay_scan", "--gamma_max", "inf"], 2, "gamma_max"),
+    (["qbm_exact", "--tau_max", "inf"], 1, "tau_max"),
+])
+def test_cli_grid_and_scan_range_refusals_name_their_key(argv, code, named, capsys):
+    # refused where the key enters, not by the stepper or rapid_generator
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: ") and f"{named} " in err
+
+
+def test_cli_single_node_grid_and_scan_are_accepted(capsys):
+    assert main(["spin_bloch", "--tau_points", "1"]) == 0
+    assert parse_csv(capsys.readouterr().out).columns["tau"] == [0.0]
+    assert main(["decay_scan", "--points", "1"]) == 0
+    assert parse_csv(capsys.readouterr().out).columns["gamma_theta"] == [0.2]
 
 
 def test_cli_exact_window_may_end_on_tau_max(capsys):

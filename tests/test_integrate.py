@@ -105,6 +105,27 @@ def test_constant_route_validates_its_matrix(matrix, y0):
             propagate_constant(matrix, y0, [0.0, 1.0], method=method)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, np.nan], "finite; node 1 is nan"),
+    ([0.0, np.inf], "finite; node 1 is inf"),
+    ([np.nan, 1.0], "finite; node 0 is nan"),
+    ([1.0, 0.0], "strictly increasing"),
+    ([0.0, 1.0, 1.0], "strictly increasing"),
+    ([], "at least one node"),
+    ([[0.0, 1.0]], "1-d"),
+])
+def test_every_route_refuses_a_bad_time_grid(grid, message):
+    # one check for all three routes: a non-finite grid is refused by name
+    # before a step is taken, not blamed on stiffness or on the state
+    matrix = -np.eye(2)
+    pattern = "t_grid must .*" + re.escape(message)
+    with pytest.raises(ValueError, match=pattern):
+        integrate(lambda t, y: -y, np.ones(2), grid)
+    for method in ("adaptive", "expm"):
+        with pytest.raises(ValueError, match=pattern):
+            propagate_constant(matrix, np.ones(2), grid, method=method)
+
+
 def test_general_route_refuses_a_complex_rhs_on_a_real_state():
     rhs = lambda t, y: 1j * y  # noqa: E731
     with pytest.raises(ValueError, match="complex128.*float64"):

@@ -1,11 +1,17 @@
 """Checks for the memory-equation fundamental solution G(tau)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.signal import fftconvolve
 
+import opendecay
 from opendecay.errors import AccuracyError, InversionError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
 from opendecay.qbm import propagator
@@ -15,6 +21,7 @@ from opendecay.qbm.propagator import (
     PropagatorFunction,
     _adams_step,
     _bromwich_sum,
+    _convolve,
     _hermite_weights,
     _linear_weights,
     _step_map,
@@ -131,6 +138,33 @@ def _lag_weights(n, h, bath, lam):
     wd = h * beta
     wd[1:] += h * delta[:-1]
     return wg, wd, gamma, delta
+
+
+_CONVOLVE_SIZES = (
+    [(i, j) for i in range(2, 9) for j in range(2, 9)]
+    + [(1023, 1023), (4097, 4097), (1200, 1199)]
+)
+
+
+@pytest.mark.parametrize("na, nb", _CONVOLVE_SIZES)
+def test_convolve_is_the_fft_convolution_to_the_bit(na, nb):
+    rng = np.random.default_rng(na * 10007 + nb)
+    a, b = rng.normal(size=na), rng.normal(size=nb)
+    for m in (1, min(na, nb), na + nb - 1):
+        assert np.array_equal(_convolve(a, b, m), fftconvolve(a, b)[:m])
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # the package's convolutions go through scipy.fft alone; scipy.signal
+    # would pull in scipy.stats and scipy.ndimage at every import
+    src = str(Path(opendecay.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, opendecay; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_third_derivative_matches_the_lag_sum():
