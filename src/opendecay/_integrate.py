@@ -13,12 +13,20 @@ One step controller (:func:`_advance`) serves two stage evaluators:
   ``M``. There every stage is a polynomial in ``z = h M`` applied to
   ``y``: the 5th-order update is ``R5(z) y`` with the method's stability
   polynomial ``R5`` (degree 6) and the error estimate is ``E(z) y``
-  (degree 7, no term below ``z^5``). With the powers ``[M^0, ..., M^7]``
-  formed once per call, a step is one product with ``y`` and one with
-  the coefficients scaled by ``h^p``. Both polynomials are derived from
-  the Butcher tableau in exact rational arithmetic.
+  (degree 7, no term below ``z^5``). Both polynomials are derived from
+  the Butcher tableau in exact rational arithmetic. A step combines the
+  block ``[y, M y, ..., M^7 y]`` with the coefficients scaled by ``h^p``
+  in one small product. The block is formed once per step start, and a
+  rejected retry from the same ``y`` reuses it. It is formed in one of
+  two ways:
 
-The matrix exponential is the reference route of :func:`propagate_constant`.
+  - for a dense ``M``, as one product of ``y`` with the stack of powers
+    ``[M^0, ..., M^7]``, formed once per call;
+  - for a ``scipy.sparse`` ``M``, as a Krylov block of seven sparse
+    matrix-vector products, so no power of ``M`` is ever formed.
+
+The matrix exponential is the reference route of :func:`propagate_constant`;
+it densifies a sparse ``M``.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import IntegratorAccuracyError, StiffnessError
 
@@ -127,19 +136,31 @@ class _PolynomialStages:
     """Dormand-Prince stages of ``y' = M y``: ``(y5, err) = (R5(hM) y, E(hM) y)``."""
 
     def __init__(self, matrix):
-        powers = [np.eye(matrix.shape[0], dtype=matrix.dtype)]
+        self.matrix = matrix
+        self.powers = None
+        if not scipy.sparse.issparse(matrix):
+            powers = [np.eye(matrix.shape[0], dtype=matrix.dtype)]
+            for _ in range(1, len(_EXPONENTS)):
+                powers.append(matrix @ powers[-1])
+            self.powers = np.concatenate(powers)  # rows of M^0, ..., M^7 in turn
+        self.block = None  # [y, My, ..., M^7 y] of the current step start
+
+    def _krylov_block(self, y):
+        vectors = [y]
         for _ in range(1, len(_EXPONENTS)):
-            powers.append(matrix @ powers[-1])
-        self.powers = np.concatenate(powers)  # rows of M^0, ..., M^7 in turn
+            vectors.append(self.matrix @ vectors[-1])
+        return np.stack(vectors)
 
     def __call__(self, t, h, y):
         """Return ``(y5, err)`` of one trial step of size ``h`` from ``y``."""
-        v = (self.powers @ y).reshape(len(_EXPONENTS), -1)
-        y5, err = ((_STEP_POLY * h**_EXPONENTS) @ v).reshape((2,) + y.shape)
+        if self.block is None:
+            block = self._krylov_block(y) if self.powers is None else self.powers @ y
+            self.block = block.reshape(len(_EXPONENTS), -1)
+        y5, err = ((_STEP_POLY * h**_EXPONENTS) @ self.block).reshape((2,) + y.shape)
         return y5, err
 
     def accept(self):
-        pass
+        self.block = None  # the next step starts from a new y
 
 
 def _checked_grid(t_grid):
@@ -165,9 +186,11 @@ def _advance(stages, y, t_grid, rtol):
 
     ``stages(t, h, y)`` returns the 5th-order update and the embedded error
     estimate of one trial step; ``stages.accept()`` is called after each
-    accepted one. Raises StiffnessError when the step size underflows or
-    after ``_MAX_STEPS`` attempted steps, and IntegratorAccuracyError on
-    the first step whose error estimate is not finite.
+    accepted one. Between two accepts every trial step starts from the
+    same ``y``, so ``stages`` may keep work that depends on ``y`` alone.
+    Raises StiffnessError when the step size underflows or after
+    ``_MAX_STEPS`` attempted steps, and IntegratorAccuracyError on the
+    first step whose error estimate is not finite.
     """
     t_grid = _checked_grid(t_grid)
     out = np.empty((len(t_grid),) + y.shape, dtype=y.dtype)
@@ -241,16 +264,18 @@ def integrate(f, y0, t_grid, rtol=1e-10):
 def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
     """Solve y' = M y for a constant matrix M, returning y at every node.
 
-    ``method="adaptive"`` takes Dormand-Prince steps at the relative
-    tolerance ``rtol``, with the same step control and refusals as
-    :func:`integrate`; ``method="expm"`` evaluates ``expm(M t) @ y0`` at
-    every node, the reference route for the adaptive one. ``y0`` is a
-    vector or a matrix whose columns are propagated together; a matrix
-    that is not square or does not match ``y0``'s leading dimension
-    raises ValueError, and so does, on either route, a ``t_grid`` that is
-    not a finite, strictly increasing 1-d grid.
+    ``M`` is a dense array or a ``scipy.sparse`` matrix. ``method="adaptive"``
+    takes Dormand-Prince steps at the relative tolerance ``rtol``, with the
+    same step control and refusals as :func:`integrate`; ``method="expm"``
+    evaluates ``expm(M t) @ y0`` at every node (densifying a sparse ``M``),
+    the reference route for the adaptive one. ``y0`` is a vector or a
+    matrix whose columns are propagated together; a matrix that is not
+    square or does not match ``y0``'s leading dimension raises ValueError,
+    and so does, on either route, a ``t_grid`` that is not a finite,
+    strictly increasing 1-d grid.
     """
-    matrix = np.asarray(matrix)
+    if not scipy.sparse.issparse(matrix):
+        matrix = np.asarray(matrix)
     y0 = np.asarray(y0)
     if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
             or y0.ndim not in (1, 2) or y0.shape[0] != matrix.shape[0]):
@@ -261,6 +286,8 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
         )
     if method == "expm":
         t_grid = _checked_grid(t_grid)
+        if scipy.sparse.issparse(matrix):
+            matrix = matrix.toarray()
         return np.stack([scipy.linalg.expm(matrix * t) @ y0 for t in t_grid])
     if method != "adaptive":
         raise ValueError(f"unknown method {method!r}")

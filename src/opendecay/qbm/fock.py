@@ -8,6 +8,18 @@ any discrepancy against :mod:`.moments` measures integrator and
 truncation error alone -- which is exactly what makes the comparison a
 useful end-to-end check.
 
+The generator acts on ``vec(rho)`` in the row-major convention of
+:mod:`opendecay._superop` (``vec(A X B) = (A kron B^T) vec(X)``). It is
+built once per call as five ``scipy.sparse`` CSR superoperators, one per
+coefficient, weighted by ``(1, W2, D_xx, D_xp, G_xp)``: the kinetic term,
+``x^2``, ``D_xx``, ``D_xp`` and ``G_xp``.  The ladder operators are
+tridiagonal, so each row holds about nine nonzeros out of ``d^2``.  A
+single-sample coefficient set sums the parts into one constant generator
+for :func:`opendecay._integrate.propagate_constant`; a window weights
+them at every stage time inside :func:`opendecay._integrate.integrate`.
+:func:`fock_liouvillian` builds the frozen generator densely, by
+another route, as the reference for both.
+
 The truncation guard is blunt on purpose: if the boundary population
 ``rho[-1, -1]`` ever exceeds ``boundary_tol`` the basis was too small
 and TruncationError is raised rather than returning quietly polluted
@@ -19,8 +31,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse
 
-from .._integrate import integrate
+from .._integrate import integrate, propagate_constant
 from .._superop import commutator_super, left_right
 from ..errors import TruncationError, ValidationError
 from ..model import OscillatorParams
@@ -62,6 +75,32 @@ def coherent_density(osc: OscillatorParams, mean_x: float, mean_p: float,
     return np.outer(psi, psi.conj())
 
 
+def _left_right(a, b):
+    """Sparse superoperator of X -> A X B (row-major vec)."""
+    return scipy.sparse.kron(a, b.T, format="csr")
+
+
+def _generator_parts(x, p, mass):
+    """CSR superoperators weighted by ``(1, W2, D_xx, D_xp, G_xp)`` in the generator.
+
+    -i[H, rho] - D_xx [x, [x, rho]] - 2 D_xp [x, [p, rho]] - i G_xp [x, {p, rho}]
+    with H = p^2 / 2m + m W2 x^2 / 2.
+    """
+    x, p = scipy.sparse.csr_array(x), scipy.sparse.csr_array(p)
+    eye = scipy.sparse.identity(x.shape[0], dtype=complex, format="csr")
+    x2, xp, px = x @ x, x @ p, p @ x
+    kin = (p @ p) / (2.0 * mass)
+    return (
+        -1j * (_left_right(kin, eye) - _left_right(eye, kin)),
+        (-0.5j * mass) * (_left_right(x2, eye) - _left_right(eye, x2)),
+        -(_left_right(x2, eye) - 2.0 * _left_right(x, x) + _left_right(eye, x2)),
+        -2.0 * (_left_right(xp, eye) - _left_right(x, p)
+                - _left_right(p, x) + _left_right(eye, px)),
+        -1j * (_left_right(xp, eye) + _left_right(x, p)
+               - _left_right(p, x) - _left_right(eye, px)),
+    )
+
+
 def truncated_basis_propagate(
     coeffs: QBMCoefficients,
     osc: OscillatorParams,
@@ -75,31 +114,23 @@ def truncated_basis_propagate(
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho0.shape[0] < 2:
         raise ValidationError("rho0 must be a square matrix of dimension >= 2")
     d = rho0.shape[0]
-    x, p = ladder_operators(d - 1, osc)
+    parts = _generator_parts(*ladder_operators(d - 1, osc), osc.mass)
     tau = np.asarray(tau_grid, dtype=float)
-    w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
-    m = osc.mass
-    x2, p2_2m, xp, px = x @ x, (p @ p) / (2.0 * m), x @ p, p @ x
+    if coeffs.tau.size == 1:
+        weights = (1.0, coeffs.omegaR_sq[0], coeffs.D_xx[0], coeffs.D_xp[0],
+                   coeffs.Gamma_xp[0])
+        gen = sum(w * part for w, part in zip(weights, parts))
+        flat = propagate_constant(gen, rho0.reshape(-1), tau, rtol=rtol)
+    else:
+        w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
+        stacked = scipy.sparse.vstack(parts, format="csr")
 
-    # -i[H, rho] - D_xx [x, [x, rho]] - 2 D_xp [x, [p, rho]] - i G_xp [x, {p, rho}]
-    # expanded and regrouped by where the operators stand:
-    #   K rho + rho K' + x rho (2 D_xx x + (2 D_xp - i G_xp) p)
-    #         + (2 D_xp + i G_xp) p rho x,
-    # with K = -iH - D_xx x^2 - (2 D_xp + i G_xp) x p and
-    #      K' = iH - D_xx x^2 - (2 D_xp - i G_xp) p x;
-    # six matrix products per evaluation.
-    def rhs(t, rho):
-        dxx, c_minus = d_xx(t), 2.0 * d_xp(t) - 1j * g_xp(t)
-        c_plus = c_minus.conjugate()
-        ham = p2_2m + (0.5 * m * w2(t)) * x2
-        k_left = -1j * ham - dxx * x2 - c_plus * xp
-        k_right = 1j * ham - dxx * x2 - c_minus * px
-        out = k_left @ rho + rho @ k_right
-        out += (x @ rho) @ (2.0 * dxx * x + c_minus * p)
-        out += c_plus * ((p @ rho) @ x)
-        return out
+        def rhs(t, v):
+            weights = np.array([1.0, w2(t), d_xx(t), d_xp(t), g_xp(t)])
+            return weights @ (stacked @ v).reshape(len(parts), -1)
 
-    states = integrate(rhs, rho0, tau, rtol=rtol)
+        flat = integrate(rhs, rho0.reshape(-1), tau, rtol=rtol)
+    states = flat.reshape(len(flat), d, d)
     edge = np.max(np.abs(states[:, -1, -1].real))
     if edge > boundary_tol:
         raise TruncationError(

@@ -369,6 +369,20 @@ def _run_spin_master(cfg):
 
 def _run_weak_compare(cfg):
     spin = _spin_bath(cfg)
+    for key in ("t_min", "t_max"):
+        if not np.isfinite(cfg[key]):
+            raise ValidationError(
+                f"{key} = {cfg[key]!r}: the compared temperature range needs finite ends"
+            )
+    if cfg["t_min"] < 0.0:
+        raise ConfigError(f"t_min must be >= 0, got {cfg['t_min']}")
+    if cfg["t_max"] < cfg["t_min"]:
+        raise ConfigError(
+            f"t_max = {cfg['t_max']} is below t_min = {cfg['t_min']}: the compared "
+            "temperature range is reversed"
+        )
+    if cfg["points"] < 1:
+        raise ConfigError(f"points must be at least 1, got {cfg['points']}")
     temps = np.linspace(cfg["t_min"], cfg["t_max"], cfg["points"])
     g_rapid, g_weak = [], []
     for t in temps:
@@ -394,6 +408,11 @@ def _run_decay_scan(cfg):
             )
     if cfg["gamma_min"] <= 0.0:
         raise ConfigError("gamma_min must be positive")
+    if cfg["gamma_max"] < cfg["gamma_min"]:
+        raise ConfigError(
+            f"gamma_max = {cfg['gamma_max']} is below gamma_min = {cfg['gamma_min']}: "
+            "the scanned gamma_theta range is reversed"
+        )
     if cfg["points"] < 1:
         raise ConfigError(f"points must be at least 1, got {cfg['points']}")
     gammas = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["points"])

@@ -211,6 +211,12 @@ def test_cli_invalid_spin_inputs_exit_2_promptly(argv, named, capsys):
     (["decay_scan", "--gamma_min", "nan"], 2, "gamma_min"),
     (["decay_scan", "--gamma_max", "inf"], 2, "gamma_max"),
     (["qbm_exact", "--tau_max", "inf"], 1, "tau_max"),
+    (["decay_scan", "--gamma_min", "3", "--gamma_max", "1"], 1, "gamma_max"),
+    (["weak_compare", "--t_max", "nan"], 2, "t_max"),
+    (["weak_compare", "--t_min", "inf"], 2, "t_min"),
+    (["weak_compare", "--points", "0"], 1, "points"),
+    (["weak_compare", "--t_min", "-1"], 1, "t_min"),
+    (["weak_compare", "--t_min", "5", "--t_max", "1"], 1, "t_max"),
 ])
 def test_cli_grid_and_scan_range_refusals_name_their_key(argv, code, named, capsys):
     # refused where the key enters, not by the stepper or rapid_generator
@@ -224,6 +230,8 @@ def test_cli_single_node_grid_and_scan_are_accepted(capsys):
     assert parse_csv(capsys.readouterr().out).columns["tau"] == [0.0]
     assert main(["decay_scan", "--points", "1"]) == 0
     assert parse_csv(capsys.readouterr().out).columns["gamma_theta"] == [0.2]
+    assert main(["weak_compare", "--points", "1"]) == 0
+    assert parse_csv(capsys.readouterr().out).columns["temperature"] == [0.5]
 
 
 def test_cli_exact_window_may_end_on_tau_max(capsys):

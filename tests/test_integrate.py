@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from opendecay import _integrate
 from opendecay._integrate import integrate, propagate_constant
@@ -65,6 +66,64 @@ def test_real_matrix_and_real_state_stay_real():
     _assert_routes_agree(matrix, np.array([1.0, 0.5]), tau)
 
 
+def _banded_generator(n=30):
+    # a damped, driven chain: tridiagonal and complex, like a ladder generator
+    k = np.arange(n)
+    return scipy.sparse.diags(
+        [np.sqrt(k[1:] + 1.0) * (0.4 + 0.1j), -0.05 * k - 0.3j * k,
+         -np.sqrt(k[1:] + 1.0) * (0.4 - 0.1j)],
+        offsets=[-1, 0, 1], format="csr",
+    )
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+def test_sparse_generator_matches_the_dense_one_and_expm(columns):
+    matrix = _banded_generator()
+    rng = np.random.default_rng(7)
+    shape = (matrix.shape[0],) if columns is None else (matrix.shape[0], columns)
+    y0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    tau = np.linspace(0.0, 4.0, 9)
+    sparse = propagate_constant(matrix, y0, tau)
+    dense = propagate_constant(matrix.toarray(), y0, tau)
+    assert sparse.shape == dense.shape and sparse.dtype == dense.dtype
+    assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
+    reference = propagate_constant(matrix, y0, tau, method="expm")
+    assert np.array_equal(reference, propagate_constant(matrix.toarray(), y0, tau,
+                                                        method="expm"))
+    # the adaptive route at rtol 1e-10 against the exponential: 100 rtol
+    assert np.max(np.abs(sparse - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+
+def test_sparse_route_forms_seven_products_per_step_start(monkeypatch):
+    # the Krylov block [y, My, ..., M^7 y] is formed once per step start;
+    # a rejected retry from the same y reuses it
+    matvecs, trials, accepts = [], [], []
+
+    class CountingCSR(scipy.sparse.csr_array):
+        def __matmul__(self, other):
+            matvecs.append(1)
+            return super().__matmul__(other)
+
+    matrix = CountingCSR(_banded_generator())
+    stages = _integrate._PolynomialStages
+
+    class CountingStages(stages):
+        def __call__(self, t, h, y):
+            trials.append(h)
+            return super().__call__(t, h, y)
+
+        def accept(self):
+            accepts.append(1)
+            super().accept()
+
+    monkeypatch.setattr(_integrate, "_PolynomialStages", CountingStages)
+    out = propagate_constant(matrix, np.ones(matrix.shape[0], dtype=complex),
+                             [0.0, 20.0])
+    assert np.all(np.isfinite(out))
+    assert len(trials) > len(accepts) > 0  # some trial steps were rejected
+    assert len(matvecs) == 7 * len(accepts)
+
+
 def test_constant_route_refuses_past_its_step_budget(monkeypatch):
     matrix = -np.eye(2)
     out = propagate_constant(matrix, np.ones(2), [0.0, 10.0], rtol=1e-12)
@@ -100,9 +159,11 @@ def test_both_routes_refuse_a_non_finite_error_estimate_at_once():
 ])
 def test_constant_route_validates_its_matrix(matrix, y0):
     shapes = re.escape(str(matrix.shape)) + ".*" + re.escape(str(y0.shape))
-    for method in ("adaptive", "expm"):
-        with pytest.raises(ValueError, match=shapes):
-            propagate_constant(matrix, y0, [0.0, 1.0], method=method)
+    matrices = [matrix] + ([scipy.sparse.csr_array(matrix)] if matrix.ndim == 2 else [])
+    for m in matrices:
+        for method in ("adaptive", "expm"):
+            with pytest.raises(ValueError, match=shapes):
+                propagate_constant(m, y0, [0.0, 1.0], method=method)
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -121,9 +182,10 @@ def test_every_route_refuses_a_bad_time_grid(grid, message):
     pattern = "t_grid must .*" + re.escape(message)
     with pytest.raises(ValueError, match=pattern):
         integrate(lambda t, y: -y, np.ones(2), grid)
-    for method in ("adaptive", "expm"):
-        with pytest.raises(ValueError, match=pattern):
-            propagate_constant(matrix, np.ones(2), grid, method=method)
+    for m in (matrix, scipy.sparse.csr_array(matrix)):
+        for method in ("adaptive", "expm"):
+            with pytest.raises(ValueError, match=pattern):
+                propagate_constant(m, np.ones(2), grid, method=method)
 
 
 def test_general_route_refuses_a_complex_rhs_on_a_real_state():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from opendecay._integrate import integrate
 from opendecay.errors import TruncationError, ValidationError
-from opendecay.model import GaussianState, OscillatorParams
+from opendecay.model import BathSpectrum, GaussianState, OscillatorParams
 from opendecay.qbm.coefficients import QBMCoefficients, limit_coefficients
 from opendecay.qbm.fock import (
     coherent_density,
@@ -139,6 +140,57 @@ def test_truncated_basis_matches_the_frozen_liouvillian():
     for t, rho in zip(tau, states):
         want = (scipy.linalg.expm(liouv * t) @ rho0.reshape(-1)).reshape(d, d)
         assert np.max(np.abs(rho - want)) < 1e-9
+
+
+def _matrix_form_propagate(coeffs, rho0, tau, rtol):
+    # the number-basis generator as six dense matrix products on rho, the
+    # form the sparse superoperator replaced; kept as its reference
+    x, p = ladder_operators(rho0.shape[0] - 1, OSC)
+    w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
+    m = OSC.mass
+    x2, p2_2m, xp, px = x @ x, (p @ p) / (2.0 * m), x @ p, p @ x
+
+    def rhs(t, rho):
+        dxx, c_minus = d_xx(t), 2.0 * d_xp(t) - 1j * g_xp(t)
+        c_plus = c_minus.conjugate()
+        ham = p2_2m + (0.5 * m * w2(t)) * x2
+        k_left = -1j * ham - dxx * x2 - c_plus * xp
+        k_right = 1j * ham - dxx * x2 - c_minus * px
+        out = k_left @ rho + rho @ k_right
+        out += (x @ rho) @ (2.0 * dxx * x + c_minus * p)
+        out += c_plus * ((p @ rho) @ x)
+        return out
+
+    return integrate(rhs, rho0, tau, rtol=rtol)
+
+
+def test_sparse_generator_matches_the_matrix_form_on_the_acceptance_inputs():
+    # the inputs of acceptance criterion 10, n_max 40
+    co = limit_coefficients(BathSpectrum(0.1, 5.0, "exponential", 2.0), OSC, [0.0])
+    rho0 = coherent_density(OSC, 1.0, 0.5, 40)
+    tau = np.linspace(0.0, 5.0, 51)
+    got = truncated_basis_propagate(co, OSC, rho0, tau, rtol=1e-10)
+    want = _matrix_form_propagate(co, rho0, tau, rtol=1e-10)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_windowed_coefficients_match_moment_transport():
+    # time-varying coefficients take the spline path through both routes
+    window = np.linspace(0.0, 3.0, 31)
+    co = QBMCoefficients(window, 1.0 + 0.2 * np.sin(window),
+                         0.02 * (1.0 + 0.5 * np.cos(window)),
+                         0.005 * window / (1.0 + window),
+                         0.03 * (1.0 - np.exp(-window)))
+    tau = np.linspace(0.0, 3.0, 16)
+    rho0 = coherent_density(OSC, 0.5, 0.3, 30)
+    states = truncated_basis_propagate(co, OSC, rho0, tau)
+    got = fock_moments(states, OSC)
+    want = propagate_moments(co, OSC, GaussianState(0.5, 0.3, 0.5, 0.5), tau)
+    # per-moment relative deviation, at acceptance criterion 10's tolerance
+    dev = np.max(np.abs(got - want), axis=0) / np.max(np.abs(want), axis=0)
+    assert np.all(dev <= 1e-4)
+    reference = _matrix_form_propagate(co, rho0, tau, rtol=1e-10)
+    assert np.max(np.abs(states - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_truncation_guard_trips_on_a_small_basis():
