@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import IntegratorAccuracyError, StiffnessError
+from .errors import IntegratorAccuracyError, StiffnessError, ValidationError
 
 # Dormand-Prince coefficients, exact; the stepper uses their nearest floats
 _F = Fraction
@@ -181,6 +181,19 @@ def _checked_grid(t_grid):
     return t_grid
 
 
+def _checked_tol(name, value):
+    """``value`` as a float; ValidationError naming ``name`` unless finite and > 0.
+
+    The one check behind every tolerance a caller sets: a NaN would pass
+    every ``err > tol`` test and certify anything, and an infinite or
+    non-positive one is no tolerance at all.
+    """
+    tol = float(value)
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"{name} must be finite and > 0, got {tol}")
+    return tol
+
+
 def _advance(stages, y, t_grid, rtol):
     """Step ``y`` from ``t_grid[0]`` over the grid with DOPRI 5(4) step control.
 
@@ -188,10 +201,12 @@ def _advance(stages, y, t_grid, rtol):
     estimate of one trial step; ``stages.accept()`` is called after each
     accepted one. Between two accepts every trial step starts from the
     same ``y``, so ``stages`` may keep work that depends on ``y`` alone.
-    Raises StiffnessError when the step size underflows or after
-    ``_MAX_STEPS`` attempted steps, and IntegratorAccuracyError on the
-    first step whose error estimate is not finite.
+    Raises ValidationError naming ``rtol`` unless it is finite and > 0,
+    StiffnessError when the step size underflows or after ``_MAX_STEPS``
+    attempted steps, and IntegratorAccuracyError on the first step whose
+    error estimate is not finite.
     """
+    rtol = _checked_tol("rtol", rtol)
     t_grid = _checked_grid(t_grid)
     out = np.empty((len(t_grid),) + y.shape, dtype=y.dtype)
     out[0] = y
@@ -251,10 +266,11 @@ def _advance(stages, y, t_grid, rtol):
 def integrate(f, y0, t_grid, rtol=1e-10):
     """Integrate y' = f(t, y) from t_grid[0], returning y at every node.
 
-    Raises StiffnessError when the step size underflows or after
-    ``_MAX_STEPS`` attempted steps, IntegratorAccuracyError when a step's
-    error estimate is not finite (a NaN or infinite state or ``f``), and
-    ValueError when ``f`` returns a complex value for a real ``y0`` or
+    Raises ValidationError unless ``rtol`` is finite and > 0,
+    StiffnessError when the step size underflows or after ``_MAX_STEPS``
+    attempted steps, IntegratorAccuracyError when a step's error estimate
+    is not finite (a NaN or infinite state or ``f``), and ValueError when
+    ``f`` returns a complex value for a real ``y0`` or
     ``t_grid`` is not a finite, strictly increasing 1-d grid.
     """
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()

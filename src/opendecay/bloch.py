@@ -32,7 +32,7 @@ import numpy as np
 
 # ``integrate`` stays importable here: the benchmark's tracer test checks
 # that its reference in this module is rebound (bench/tests/test_bench.py)
-from ._integrate import integrate, propagate_constant  # noqa: F401
+from ._integrate import _checked_tol, integrate, propagate_constant  # noqa: F401
 from .errors import AccuracyError, ValidationError
 from .model import BathSpectrum, SpinBosonParams
 from .spectral import gamma_theta_weak
@@ -130,11 +130,14 @@ def propagate_bloch(gen: BlochGenerator, triple0, tau_grid, rtol: float = 1e-10,
     return propagate_constant(gen.matrix, v0, tau_grid, rtol=rtol, method=method)
 
 
-def propagator_matrix(gen: BlochGenerator, tau_grid, rtol: float = 1e-10,
-                      method: str = "adaptive") -> np.ndarray:
-    """Full evolution matrices exp(L tau) on the grid, shape (n, 3, 3)."""
+def propagator_matrix(gen: BlochGenerator, tau_grid, rtol: float = 1e-10) -> np.ndarray:
+    """Full evolution matrices exp(L tau) on the grid, shape (n, 3, 3).
+
+    Adaptive steps at the relative tolerance ``rtol``; the matrix
+    exponential reference is ``propagate_bloch(..., method="expm")``.
+    """
     return propagate_constant(gen.matrix, np.eye(3, dtype=complex), tau_grid,
-                              rtol=rtol, method=method)
+                              rtol=rtol)
 
 
 def decay_spectrum(gen: BlochGenerator) -> DecaySpectrum:
@@ -174,8 +177,12 @@ def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,
     """Bisect for the gamma_theta where the spectrum stops oscillating.
 
     Requires an oscillating spectrum at ``gamma_lo`` and a fully real one
-    at ``gamma_hi``; raises :class:`AccuracyError` otherwise.
+    at ``gamma_hi``; raises :class:`AccuracyError` otherwise, and
+    :class:`ValidationError` unless ``tol`` is finite and > 0. Bisection
+    stops at a bracket of width ``tol`` or once the midpoint is no longer
+    strictly inside it, so a ``tol`` below the float spacing ends there.
     """
+    tol = _checked_tol("tol", tol)
 
     def oscillating(g: float) -> bool:
         return (
@@ -191,6 +198,8 @@ def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if oscillating(mid):
             lo = mid
         else:

@@ -108,10 +108,12 @@ def spin_liouvillian(spin: SpinBosonParams, gamma_theta: float) -> Liouvillian2:
     return Liouvillian2(hamiltonian_part=ham, dissipator_part=diss)
 
 
-def propagate_density(liouv: Liouvillian2, rho0, tau_grid, rtol: float = 1e-10,
-                      method: str = "adaptive") -> np.ndarray:
+def propagate_density(liouv: Liouvillian2, rho0, tau_grid,
+                      rtol: float = 1e-10) -> np.ndarray:
     """Propagate a density matrix over ``tau_grid``; returns (n, 2, 2).
 
+    Adaptive steps at the relative tolerance ``rtol``; the dense
+    reference is ``propagate_constant(liouv.matrix, ..., method="expm")``.
     ``rho0`` is validated as a :class:`DensityMatrix2` (raising
     :class:`ValidationError` when it is not a density matrix). Every
     output state must stay within loose physicality bounds (trace
@@ -122,8 +124,7 @@ def propagate_density(liouv: Liouvillian2, rho0, tau_grid, rtol: float = 1e-10,
     if not isinstance(rho0, DensityMatrix2):
         rho0 = DensityMatrix2(rho0)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    flat = propagate_constant(liouv.matrix, so.vec(rho0.entries), tau_grid,
-                              rtol=rtol, method=method)
+    flat = propagate_constant(liouv.matrix, so.vec(rho0.entries), tau_grid, rtol=rtol)
     states = flat.reshape(len(tau_grid), 2, 2)
 
     traces = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)

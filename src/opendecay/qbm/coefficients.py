@@ -66,6 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
+from .._integrate import _checked_tol
 from ..errors import AccuracyError, NodeSingularityError, ValidationError
 from ..model import BathSpectrum, OscillatorParams
 from ..spectral import renormalized_frequency_sq
@@ -86,6 +87,7 @@ __all__ = [
 
 _NODE_FRACTION = 1e-3  # |G| below this times max|G| counts as a node
 _MIN_PANELS = 32  # fewest coarse Theta panels below any time
+_THETA_REL_TOL = 1e-3  # Richardson agreement of Theta, relative to its scale
 
 
 @dataclass(frozen=True)
@@ -213,6 +215,11 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     g = prop.g(t)
     gd = prop.g_dot(t)
     nu = noise_kernel(t, prop.bath, prop.osc, prop.lam)
+    finite = np.isfinite(nu)
+    if not np.all(finite):
+        # the level splines below would refuse a NaN without naming it
+        i = int(np.argmin(finite))
+        raise AccuracyError(f"noise kernel is {nu[i]} at t={t[i]:g}")
     # The m0-, 2m0- and 4m0-panel levels subsample one grid. Each level is
     # interpolated on its own nodes, so its interpolation error shrinks
     # with the level like the quadrature error and shows in the spread.
@@ -224,7 +231,7 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     second = (4.0 * q3 - q2) / 3.0
     scale = np.max(np.abs(q3), axis=1, keepdims=True)
     spread = np.abs(second - first)
-    bad = np.argwhere(spread > rel_tol * np.maximum(scale, 1e-300))
+    bad = np.argwhere(~(spread <= rel_tol * np.maximum(scale, 1e-300)))
     if bad.size:
         i, j = bad[0]
         raise AccuracyError(
@@ -241,27 +248,24 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     return np.array([t_ff, t_fi, t_ii])
 
 
-def theta_coefficients(
-    prop: PropagatorFunction, tau_star: float, rel_tol: float = 1e-3
-):
+def theta_coefficients(prop: PropagatorFunction, tau_star: float):
     """(T_ff, T_fi, T_ii) at one time, Richardson extrapolated.
 
     The one-point window of the pass that :func:`exact_coefficients` makes
     over a whole window: the grid ends at ``tau_star``, which is then a
     node of every level, and the last two Richardson pairs must agree to
-    ``rel_tol`` relative to the largest double integral, else
+    ``_THETA_REL_TOL`` relative to the largest double integral, else
     AccuracyError.
     """
     tau_star = float(_check_tau(prop, tau_star))
-    t_ff, t_fi, t_ii = _theta_window(prop, np.array([tau_star]), rel_tol)
+    t_ff, t_fi, t_ii = _theta_window(prop, np.array([tau_star]), _THETA_REL_TOL)
     return float(t_ff[0]), float(t_fi[0]), float(t_ii[0])
 
 
-def lambda_theta(
-    prop: PropagatorFunction, tau_star: float, rel_tol: float = 1e-3
-) -> LambdaTheta:
+def lambda_theta(prop: PropagatorFunction, tau_star: float) -> LambdaTheta:
+    """Both halves of the kernel at one time; Theta as in :func:`theta_coefficients`."""
     l_ff, l_fi, l_if = lambda_coefficients(prop, tau_star)
-    t_ff, t_fi, t_ii = theta_coefficients(prop, tau_star, rel_tol)
+    t_ff, t_fi, t_ii = theta_coefficients(prop, tau_star)
     return LambdaTheta(l_ff, l_fi, l_if, t_ff, t_fi, t_ii)
 
 
@@ -297,7 +301,7 @@ def limit_lambda_theta(
 
 
 def exact_coefficients(
-    prop: PropagatorFunction, tau_points, rel_tol: float = 1e-3
+    prop: PropagatorFunction, tau_points, rel_tol: float = _THETA_REL_TOL
 ) -> QBMCoefficients:
     """Master-equation coefficients on a window of times.
 
@@ -309,8 +313,9 @@ def exact_coefficients(
     AccuracyError naming the first point whose last two Richardson pairs
     differ by more than ``rel_tol`` of its largest double integral. The
     Theta derivative is a cubic spline across the window, hence the 5
-    points.
+    points. ValidationError names ``rel_tol`` unless it is finite and > 0.
     """
+    rel_tol = _checked_tol("rel_tol", rel_tol)
     tau = np.asarray(tau_points, dtype=float)
     if tau.ndim != 1 or tau.size < 5:
         raise ValidationError("need at least 5 tau points for the derivative")
@@ -370,7 +375,6 @@ def kernel_logdensity(
     x_fp: float,
     x_i: float,
     x_ip: float,
-    rel_tol: float = 1e-3,
 ) -> complex:
     """log of the two-point kernel at endpoints (x_f, x_f'; x_i, x_i').
 
@@ -381,9 +385,10 @@ def kernel_logdensity(
                 - [ T_ff D_f**2 + 2 T_fi D_f D_i + T_ii D_i**2 ].
 
     The real part is bounded by the normalization term because the
-    decoherence matrix is positive semidefinite.
+    decoherence matrix is positive semidefinite. Theta is certified to
+    ``_THETA_REL_TOL`` as in :func:`theta_coefficients`.
     """
-    lt = lambda_theta(prop, tau_star, rel_tol)
+    lt = lambda_theta(prop, tau_star)
     s_f, d_f = 0.5 * (x_f + x_fp), x_f - x_fp
     s_i, d_i = 0.5 * (x_i + x_ip), x_i - x_ip
     phase = d_f * (lt.L_ff * s_f + lt.L_fi * s_i) + d_i * (

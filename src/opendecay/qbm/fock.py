@@ -21,7 +21,7 @@ them at every stage time inside :func:`opendecay._integrate.integrate`.
 another route, as the reference for both.
 
 The truncation guard is blunt on purpose: if the boundary population
-``rho[-1, -1]`` ever exceeds ``boundary_tol`` the basis was too small
+``rho[-1, -1]`` ever exceeds ``_BOUNDARY_TOL`` the basis was too small
 and TruncationError is raised rather than returning quietly polluted
 moments.
 """
@@ -47,6 +47,8 @@ __all__ = [
     "fock_moments",
     "fock_liouvillian",
 ]
+
+_BOUNDARY_TOL = 1e-8  # largest top-ladder population a result may carry
 
 
 def ladder_operators(n_max: int, osc: OscillatorParams):
@@ -107,9 +109,12 @@ def truncated_basis_propagate(
     rho0: np.ndarray,
     tau_grid,
     rtol: float = 1e-10,
-    boundary_tol: float = 1e-8,
 ) -> np.ndarray:
-    """Evolve rho0 on tau_grid; (n_tau, d, d) array of density matrices."""
+    """Evolve rho0 on tau_grid; (n_tau, d, d) array of density matrices.
+
+    Raises TruncationError when the population of the top ladder state
+    exceeds ``_BOUNDARY_TOL`` at any output time.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho0.shape[0] < 2:
         raise ValidationError("rho0 must be a square matrix of dimension >= 2")
@@ -132,10 +137,10 @@ def truncated_basis_propagate(
         flat = integrate(rhs, rho0.reshape(-1), tau, rtol=rtol)
     states = flat.reshape(len(flat), d, d)
     edge = np.max(np.abs(states[:, -1, -1].real))
-    if edge > boundary_tol:
+    if edge > _BOUNDARY_TOL:
         raise TruncationError(
             f"population {edge:.3e} reached the top ladder state (limit "
-            f"{boundary_tol:g}); enlarge the basis"
+            f"{_BOUNDARY_TOL:g}); enlarge the basis"
         )
     return states
 

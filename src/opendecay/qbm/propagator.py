@@ -71,6 +71,8 @@ __all__ = [
 
 _POINTS_PER_UNIT_PHASE = 409.6  # 4096 nodes per 10/w0 of elapsed phase
 _MAX_NODES = 1 << 20
+_REL_TOL = 1e-7  # agreement both routes certify G to, relative
+_MAX_REFINEMENTS = 3  # grid halvings past the first before the solve refuses
 _ANCHOR_NODES = 64  # Bromwich phases are recomputed exactly this often
 _DENSE_TERMS = 16  # terms of M^{-1} found by a dense solve before Newton
 
@@ -441,26 +443,22 @@ def solve_propagator(
     osc: OscillatorParams,
     lam,
     tau_max: float,
-    n_points: int | None = None,
-    rel_tol: float = 1e-7,
-    max_refinements: int = 3,
 ) -> PropagatorFunction:
     """Solve the memory equation on [0, tau_max] with certified accuracy.
 
-    The grid is halved (node count doubled) until two consecutive
-    solutions agree to ``rel_tol`` relative to ``max |G|``; the finer of
-    the agreeing pair is returned.  Raises AccuracyError when agreement
-    is not reached within ``max_refinements`` extra halvings or before a
-    halving would exceed ``_MAX_NODES`` nodes, and ValidationError when
-    already the first halving would exceed it.
+    The first grid has ``_POINTS_PER_UNIT_PHASE`` nodes per unit of
+    ``omega0 * tau_max`` (at least 16).  It is halved (node count
+    doubled) until two consecutive solutions agree to ``_REL_TOL``
+    relative to ``max |G|``; the finer of the agreeing pair is returned.
+    Raises AccuracyError when agreement is not reached within
+    ``_MAX_REFINEMENTS`` extra halvings or before a halving would exceed
+    ``_MAX_NODES`` nodes, and ValidationError when already the first
+    halving would exceed it or ``tau_max`` is not finite and positive.
     """
     lam = _lam_value(lam)
-    if not tau_max > 0.0:
-        raise ValidationError("tau_max must be positive")
-    if n_points is None:
-        n = max(16, math.ceil(_POINTS_PER_UNIT_PHASE * osc.omega0 * tau_max))
-    else:
-        n = max(16, int(n_points))
+    if not 0.0 < tau_max < math.inf:
+        raise ValidationError(f"tau_max must be finite and positive, got {tau_max!r}")
+    n = max(16, math.ceil(_POINTS_PER_UNIT_PHASE * osc.omega0 * tau_max))
     if 2 * n > _MAX_NODES:
         raise ValidationError(
             f"a grid of n={n} nodes cannot be certified: its first halving "
@@ -469,12 +467,12 @@ def solve_propagator(
 
     coarse = _volterra_solve(bath, osc, lam, tau_max, n)
     err = math.inf
-    for _ in range(max_refinements + 1):
+    for _ in range(_MAX_REFINEMENTS + 1):
         if 2 * n > _MAX_NODES:
             raise AccuracyError(
                 f"propagator grid halving reached the budget _MAX_NODES="
                 f"{_MAX_NODES} at n={n}: successive solutions differ by "
-                f"{err:.3e} relative (target {rel_tol:g})"
+                f"{err:.3e} relative (target {_REL_TOL:g})"
             )
         fine = _volterra_solve(bath, osc, lam, tau_max, 2 * n)
         scale_g = max(np.max(np.abs(fine[1])), 1e-300)
@@ -483,15 +481,15 @@ def solve_propagator(
             np.max(np.abs(coarse[1] - fine[1][::2])) / scale_g,
             np.max(np.abs(coarse[2] - fine[2][::2])) / scale_gd,
         )
-        if err <= rel_tol:
+        if err <= _REL_TOL:
             tau, g, gd, gdd, gddd = fine
             return PropagatorFunction(tau, g, gd, gdd, gddd, lam, bath, osc)
         coarse = fine
         n *= 2
     raise AccuracyError(
-        f"propagator grid halving stalled at n={n} after {max_refinements} "
+        f"propagator grid halving stalled at n={n} after {_MAX_REFINEMENTS} "
         f"refinements: successive solutions differ by {err:.3e} relative "
-        f"(target {rel_tol:g})"
+        f"(target {_REL_TOL:g})"
     )
 
 
@@ -529,7 +527,6 @@ def propagator_via_laplace(
     osc: OscillatorParams,
     lam,
     tau_grid,
-    rel_tol: float = 1e-7,
 ) -> PropagatorFunction:
     """Independent route to ``G`` by inverting its Laplace transform.
 
@@ -542,16 +539,23 @@ def propagator_via_laplace(
                                               R(sigma + i beta) dbeta.
 
     A second pass with 1.5x the frequency window and doubled panel
-    density must agree to ``rel_tol``, else InversionError.  ``G'`` is
+    density must agree to ``_REL_TOL``, the target of the time-domain
+    route, else InversionError; so must the initial data G(0) = 0,
+    G'(0) = 1, and a NaN fails either check.  ``G'`` is
     produced the same way (one extra power of s); the stored second and
     third derivatives come from spline differentiation of ``G'`` and are
     diagnostic quality only -- use the time-domain route when the
-    derivatives matter.
+    derivatives matter.  ValidationError names ``tau_grid`` unless it is
+    1-D, finite and strictly increasing from 0 over at least 5 nodes.
     """
     lam = _lam_value(lam)
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size < 5:
         raise ValidationError("tau_grid must be 1-D with at least 5 nodes")
+    finite = np.isfinite(tau)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise ValidationError(f"tau_grid must be finite; node {i} is {tau[i]}")
     if tau[0] != 0.0 or np.any(np.diff(tau) <= 0.0):
         raise ValidationError("tau_grid must increase strictly from 0")
     tau_max = float(tau[-1])
@@ -571,7 +575,7 @@ def propagator_via_laplace(
 
     sigma = 3.5 / tau_max
     c_inf = abs(wr_sq - w0**2)
-    tol_abs = rel_tol * max(1.0, 1.0 / wr) / 30.0
+    tol_abs = _REL_TOL * max(1.0, 1.0 / wr) / 30.0
     bmax = (c_inf * math.exp(3.5) / (3.0 * math.pi * tol_abs)) ** (1.0 / 3.0)
     bmax = min(max(bmax, wr + 20.0, 80.0), 5000.0)
     tail_width = min(1.5, 15.0 / tau_max)
@@ -600,11 +604,11 @@ def propagator_via_laplace(
     g2, gd2 = invert(1.5 * bmax, 32, 0.5)
     scale = max(np.max(np.abs(g2)), 1.0 / wr)
     err = np.max(np.abs(g1 - g2)) / scale
-    if err > rel_tol:
+    if not err <= _REL_TOL:
         raise InversionError(
-            f"Bromwich refinement moved G by {err:.3e} relative (target {rel_tol:g})"
+            f"Bromwich refinement moved G by {err:.3e} relative (target {_REL_TOL:g})"
         )
-    if abs(g2[0]) > 50.0 * rel_tol * scale or abs(gd2[0] - 1.0) > 1e-4:
+    if not (abs(g2[0]) <= 50.0 * _REL_TOL * scale and abs(gd2[0] - 1.0) <= 1e-4):
         raise InversionError(
             f"inverted transform violates initial data: G(0)={g2[0]:.3e}, "
             f"G'(0)-1={gd2[0] - 1.0:.3e}"

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._integrate import _checked_tol
 from .bloch import (
     decay_spectrum,
     find_classification_boundary,
@@ -30,7 +31,13 @@ from .lindblad import (
     random_density_matrix,
     spin_liouvillian,
 )
-from .model import BathSpectrum, GaussianState, OscillatorParams, make_spin_params
+from .model import (
+    BathSpectrum,
+    DensityMatrix2,
+    GaussianState,
+    OscillatorParams,
+    make_spin_params,
+)
 from .qbm.coefficients import exact_coefficients, limit_coefficients
 from .qbm.moments import MOMENT_LABELS, propagate_moments
 from .qbm.propagator import solve_propagator
@@ -352,9 +359,12 @@ def _run_spin_master(cfg):
     rho0 = np.array([[pe, coh], [np.conj(coh), 1.0 - pe]], dtype=complex)
     tau = _time_grid(cfg)
     try:
-        states = propagate_density(liouv, rho0, tau, rtol=cfg["tol"])
+        rho0 = DensityMatrix2(rho0)
     except ValidationError as exc:
         raise ConfigError(f"initial state is not a density matrix: {exc}") from None
+    # the stepper names its tolerance rtol; refuse a bad one by this key
+    tol = _checked_tol("tol", cfg["tol"])
+    states = propagate_density(liouv, rho0, tau, rtol=tol)
     purity = np.einsum("tij,tji->t", states, states).real
     cols = {
         "tau": tau.tolist(),

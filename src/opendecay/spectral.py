@@ -48,6 +48,8 @@ __all__ = [
     "renormalized_frequency_sq",
 ]
 
+_SELF_ENERGY_REL_TOL = 1e-10  # node-doubling target of the principal value
+
 
 @dataclass(frozen=True)
 class LimitRates:
@@ -180,8 +182,7 @@ def _cap_widths(edges: np.ndarray, max_width: float) -> np.ndarray:
     return np.array(out)
 
 
-def self_energy(omega: float, bath: BathSpectrum, branch: str = "+",
-                rel_tol: float = 1e-10) -> SelfEnergy:
+def self_energy(omega: float, bath: BathSpectrum, branch: str = "+") -> SelfEnergy:
     """Second-order self-energy of a level at frequency ``omega``.
 
     The real part is the principal value of
@@ -189,8 +190,8 @@ def self_energy(omega: float, bath: BathSpectrum, branch: str = "+",
     ``|w' - omega| < r`` is folded into
     ``-int_0^r [f(omega+u) - f(omega-u)]/u du``, which is smooth at
     ``u = 0``, and the remaining segments use graded panels. All pieces
-    are node-doubled together until the total is stable to ``rel_tol``
-    (relative to ``max(|value|, eta*cutoff/2pi)``).
+    are node-doubled together until the total is stable to
+    ``_SELF_ENERGY_REL_TOL`` (relative to ``max(|value|, eta*cutoff/2pi)``).
 
     At ``omega = 0`` with ``T > 0`` the dressed rate tends to ``eta*T`` as
     ``w' -> 0+``, so the principal value diverges logarithmically; that
@@ -228,7 +229,8 @@ def self_energy(omega: float, bath: BathSpectrum, branch: str = "+",
         )
 
     real = integrate_to_tolerance(
-        pieces, rel_tol=rel_tol, scale=bath.eta * bath.cutoff / (2.0 * math.pi),
+        pieces, rel_tol=_SELF_ENERGY_REL_TOL,
+        scale=bath.eta * bath.cutoff / (2.0 * math.pi),
         what=f"self_energy principal value at omega={omega:g}",
     )
     imag = -0.5 * dressed_rate(omega, bath, branch)

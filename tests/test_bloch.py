@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ def test_classification_flips_at_twice_splitting():
     assert decay_spectrum(rapid_generator(spin, 2.1)).classification == "three_real"
     boundary = find_classification_boundary(spin, 1.0, 3.0, tol=1e-8)
     assert boundary == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_boundary_refuses_a_bad_tol(tol):
+    with pytest.raises(ValidationError, match=r"^tol must be finite and > 0"):
+        find_classification_boundary(make_spin_params(0.0, 1.0), 1.0, 3.0, tol=tol)
+
+
+def test_boundary_stops_where_the_bracket_stops_shrinking():
+    # no bracket around the flip is 1e-300 wide; bisection ends when the
+    # midpoint of two adjacent floats is one of them
+    start = time.perf_counter()
+    boundary = find_classification_boundary(make_spin_params(0.0, 1.0), 1.0, 3.0,
+                                            tol=1e-300)
+    assert time.perf_counter() - start < 1.0
+    assert boundary == pytest.approx(2.0, abs=1e-12)
 
 
 def test_boundary_requires_bracketing():

@@ -200,6 +200,22 @@ def test_cli_invalid_spin_inputs_exit_2_promptly(argv, named, capsys):
     assert err.startswith("opendecay: ValidationError:") and named in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["qbm_exact", "--rel_tol", "nan"], "rel_tol"),
+    (["qbm_sweep", "--lambda_list", "0.4", "--rel_tol", "inf"], "rel_tol"),
+    (["qbm_limit", "--rtol", "inf"], "rtol"),
+    (["spin_bloch", "--rtol", "-1"], "rtol"),
+    (["spin_bloch", "--rtol", "nan"], "rtol"),
+    (["spin_master", "--tol", "0"], "tol"),
+    (["bridge_check", "--rtol", "nan"], "rtol"),
+])
+def test_cli_bad_tolerances_exit_2_naming_the_key(argv, named, capsys):
+    # a NaN tolerance certifies anything and inf or <= 0 is none at all
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"opendecay: ValidationError: {named} must be finite and > 0")
+
+
 @pytest.mark.parametrize("argv, code, named", [
     (["spin_master", "--tau_points", "0"], 1, "tau_points"),
     (["spin_master", "--tau_max", "-1"], 1, "tau_max"),

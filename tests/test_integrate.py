@@ -10,7 +10,7 @@ import scipy.sparse
 from opendecay import _integrate
 from opendecay._integrate import integrate, propagate_constant
 from opendecay.bloch import propagator_matrix, rapid_generator
-from opendecay.errors import IntegratorAccuracyError, StiffnessError
+from opendecay.errors import IntegratorAccuracyError, StiffnessError, ValidationError
 from opendecay.lindblad import spin_liouvillian
 from opendecay.model import make_spin_params
 
@@ -186,6 +186,21 @@ def test_every_route_refuses_a_bad_time_grid(grid, message):
         for method in ("adaptive", "expm"):
             with pytest.raises(ValueError, match=pattern):
                 propagate_constant(m, np.ones(2), grid, method=method)
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("route", [
+    lambda rtol: integrate(lambda t, y: -y, np.ones(2), [0.0, 1.0], rtol=rtol),
+    lambda rtol: propagate_constant(-np.eye(2), np.ones(2), [0.0, 1.0], rtol=rtol),
+    lambda rtol: propagate_constant(scipy.sparse.csr_array(-np.eye(2)), np.ones(2),
+                                    [0.0], rtol=rtol),
+], ids=["integrate", "dense", "sparse-one-node"])
+def test_every_stepping_route_refuses_a_bad_rtol(route, rtol):
+    # NaN would pass every error test, inf accepts any step, and a negative
+    # rtol acts as its absolute value; each is refused by name, also on a
+    # one-node grid that takes no step
+    with pytest.raises(ValidationError, match=r"^rtol must be finite and > 0"):
+        route(rtol)
 
 
 def test_general_route_refuses_a_complex_rhs_on_a_real_state():

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from opendecay import _superop as so
 from opendecay import lindblad
+from opendecay._integrate import propagate_constant
 from opendecay.bloch import (
     BlochGenerator,
     propagate_bloch,
-    propagator_matrix,
     rapid_generator,
 )
 from opendecay.errors import (
@@ -113,7 +113,8 @@ def test_propagation_accepts_wrapped_state_and_expm_route():
     rho0 = DensityMatrix2(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
     tau = np.linspace(0.0, 3.0, 7)
     adaptive = propagate_density(liouv, rho0, tau, rtol=1e-11)
-    exact = propagate_density(liouv, rho0, tau, method="expm")
+    exact = propagate_constant(liouv.matrix, so.vec(rho0.entries), tau,
+                               method="expm").reshape(-1, 2, 2)
     assert np.max(np.abs(adaptive - exact)) < 1e-9
 
 
@@ -199,16 +200,13 @@ def test_bridge_on_a_stack_equals_the_per_state_calls():
         bloch_density_bridge(spin, 1.0, states[:, :1], tau)
 
 
-def test_propagate_density_rejects_bad_method():
-    # every constant-generator entry point refuses an unknown method
-    spin = make_spin_params(1.0, 1.0)
-    gen = rapid_generator(spin, 0.4)
-    liouv = spin_liouvillian(spin, 0.4)
+def test_constant_generator_routes_reject_bad_method():
+    # the two entry points that take a method refuse an unknown one
+    gen = rapid_generator(make_spin_params(1.0, 1.0), 0.4)
     tau = [0.0, 1.0]
     for propagate in (
         lambda: propagate_bloch(gen, [0.0, 1.0, 0.0], tau, method="euler"),
-        lambda: propagator_matrix(gen, tau, method="euler"),
-        lambda: propagate_density(liouv, 0.5 * np.eye(2), tau, method="euler"),
+        lambda: propagate_constant(gen.matrix, np.eye(3), tau, method="euler"),
     ):
         with pytest.raises(ValueError, match="unknown method"):
             propagate()

@@ -117,9 +117,28 @@ def test_decoherence_matrix_is_positive(exp_prop):
         assert t_ff * t_ii - t_fi * t_fi >= -1e-6 * (t_ff * t_ii + t_fi * t_fi)
 
 
-def test_decoherence_refinement_guard(exp_prop):
+def test_decoherence_refinement_guard(exp_prop, monkeypatch):
+    monkeypatch.setattr(coefficients, "_THETA_REL_TOL", 1e-14)
     with pytest.raises(AccuracyError):
-        theta_coefficients(exp_prop, 1.2, rel_tol=1e-14)
+        theta_coefficients(exp_prop, 1.2)
+
+
+def test_a_nan_noise_kernel_is_refused_by_name(exp_prop, monkeypatch):
+    # the splines of the Richardson levels would refuse it without a name
+    def poisoned(tau, *args):
+        out = noise_kernel(tau, *args)
+        out[len(out) // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(coefficients, "noise_kernel", poisoned)
+    with pytest.raises(AccuracyError, match=r"^noise kernel is nan at t="):
+        theta_coefficients(exp_prop, 1.2)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_exact_coefficients_refuse_a_bad_rel_tol(exp_prop, rel_tol):
+    with pytest.raises(ValidationError, match=r"^rel_tol must be finite and > 0"):
+        exact_coefficients(exp_prop, np.linspace(0.9, 1.4, 6), rel_tol=rel_tol)
 
 
 def test_small_coupling_entries_approach_the_limit():
@@ -266,10 +285,11 @@ def test_window_takes_one_noise_kernel_call(exp_prop, monkeypatch):
     assert sizes[0] <= 4 * m0 + 1
 
 
-def test_points_near_zero_take_a_grid_of_their_own(exp_prop):
+def test_points_near_zero_take_a_grid_of_their_own(exp_prop, monkeypatch):
     # 0.004 lies 4 coarse panels into the 1.2-long window's grid; it is
     # computed as a one-point window, so a tight tolerance holds as before
+    monkeypatch.setattr(coefficients, "_THETA_REL_TOL", 1e-6)
     tau = np.array([0.004, 0.9, 1.0, 1.1, 1.2])
     window = np.array(_theta_window(exp_prop, tau, 1e-6))
-    assert tuple(window[:, 0]) == theta_coefficients(exp_prop, 0.004, 1e-6)
-    assert tuple(window[:, -1]) == theta_coefficients(exp_prop, 1.2, 1e-6)
+    assert tuple(window[:, 0]) == theta_coefficients(exp_prop, 0.004)
+    assert tuple(window[:, -1]) == theta_coefficients(exp_prop, 1.2)

@@ -16,7 +16,7 @@ from opendecay.errors import AccuracyError, InversionError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
 from opendecay.qbm import propagator
 from opendecay.qbm.coefficients import exact_coefficients
-from opendecay.qbm.kernels import dissipation_kernel
+from opendecay.qbm.kernels import dissipation_kernel, mu_laplace
 from opendecay.qbm.propagator import (
     PropagatorFunction,
     _adams_step,
@@ -95,11 +95,26 @@ def test_laplace_route_free_case_is_exact():
     assert np.allclose(pf.G_dot, np.cos(grid), atol=1e-14)
 
 
-def test_laplace_refinement_check_raises_when_unreachable():
+def test_laplace_refinement_check_raises_when_unreachable(monkeypatch):
     # the two Bromwich passes cannot agree below double rounding
+    monkeypatch.setattr(propagator, "_REL_TOL", 1e-17)
     with pytest.raises(InversionError, match="refinement"):
-        propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 2.0, 41),
-                               rel_tol=1e-17)
+        propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 2.0, 41))
+
+
+def test_laplace_route_refuses_a_nan_transform(monkeypatch):
+    # a NaN in the transform fails the refinement check by name instead of
+    # reaching the derivative spline
+    def poisoned(s, *args):
+        out = mu_laplace(s, *args)
+        out[len(out) // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(propagator, "mu_laplace", poisoned)
+    # the injected NaN makes the complex division warn; the refusal is the point
+    with np.errstate(invalid="ignore"), pytest.raises(
+            InversionError, match="Bromwich refinement moved G by nan"):
+        propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 2.0, 41))
 
 
 def _dense_bromwich(tau, beta, wts, vals, sigma):
@@ -305,36 +320,39 @@ def test_grid_ends_exactly_on_tau_max():
     assert np.all(np.isfinite(co.D_xx))
 
 
-def test_halving_certification_raises_when_unreachable():
-    with pytest.raises(AccuracyError):
-        solve_propagator(EXP, OSC, 0.4, 1.0, n_points=16,
-                         rel_tol=1e-15, max_refinements=0)
+def test_halving_certification_raises_when_unreachable(monkeypatch):
+    # the first grid on [0, 1] has ceil(409.6) = 410 nodes
+    monkeypatch.setattr(propagator, "_REL_TOL", 1e-15)
+    monkeypatch.setattr(propagator, "_MAX_REFINEMENTS", 0)
+    with pytest.raises(AccuracyError, match="stalled at n=820 after 0 refinements"):
+        solve_propagator(EXP, OSC, 0.4, 1.0)
 
 
 def test_halving_refuses_a_first_step_past_the_node_budget(monkeypatch):
-    monkeypatch.setattr(propagator, "_MAX_NODES", 1000)
-    with pytest.raises(ValidationError, match="n=600 .*_MAX_NODES=1000"):
-        solve_propagator(EXP, OSC, 0.4, 1.0, n_points=600)
+    monkeypatch.setattr(propagator, "_MAX_NODES", 800)
+    with pytest.raises(ValidationError, match="n=410 .*_MAX_NODES=800"):
+        solve_propagator(EXP, OSC, 0.4, 1.0)
 
 
 def test_halving_names_the_node_budget_when_it_stops_there(monkeypatch):
     monkeypatch.setattr(propagator, "_MAX_NODES", 1000)
-    with pytest.raises(AccuracyError, match="_MAX_NODES=1000 at n=800: .* differ by"):
-        solve_propagator(EXP, OSC, 0.4, 1.0, n_points=200, rel_tol=1e-14)
+    monkeypatch.setattr(propagator, "_REL_TOL", 1e-14)
+    with pytest.raises(AccuracyError, match="_MAX_NODES=1000 at n=820: .* differ by"):
+        solve_propagator(EXP, OSC, 0.4, 1.0)
 
 
 def test_coupling_scale_wrapper_is_equivalent():
-    a = solve_propagator(EXP, OSC, CouplingScale(0.4), 1.0, n_points=64,
-                         rel_tol=1e-3)
-    b = solve_propagator(EXP, OSC, 0.4, 1.0, n_points=64, rel_tol=1e-3)
+    a = solve_propagator(EXP, OSC, CouplingScale(0.4), 1.0)
+    b = solve_propagator(EXP, OSC, 0.4, 1.0)
     assert np.array_equal(a.G, b.G)
 
 
 def test_solver_input_validation():
-    with pytest.raises(ValidationError):
-        solve_propagator(EXP, OSC, 0.4, -1.0)
-    with pytest.raises(ValidationError):
-        solve_propagator(EXP, OSC, 0.4, 1.0, n_points=1 << 21)
+    for tau_max in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="tau_max must be finite and positive"):
+            solve_propagator(EXP, OSC, 0.4, tau_max)
+    with pytest.raises(ValidationError, match="_MAX_NODES"):  # 2 * 1.3M nodes
+        solve_propagator(EXP, OSC, 0.4, 3200.0)
     with pytest.raises(ValidationError):
         solve_propagator(EXP, OSC, 1.3, 1.0)
 
@@ -374,6 +392,10 @@ def test_laplace_route_grid_validation():
         propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 1500.0, 101))
     with pytest.raises(ValidationError):  # too few nodes
         propagator_via_laplace(EXP, OSC, 0.4, np.array([0.0, 1.0, 2.0]))
+    grid = np.linspace(0.0, 2.0, 41)
+    grid[7] = np.nan
+    with pytest.raises(ValidationError, match="tau_grid must be finite; node 7 is nan"):
+        propagator_via_laplace(EXP, OSC, 0.4, grid)
 
 
 def test_damping_shrinks_the_envelope():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from opendecay import spectral
 from opendecay._quad import integrate_to_tolerance, split_edges
 from opendecay.errors import (
     AccuracyError,
@@ -107,13 +108,14 @@ def test_self_energy_imaginary_part_is_half_rate():
     assert se.imag_part == pytest.approx(-0.5 * dressed_rate(1.3, BATH, "+"))
 
 
-def test_self_energy_matches_slow_quadrature():
+def test_self_energy_matches_slow_quadrature(monkeypatch):
     # cross-check the principal value against a midpoint-rule evaluation
     # with explicit pole subtraction on a very fine grid
     from scipy.integrate import trapezoid
 
     w0 = 1.3
-    se = self_energy(w0, BATH, "+", rel_tol=1e-11)
+    monkeypatch.setattr(spectral, "_SELF_ENERGY_REL_TOL", 1e-11)
+    se = self_energy(w0, BATH, "+")
     u = np.linspace(1e-9, 100.0, 2_000_001)
     f = dressed_rate(u, BATH, "+") / (2.0 * math.pi)
     f0 = dressed_rate(w0, BATH, "+") / (2.0 * math.pi)
@@ -122,12 +124,13 @@ def test_self_energy_matches_slow_quadrature():
     val += f0 * math.log(w0 / (u[-1] - w0))
     assert se.real_part == pytest.approx(val, abs=1e-7)
 
-def test_self_energy_refusal_reports_the_last_change():
-    # rel_tol below double precision cannot be met; the refusal must name
+def test_self_energy_refusal_reports_the_last_change(monkeypatch):
+    # a target below double precision cannot be met; the refusal must name
     # the change of the final doubling, not the zero left by prev = cur
     bath = BathSpectrum(0.3, 4.0, "exponential", 2.0)
+    monkeypatch.setattr(spectral, "_SELF_ENERGY_REL_TOL", 1e-20)
     with pytest.raises(AccuracyError, match="last change") as err:
-        self_energy(1.3, bath, "+", rel_tol=1e-20)
+        self_energy(1.3, bath, "+")
     change = float(re.search(r"last change (\S+)", str(err.value)).group(1))
     assert change > 0.0
 
