@@ -36,6 +36,20 @@ def _leggauss(n: int):
     return x, w
 
 
+@lru_cache(maxsize=8)
+def legendre_projection(n_nodes: int):
+    """Matrix taking values at the n GL nodes of [-1, 1] to Legendre coefficients.
+
+    Row k holds ``(k + 1/2) w_j P_k(x_j)``.  The rule integrates every
+    product ``P_k P_m`` with ``k, m < n`` exactly, so the coefficients are
+    those of the degree ``n - 1`` interpolant of the values.
+    """
+    x, w = _leggauss(n_nodes)
+    proj = (np.arange(n_nodes) + 0.5)[:, None] * legendre.legvander(x, n_nodes - 1).T * w
+    proj.setflags(write=False)  # the cached matrix is shared by every caller
+    return proj
+
+
 def panel_nodes(edges, n_nodes):
     """Nodes and weights of the n-point GL rule on every panel, flattened."""
     edges = np.asarray(edges, dtype=float)

@@ -38,11 +38,15 @@ Two independent routes are provided:
     Numerical Bromwich inversion of
     ``G_hat(s) = 1 / (s**2 + w0**2 + 2 mu_hat(lam**2 s)/M)`` with the
     free-oscillator pole pair subtracted analytically, used to
-    cross-check the time-domain solve.  The contour sum is streamed over
-    the time grid: the phases ``e^{i beta tau}`` are advanced from node to
-    node by one complex multiply and recomputed exactly every 64 nodes,
-    so no time-by-frequency block is ever held.  Only ``G`` (and, with
-    reduced accuracy, its derivatives) should be consumed from this route.
+    cross-check the time-domain solve.  The contour integral is a
+    Filon-Legendre sum: on each panel the transform is expanded in
+    Legendre polynomials, and its product with ``e^{i beta tau}`` is
+    integrated exactly through spherical Bessel functions, so the panels
+    resolve the transform alone, whatever the time grid (Filon, Proc. R.
+    Soc. Edinburgh 49, 38 (1928); Iserles and Norsett, Proc. R. Soc. A
+    461, 1383 (2005)).  The sum runs over bounded blocks of times.  Only
+    ``G`` (and, with reduced accuracy, its derivatives) should be consumed
+    from this route.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_triangular
 from scipy.special import sici
 
-from .._quad import panel_nodes, split_edges
+from .._quad import _leggauss, legendre_projection
 from ..errors import AccuracyError, InversionError, ValidationError
 from ..model import BathSpectrum, OscillatorParams
 from ..spectral import renormalized_frequency_sq
@@ -73,7 +77,10 @@ _POINTS_PER_UNIT_PHASE = 409.6  # 4096 nodes per 10/w0 of elapsed phase
 _MAX_NODES = 1 << 20
 _REL_TOL = 1e-7  # agreement both routes certify G to, relative
 _MAX_REFINEMENTS = 3  # grid halvings past the first before the solve refuses
-_ANCHOR_NODES = 64  # Bromwich phases are recomputed exactly this often
+_MAX_TAU = 1000.0  # longest tau_grid the Bromwich route accepts
+_GEOMETRIC_RATIO = 1.25  # Bromwich panel width over its left edge beyond the pole pair
+_MILLER_EXTRA = 20  # orders above the highest needed where the Bessel ratios start
+_BLOCK_ENTRIES = 1 << 18  # panel-order-time entries in one block of the Filon sum
 _DENSE_TERMS = 16  # terms of M^{-1} found by a dense solve before Newton
 
 
@@ -497,29 +504,105 @@ def solve_propagator(
 # Bromwich route
 
 
-def _bromwich_sum(tau, beta, wts, vals, sigma):
-    """(e^{sigma tau}/pi) Re sum_i w_i e^{i beta_i tau} v_i, streamed in tau.
+def _spherical_jn(order: int, z):
+    """``j_0(z) .. j_{order-1}(z)`` of real ``z >= 0``, stacked on a new first axis.
 
-    The phase vector is advanced by ``e^{i beta h}`` from node to node and
-    recomputed exactly every ``_ANCHOR_NODES`` nodes, which keeps the
-    rounding drift of the recurrence near 1e-14.  A grid whose nodes
-    stray from uniform spacing ``h`` by more than 1e-12 h is anchored at
-    every node instead.
+    Where ``k <= z`` the upward recurrence ``j_k = (2k-1)/z j_{k-1} - j_{k-2}``
+    from the closed forms of ``j_0`` and ``j_1`` is stable.  Where ``k > z``
+    it is not, and ``j_k = r_k j_{k-1}`` takes the ratios
+    ``r_k = z / (2k+1 - z r_{k+1})`` of Miller's downward recurrence, started
+    from ``r = 0`` ``_MILLER_EXTRA`` orders above the highest one needed.
+    Below the first zero of ``j_{k-1}`` these ratios lie in [0, 1), so no
+    denominator vanishes where they are used.
     """
-    n = tau.size
-    h = (tau[-1] - tau[0]) / (n - 1)
-    uniform = np.max(np.abs(tau - (tau[0] + h * np.arange(n)))) <= 1e-12 * h
-    every = _ANCHOR_NODES if uniform else 1
-    step = np.exp(1j * (h * beta))
-    coef = np.stack([wts * vals, wts * ((sigma + 1j * beta) * vals)], axis=1)
-    out = np.empty((n, 2))
-    for k in range(n):
-        if k % every:
-            ph *= step
+    z = np.asarray(z, dtype=float)
+    pos = z > 0.0
+    inv = 1.0 / np.where(pos, z, 1.0)
+    out = np.empty((order,) + z.shape)
+    out[0] = np.where(pos, np.sin(z) * inv, 1.0)
+    ratio = np.zeros_like(out)
+    low = z < order - 1  # elsewhere every order is reached upward
+    if np.any(low):
+        zl = z[low]
+        r = np.zeros_like(zl)
+        # at orders k <= z the ratio meets the poles of j_k / j_{k-1}; those
+        # values are never used, and a pole only turns the next one into -0
+        with np.errstate(divide="ignore", over="ignore"):
+            for k in range(order + _MILLER_EXTRA, 0, -1):
+                r = zl / (2 * k + 1 - zl * r)
+                if k < order:
+                    ratio[k][low] = r
+    for k in range(1, order):
+        if k == 1:
+            up = (out[0] - np.cos(z)) * inv
         else:
-            ph = np.exp(1j * (tau[k] * beta))
-        out[k] = (ph @ coef).real
-    return out.T * (np.exp(sigma * tau) / math.pi)
+            up = (2 * k - 1) * inv * out[k - 1] - out[k - 2]
+        out[k] = np.where(k <= z, up, ratio[k] * out[k - 1])
+    return out
+
+
+def _contour_panels(wr: float, sigma: float, bcut: float, shrink: float, kink):
+    """Midpoints and half-widths of panels covering [0, bcut], sized by ``R`` alone.
+
+    Panels are 0.5 wide below the pole pair, 0.5 sigma wide across
+    ``wr +- 3`` and geometric beyond (each ``_GEOMETRIC_RATIO`` times its
+    left edge).  A ``kink`` of ``R`` (the log branch point a distance sigma
+    from the contour at ``cutoff/lam**2`` of the hard cutoff) is approached
+    and left geometrically down to 0.5 sigma.  ``shrink`` 0.5 halves the
+    widths and takes the square root of the ratio.  Panels of one width
+    share one half-width value exactly, so the Bessel functions of the
+    Filon sum are computed once per width.
+    """
+    lo, hi = max(0.0, wr - 3.0), wr + 3.0
+    grow = _GEOMETRIC_RATIO**shrink - 1.0
+    fine = 0.5 * sigma * shrink
+    stops = sorted(x for x in (lo, hi, kink, bcut) if x is not None and 0.0 < x <= bcut)
+    mid, half = [], []
+    b = 0.0
+    for stop in stops:
+        while b < stop:
+            width = 0.5 * shrink if b < lo else fine if b < hi else grow * b
+            if kink is not None:
+                width = min(width, max(fine, grow * abs(kink - b)))
+            width = min(width, stop - b)
+            mid.append(b + 0.5 * width)
+            half.append(0.5 * width)
+            b = stop if width == stop - b else b + width
+    return np.array(mid), np.array(half)
+
+
+def _bromwich_sum(tau, mid, half, vals, sigma):
+    """``(e^{sigma tau}/pi) Re int e^{i beta tau} f(beta) dbeta`` by Filon panels.
+
+    ``vals[c, p]`` holds integrand ``c`` at the n Gauss-Legendre nodes of
+    panel ``p``, ``[mid - half, mid + half]``.  On a panel ``[m - h, m + h]``
+    each integrand is replaced by the Legendre expansion ``sum_k a_k P_k`` of
+    its degree ``n - 1`` interpolant, whose product with the phase
+    integrates exactly (DLMF 10.60.7):
+
+        int e^{i beta tau} sum_k a_k P_k((beta - m)/h) dbeta
+            = h e^{i m tau} sum_k a_k 2 i^k j_k(h tau).
+
+    The panels thus resolve ``f``, not ``e^{i beta tau}``, and any tau grid
+    serves.  Returns one row per integrand.  The sum runs over blocks of
+    tau of at most ``_BLOCK_ENTRIES`` panel-order-time entries, so no block
+    grows with the grid.
+    """
+    c, _, n = vals.shape
+    coef = vals @ legendre_projection(n).T
+    coef *= 2.0 * half[:, None] * np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4]
+    coef = np.concatenate([coef.real, coef.imag]).transpose(1, 2, 0)  # (panel, order, 2c)
+    widths, which = np.unique(half, return_inverse=True)
+    out = np.empty((c, tau.size))
+    step = max(1, _BLOCK_ENTRIES // (half.size * n))
+    for lo in range(0, tau.size, step):
+        t = tau[lo : lo + step]
+        jn = _spherical_jn(n, np.outer(widths, t)).transpose(1, 2, 0)  # (width, time, order)
+        part = np.matmul(jn[which], coef)
+        phase = np.outer(mid, t)
+        out[:, lo : lo + step] = (np.einsum("pt,ptc->ct", np.cos(phase), part[..., :c])
+                                  - np.einsum("pt,ptc->ct", np.sin(phase), part[..., c:]))
+    return out * (np.exp(sigma * tau) / math.pi)
 
 
 def propagator_via_laplace(
@@ -538,15 +621,20 @@ def propagator_via_laplace(
                  + (e^{sigma tau}/pi) Re int_0^B e^{i beta tau}
                                               R(sigma + i beta) dbeta.
 
-    A second pass with 1.5x the frequency window and doubled panel
-    density must agree to ``_REL_TOL``, the target of the time-domain
-    route, else InversionError; so must the initial data G(0) = 0,
-    G'(0) = 1, and a NaN fails either check.  ``G'`` is
+    The integral is summed by Filon-Legendre panels (``_bromwich_sum``)
+    laid out by ``_contour_panels``: their widths follow ``R``, not tau,
+    so the node count does not grow with ``tau_grid[-1]``.  A second pass
+    with 1.5x the frequency window, halved panels and 24 instead of 16
+    nodes per panel must agree to ``_REL_TOL``, the target of the
+    time-domain route, else InversionError; so must the initial data
+    G(0) = 0, G'(0) = 1, and a NaN fails either check.  ``G'`` is
     produced the same way (one extra power of s); the stored second and
     third derivatives come from spline differentiation of ``G'`` and are
     diagnostic quality only -- use the time-domain route when the
-    derivatives matter.  ValidationError names ``tau_grid`` unless it is
-    1-D, finite and strictly increasing from 0 over at least 5 nodes.
+    derivatives matter.  ValidationError names ``tau_grid`` and the
+    offending node unless it is 1-D, finite and strictly increasing from 0
+    over at least 5 nodes, and names the limit if it ends past
+    ``_MAX_TAU``.
     """
     lam = _lam_value(lam)
     tau = np.asarray(tau_grid, dtype=float)
@@ -556,11 +644,19 @@ def propagator_via_laplace(
     if not np.all(finite):
         i = int(np.argmin(finite))
         raise ValidationError(f"tau_grid must be finite; node {i} is {tau[i]}")
-    if tau[0] != 0.0 or np.any(np.diff(tau) <= 0.0):
-        raise ValidationError("tau_grid must increase strictly from 0")
+    if tau[0] != 0.0:
+        raise ValidationError(f"tau_grid must increase strictly from 0; node 0 is {tau[0]}")
+    stalls = np.flatnonzero(np.diff(tau) <= 0.0)
+    if stalls.size:
+        i = int(stalls[0]) + 1
+        raise ValidationError(
+            f"tau_grid must increase strictly from 0; node {i} is {tau[i]} after {tau[i - 1]}"
+        )
     tau_max = float(tau[-1])
-    if tau_max > 1000.0:
-        raise ValidationError("tau_grid extends beyond supported range")
+    if tau_max > _MAX_TAU:
+        raise ValidationError(
+            f"tau_grid extends beyond supported range: last node {tau_max} > {_MAX_TAU:g}"
+        )
 
     w0 = osc.omega0
     wr_sq = renormalized_frequency_sq(bath, osc)
@@ -578,30 +674,24 @@ def propagator_via_laplace(
     tol_abs = _REL_TOL * max(1.0, 1.0 / wr) / 30.0
     bmax = (c_inf * math.exp(3.5) / (3.0 * math.pi * tol_abs)) ** (1.0 / 3.0)
     bmax = min(max(bmax, wr + 20.0, 80.0), 5000.0)
-    tail_width = min(1.5, 15.0 / tau_max)
+    kink = bath.cutoff / lam**2 if bath.shape == "hard" else None
 
     def invert(bcut: float, n_nodes: int, shrink: float):
-        lo, hi = max(0.0, wr - 3.0), wr + 3.0
-        segs = [
-            split_edges(0.0, lo, 0.5 * shrink),
-            split_edges(lo, hi, 0.5 * sigma * shrink),
-            split_edges(hi, min(60.0, bcut), 0.5 * shrink),
-            split_edges(min(60.0, bcut), bcut, tail_width * shrink),
-        ]
-        edges = np.unique(np.concatenate(segs))
-        beta, wts = panel_nodes(edges, n_nodes)
+        mid, half = _contour_panels(wr, sigma, bcut, shrink, kink)
+        beta = (mid[:, None] + half[:, None] * _leggauss(n_nodes)[0]).ravel()
         s = sigma + 1j * beta
         mu_hat = mu_laplace(lam**2 * s, bath, osc)
         numer = wr_sq - w0**2 - (2.0 / osc.mass) * mu_hat
         denom = (s * s + w0**2 + (2.0 / osc.mass) * mu_hat) * (s * s + wr_sq)
-        vals = numer / denom
-        res = _bromwich_sum(tau, beta, wts, vals, sigma)
+        r = numer / denom
+        vals = np.stack([r, s * r]).reshape(2, -1, n_nodes)
+        res = _bromwich_sum(tau, mid, half, vals, sigma)
         g = np.sin(wr * tau) / wr + res[0]
         gd = np.cos(wr * tau) + res[1]
         return g, gd
 
     g1, gd1 = invert(bmax, 16, 1.0)
-    g2, gd2 = invert(1.5 * bmax, 32, 0.5)
+    g2, gd2 = invert(1.5 * bmax, 24, 0.5)
     scale = max(np.max(np.abs(g2)), 1.0 / wr)
     err = np.max(np.abs(g1 - g2)) / scale
     if not err <= _REL_TOL:

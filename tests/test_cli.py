@@ -1,16 +1,21 @@
 """Scenario configuration, table round trips, CLI exit codes."""
 
+import contextlib
+import io
+import math
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opendecay.acceptance
 from opendecay.acceptance import CriterionResult
 from opendecay.cli import main
 from opendecay.errors import ConfigError
 from opendecay.scenarios import (
+    REQUIRED,
     SCHEMAS,
     parse_config,
     parse_csv,
@@ -214,6 +219,37 @@ def test_cli_bad_tolerances_exit_2_naming_the_key(argv, named, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"opendecay: ValidationError: {named} must be finite and > 0")
+
+
+_TOLERANCE_KEYS = [(name, key) for name, schema in SCHEMAS.items()
+                   for key in schema if key in ("rtol", "tol", "rel_tol")]
+_REQUIRED_VALUES = {"lambda_list": "0.4"}
+
+
+def test_every_tolerance_key_is_under_the_property_test():
+    assert sorted(_TOLERANCE_KEYS) == [
+        ("bridge_check", "rtol"), ("qbm_exact", "rel_tol"), ("qbm_limit", "rtol"),
+        ("qbm_sweep", "rel_tol"), ("spin_bloch", "rtol"), ("spin_master", "tol")]
+    required = {key for schema in SCHEMAS.values()
+                for key, (_, default) in schema.items() if default is REQUIRED}
+    assert required == set(_REQUIRED_VALUES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_TOLERANCE_KEYS),
+       st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+       | st.floats(max_value=0.0, allow_nan=False))
+def test_no_scenario_certifies_with_a_bad_tolerance(scenario_key, value):
+    scenario, key = scenario_key
+    argv = [scenario, f"--{key}", repr(value)]
+    for name, (_, default) in SCHEMAS[scenario].items():
+        if default is REQUIRED:
+            argv += [f"--{name}", _REQUIRED_VALUES[name]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert err.getvalue().startswith(f"opendecay: ValidationError: {key} must be finite and > 0")
 
 
 @pytest.mark.parametrize("argv, code, named", [

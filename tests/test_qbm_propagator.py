@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy.signal import fftconvolve
+from scipy.special import spherical_jn
 
 import opendecay
+from opendecay._quad import panel_nodes
 from opendecay.errors import AccuracyError, InversionError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
 from opendecay.qbm import propagator
@@ -21,9 +23,11 @@ from opendecay.qbm.propagator import (
     PropagatorFunction,
     _adams_step,
     _bromwich_sum,
+    _contour_panels,
     _convolve,
     _hermite_weights,
     _linear_weights,
+    _spherical_jn,
     _step_map,
     _trapezoid_step,
     _volterra_solve,
@@ -117,33 +121,87 @@ def test_laplace_route_refuses_a_nan_transform(monkeypatch):
         propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 2.0, 41))
 
 
-def _dense_bromwich(tau, beta, wts, vals, sigma):
-    # reference form: every phase e^{i beta tau} evaluated explicitly
-    phase = np.exp(1j * np.outer(tau, beta))
-    out = np.stack([(phase @ (wts * vals)).real,
-                    (phase @ (wts * (sigma + 1j * beta) * vals)).real])
-    return out * np.exp(sigma * tau) / math.pi
+def test_laplace_route_refuses_a_contour_that_misses_its_start(monkeypatch):
+    # both passes skip beta < 1 alike, so they agree with each other; only
+    # the initial data show the missing piece of the contour
+    panels = propagator._contour_panels
+
+    def gapped(*args):
+        mid, half = panels(*args)
+        lo, hi = np.maximum(mid - half, 1.0), mid + half
+        keep = hi > 1.0
+        return 0.5 * (lo + hi)[keep], 0.5 * (hi - lo)[keep]
+
+    monkeypatch.setattr(propagator, "_contour_panels", gapped)
+    with pytest.raises(InversionError, match=r"violates initial data: G\(0\)=5\.\d+e-04"):
+        propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 2.0, 41))
 
 
-@pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
-def test_streamed_bromwich_sum_matches_dense_phases(grid):
+_BESSEL_Z = np.unique(np.concatenate([
+    [0.0, 1e-8, 1e-3, 0.5],
+    # either side of every order, where the upward recurrence takes over
+    np.arange(1.0, 25.0) - 1e-9, np.arange(1.0, 25.0), np.arange(1.0, 25.0) + 1e-9,
+    np.linspace(0.0, 40.0, 4001),
+    np.geomspace(1e-8, 1e4, 2001),
+]))
+
+
+@pytest.mark.parametrize("order", [16, 24])
+def test_spherical_bessel_recurrence_matches_scipy(order):
+    got = _spherical_jn(order, _BESSEL_Z)
+    want = np.array([spherical_jn(k, _BESSEL_Z) for k in range(order)])
+    assert got.shape == (order, _BESSEL_Z.size)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    # the block shape is kept
+    assert _spherical_jn(order, _BESSEL_Z[:12].reshape(3, 4)).shape == (order, 3, 4)
+
+
+def _test_transform(s):
+    # two pole pairs a distance 0.1 left of the imaginary axis; decays like s**-4
+    return 1.0 / (((s + 0.1) ** 2 + 1.0) * ((s + 0.1) ** 2 + 6.25))
+
+
+@pytest.mark.parametrize("n_nodes, shrink", [(16, 1.0), (24, 0.5)])
+def test_filon_sum_matches_a_dense_gauss_legendre_sum(n_nodes, shrink):
     rng = np.random.default_rng(7)
-    beta = np.sort(rng.uniform(0.0, 5000.0, 2000))
-    wts = rng.uniform(0.1, 1.0, beta.size)
-    vals = rng.standard_normal(beta.size) + 1j * rng.standard_normal(beta.size)
-    sigma = 0.2
-    if grid == "uniform":
-        tau = np.linspace(0.0, 20.0, 300)  # > 3 anchor blocks, beta*tau to 1e5
-    else:
-        tau = np.sort(np.r_[0.0, rng.uniform(0.0, 20.0, 299)])
-    got = _bromwich_sum(tau, beta, wts, vals, sigma)
-    want = _dense_bromwich(tau, beta, wts, vals, sigma)
-    # error relative to the sum of term magnitudes, the scale any
-    # reordering or rephasing of the sum is judged against
-    scale = np.array([np.sum(np.abs(wts * vals)),
-                      np.sum(np.abs(wts * (sigma + 1j * beta) * vals))])
-    scale = scale[:, None] * np.exp(sigma * tau) / math.pi
-    assert np.max(np.abs(got - want) / scale) < 1e-12
+    tau = np.sort(np.r_[0.0, rng.uniform(0.0, 10.0, 199)])
+    sigma, bcut = 0.35, 80.0
+    mid, half = _contour_panels(1.0, sigma, bcut, shrink, None)
+    beta = (mid[:, None] + half[:, None] * np.polynomial.legendre.leggauss(n_nodes)[0]).ravel()
+    s = sigma + 1j * beta
+    vals = np.stack([_test_transform(s), s * _test_transform(s)]).reshape(2, -1, n_nodes)
+    got = _bromwich_sum(tau, mid, half, vals, sigma)
+    # reference form: 32-point panels 0.05 wide, every phase evaluated
+    nodes, wts = panel_nodes(np.linspace(0.0, bcut, 1601), 32)
+    s = sigma + 1j * nodes
+    f = wts * _test_transform(s)
+    want = np.stack([(np.exp(1j * np.outer(tau, nodes)) @ g).real for g in (f, s * f)])
+    want *= np.exp(sigma * tau) / math.pi
+    assert np.all(np.abs(got - want) <= 1e-10 * np.max(np.abs(want), axis=1, keepdims=True))
+
+
+def test_contour_panels_tile_the_window_and_meet_the_kink():
+    sigma, bcut, kink = 0.35, 900.0, 100.0
+    for shrink in (1.0, 0.5):
+        mid, half = _contour_panels(1.0, sigma, bcut, shrink, kink)
+        lo, hi = mid - half, mid + half
+        assert lo[0] == 0.0 and hi[-1] == pytest.approx(bcut, rel=1e-15)
+        assert np.max(np.abs(lo[1:] - hi[:-1])) <= 1e-12
+        at = int(np.argmin(np.abs(hi - kink)))
+        assert hi[at] == kink  # the kink is a panel edge, between two fine panels
+        assert np.all(2.0 * half[at : at + 2] <= 0.5 * sigma * shrink)
+        # the panels across the pole pair share one half-width exactly
+        assert np.unique(half[mid < 3.5]).size == 1
+
+
+@pytest.mark.parametrize("lam", [0.4, 0.2])
+def test_laplace_route_agrees_on_the_hard_cutoff(lam):
+    # cutoff/lam**2 = 25 and 100: the branch point lies in the geometric tail
+    grid = np.linspace(0.0, 4.0, 161)
+    pf_t = solve_propagator(HARD, OSC, lam, 4.0)
+    pf_l = propagator_via_laplace(HARD, OSC, lam, grid)
+    assert np.max(np.abs(pf_t.g(grid) - pf_l.G)) < 1e-6 * pf_t.max_abs_g
+    assert np.max(np.abs(pf_t.g_dot(grid) - pf_l.G_dot)) < 1e-5
 
 
 def _lag_weights(n, h, bath, lam):
@@ -384,11 +442,13 @@ def test_propagator_function_validates_and_freezes():
 
 
 def test_laplace_route_grid_validation():
-    with pytest.raises(ValidationError):  # must start at 0
+    with pytest.raises(ValidationError, match="from 0; node 0 is 0.5$"):
         propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.5, 2.0, 31))
-    with pytest.raises(ValidationError):  # strictly increasing
+    with pytest.raises(ValidationError, match="from 0; node 2 is 1.0 after 1.0$"):
         propagator_via_laplace(EXP, OSC, 0.4, np.array([0.0, 1.0, 1.0, 2.0, 3.0]))
-    with pytest.raises(ValidationError):  # beyond supported horizon
+    with pytest.raises(ValidationError, match="from 0; node 3 is 0.5 after 2.0$"):
+        propagator_via_laplace(EXP, OSC, 0.4, np.array([0.0, 1.0, 2.0, 0.5, 3.0]))
+    with pytest.raises(ValidationError, match="beyond supported range: .*1500.0 > 1000$"):
         propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 1500.0, 101))
     with pytest.raises(ValidationError):  # too few nodes
         propagator_via_laplace(EXP, OSC, 0.4, np.array([0.0, 1.0, 2.0]))
