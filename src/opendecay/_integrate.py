@@ -38,7 +38,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import IntegratorAccuracyError, StiffnessError, ValidationError
+from .errors import IntegratorAccuracyError, StiffnessError
+from .model import _checked_finite, _checked_grid
 
 # Dormand-Prince coefficients, exact; the stepper uses their nearest floats
 _F = Fraction
@@ -163,37 +164,6 @@ class _PolynomialStages:
         self.block = None  # the next step starts from a new y
 
 
-def _checked_grid(t_grid):
-    """The output grid as floats, checked once for every stepping route.
-
-    Raises ValueError naming ``t_grid`` unless it is 1-d with at least one
-    node, finite and strictly increasing.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1:
-        raise ValueError("t_grid must be a 1-d array with at least one node")
-    finite = np.isfinite(t_grid)
-    if not np.all(finite):
-        i = int(np.argmin(finite))
-        raise ValueError(f"t_grid must be finite; node {i} is {t_grid[i]}")
-    if np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing")
-    return t_grid
-
-
-def _checked_tol(name, value):
-    """``value`` as a float; ValidationError naming ``name`` unless finite and > 0.
-
-    The one check behind every tolerance a caller sets: a NaN would pass
-    every ``err > tol`` test and certify anything, and an infinite or
-    non-positive one is no tolerance at all.
-    """
-    tol = float(value)
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"{name} must be finite and > 0, got {tol}")
-    return tol
-
-
 def _advance(stages, y, t_grid, rtol):
     """Step ``y`` from ``t_grid[0]`` over the grid with DOPRI 5(4) step control.
 
@@ -201,13 +171,14 @@ def _advance(stages, y, t_grid, rtol):
     estimate of one trial step; ``stages.accept()`` is called after each
     accepted one. Between two accepts every trial step starts from the
     same ``y``, so ``stages`` may keep work that depends on ``y`` alone.
-    Raises ValidationError naming ``rtol`` unless it is finite and > 0,
-    StiffnessError when the step size underflows or after ``_MAX_STEPS``
+    Raises ValidationError naming ``rtol`` unless it is finite and > 0, or
+    naming ``t_grid`` and its first bad node unless it is a finite, strictly
+    increasing 1-d grid with at least one node; StiffnessError when the step size underflows or after ``_MAX_STEPS``
     attempted steps, and IntegratorAccuracyError on the first step whose
     error estimate is not finite.
     """
-    rtol = _checked_tol("rtol", rtol)
-    t_grid = _checked_grid(t_grid)
+    rtol = _checked_finite("rtol", rtol, "> 0")
+    t_grid = _checked_grid(t_grid, "t_grid")
     out = np.empty((len(t_grid),) + y.shape, dtype=y.dtype)
     out[0] = y
     if len(t_grid) == 1:
@@ -266,12 +237,12 @@ def _advance(stages, y, t_grid, rtol):
 def integrate(f, y0, t_grid, rtol=1e-10):
     """Integrate y' = f(t, y) from t_grid[0], returning y at every node.
 
-    Raises ValidationError unless ``rtol`` is finite and > 0,
-    StiffnessError when the step size underflows or after ``_MAX_STEPS``
-    attempted steps, IntegratorAccuracyError when a step's error estimate
-    is not finite (a NaN or infinite state or ``f``), and ValueError when
-    ``f`` returns a complex value for a real ``y0`` or
-    ``t_grid`` is not a finite, strictly increasing 1-d grid.
+    Raises ValidationError unless ``rtol`` is finite and > 0 or when
+    ``t_grid`` is not a finite, strictly increasing 1-d grid (naming its
+    first bad node), StiffnessError when the step size underflows or after
+    ``_MAX_STEPS`` attempted steps, IntegratorAccuracyError when a step's
+    error estimate is not finite (a NaN or infinite state or ``f``), and
+    ValueError when ``f`` returns a complex value for a real ``y0``.
     """
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     return _advance(_RungeKuttaStages(f), y, t_grid, rtol)
@@ -286,9 +257,9 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
     evaluates ``expm(M t) @ y0`` at every node (densifying a sparse ``M``),
     the reference route for the adaptive one. ``y0`` is a vector or a
     matrix whose columns are propagated together; a matrix that is not
-    square or does not match ``y0``'s leading dimension raises ValueError,
-    and so does, on either route, a ``t_grid`` that is not a finite,
-    strictly increasing 1-d grid.
+    square or does not match ``y0``'s leading dimension raises ValueError.
+    On either route a ``t_grid`` that is not a finite, strictly increasing
+    1-d grid raises ValidationError naming its first bad node.
     """
     if not scipy.sparse.issparse(matrix):
         matrix = np.asarray(matrix)
@@ -301,7 +272,7 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
             "dimension of a vector or matrix y0"
         )
     if method == "expm":
-        t_grid = _checked_grid(t_grid)
+        t_grid = _checked_grid(t_grid, "t_grid")
         if scipy.sparse.issparse(matrix):
             matrix = matrix.toarray()
         return np.stack([scipy.linalg.expm(matrix * t) @ y0 for t in t_grid])

@@ -32,9 +32,9 @@ import numpy as np
 
 # ``integrate`` stays importable here: the benchmark's tracer test checks
 # that its reference in this module is rebound (bench/tests/test_bench.py)
-from ._integrate import _checked_tol, integrate, propagate_constant  # noqa: F401
-from .errors import AccuracyError, ValidationError
-from .model import BathSpectrum, SpinBosonParams
+from ._integrate import integrate, propagate_constant  # noqa: F401
+from .errors import AccuracyError
+from .model import BathSpectrum, SpinBosonParams, _checked_finite
 from .spectral import gamma_theta_weak
 
 __all__ = [
@@ -75,18 +75,10 @@ class DecaySpectrum:
     classification: str
 
 
-def _checked_gamma(gamma_theta) -> float:
-    """``gamma_theta`` as a float; ValidationError unless finite and >= 0."""
-    g = float(gamma_theta)
-    if not 0.0 <= g < np.inf:
-        raise ValidationError(f"gamma_theta must be finite and >= 0, got {g}")
-    return g
-
-
 def rapid_generator(spin: SpinBosonParams, gamma_theta: float) -> BlochGenerator:
     """Triple generator in the rapid-decay (flat-band) regime, gamma_theta >= 0."""
     e, d, w0 = spin.eps_tilde, spin.delta_tilde, spin.omega0
-    g = _checked_gamma(gamma_theta)
+    g = _checked_finite("gamma_theta", gamma_theta, ">= 0")
     diag = -(d * d + 2.0 * e * e) * g / 2.0
     m = np.array(
         [
@@ -182,7 +174,7 @@ def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,
     stops at a bracket of width ``tol`` or once the midpoint is no longer
     strictly inside it, so a ``tol`` below the float spacing ends there.
     """
-    tol = _checked_tol("tol", tol)
+    tol = _checked_finite("tol", tol, "> 0")
 
     def oscillating(g: float) -> bool:
         return (

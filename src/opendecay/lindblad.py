@@ -34,13 +34,13 @@ from . import _superop as so
 # ``integrate`` stays importable here: the benchmark's tracer test checks
 # that its reference in this module is rebound (bench/tests/test_bench.py)
 from ._integrate import integrate, propagate_constant  # noqa: F401
-from .bloch import TRIPLE_AT_ZERO, _checked_gamma, propagator_matrix, rapid_generator
+from .bloch import TRIPLE_AT_ZERO, propagator_matrix, rapid_generator
 from .errors import (
     ConventionMismatchError,
     IntegratorAccuracyError,
     StructuralError,
 )
-from .model import DensityMatrix2, SpinBosonParams
+from .model import DensityMatrix2, SpinBosonParams, _checked_finite
 
 __all__ = [
     "Liouvillian2",
@@ -100,7 +100,7 @@ class GKSReport:
 
 def spin_liouvillian(spin: SpinBosonParams, gamma_theta: float) -> Liouvillian2:
     """Rapid-decay Liouvillian in the energy eigenbasis, gamma_theta >= 0."""
-    gamma_theta = _checked_gamma(gamma_theta)
+    gamma_theta = _checked_finite("gamma_theta", gamma_theta, ">= 0")
     h = spin.hamiltonian()
     s = spin.coupling_matrix().astype(complex)
     ham = -1j * so.commutator_super(h)

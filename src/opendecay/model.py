@@ -44,6 +44,45 @@ _TRACE_TOL = 1e-12
 _EIG_TOL = -1e-10
 
 
+def _checked_finite(name, value, bound="") -> float:
+    """``value`` as a float; ValidationError naming ``name`` unless it is finite.
+
+    ``bound`` ``"> 0"`` or ``">= 0"`` adds that sign bound. The one check
+    behind every scalar input: each test is one that NaN fails, so a NaN
+    is refused rather than passed on to certify anything downstream.
+    """
+    x = float(value)
+    if not (math.isfinite(x) and {"": True, "> 0": x > 0.0, ">= 0": x >= 0.0}[bound]):
+        raise ValidationError(f"{name} must be finite{' and ' + bound if bound else ''}, got {x}")
+    return x
+
+
+def _checked_grid(values, name, *, min_nodes=1, start=None) -> np.ndarray:
+    """``values`` as a 1-d float grid, checked once for every route that takes one.
+
+    ValidationError naming ``name`` and the first bad node unless the grid
+    has at least ``min_nodes`` nodes, all finite, strictly increasing and,
+    when ``start`` is given, starting there; a stall also names the node
+    before it.
+    """
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < min_nodes:
+        nodes = "one node" if min_nodes == 1 else f"{min_nodes} nodes"
+        raise ValidationError(f"{name} must be a 1-d array with at least {nodes}")
+    finite = np.isfinite(grid)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValidationError(f"{name} must be finite; node {i} is {grid[i]}")
+    rule = "be strictly increasing" if start is None else f"increase strictly from {start:g}"
+    if start is not None and grid[0] != start:
+        raise ValidationError(f"{name} must {rule}; node 0 is {grid[0]}")
+    stalls = np.flatnonzero(np.diff(grid) <= 0.0)
+    if stalls.size:
+        i = int(stalls[0]) + 1
+        raise ValidationError(f"{name} must {rule}; node {i} is {grid[i]} after {grid[i - 1]}")
+    return grid
+
+
 @dataclass(frozen=True)
 class SpinBosonParams:
     """Two-level system given by finite ``epsilon`` and ``delta``, not both 0.
@@ -100,10 +139,8 @@ class OscillatorParams:
     omega0: float = 1.0
 
     def __post_init__(self):
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValidationError(f"mass must be positive, got {self.mass}")
-        if not (self.omega0 > 0.0 and math.isfinite(self.omega0)):
-            raise ValidationError(f"omega0 must be positive, got {self.omega0}")
+        _checked_finite("mass", self.mass, "> 0")
+        _checked_finite("omega0", self.omega0, "> 0")
 
 
 _BATH_SHAPES = ("exponential", "hard")
@@ -123,18 +160,13 @@ class BathSpectrum:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.eta < 0.0 or not math.isfinite(self.eta):
-            raise ValidationError(f"eta must be >= 0, got {self.eta}")
-        if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
-            raise ValidationError(f"cutoff must be positive, got {self.cutoff}")
+        _checked_finite("eta", self.eta, ">= 0")
+        _checked_finite("cutoff", self.cutoff, "> 0")
         if self.shape not in _BATH_SHAPES:
             raise ValidationError(
                 f"shape must be one of {_BATH_SHAPES}, got {self.shape!r}"
             )
-        if self.temperature < 0.0 or not math.isfinite(self.temperature):
-            raise ValidationError(
-                f"temperature must be >= 0, got {self.temperature}"
-            )
+        _checked_finite("temperature", self.temperature, ">= 0")
 
 
 @dataclass(frozen=True)

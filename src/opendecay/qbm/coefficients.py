@@ -66,9 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from .._integrate import _checked_tol
 from ..errors import AccuracyError, NodeSingularityError, ValidationError
-from ..model import BathSpectrum, OscillatorParams
+from ..model import BathSpectrum, OscillatorParams, _checked_finite, _checked_grid
 from ..spectral import renormalized_frequency_sq
 from .kernels import noise_kernel
 from .propagator import PropagatorFunction, _convolve
@@ -313,14 +312,12 @@ def exact_coefficients(
     AccuracyError naming the first point whose last two Richardson pairs
     differ by more than ``rel_tol`` of its largest double integral. The
     Theta derivative is a cubic spline across the window, hence the 5
-    points. ValidationError names ``rel_tol`` unless it is finite and > 0.
+    points. ValidationError names ``rel_tol`` unless it is finite and > 0,
+    and ``tau_points`` and its first bad node unless they are finite and
+    strictly increasing.
     """
-    rel_tol = _checked_tol("rel_tol", rel_tol)
-    tau = np.asarray(tau_points, dtype=float)
-    if tau.ndim != 1 or tau.size < 5:
-        raise ValidationError("need at least 5 tau points for the derivative")
-    if np.any(np.diff(tau) <= 0.0):
-        raise ValidationError("tau points must increase strictly")
+    rel_tol = _checked_finite("rel_tol", rel_tol, "> 0")
+    tau = _checked_grid(tau_points, "tau_points", min_nodes=5)
     _check_tau(prop, tau)
 
     mass = prop.osc.mass

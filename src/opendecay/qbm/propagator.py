@@ -63,7 +63,7 @@ from scipy.special import sici
 
 from .._quad import _leggauss, legendre_projection
 from ..errors import AccuracyError, InversionError, ValidationError
-from ..model import BathSpectrum, OscillatorParams
+from ..model import BathSpectrum, OscillatorParams, _checked_finite, _checked_grid
 from ..spectral import renormalized_frequency_sq
 from .kernels import _lam_value, mu_laplace
 
@@ -102,16 +102,12 @@ class PropagatorFunction:
     osc: OscillatorParams
 
     def __post_init__(self):
-        tau = np.asarray(self.tau_grid, dtype=float)
+        tau = _checked_grid(self.tau_grid, "tau_grid", min_nodes=5, start=0.0)
         arrays = {"G": self.G, "G_dot": self.G_dot, "G_ddot": self.G_ddot,
                   "G_dddot": self.G_dddot}
         for name, arr in arrays.items():
             if np.shape(arr) != tau.shape:
                 raise ValidationError(f"{name} does not match the tau grid")
-        if tau.ndim != 1 or tau.size < 5:
-            raise ValidationError("propagator grid needs at least 5 nodes")
-        if tau[0] != 0.0 or np.any(np.diff(tau) <= 0.0):
-            raise ValidationError("tau grid must increase strictly from 0")
         if self.G[0] != 0.0 or self.G_dot[0] != 1.0:
             raise ValidationError(
                 "initial conditions G(0)=0, G'(0)=1 must hold exactly; got "
@@ -463,8 +459,7 @@ def solve_propagator(
     halving would exceed it or ``tau_max`` is not finite and positive.
     """
     lam = _lam_value(lam)
-    if not 0.0 < tau_max < math.inf:
-        raise ValidationError(f"tau_max must be finite and positive, got {tau_max!r}")
+    tau_max = _checked_finite("tau_max", tau_max, "> 0")
     n = max(16, math.ceil(_POINTS_PER_UNIT_PHASE * osc.omega0 * tau_max))
     if 2 * n > _MAX_NODES:
         raise ValidationError(
@@ -631,27 +626,13 @@ def propagator_via_laplace(
     produced the same way (one extra power of s); the stored second and
     third derivatives come from spline differentiation of ``G'`` and are
     diagnostic quality only -- use the time-domain route when the
-    derivatives matter.  ValidationError names ``tau_grid`` and the
-    offending node unless it is 1-D, finite and strictly increasing from 0
-    over at least 5 nodes, and names the limit if it ends past
-    ``_MAX_TAU``.
+    derivatives matter.  A bad grid raises ValidationError naming
+    ``tau_grid`` and the offending node unless it is 1-D, finite and
+    strictly increasing from 0 over at least 5 nodes, and naming the limit
+    if it ends past ``_MAX_TAU``.
     """
     lam = _lam_value(lam)
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or tau.size < 5:
-        raise ValidationError("tau_grid must be 1-D with at least 5 nodes")
-    finite = np.isfinite(tau)
-    if not np.all(finite):
-        i = int(np.argmin(finite))
-        raise ValidationError(f"tau_grid must be finite; node {i} is {tau[i]}")
-    if tau[0] != 0.0:
-        raise ValidationError(f"tau_grid must increase strictly from 0; node 0 is {tau[0]}")
-    stalls = np.flatnonzero(np.diff(tau) <= 0.0)
-    if stalls.size:
-        i = int(stalls[0]) + 1
-        raise ValidationError(
-            f"tau_grid must increase strictly from 0; node {i} is {tau[i]} after {tau[i - 1]}"
-        )
+    tau = _checked_grid(tau_grid, "tau_grid", min_nodes=5, start=0.0)
     tau_max = float(tau[-1])
     if tau_max > _MAX_TAU:
         raise ValidationError(

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._integrate import _checked_tol
 from .bloch import (
     decay_spectrum,
     find_classification_boundary,
@@ -36,6 +35,7 @@ from .model import (
     DensityMatrix2,
     GaussianState,
     OscillatorParams,
+    _checked_finite,
     make_spin_params,
 )
 from .qbm.coefficients import exact_coefficients, limit_coefficients
@@ -333,6 +333,27 @@ def _time_grid(cfg):
     return np.linspace(0.0, cfg["tau_max"], cfg["tau_points"])
 
 
+def _scan_range(cfg, lo, hi, what, *, positive):
+    """``linspace(cfg[lo], cfg[hi], cfg["points"])``, its three keys checked.
+
+    A non-finite end is a ValidationError; a negative low end (or a zero
+    one when ``positive``), a reversed range or fewer than one point is a
+    ConfigError.
+    """
+    for key in (lo, hi):
+        if not np.isfinite(cfg[key]):
+            raise ValidationError(f"{key} = {cfg[key]!r}: the {what} range needs finite ends")
+    if cfg[lo] < 0.0 or (positive and cfg[lo] == 0.0):
+        raise ConfigError(f"{lo} must be {'positive' if positive else '>= 0'}, got {cfg[lo]}")
+    if cfg[hi] < cfg[lo]:
+        raise ConfigError(
+            f"{hi} = {cfg[hi]} is below {lo} = {cfg[lo]}: the {what} range is reversed"
+        )
+    if cfg["points"] < 1:
+        raise ConfigError(f"points must be at least 1, got {cfg['points']}")
+    return np.linspace(cfg[lo], cfg[hi], cfg["points"])
+
+
 def _run_spin_bloch(cfg):
     spin = _spin_bath(cfg)
     gen = rapid_generator(spin, cfg["gamma_theta"])
@@ -363,7 +384,7 @@ def _run_spin_master(cfg):
     except ValidationError as exc:
         raise ConfigError(f"initial state is not a density matrix: {exc}") from None
     # the stepper names its tolerance rtol; refuse a bad one by this key
-    tol = _checked_tol("tol", cfg["tol"])
+    tol = _checked_finite("tol", cfg["tol"], "> 0")
     states = propagate_density(liouv, rho0, tau, rtol=tol)
     purity = np.einsum("tij,tji->t", states, states).real
     cols = {
@@ -379,21 +400,7 @@ def _run_spin_master(cfg):
 
 def _run_weak_compare(cfg):
     spin = _spin_bath(cfg)
-    for key in ("t_min", "t_max"):
-        if not np.isfinite(cfg[key]):
-            raise ValidationError(
-                f"{key} = {cfg[key]!r}: the compared temperature range needs finite ends"
-            )
-    if cfg["t_min"] < 0.0:
-        raise ConfigError(f"t_min must be >= 0, got {cfg['t_min']}")
-    if cfg["t_max"] < cfg["t_min"]:
-        raise ConfigError(
-            f"t_max = {cfg['t_max']} is below t_min = {cfg['t_min']}: the compared "
-            "temperature range is reversed"
-        )
-    if cfg["points"] < 1:
-        raise ConfigError(f"points must be at least 1, got {cfg['points']}")
-    temps = np.linspace(cfg["t_min"], cfg["t_max"], cfg["points"])
+    temps = _scan_range(cfg, "t_min", "t_max", "compared temperature", positive=False)
     g_rapid, g_weak = [], []
     for t in temps:
         bath = BathSpectrum(cfg["eta"], cfg["cutoff"], cfg["shape"], float(t))
@@ -411,21 +418,8 @@ def _run_weak_compare(cfg):
 
 def _run_decay_scan(cfg):
     spin = _spin_bath(cfg)
-    for key in ("gamma_min", "gamma_max"):
-        if not np.isfinite(cfg[key]):
-            raise ValidationError(
-                f"{key} = {cfg[key]!r}: the scanned gamma_theta range needs finite ends"
-            )
-    if cfg["gamma_min"] <= 0.0:
-        raise ConfigError("gamma_min must be positive")
-    if cfg["gamma_max"] < cfg["gamma_min"]:
-        raise ConfigError(
-            f"gamma_max = {cfg['gamma_max']} is below gamma_min = {cfg['gamma_min']}: "
-            "the scanned gamma_theta range is reversed"
-        )
-    if cfg["points"] < 1:
-        raise ConfigError(f"points must be at least 1, got {cfg['points']}")
-    gammas = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["points"])
+    gammas = _scan_range(cfg, "gamma_min", "gamma_max", "scanned gamma_theta",
+                         positive=True)
     cols = {name: [] for name in (
         "gamma_theta",
         "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im",

@@ -407,7 +407,7 @@ def test_coupling_scale_wrapper_is_equivalent():
 
 def test_solver_input_validation():
     for tau_max in (-1.0, 0.0, np.nan, np.inf):
-        with pytest.raises(ValidationError, match="tau_max must be finite and positive"):
+        with pytest.raises(ValidationError, match="tau_max must be finite and > 0"):
             solve_propagator(EXP, OSC, 0.4, tau_max)
     with pytest.raises(ValidationError, match="_MAX_NODES"):  # 2 * 1.3M nodes
         solve_propagator(EXP, OSC, 0.4, 3200.0)
