@@ -173,9 +173,10 @@ def _advance(stages, y, t_grid, rtol):
     same ``y``, so ``stages`` may keep work that depends on ``y`` alone.
     Raises ValidationError naming ``rtol`` unless it is finite and > 0, or
     naming ``t_grid`` and its first bad node unless it is a finite, strictly
-    increasing 1-d grid with at least one node; StiffnessError when the step size underflows or after ``_MAX_STEPS``
-    attempted steps, and IntegratorAccuracyError on the first step whose
-    error estimate is not finite.
+    increasing 1-d grid with at least one node; StiffnessError when the
+    step size underflows or after ``_MAX_STEPS`` attempted steps, and
+    IntegratorAccuracyError on the first step whose error estimate is not
+    finite.
     """
     rtol = _checked_finite("rtol", rtol, "> 0")
     t_grid = _checked_grid(t_grid, "t_grid")

@@ -33,7 +33,7 @@ import numpy as np
 # ``integrate`` stays importable here: the benchmark's tracer test checks
 # that its reference in this module is rebound (bench/tests/test_bench.py)
 from ._integrate import integrate, propagate_constant  # noqa: F401
-from .errors import AccuracyError
+from .errors import AccuracyError, ValidationError
 from .model import BathSpectrum, SpinBosonParams, _checked_finite
 from .spectral import gamma_theta_weak
 
@@ -114,11 +114,14 @@ def propagate_bloch(gen: BlochGenerator, triple0, tau_grid, rtol: float = 1e-10,
     ``method="adaptive"`` uses embedded Runge-Kutta with the given
     relative tolerance; ``method="expm"`` evaluates the matrix
     exponential at every node (cross-check path for the constant
-    generator).
+    generator). ValidationError names ``triple0`` unless its entries are
+    finite.
     """
     v0 = np.asarray(triple0, dtype=complex)
     if v0.shape != (3,):
         raise ValueError(f"triple0 must have shape (3,), got {v0.shape}")
+    if not np.isfinite(v0).all():
+        raise ValidationError(f"triple0 must be finite, got {v0}")
     return propagate_constant(gen.matrix, v0, tau_grid, rtol=rtol, method=method)
 
 

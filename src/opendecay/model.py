@@ -47,9 +47,9 @@ _EIG_TOL = -1e-10
 def _checked_finite(name, value, bound="") -> float:
     """``value`` as a float; ValidationError naming ``name`` unless it is finite.
 
-    ``bound`` ``"> 0"`` or ``">= 0"`` adds that sign bound. The one check
-    behind every scalar input: each test is one that NaN fails, so a NaN
-    is refused rather than passed on to certify anything downstream.
+    ``bound`` ``"> 0"`` or ``">= 0"`` adds that sign bound. Every test is
+    one that NaN fails, so a NaN is refused here rather than passed on,
+    where it would pass every ``err > tol`` test and certify anything.
     """
     x = float(value)
     if not (math.isfinite(x) and {"": True, "> 0": x > 0.0, ">= 0": x >= 0.0}[bound]):
@@ -181,7 +181,7 @@ class CouplingScale:
     def __post_init__(self):
         if not (0.0 < self.lam <= 1.0):
             raise ValidationError(
-                f"coupling scale must satisfy 0 < lambda <= 1, got {self.lam}"
+                f"coupling scale lam must satisfy 0 < lam <= 1, got {self.lam}"
             )
 
 
@@ -200,12 +200,15 @@ def validate_density(rho) -> DensityDiagnostics:
 
     Reports the largest entrywise deviation from Hermiticity, the trace
     defect ``|tr(rho) - 1|`` and the smallest eigenvalue of the
-    Hermitian part. Does not raise; the ``ok`` flag applies the
-    construction tolerances of :class:`DensityMatrix2`.
+    Hermitian part, all three NaN when an entry is not finite. Does not
+    raise; the ``ok`` flag applies the construction tolerances of
+    :class:`DensityMatrix2`.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        return DensityDiagnostics(math.nan, math.nan, math.nan, False)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace = float(abs(rho.trace() - 1.0))
     sym = 0.5 * (rho + rho.conj().T)
@@ -251,8 +254,10 @@ class GaussianState:
     cov_xp: float = 0.0
 
     def __post_init__(self):
-        if self.var_xx < 0.0 or self.var_pp < 0.0:
-            raise ValidationError("variances must be non-negative")
+        for name in ("mean_x", "mean_p", "cov_xp"):
+            _checked_finite(name, getattr(self, name))
+        for name in ("var_xx", "var_pp"):
+            _checked_finite(name, getattr(self, name), ">= 0")
         det = self.var_xx * self.var_pp - self.cov_xp**2
         if det < 0.25 - 1e-9:
             warnings.warn(

@@ -277,9 +277,7 @@ def limit_lambda_theta(
     part is linear in the single thermal scale kappa = M w0 eta T.
     """
     wr = math.sqrt(renormalized_frequency_sq(bath, osc))
-    tau_star = float(tau_star)
-    if tau_star <= 0.0:
-        raise ValidationError("tau must be positive")
+    tau_star = _checked_finite("tau_star", tau_star, "> 0")
     s, c = math.sin(wr * tau_star), math.cos(wr * tau_star)
     if abs(s) < 1e-12:
         raise NodeSingularityError(

@@ -358,7 +358,8 @@ def _run_spin_bloch(cfg):
     spin = _spin_bath(cfg)
     gen = rapid_generator(spin, cfg["gamma_theta"])
     tau = _time_grid(cfg)
-    c0 = np.array([cfg["init_plus"], cfg["init_zero"], cfg["init_minus"]], dtype=complex)
+    c0 = np.array([_checked_finite(key, cfg[key])
+                   for key in ("init_plus", "init_zero", "init_minus")], dtype=complex)
     traj = propagate_bloch(gen, c0, tau, rtol=cfg["rtol"])
     spec = decay_spectrum(gen)
     cols = {"tau": tau.tolist()}
@@ -375,12 +376,11 @@ def _run_spin_bloch(cfg):
 def _run_spin_master(cfg):
     spin = _spin_bath(cfg)
     liouv = spin_liouvillian(spin, cfg["gamma_theta"])
-    pe = cfg["rho_ee"]
-    coh = cfg["coh_re"] + 1j * cfg["coh_im"]
-    rho0 = np.array([[pe, coh], [np.conj(coh), 1.0 - pe]], dtype=complex)
     tau = _time_grid(cfg)
     try:
-        rho0 = DensityMatrix2(rho0)
+        pe, c_re, c_im = (_checked_finite(key, cfg[key]) for key in ("rho_ee", "coh_re", "coh_im"))
+        coh = c_re + 1j * c_im
+        rho0 = DensityMatrix2(np.array([[pe, coh], [np.conj(coh), 1.0 - pe]], dtype=complex))
     except ValidationError as exc:
         raise ConfigError(f"initial state is not a density matrix: {exc}") from None
     # the stepper names its tolerance rtol; refuse a bad one by this key
@@ -457,7 +457,8 @@ def _run_qbm_limit(cfg):
     bath, osc = _qbm_setup(cfg)
     coeffs = limit_coefficients(bath, osc, [0.0])
     mw = osc.mass * osc.omega0
-    state0 = GaussianState(cfg["x0"], cfg["p0"], 0.5 / mw, 0.5 * mw)
+    x0, p0 = _checked_finite("x0", cfg["x0"]), _checked_finite("p0", cfg["p0"])
+    state0 = GaussianState(x0, p0, 0.5 / mw, 0.5 * mw)
     tau = _time_grid(cfg)
     traj = propagate_moments(coeffs, osc, state0, tau, rtol=cfg["rtol"])
     cols = {"tau": tau.tolist()}
@@ -535,6 +536,8 @@ def _run_bridge_check(cfg):
     spin = _spin_bath(cfg)
     if cfg["n_states"] < 1:
         raise ConfigError("n_states must be at least 1")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']}")
     rng = np.random.default_rng(cfg["seed"])
     tau = _time_grid(cfg)
     states = np.stack([random_density_matrix(rng) for _ in range(cfg["n_states"])])
@@ -556,7 +559,10 @@ def _run_acceptance(cfg):
                 f"criteria must be a comma-separated list of integers, got "
                 f"{cfg['criteria']!r}"
             ) from None
-    results = run_all(indices)
+    try:
+        results = run_all(indices)
+    except ValueError as exc:  # a number that names no criterion
+        raise ConfigError(f"criteria: {exc}") from None
     cols = {
         "criterion": [r.index for r in results],
         "name": [r.name for r in results],

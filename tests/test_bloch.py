@@ -179,3 +179,10 @@ def test_rejects_negative_gamma():
     for g in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="gamma_theta"):
             rapid_generator(make_spin_params(1.0, 1.0), g)
+
+
+@pytest.mark.parametrize("method", ["adaptive", "expm"])
+def test_propagate_bloch_refuses_a_non_finite_triple(method):
+    gen = rapid_generator(make_spin_params(1.0, 1.0), 0.5)
+    with pytest.raises(ValidationError, match="^triple0 must be finite"):
+        propagate_bloch(gen, [0.0, np.nan, 0.0], [0.0, 1.0], method=method)

@@ -171,10 +171,17 @@ def test_cli_writes_output_file(tmp_path):
     ["spin_bloch", "--tau_max", "-1"],
     ["spin_bloch", "--tau_max", "nan"],
     ["qbm_limit", "--tau_max", "inf"],
+    ["bridge_check", "--seed", "-1"],
 ])
 def test_cli_usage_problems_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "opendecay: error:" in capsys.readouterr().err
+
+
+def test_cli_unknown_criterion_exits_1_naming_it(capsys):
+    assert main(["acceptance", "--criteria", "1,11"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: error: criteria: ") and "[11]" in err
 
 
 @pytest.mark.parametrize("override", [["--rho_ee", "1.5"], ["--coh_re", "0.9"]])
@@ -252,6 +259,27 @@ def test_no_scenario_certifies_with_a_bad_tolerance(scenario_key, value):
     assert err.getvalue().startswith(f"opendecay: ValidationError: {key} must be finite and > 0")
 
 
+_FLOAT_KEYS = [(name, key) for name, schema in SCHEMAS.items()
+               for key, (cast, _) in schema.items() if cast is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("scenario, key", _FLOAT_KEYS)
+def test_every_float_key_refuses_a_non_finite_value_by_name(scenario, key, value, capsys):
+    # refused where the key enters: no traceback, no RuntimeWarning (an error
+    # under the project's warning filters) and no stepper blaming its state
+    argv = [scenario, f"--{key}", value]
+    for name, (_, default) in SCHEMAS[scenario].items():
+        if default is REQUIRED:
+            argv += [f"--{name}", _REQUIRED_VALUES[name]]
+    assert main(argv) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: ") and "IntegratorAccuracyError" not in err
+    assert re.search(rf"(?<!\w){key}(?!\w)", err), err
+    if key in ("rho_ee", "coh_re", "coh_im"):
+        assert "initial state is not a density matrix" in err
+
+
 @pytest.mark.parametrize("argv, code, named", [
     (["spin_master", "--tau_points", "0"], 1, "tau_points"),
     (["spin_master", "--tau_max", "-1"], 1, "tau_max"),
@@ -284,6 +312,38 @@ def test_cli_single_node_grid_and_scan_are_accepted(capsys):
     assert parse_csv(capsys.readouterr().out).columns["gamma_theta"] == [0.2]
     assert main(["weak_compare", "--points", "1"]) == 0
     assert parse_csv(capsys.readouterr().out).columns["temperature"] == [0.5]
+
+
+_WINDOW = ["--tau_min", "0.5", "--tau_max", "0.86", "--tau_points", "5"]
+_SMALL_RUNS = {
+    "spin_bloch": ["--tau_points", "11"],
+    "spin_master": ["--tau_points", "11"],
+    "weak_compare": ["--points", "3"],
+    "decay_scan": ["--points", "5"],
+    "qbm_limit": ["--tau_points", "11"],
+    "qbm_exact": ["--lam", "0.4", *_WINDOW],
+    "qbm_sweep": ["--lambda_list", "0.4,0.3", *_WINDOW],
+    "bridge_check": ["--tau_points", "11", "--n_states", "2"],
+    "acceptance": ["--criteria", "1"],
+}
+
+
+def test_small_runs_cover_every_scenario():
+    assert sorted(_SMALL_RUNS) == sorted(SCHEMAS)
+
+
+@pytest.mark.parametrize("scenario", sorted(_SMALL_RUNS))
+def test_every_scenario_runs_to_completion(scenario, tmp_path):
+    for fmt, parse in (("csv", parse_csv), ("json", parse_json)):
+        target = tmp_path / f"out.{fmt}"
+        argv = [scenario, *_SMALL_RUNS[scenario], "--format", fmt, "--output", str(target)]
+        assert main(argv) == 0
+        text = target.read_text()
+        table = parse(text)
+        assert table.scenario == scenario
+        assert table.emit(fmt) == text
+        lengths = {len(column) for column in table.columns.values()}
+        assert len(lengths) == 1 and lengths.pop() >= 1
 
 
 def test_cli_exact_window_may_end_on_tau_max(capsys):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from opendecay.model import (
     GaussianState,
     OscillatorParams,
     SpinBosonParams,
+    _checked_finite,
     make_spin_params,
     validate_density,
 )
@@ -149,3 +152,42 @@ def test_gaussian_state_rejects_negative_variance():
 def test_gaussian_state_warns_below_uncertainty_bound():
     with pytest.warns(UserWarning):
         GaussianState(0.0, 0.0, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("value, bound, message", [
+    (math.nan, "", "x must be finite, got nan"),
+    (-math.inf, "", "x must be finite, got -inf"),
+    (0.0, "> 0", "x must be finite and > 0, got 0.0"),
+    (math.nan, "> 0", "x must be finite and > 0, got nan"),
+    (-1e-300, ">= 0", "x must be finite and >= 0, got -1e-300"),
+    (math.inf, ">= 0", "x must be finite and >= 0, got inf"),
+])
+def test_the_number_check_refuses_by_name(value, bound, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        _checked_finite("x", value, bound)
+
+
+def test_the_number_check_returns_a_float():
+    assert _checked_finite("x", -2) == -2.0
+    assert _checked_finite("x", 0, ">= 0") == 0.0
+    assert type(_checked_finite("x", np.float32(0.5), "> 0")) is float
+
+
+@pytest.mark.parametrize("field", ["mean_x", "mean_p", "var_xx", "var_pp", "cov_xp"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_gaussian_state_refuses_non_finite_moments_by_name(field, value):
+    moments = {"mean_x": 0.0, "mean_p": 0.0, "var_xx": 0.5, "var_pp": 0.5, "cov_xp": 0.0}
+    moments[field] = value
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        GaussianState(**moments)
+
+
+@pytest.mark.parametrize("entry", [math.inf, math.nan, complex(0.0, math.inf)])
+def test_a_non_finite_matrix_is_no_density_matrix_and_raises_no_warning(entry):
+    mat = np.array([[1.0, entry], [0.0, 0.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = validate_density(mat)
+        with pytest.raises(ValidationError, match="defect nan"):
+            DensityMatrix2(mat)
+    assert not diag.ok and math.isnan(diag.min_eigenvalue)

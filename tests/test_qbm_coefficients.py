@@ -73,6 +73,9 @@ def test_limit_kernel_entries_guard_rails():
         limit_lambda_theta(EXP, OSC, 0.0)
     with pytest.raises(ValidationError):
         limit_lambda_theta(EXP, OSC, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^tau_star must be finite and > 0"):
+            limit_lambda_theta(EXP, OSC, bad)
 
 
 def test_free_phase_entries_match_trigonometry(free_prop):
@@ -168,6 +171,10 @@ def test_exact_coefficient_window_validation(exp_prop):
         exact_coefficients(exp_prop, np.array([0.9, 1.0, 1.0, 1.1, 1.2]))
     with pytest.raises(ValidationError):
         exact_coefficients(exp_prop, np.linspace(0.9, 3.4, 6))  # leaves window
+    with pytest.raises(ValidationError, match="^tau_points must be finite; node 2 is nan$"):
+        exact_coefficients(exp_prop, np.array([0.9, 1.0, np.nan, 1.1, 1.2]))
+    with pytest.raises(ValidationError, match="node 3 is 1.0 after 1.1$"):
+        exact_coefficients(exp_prop, np.array([0.9, 1.0, 1.1, 1.0, 1.2]))
 
 
 def test_limit_coefficients_are_constant_and_broadcast():

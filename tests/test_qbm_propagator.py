@@ -441,6 +441,18 @@ def test_propagator_function_validates_and_freezes():
         PropagatorFunction(tau, g[:-1], gd, gdd, gddd, 0.4, EXP, OSC)
 
 
+@pytest.mark.parametrize("node, value, message", [
+    (0, 0.1, "must increase strictly from 0; node 0 is 0.1$"),
+    (3, 0.2, "must increase strictly from 0; node 3 is 0.2 after 0.4$"),
+    (4, np.nan, "must be finite; node 4 is nan$"),
+])
+def test_propagator_function_names_the_bad_grid_node(node, value, message):
+    tau, g, gd, gdd, gddd = _valid_arrays()
+    tau[node] = value
+    with pytest.raises(ValidationError, match="^tau_grid " + message):
+        PropagatorFunction(tau, g, gd, gdd, gddd, 0.4, EXP, OSC)
+
+
 def test_laplace_route_grid_validation():
     with pytest.raises(ValidationError, match="from 0; node 0 is 0.5$"):
         propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.5, 2.0, 31))
