@@ -22,8 +22,15 @@ One step controller (:func:`_advance`) serves two stage evaluators:
 
   - for a dense ``M``, as one product of ``y`` with the stack of powers
     ``[M^0, ..., M^7]``, formed once per call;
-  - for a ``scipy.sparse`` ``M``, as a Krylov block of seven sparse
-    matrix-vector products, so no power of ``M`` is ever formed.
+  - for a ``scipy.sparse`` ``M``, as a Krylov block of sparse
+    matrix-vector products, so no power of ``M`` is ever formed. The
+    first step start takes seven products and every later one six:
+    ``R5`` has no ``z^7`` term, so ``M y5`` is a combination of rows
+    1..7 of the accepted step's block, kept as row 1 of the next (the
+    first-same-as-last property of the method, as in :func:`integrate`).
+
+The controller keeps ``|y5|`` of an accepted step as the next step's
+``|y|`` and builds the error scale in place.
 
 The matrix exponential is the reference route of :func:`propagate_constant`;
 it densifies a sparse ``M``.
@@ -134,7 +141,15 @@ class _RungeKuttaStages:
 
 
 class _PolynomialStages:
-    """Dormand-Prince stages of ``y' = M y``: ``(y5, err) = (R5(hM) y, E(hM) y)``."""
+    """Dormand-Prince stages of ``y' = M y``: ``(y5, err) = (R5(hM) y, E(hM) y)``.
+
+    A sparse ``M`` forms the block ``[y, My, ..., M^7 y]`` by sparse
+    products into one preallocated array. ``R5`` has degree 6, so
+    ``M y5 = sum_j r5_j h^j M^(j+1) y`` combines the block's rows 1..7:
+    :meth:`accept` keeps it as row 1 of the next block, which then takes
+    six products instead of seven (first same as last). Only the first
+    step start takes seven.
+    """
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -144,23 +159,34 @@ class _PolynomialStages:
             for _ in range(1, len(_EXPONENTS)):
                 powers.append(matrix @ powers[-1])
             self.powers = np.concatenate(powers)  # rows of M^0, ..., M^7 in turn
-        self.block = None  # [y, My, ..., M^7 y] of the current step start
+        self.block = None  # [y, My, ..., M^7 y] of the current step start, flattened
+        self.coeffs = None  # rows R5, E scaled by h^p for the last trial step
+        self.krylov = None  # the sparse route's block, reused from step to step
+        self.carried = None  # M y at the next step start, kept by accept()
 
     def _krylov_block(self, y):
-        vectors = [y]
-        for _ in range(1, len(_EXPONENTS)):
-            vectors.append(self.matrix @ vectors[-1])
-        return np.stack(vectors)
+        if self.krylov is None:
+            self.krylov = np.empty((len(_EXPONENTS),) + y.shape, dtype=y.dtype)
+        block = self.krylov
+        block[0] = y
+        block[1] = self.matrix @ y if self.carried is None else self.carried
+        for j in range(2, len(_EXPONENTS)):
+            block[j] = self.matrix @ block[j - 1]
+        return block
 
     def __call__(self, t, h, y):
         """Return ``(y5, err)`` of one trial step of size ``h`` from ``y``."""
         if self.block is None:
             block = self._krylov_block(y) if self.powers is None else self.powers @ y
             self.block = block.reshape(len(_EXPONENTS), -1)
-        y5, err = ((_STEP_POLY * h**_EXPONENTS) @ self.block).reshape((2,) + y.shape)
+        self.coeffs = _STEP_POLY * h**_EXPONENTS
+        y5, err = (self.coeffs @ self.block).reshape((2,) + y.shape)
         return y5, err
 
     def accept(self):
+        if self.powers is None:
+            # R5 has no z^7 term (_STEP_POLY[0, -1] == 0), so rows 1..7 give M y5
+            self.carried = (self.coeffs[0, :-1] @ self.block[1:]).reshape(self.krylov.shape[1:])
         self.block = None  # the next step starts from a new y
 
 
@@ -191,6 +217,9 @@ def _advance(stages, y, t_grid, rtol):
     idx = 1
     target = t_grid[idx]
     n_comp = y.size
+    abs_y = np.abs(y)  # |y| of the step start, kept from the accepted |y5|
+    abs_y5 = np.empty_like(abs_y)
+    scale = np.empty_like(abs_y)
 
     for _ in range(_MAX_STEPS):
         if h <= 1e-14 * max(abs(t), span):
@@ -204,7 +233,10 @@ def _advance(stages, y, t_grid, rtol):
             h_try = target - t
             clipped = True
         y5, err = stages(t, h_try, y)
-        scale = 1e-14 + rtol * np.maximum(np.abs(y), np.abs(y5))
+        np.abs(y5, out=abs_y5)
+        np.maximum(abs_y, abs_y5, out=scale)
+        scale *= rtol
+        scale += 1e-14
         enorm = float(np.sqrt(np.sum(np.abs(err / scale) ** 2) / n_comp))
         if not math.isfinite(enorm):
             # a NaN estimate would be rejected forever without shrinking h
@@ -216,6 +248,7 @@ def _advance(stages, y, t_grid, rtol):
         if enorm <= 1.0:
             t = target if clipped else t + h_try
             y = y5
+            abs_y, abs_y5 = abs_y5, abs_y
             stages.accept()
             if clipped:
                 out[idx] = y

@@ -9,16 +9,21 @@ truncation error alone -- which is exactly what makes the comparison a
 useful end-to-end check.
 
 The generator acts on ``vec(rho)`` in the row-major convention of
-:mod:`opendecay._superop` (``vec(A X B) = (A kron B^T) vec(X)``). It is
-built once per call as five ``scipy.sparse`` CSR superoperators, one per
-coefficient, weighted by ``(1, W2, D_xx, D_xp, G_xp)``: the kinetic term,
-``x^2``, ``D_xx``, ``D_xp`` and ``G_xp``.  The ladder operators are
-tridiagonal, so each row holds about nine nonzeros out of ``d^2``.  A
-single-sample coefficient set sums the parts into one constant generator
-for :func:`opendecay._integrate.propagate_constant`; a window weights
-them at every stage time inside :func:`opendecay._integrate.integrate`.
-:func:`fock_liouvillian` builds the frozen generator densely, by
-another route, as the reference for both.
+:mod:`opendecay._superop` (``vec(A X B) = (A kron B^T) vec(X)``). It has
+five parts, one per coefficient, weighted by ``(1, W2, D_xx, D_xp,
+G_xp)``: the kinetic term, ``x^2``, ``D_xx``, ``D_xp`` and ``G_xp``.
+The ladder operators are tridiagonal and their products pentadiagonal,
+so each part is built from the diagonals of its factors, with no
+Kronecker product: a diagonal of ``A`` and one of ``B`` fill one
+diagonal of the superoperator of ``rho -> A rho B``.  The parts share
+at most nine superoperator diagonals, so a row holds at most nine
+nonzeros out of ``d^2``.  A single-sample coefficient set weights the
+diagonals and converts them once to one CSR constant generator for
+:func:`opendecay._integrate.propagate_constant`; a window converts each
+part to CSR and weights the stacked parts at every stage time inside
+:func:`opendecay._integrate.integrate`.  :func:`fock_liouvillian` builds
+the frozen generator densely, by Kronecker products, as the reference
+for both.
 
 The truncation guard is blunt on purpose: if the boundary population
 ``rho[-1, -1]`` ever exceeds ``_BOUNDARY_TOL`` the basis was too small
@@ -77,30 +82,75 @@ def coherent_density(osc: OscillatorParams, mean_x: float, mean_p: float,
     return np.outer(psi, psi.conj())
 
 
-def _left_right(a, b):
-    """Sparse superoperator of X -> A X B (row-major vec)."""
-    return scipy.sparse.kron(a, b.T, format="csr")
+def _diagonals(m):
+    """``{offset: diagonal}`` of the nonzero diagonals of the square matrix m."""
+    rows, cols = np.nonzero(m)
+    return {int(k): np.diagonal(m, k) for k in np.unique(cols - rows)}
+
+
+def _band_product(a_bands, b_bands, d):
+    """Diagonals of ``A B`` from the diagonals of two d x d matrices.
+
+    ``(A B)[i, i + a + b]`` sums ``A[i, i + a] B[i + a, i + a + b]``; entry
+    ``i`` of diagonal ``k`` is its row minus ``max(0, -k)``. For tridiagonal
+    factors an entry adds at most two rounded products, so it does not
+    depend on the BLAS, which may fuse a multiply into the addition.
+    """
+    out = {}
+    for a, va in a_bands.items():
+        for b, vb in b_bands.items():
+            lo, hi = max(0, -a, -a - b), min(d, d - a, d - a - b)
+            k = a + b
+            band = out.setdefault(k, np.zeros(d - abs(k), dtype=complex))
+            band[lo - max(0, -k):hi - max(0, -k)] += (
+                va[lo - max(0, -a):hi - max(0, -a)]
+                * vb[lo + a - max(0, -b):hi + a - max(0, -b)])
+    return out
 
 
 def _generator_parts(x, p, mass):
-    """CSR superoperators weighted by ``(1, W2, D_xx, D_xp, G_xp)`` in the generator.
+    """Diagonals of the superoperators weighted by ``(1, W2, D_xx, D_xp, G_xp)``.
 
     -i[H, rho] - D_xx [x, [x, rho]] - 2 D_xp [x, [p, rho]] - i G_xp [x, {p, rho}]
-    with H = p^2 / 2m + m W2 x^2 / 2.
+    with H = p^2 / 2m + m W2 x^2 / 2. Each part is a factor times a sum of
+    sandwiches ``c A rho B``, whose superoperator entry at
+    ``(i d + l, j d + k)`` is ``c A_ij B_kl``. So diagonal ``a`` of A
+    (``j = i + a``) and diagonal ``b`` of B (``l = k + b``) fill the
+    superoperator's diagonal ``a d - b`` at the columns ``j d + k``. Returns
+    the sorted offsets and the ``(5, n_offsets, d^2)`` data of the parts in
+    the DIA layout of ``scipy.sparse`` (``data[..., col]`` on column ``col``);
+    :func:`_csr` converts one.
     """
-    x, p = scipy.sparse.csr_array(x), scipy.sparse.csr_array(p)
-    eye = scipy.sparse.identity(x.shape[0], dtype=complex, format="csr")
-    x2, xp, px = x @ x, x @ p, p @ x
-    kin = (p @ p) / (2.0 * mass)
-    return (
-        -1j * (_left_right(kin, eye) - _left_right(eye, kin)),
-        (-0.5j * mass) * (_left_right(x2, eye) - _left_right(eye, x2)),
-        -(_left_right(x2, eye) - 2.0 * _left_right(x, x) + _left_right(eye, x2)),
-        -2.0 * (_left_right(xp, eye) - _left_right(x, p)
-                - _left_right(p, x) + _left_right(eye, px)),
-        -1j * (_left_right(xp, eye) + _left_right(x, p)
-               - _left_right(p, x) - _left_right(eye, px)),
+    d = x.shape[0]
+    xb, pb = _diagonals(x), _diagonals(p)
+    x2, xp, px = _band_product(xb, xb, d), _band_product(xb, pb, d), _band_product(pb, xb, d)
+    kin = {k: v / (2.0 * mass) for k, v in _band_product(pb, pb, d).items()}
+    eye = {0: np.ones(d)}
+    parts = (
+        (-1j, ((1.0, kin, eye), (-1.0, eye, kin))),
+        (-0.5j * mass, ((1.0, x2, eye), (-1.0, eye, x2))),
+        (-1.0, ((1.0, x2, eye), (-2.0, xb, xb), (1.0, eye, x2))),
+        (-2.0, ((1.0, xp, eye), (-1.0, xb, pb), (-1.0, pb, xb), (1.0, eye, px))),
+        (-1j, ((1.0, xp, eye), (1.0, xb, pb), (-1.0, pb, xb), (-1.0, eye, px))),
     )
+    pairs = [(n, c, a, va, b, vb) for n, (_, terms) in enumerate(parts)
+             for c, a_bands, b_bands in terms
+             for a, va in a_bands.items() for b, vb in b_bands.items()]
+    offsets = sorted({a * d - b for _, _, a, _, b, _ in pairs})
+    column = {k: i for i, k in enumerate(offsets)}
+    data = np.zeros((len(parts), len(offsets), d, d), dtype=complex)  # over (j, k)
+    for n, c, a, va, b, vb in pairs:
+        grid = data[n, column[a * d - b], max(a, 0):d + min(a, 0), max(-b, 0):d + min(-b, 0)]
+        grid += (c * va)[:, None] * vb
+    data *= np.array([factor for factor, _ in parts])[:, None, None, None]
+    data = data.reshape(len(parts), len(offsets), d * d)
+    return np.array(offsets), data
+
+
+def _csr(offsets, data):
+    """CSR of the square superoperator with DIA ``data`` on ``offsets``, zeros dropped."""
+    n = data.shape[-1]
+    return scipy.sparse.dia_array((data, offsets), shape=(n, n)).tocsr()
 
 
 def truncated_basis_propagate(
@@ -119,16 +169,16 @@ def truncated_basis_propagate(
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho0.shape[0] < 2:
         raise ValidationError("rho0 must be a square matrix of dimension >= 2")
     d = rho0.shape[0]
-    parts = _generator_parts(*ladder_operators(d - 1, osc), osc.mass)
+    offsets, parts = _generator_parts(*ladder_operators(d - 1, osc), osc.mass)
     tau = np.asarray(tau_grid, dtype=float)
     if coeffs.tau.size == 1:
         weights = (1.0, coeffs.omegaR_sq[0], coeffs.D_xx[0], coeffs.D_xp[0],
                    coeffs.Gamma_xp[0])
-        gen = sum(w * part for w, part in zip(weights, parts))
+        gen = _csr(offsets, sum(w * part for w, part in zip(weights, parts)))
         flat = propagate_constant(gen, rho0.reshape(-1), tau, rtol=rtol)
     else:
         w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
-        stacked = scipy.sparse.vstack(parts, format="csr")
+        stacked = scipy.sparse.vstack([_csr(offsets, part) for part in parts], format="csr")
 
         def rhs(t, v):
             weights = np.array([1.0, w2(t), d_xx(t), d_xp(t), g_xp(t)])

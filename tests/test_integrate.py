@@ -12,7 +12,8 @@ from opendecay._integrate import integrate, propagate_constant
 from opendecay.bloch import propagator_matrix, rapid_generator
 from opendecay.errors import IntegratorAccuracyError, StiffnessError, ValidationError
 from opendecay.lindblad import spin_liouvillian
-from opendecay.model import make_spin_params
+from opendecay.model import OscillatorParams, make_spin_params
+from opendecay.qbm import fock
 
 
 def test_stage_polynomials_are_exact():
@@ -94,9 +95,10 @@ def test_sparse_generator_matches_the_dense_one_and_expm(columns):
     assert np.max(np.abs(sparse - reference)) <= 1e-8 * np.max(np.abs(reference))
 
 
-def test_sparse_route_forms_seven_products_per_step_start(monkeypatch):
+def test_sparse_route_forms_seven_products_first_then_six_per_step_start(monkeypatch):
     # the Krylov block [y, My, ..., M^7 y] is formed once per step start;
-    # a rejected retry from the same y reuses it
+    # a rejected retry from the same y reuses it, and every step start but
+    # the first takes M y from the accepted step's block (first same as last)
     matvecs, trials, accepts = [], [], []
 
     class CountingCSR(scipy.sparse.csr_array):
@@ -121,7 +123,34 @@ def test_sparse_route_forms_seven_products_per_step_start(monkeypatch):
                              [0.0, 20.0])
     assert np.all(np.isfinite(out))
     assert len(trials) > len(accepts) > 0  # some trial steps were rejected
-    assert len(matvecs) == 7 * len(accepts)
+    assert len(matvecs) == 7 + 6 * (len(accepts) - 1)
+
+
+def test_r5_has_no_z7_term():
+    # the reuse of M y5 rests on it: M R5(hM) y needs only M y .. M^7 y
+    assert _integrate._STEP_POLY[0, -1] == 0.0
+
+
+def _fock_generator(n_max=9):
+    osc = OscillatorParams(1.0, 1.0)
+    offsets, parts = fock._generator_parts(*fock.ladder_operators(n_max, osc), osc.mass)
+    weights = (1.0, 1.2, 0.05, 0.01, 0.03)
+    return fock._csr(offsets, sum(w * part for w, part in zip(weights, parts)))
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+def test_carried_product_is_the_product_of_the_accepted_state(columns):
+    matrix = _fock_generator()
+    rng = np.random.default_rng(11)
+    shape = (matrix.shape[0],) if columns is None else (matrix.shape[0], columns)
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stages = _integrate._PolynomialStages(matrix)
+    for h in (0.05, 0.02):  # a rejected trial, then the accepted one
+        y5, _ = stages(0.0, h, y)
+    stages.accept()
+    assert stages.carried.shape == y5.shape
+    fresh = matrix @ y5
+    assert np.max(np.abs(stages.carried - fresh)) <= 1e-13 * np.max(np.abs(fresh))
 
 
 def test_constant_route_refuses_past_its_step_budget(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from opendecay._integrate import integrate
 from opendecay.errors import TruncationError, ValidationError
@@ -143,6 +144,28 @@ def test_truncated_basis_matches_the_frozen_liouvillian(monkeypatch):
     for t, rho in zip(tau, states):
         want = (scipy.linalg.expm(liouv * t) @ rho0.reshape(-1)).reshape(d, d)
         assert np.max(np.abs(rho - want)) < 1e-9
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 8, 40])
+def test_band_built_parts_match_the_dense_liouvillian(n_max):
+    # each part with its coefficient switched on alone, the others off; the
+    # kinetic part is the generator with every coefficient off
+    osc = OscillatorParams(1.7, 1.3)
+    offsets, parts = fock._generator_parts(*ladder_operators(n_max, osc), osc.mass)
+    assert parts.shape[:2] == (5, offsets.size)
+    kinetic = fock_liouvillian(osc, n_max, 0.0, 0.0, 0.0, 0.0)
+    for k, part in enumerate(parts):
+        got = fock._csr(offsets, part)
+        fresh = scipy.sparse.csr_array((got.data, got.indices, got.indptr), shape=got.shape)
+        assert fresh.has_canonical_format  # sorted indices, no duplicates
+        assert got.dtype == np.complex128 and np.all(got.data != 0)
+        coefficients = [0.0] * 4
+        if k:
+            coefficients[k - 1] = 1.0
+        want = fock_liouvillian(osc, n_max, *coefficients)
+        if k:
+            want -= kinetic
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _matrix_form_propagate(coeffs, rho0, tau, rtol):
