@@ -32,6 +32,7 @@ from .lindblad import (
 )
 from .model import (
     BathSpectrum,
+    CouplingScale,
     DensityMatrix2,
     GaussianState,
     OscillatorParams,
@@ -507,6 +508,13 @@ def _run_qbm_exact(cfg):
 
 
 def _run_qbm_sweep(cfg):
+    lams = cfg["lambda_list"]
+    for i, lam in enumerate(lams):
+        # every entry before the first solve, so a bad one costs none
+        try:
+            CouplingScale(lam)
+        except ValidationError as exc:
+            raise ValidationError(f"lambda_list entry {i}: {exc}") from None
     bath, osc = _qbm_setup(cfg)
     window = _coefficient_window(cfg)
     limit = limit_coefficients(bath, osc, window[:1])
@@ -521,7 +529,6 @@ def _run_qbm_sweep(cfg):
             float(np.max(np.abs(coeffs.Gamma_xp))),
         )
 
-    lams = cfg["lambda_list"]
     rows = [deviations(lam) for lam in lams]
     cols = {
         "lam": list(lams),

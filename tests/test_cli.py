@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opendecay.acceptance
+import opendecay.scenarios
 from opendecay.acceptance import CriterionResult
 from opendecay.cli import main
 from opendecay.errors import ConfigError
+from opendecay.qbm.propagator import solve_propagator
 from opendecay.scenarios import (
     REQUIRED,
     SCHEMAS,
@@ -226,6 +228,22 @@ def test_cli_bad_tolerances_exit_2_naming_the_key(argv, named, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"opendecay: ValidationError: {named} must be finite and > 0")
+
+
+@pytest.mark.parametrize("bad", ["nan", "0", "1.5", "-0.1"])
+def test_qbm_sweep_refuses_a_bad_lambda_entry_before_any_solve(bad, monkeypatch, capsys):
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return solve_propagator(*args, **kwargs)
+
+    monkeypatch.setattr(opendecay.scenarios, "solve_propagator", counting_solve)
+    assert main(["qbm_sweep", "--lambda_list", f"0.4,{bad}"]) == 2
+    assert solves == []
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: ValidationError: lambda_list entry 1: ")
+    assert f"got {float(bad)}" in err
 
 
 _TOLERANCE_KEYS = [(name, key) for name, schema in SCHEMAS.items()
