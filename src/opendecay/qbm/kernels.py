@@ -20,10 +20,11 @@ below evaluates them in closed form where possible:
   ``nu = (M w0 eta / 2 pi lam**4) Re[ 1/z**2 + psi_1(1 + z/(2 b'))/(2 b'**2) ]``
   where ``z = (1/cutoff - i tau/lam**2)``, ``b' = 1/(2 T)`` and ``psi_1``
   is the trigamma function (the ``1/z**2`` term alone is the T = 0 noise);
-* hard cutoff, ``nu``:          Gauss-Legendre quadrature over ``[0, cutoff]``
-  with one node-doubling loop per block of times sorted by ``|tau|``; a
-  block's panels are a quarter period of its fastest ``cos(W tau)`` wide,
-  and each of its integrals converges to 1e-11 of ``eta max(T, cutoff)``.
+* hard cutoff, ``nu``:          the Filon sum of :mod:`opendecay._quad` over
+  ``[0, cutoff]``, on panels that resolve ``eta w coth(w/2T)/2 pi`` alone
+  (``pi T`` wide up to ``40 T``, a quarter cutoff beyond), so a time costs
+  the same at any ``tau/lam**2``; a second pass on halved panels must agree
+  to 1e-11 of ``eta max(T, cutoff)``.
 
 The Laplace transform of the unscaled dissipation kernel,
 ``mu_hat(s) = -M w0 int_0^inf dw/(2 pi) Gamma(w) w/(s**2 + w**2)``, has
@@ -38,7 +39,8 @@ import math
 import numpy as np
 from scipy.special import exp1
 
-from .._quad import integrate_to_tolerance, split_edges
+from .._quad import _leggauss, filon_sum, split_edges
+from ..errors import AccuracyError
 from ..model import BathSpectrum, CouplingScale, OscillatorParams
 
 __all__ = [
@@ -85,11 +87,6 @@ def trigamma_complex(z):
     return acc + series
 
 
-# Panels x times in one block of the hard-cutoff noise kernel: 2**21 node-times
-# at the last doubling (512 nodes per panel), one time on the finest panels, < 17 MB.
-_BLOCK_PANEL_TIMES = 4096
-
-
 def _lam_value(lam) -> float:
     if isinstance(lam, CouplingScale):
         return lam.lam
@@ -123,7 +120,8 @@ def noise_kernel(tau, bath: BathSpectrum, osc: OscillatorParams, lam):
     """Even thermal kernel nu(tau).
 
     Exponential cutoff uses the trigamma closed form; the hard cutoff uses
-    block quadrature (module docstring), which names a time it cannot resolve.
+    two Filon passes over every time at once (module docstring), and
+    AccuracyError names the time where they differ most if they disagree.
     """
     lam = _lam_value(lam)
     t = np.asarray(tau, dtype=float)
@@ -142,32 +140,26 @@ def noise_kernel(tau, bath: BathSpectrum, osc: OscillatorParams, lam):
         out = pref * val.real
     else:
         wc, temp = bath.cutoff, bath.temperature
-
-        def integrand(w, th):  # one column per theta; GL nodes never reach w = 0
-            wcoth = w / np.tanh(0.5 * w / temp) if temp > 0.0 else w
-            return (bath.eta * wcoth)[:, None] * np.cos(np.outer(w, th)) / (2.0 * math.pi)
-
-        flat = np.ravel(theta)
-        order = np.argsort(np.abs(flat))
-        width = np.maximum(
-            np.minimum(wc / 4.0, math.pi / (2.0 * np.abs(flat[order]) + 1e-300)), wc / 4096.0
-        )
-        panels = np.ceil(wc / width)  # nondecreasing along ``order``
-        count = np.arange(1, _BLOCK_PANEL_TIMES + 1)  # times in a block, at most
-        vals = np.empty_like(flat)
-        start = 0
-        while start < flat.size:
-            head = panels[start:start + count.size]
-            fits = head * count[:head.size] <= _BLOCK_PANEL_TIMES
-            stop = start + max(1, int(np.count_nonzero(fits)))
-            idx = order[start:stop]
-            vals[idx] = integrate_to_tolerance(
-                [(lambda w: integrand(w, flat[idx]), split_edges(0.0, wc, width[stop - 1]))],
-                rel_tol=1e-11, scale=bath.eta * max(temp, wc), n0=8, max_doublings=6,
-                what=lambda i: f"hard-cutoff noise kernel at tau={t.flat[idx[i]]:g}",
+        knee = min(wc, 40.0 * temp)  # beyond it coth(w/2T) is 1 to double precision
+        edges = np.concatenate([split_edges(0.0, knee, min(wc / 4.0, math.pi * temp)),
+                                split_edges(knee, wc, wc / 4.0)[1:]])
+        flat = np.abs(np.ravel(theta))
+        passes = []
+        for n_nodes in (16, 24):
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            w = mid[:, None] + half[:, None] * _leggauss(n_nodes)[0]
+            wcoth = w / np.tanh(0.5 * w / temp) if temp > 0.0 else w  # nodes avoid w = 0
+            passes.append(filon_sum(flat, mid, half, bath.eta * wcoth[None] / (2.0 * math.pi))[0])
+            edges = np.sort(np.concatenate([edges, mid]))  # halve every panel
+        gap = np.abs(passes[1] - passes[0])
+        target = 1e-11 * bath.eta * max(temp, wc)
+        if not np.all(gap <= target):  # a NaN fails too, and argmax names it first
+            worst = int(np.argmax(gap))
+            raise AccuracyError(
+                f"hard-cutoff noise kernel at tau={t.flat[worst]:g}: two Filon passes "
+                f"differ by {gap[worst]:.3e} (target {target:.3e})"
             )
-            start = stop
-        out = (osc.mass * osc.omega0 / lam**2) * vals.reshape(np.shape(theta))
+        out = (osc.mass * osc.omega0 / lam**2) * passes[1].reshape(np.shape(theta))
     return float(out) if np.ndim(tau) == 0 else out
 
 

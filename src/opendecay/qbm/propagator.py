@@ -38,15 +38,12 @@ Two independent routes are provided:
     Numerical Bromwich inversion of
     ``G_hat(s) = 1 / (s**2 + w0**2 + 2 mu_hat(lam**2 s)/M)`` with the
     free-oscillator pole pair subtracted analytically, used to
-    cross-check the time-domain solve.  The contour integral is a
-    Filon-Legendre sum: on each panel the transform is expanded in
-    Legendre polynomials, and its product with ``e^{i beta tau}`` is
-    integrated exactly through spherical Bessel functions, so the panels
-    resolve the transform alone, whatever the time grid (Filon, Proc. R.
-    Soc. Edinburgh 49, 38 (1928); Iserles and Norsett, Proc. R. Soc. A
-    461, 1383 (2005)).  The sum runs over bounded blocks of times.  Only
-    ``G`` (and, with reduced accuracy, its derivatives) should be consumed
-    from this route.
+    cross-check the time-domain solve.  The contour integral is the
+    package's Filon-Legendre sum, ``_quad.filon_sum``: on each panel the
+    transform is expanded in Legendre polynomials, and its product with
+    ``e^{i beta tau}`` is integrated exactly, so the panels resolve the
+    transform alone, whatever the time grid.  Only ``G`` (and, with
+    reduced accuracy, its derivatives) should be consumed from this route.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_triangular
 from scipy.special import sici
 
-from .._quad import _leggauss, legendre_projection
+from .._quad import _leggauss, filon_sum
 from ..errors import AccuracyError, InversionError, ValidationError
 from ..model import BathSpectrum, OscillatorParams, _checked_finite, _checked_grid
 from ..spectral import renormalized_frequency_sq
@@ -79,8 +76,6 @@ _REL_TOL = 1e-7  # agreement both routes certify G to, relative
 _MAX_REFINEMENTS = 3  # grid halvings past the first before the solve refuses
 _MAX_TAU = 1000.0  # longest tau_grid the Bromwich route accepts
 _GEOMETRIC_RATIO = 1.25  # Bromwich panel width over its left edge beyond the pole pair
-_MILLER_EXTRA = 20  # orders above the highest needed where the Bessel ratios start
-_BLOCK_ENTRIES = 1 << 18  # panel-order-time entries in one block of the Filon sum
 _DENSE_TERMS = 16  # terms of M^{-1} found by a dense solve before Newton
 
 
@@ -499,43 +494,6 @@ def solve_propagator(
 # Bromwich route
 
 
-def _spherical_jn(order: int, z):
-    """``j_0(z) .. j_{order-1}(z)`` of real ``z >= 0``, stacked on a new first axis.
-
-    Where ``k <= z`` the upward recurrence ``j_k = (2k-1)/z j_{k-1} - j_{k-2}``
-    from the closed forms of ``j_0`` and ``j_1`` is stable.  Where ``k > z``
-    it is not, and ``j_k = r_k j_{k-1}`` takes the ratios
-    ``r_k = z / (2k+1 - z r_{k+1})`` of Miller's downward recurrence, started
-    from ``r = 0`` ``_MILLER_EXTRA`` orders above the highest one needed.
-    Below the first zero of ``j_{k-1}`` these ratios lie in [0, 1), so no
-    denominator vanishes where they are used.
-    """
-    z = np.asarray(z, dtype=float)
-    pos = z > 0.0
-    inv = 1.0 / np.where(pos, z, 1.0)
-    out = np.empty((order,) + z.shape)
-    out[0] = np.where(pos, np.sin(z) * inv, 1.0)
-    ratio = np.zeros_like(out)
-    low = z < order - 1  # elsewhere every order is reached upward
-    if np.any(low):
-        zl = z[low]
-        r = np.zeros_like(zl)
-        # at orders k <= z the ratio meets the poles of j_k / j_{k-1}; those
-        # values are never used, and a pole only turns the next one into -0
-        with np.errstate(divide="ignore", over="ignore"):
-            for k in range(order + _MILLER_EXTRA, 0, -1):
-                r = zl / (2 * k + 1 - zl * r)
-                if k < order:
-                    ratio[k][low] = r
-    for k in range(1, order):
-        if k == 1:
-            up = (out[0] - np.cos(z)) * inv
-        else:
-            up = (2 * k - 1) * inv * out[k - 1] - out[k - 2]
-        out[k] = np.where(k <= z, up, ratio[k] * out[k - 1])
-    return out
-
-
 def _contour_panels(wr: float, sigma: float, bcut: float, shrink: float, kink):
     """Midpoints and half-widths of panels covering [0, bcut], sized by ``R`` alone.
 
@@ -566,40 +524,6 @@ def _contour_panels(wr: float, sigma: float, bcut: float, shrink: float, kink):
     return np.array(mid), np.array(half)
 
 
-def _bromwich_sum(tau, mid, half, vals, sigma):
-    """``(e^{sigma tau}/pi) Re int e^{i beta tau} f(beta) dbeta`` by Filon panels.
-
-    ``vals[c, p]`` holds integrand ``c`` at the n Gauss-Legendre nodes of
-    panel ``p``, ``[mid - half, mid + half]``.  On a panel ``[m - h, m + h]``
-    each integrand is replaced by the Legendre expansion ``sum_k a_k P_k`` of
-    its degree ``n - 1`` interpolant, whose product with the phase
-    integrates exactly (DLMF 10.60.7):
-
-        int e^{i beta tau} sum_k a_k P_k((beta - m)/h) dbeta
-            = h e^{i m tau} sum_k a_k 2 i^k j_k(h tau).
-
-    The panels thus resolve ``f``, not ``e^{i beta tau}``, and any tau grid
-    serves.  Returns one row per integrand.  The sum runs over blocks of
-    tau of at most ``_BLOCK_ENTRIES`` panel-order-time entries, so no block
-    grows with the grid.
-    """
-    c, _, n = vals.shape
-    coef = vals @ legendre_projection(n).T
-    coef *= 2.0 * half[:, None] * np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4]
-    coef = np.concatenate([coef.real, coef.imag]).transpose(1, 2, 0)  # (panel, order, 2c)
-    widths, which = np.unique(half, return_inverse=True)
-    out = np.empty((c, tau.size))
-    step = max(1, _BLOCK_ENTRIES // (half.size * n))
-    for lo in range(0, tau.size, step):
-        t = tau[lo : lo + step]
-        jn = _spherical_jn(n, np.outer(widths, t)).transpose(1, 2, 0)  # (width, time, order)
-        part = np.matmul(jn[which], coef)
-        phase = np.outer(mid, t)
-        out[:, lo : lo + step] = (np.einsum("pt,ptc->ct", np.cos(phase), part[..., :c])
-                                  - np.einsum("pt,ptc->ct", np.sin(phase), part[..., c:]))
-    return out * (np.exp(sigma * tau) / math.pi)
-
-
 def propagator_via_laplace(
     bath: BathSpectrum,
     osc: OscillatorParams,
@@ -616,9 +540,10 @@ def propagator_via_laplace(
                  + (e^{sigma tau}/pi) Re int_0^B e^{i beta tau}
                                               R(sigma + i beta) dbeta.
 
-    The integral is summed by Filon-Legendre panels (``_bromwich_sum``)
-    laid out by ``_contour_panels``: their widths follow ``R``, not tau,
-    so the node count does not grow with ``tau_grid[-1]``.  A second pass
+    The integral is the Filon-Legendre sum ``_quad.filon_sum`` over the
+    panels of ``_contour_panels``, times ``e^{sigma tau}/pi``.  The panel
+    widths follow ``R``, not tau, so the node count does not grow with
+    ``tau_grid[-1]``.  A second pass
     with 1.5x the frequency window, halved panels and 24 instead of 16
     nodes per panel must agree to ``_REL_TOL``, the target of the
     time-domain route, else InversionError; so must the initial data
@@ -666,7 +591,7 @@ def propagator_via_laplace(
         denom = (s * s + w0**2 + (2.0 / osc.mass) * mu_hat) * (s * s + wr_sq)
         r = numer / denom
         vals = np.stack([r, s * r]).reshape(2, -1, n_nodes)
-        res = _bromwich_sum(tau, mid, half, vals, sigma)
+        res = filon_sum(tau, mid, half, vals) * (np.exp(sigma * tau) / math.pi)
         g = np.sin(wr * tau) / wr + res[0]
         gd = np.cos(wr * tau) + res[1]
         return g, gd

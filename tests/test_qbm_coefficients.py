@@ -300,3 +300,23 @@ def test_points_near_zero_take_a_grid_of_their_own(exp_prop, monkeypatch):
     window = np.array(_theta_window(exp_prop, tau, 1e-6))
     assert tuple(window[:, 0]) == theta_coefficients(exp_prop, 0.004)
     assert tuple(window[:, -1]) == theta_coefficients(exp_prop, 1.2)
+
+
+def test_hard_cutoff_coefficients_converge_onto_the_plateau():
+    # criterion 8's window and bath with the hard cutoff: from lam = 0.1 to
+    # 0.05 each deviation from the limit shrinks by a factor in [2.5, 6].
+    # Above lam = 0.1 the hard-cutoff D_xx ratios (1.9, then 13.9) are not
+    # yet in that regime.
+    bath = BathSpectrum(0.2, 5.0, "hard", 5.0)
+    window = np.linspace(0.9, 2.9, 101)
+    limit = limit_coefficients(bath, OSC, window)
+    devs = []
+    for lam in (0.1, 0.05):
+        coeffs = exact_coefficients(solve_propagator(bath, OSC, lam, 2.9), window, rel_tol=1e-3)
+        devs.append(np.array([
+            np.max(np.abs(coeffs.D_xx - limit.D_xx)),
+            np.max(np.abs(coeffs.D_xp)),
+            np.max(np.abs(coeffs.Gamma_xp)),
+        ]))
+    ratios = devs[0] / devs[1]
+    assert np.all((2.5 <= ratios) & (ratios <= 6.0)), ratios

@@ -19,7 +19,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from opendecay._quad import integrate_to_tolerance, split_edges
+from opendecay._quad import filon_sum, integrate_to_tolerance, split_edges
 from opendecay.errors import AccuracyError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
 from opendecay.qbm import kernels
@@ -206,7 +206,7 @@ def _per_tau_hard_noise(tau, bath, osc, lam):
     return (osc.mass * osc.omega0 / lam**2) * vals.reshape(np.shape(tau))
 
 
-@pytest.mark.parametrize("temp", [0.0, 2.0])
+@pytest.mark.parametrize("temp", [0.0, 0.05, 2.0, 20.0])
 def test_hard_noise_blocks_match_the_per_tau_loop(temp):
     bath = BathSpectrum(0.3, 4.0, "hard", temp)
     lam = 0.4
@@ -230,43 +230,76 @@ def test_hard_noise_blocks_match_the_per_tau_loop(temp):
     assert abs(got0 - _per_tau_hard_noise(0.37, bath, OSC, lam)) <= 1e-13 * scale
 
 
-def test_hard_noise_evaluates_once_per_block_and_doubling(monkeypatch):
-    # 453 grid times (theta up to 14): the integrand sees whole blocks of
-    # times, once per doubling level, never one time at a time; panels a
-    # quarter period of each block's fastest cosine settle on the first doubling
-    calls = []
-
-    def counting(pieces, **kw):
-        calls.append([0, 0])  # evaluations, times per evaluation
-
-        def counted(f):
-            def g(w):
-                vals = f(w)
-                calls[-1][0] += 1
-                calls[-1][1] = vals.shape[1]
-                return vals
-            return g
-
-        return integrate_to_tolerance([(counted(f), e) for f, e in pieces], **kw)
-
-    monkeypatch.setattr(kernels, "integrate_to_tolerance", counting)
-    tau = np.linspace(0.0, 2.3, 453)
-    noise_kernel(tau, HARD2, OSC, LAM)
-    assert sum(times for _, times in calls) == tau.size
-    assert [evals for evals, _ in calls] == [2] * len(calls)  # n0 = 8, then 16
-    assert 1 < len(calls) < 10
+def test_hard_noise_matches_the_per_tau_loop_at_large_theta():
+    # theta = tau/lam**2 from 200 to 4000, where the per-tau panels shrink
+    # to wc/4096 and the Filon panels stay as they are
+    bath = BathSpectrum(0.2, 5.0, "hard", 5.0)
+    lam = 0.05
+    scale = OSC.mass * OSC.omega0 * bath.eta * max(bath.temperature, bath.cutoff) / lam**2
+    tau = np.geomspace(200.0, 4000.0, 12) * lam**2
+    want = _per_tau_hard_noise(tau, bath, OSC, lam)
+    assert np.max(np.abs(noise_kernel(tau, bath, OSC, lam) - want)) <= 1e-13 * scale
 
 
-def test_hard_noise_quadrature_flags_impossible_tolerance():
-    # the quadrature certifies itself; an enormous frequency makes the
-    # integrand unresolvable within the node budget
-    bath = BathSpectrum(0.3, 4.0, "hard", 2.0)
-    with pytest.raises(AccuracyError):
-        noise_kernel(10000.0, bath, OSC, 0.05)
+@pytest.mark.parametrize("bath,lam,theta", [
+    (HARD2, LAM, np.linspace(0.0, 14.375, 453)),
+    (BathSpectrum(0.2, 5.0, "hard", 5.0), 0.05, np.linspace(1700.0, 4000.0, 500)),
+], ids=["theta-to-14", "theta-1700-to-4000"])
+def test_hard_noise_makes_two_filon_sums_per_call(monkeypatch, bath, lam, theta):
+    # one pass and its check, each over every time at once, at any theta
+    calls = []  # times per call
+
+    def counting(tau, *args):
+        calls.append(tau.size)
+        return filon_sum(tau, *args)
+
+    monkeypatch.setattr(kernels, "filon_sum", counting)
+    noise_kernel(theta * lam**2, bath, OSC, lam)
+    assert calls == [theta.size, theta.size]
 
 
-def test_hard_noise_refusal_names_the_unresolved_tau():
-    bath = BathSpectrum(0.3, 4.0, "hard", 2.0)
+def test_hard_noise_far_from_the_boundary_layer_follows_the_band_edge():
+    # theta = 4e6: int_0^wc f(w) cos(w theta) dw = f(wc) sin(wc theta)/theta
+    # + O(1/theta**2) with f(w) = eta w coth(w/2T)/2 pi, so theta times the
+    # integral is the band-edge term to O(1/theta)
+    lam = 0.05
+    theta = 10000.0 / lam**2
+    got = noise_kernel(10000.0, HARD2, OSC, lam) * theta * lam**2 / (OSC.mass * OSC.omega0)
+    wc, temp = HARD2.cutoff, HARD2.temperature
+    f_wc = HARD2.eta * wc / math.tanh(0.5 * wc / temp) / (2.0 * math.pi)
+    assert abs(got - f_wc * math.sin(wc * theta)) <= HARD2.eta / theta
+
+
+def test_hard_noise_refusal_names_the_unresolved_tau(monkeypatch):
+    # push the second pass away from the first, most at tau=-0.3
+    passes = []
+
+    def apart(*args):
+        out = filon_sum(*args)
+        passes.append(out)
+        if len(passes) == 2:
+            out[0, 0] += 1e-10
+            out[0, 2] += 1e-9
+        return out
+
+    monkeypatch.setattr(kernels, "filon_sum", apart)
     tau = np.array([0.01, 10000.0, -0.3, 0.2])
-    with pytest.raises(AccuracyError, match=r"noise kernel at tau=10000: node doubling"):
-        noise_kernel(tau, bath, OSC, 0.05)
+    with pytest.raises(AccuracyError, match=r"noise kernel at tau=-0\.3: two Filon passes differ"):
+        noise_kernel(tau, HARD2, OSC, 0.05)
+
+
+@pytest.mark.parametrize("temp", [1e-3, 1e-6])
+def test_cold_hard_noise_resolves_the_thermal_panels(temp):
+    # coth(w/2T) turns over within w ~ 2 pi T; 20001 times to theta = 12000
+    bath = BathSpectrum(0.3, 4.0, "hard", temp)
+    lam = 0.1
+    tau = np.linspace(0.0, 12000.0 * lam**2, 20001)
+    got = noise_kernel(tau, bath, OSC, lam)
+    assert np.all(np.isfinite(got))
+    # the thermal part eta (w coth(w/2T) - w)/2 pi integrates to eta pi T**2/6,
+    # which is its value at tau = 0 and bounds it elsewhere
+    cold = noise_kernel(tau, BathSpectrum(0.3, 4.0, "hard", 0.0), OSC, lam)
+    thermal = OSC.mass * OSC.omega0 * bath.eta * math.pi * temp**2 / 6.0 / lam**2
+    slack = 1e-13 * np.max(np.abs(cold))
+    assert abs(got[0] - cold[0] - thermal) <= slack
+    assert np.max(np.abs(got - cold)) <= thermal + slack

@@ -13,7 +13,7 @@ from scipy.signal import fftconvolve
 from scipy.special import spherical_jn
 
 import opendecay
-from opendecay._quad import panel_nodes
+from opendecay._quad import _spherical_jn, filon_sum, panel_nodes
 from opendecay.errors import AccuracyError, InversionError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
 from opendecay.qbm import propagator
@@ -22,12 +22,10 @@ from opendecay.qbm.kernels import dissipation_kernel, mu_laplace
 from opendecay.qbm.propagator import (
     PropagatorFunction,
     _adams_step,
-    _bromwich_sum,
     _contour_panels,
     _convolve,
     _hermite_weights,
     _linear_weights,
-    _spherical_jn,
     _step_map,
     _trapezoid_step,
     _volterra_solve,
@@ -170,7 +168,7 @@ def test_filon_sum_matches_a_dense_gauss_legendre_sum(n_nodes, shrink):
     beta = (mid[:, None] + half[:, None] * np.polynomial.legendre.leggauss(n_nodes)[0]).ravel()
     s = sigma + 1j * beta
     vals = np.stack([_test_transform(s), s * _test_transform(s)]).reshape(2, -1, n_nodes)
-    got = _bromwich_sum(tau, mid, half, vals, sigma)
+    got = filon_sum(tau, mid, half, vals) * (np.exp(sigma * tau) / math.pi)
     # reference form: 32-point panels 0.05 wide, every phase evaluated
     nodes, wts = panel_nodes(np.linspace(0.0, bcut, 1601), 32)
     s = sigma + 1j * nodes

@@ -1,12 +1,9 @@
-"""Gauss-Legendre rules and panel edges of the shared quadrature module."""
-
-import math
+"""Gauss-Legendre rules, panel edges and the Filon sum of the shared quadrature module."""
 
 import numpy as np
 import pytest
 
-from opendecay._quad import _leggauss, integrate_to_tolerance, panel_nodes, split_edges
-from opendecay.errors import AccuracyError
+from opendecay._quad import _leggauss, filon_sum, panel_nodes, split_edges
 
 
 def test_rule_is_numpys_bit_for_bit():
@@ -25,18 +22,15 @@ def test_empty_interval_has_no_panels():
     assert nodes.size == weights.size == 0
 
 
-def _columns(w):
-    # a smooth column settles at once, a fast cosine needs several doublings
-    return np.stack([np.exp(w), np.cos(40.0 * w)], axis=1)
-
-
-def test_vector_integral_converges_every_component():
-    got = integrate_to_tolerance([(_columns, [0.0, 1.0])], rel_tol=1e-13, n0=4, max_doublings=5)
-    want = [math.e - 1.0, math.sin(40.0) / 40.0]
-    assert np.max(np.abs(got - want)) < 1e-14
-
-
-def test_vector_refusal_names_the_worst_component():
-    with pytest.raises(AccuracyError, match=r"^column 1: .* at 16 nodes/panel"):
-        integrate_to_tolerance([(_columns, [0.0, 1.0])], rel_tol=1e-13, n0=4,
-                               max_doublings=2, what=lambda i: f"column {i}")
+@pytest.mark.parametrize("theta", [0.0, 1e-3, 1.0, 1e3, 1e6])
+def test_filon_sum_integrates_a_real_integrand_at_any_frequency(theta):
+    # int_0^5 e^{-w} e^{i w theta} dw in closed form; the panels resolve
+    # e^{-w} alone, whatever theta
+    edges = split_edges(0.0, 5.0, 0.5)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    w = mid[:, None] + half[:, None] * _leggauss(16)[0]
+    got = filon_sum(np.array([theta]), mid, half, np.exp(-w)[None])
+    z = 1.0 - 1j * theta
+    want = ((1.0 - np.exp(-5.0 * z)) / z).real
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] - want) <= 1e-13
