@@ -5,9 +5,12 @@
 
 Any ``--key value`` pair (or ``--key=value``) not recognized as a global
 option is treated as a scenario parameter and must match the scenario's
-schema.  Exit codes: 0 success, 1 usage/configuration problem, 2 a
-computation refused to certify its accuracy (or inputs were physically
-invalid), 3 acceptance scenario completed with failing criteria.
+schema.  Exit codes: 0 success; 1 the command line or config file cannot
+be read into the schema (unknown scenario, key or format, a missing value
+or required key, a value that does not parse as its type, an unreadable
+file); 2 a value that parsed but lies outside its domain (each key's bound
+is in ``SCHEMAS``), or a computation that refused to certify its result;
+3 the acceptance scenario completed with failing criteria.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ class ConfigError(OpenDecayError):
 
 
 class ValidationError(OpenDecayError, ValueError):
-    """A model object failed its construction-time consistency checks."""
+    """A value lies outside its domain, or a model object failed its checks."""
 
 
 class DegenerateSystemError(ValidationError):

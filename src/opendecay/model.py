@@ -97,10 +97,8 @@ class SpinBosonParams:
     delta_tilde: float = field(init=False)
 
     def __post_init__(self):
-        epsilon = float(self.epsilon)
-        delta = float(self.delta)
-        if not (math.isfinite(epsilon) and math.isfinite(delta)):
-            raise ValidationError(f"epsilon={epsilon} and delta={delta} must be finite")
+        epsilon = _checked_finite("epsilon", self.epsilon)
+        delta = _checked_finite("delta", self.delta)
         omega0 = math.hypot(epsilon, delta)
         if omega0 == 0.0:
             raise DegenerateSystemError(

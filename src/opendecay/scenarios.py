@@ -1,10 +1,17 @@
 """Named computations behind the command line, emitting plot-ready tables.
 
-Each scenario has a typed key/value schema; values come from defaults,
-then an optional ``key = value`` config file, then command-line
-overrides (last wins).  Results are returned as a ResultTable and can
-be serialized to CSV (17-significant-digit floats, '#'-prefixed
-metadata header) or JSON; both formats round-trip bit exactly.
+Each scenario has a key/value schema whose entries are
+``(cast, default, bound)``; values come from defaults, then an optional
+``key = value`` config file, then command-line overrides (last wins).
+``parse_config`` casts each value and then checks it against its bound:
+for a float one of ``_checked_finite``'s ``""``, ``"> 0"`` or ``">= 0"``
+(so every float is at least finite), for an int its minimum, and
+``None`` for a string or list.  A value that cannot be cast is a
+ConfigError; one outside its bound is a ValidationError naming the key,
+raised before any computation starts.  Results are returned as a
+ResultTable and can be serialized to CSV (17-significant-digit floats,
+'#'-prefixed metadata header) or JSON; both formats round-trip bit
+exactly.
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ from .lindblad import (
 from .model import (
     BathSpectrum,
     CouplingScale,
-    DensityMatrix2,
     GaussianState,
     OscillatorParams,
     _checked_finite,
     make_spin_params,
+    validate_density,
 )
 from .qbm.coefficients import exact_coefficients, limit_coefficients
 from .qbm.moments import MOMENT_LABELS, propagate_moments
@@ -57,12 +64,6 @@ __all__ = [
 REQUIRED = object()
 
 
-def _shape(value: str) -> str:
-    if value not in ("exponential", "hard"):
-        raise ConfigError(f"shape must be 'exponential' or 'hard', got {value!r}")
-    return value
-
-
 def _float_list(value) -> tuple:
     if isinstance(value, tuple):
         return value
@@ -74,101 +75,101 @@ def _float_list(value) -> tuple:
 
 SCHEMAS = {
     "spin_bloch": {
-        "epsilon": (float, 1.0),
-        "delta": (float, 1.0),
-        "gamma_theta": (float, 0.5),
-        "tau_max": (float, 10.0),
-        "tau_points": (int, 201),
-        "init_plus": (float, 0.0),
-        "init_zero": (float, 1.0),
-        "init_minus": (float, 0.0),
-        "rtol": (float, 1e-10),
+        "epsilon": (float, 1.0, ""),
+        "delta": (float, 1.0, ""),
+        "gamma_theta": (float, 0.5, ">= 0"),
+        "tau_max": (float, 10.0, "> 0"),
+        "tau_points": (int, 201, 1),
+        "init_plus": (float, 0.0, ""),
+        "init_zero": (float, 1.0, ""),
+        "init_minus": (float, 0.0, ""),
+        "rtol": (float, 1e-10, "> 0"),
     },
     "spin_master": {
-        "epsilon": (float, 1.0),
-        "delta": (float, 1.0),
-        "gamma_theta": (float, 0.5),
-        "tau_max": (float, 10.0),
-        "tau_points": (int, 400),
-        "rho_ee": (float, 1.0),
-        "coh_re": (float, 0.0),
-        "coh_im": (float, 0.0),
-        "tol": (float, 1e-10),
+        "epsilon": (float, 1.0, ""),
+        "delta": (float, 1.0, ""),
+        "gamma_theta": (float, 0.5, ">= 0"),
+        "tau_max": (float, 10.0, "> 0"),
+        "tau_points": (int, 400, 1),
+        "rho_ee": (float, 1.0, ""),
+        "coh_re": (float, 0.0, ""),
+        "coh_im": (float, 0.0, ""),
+        "tol": (float, 1e-10, "> 0"),
     },
     "weak_compare": {
-        "epsilon": (float, 1.0),
-        "delta": (float, 1.0),
-        "eta": (float, 0.1),
-        "cutoff": (float, 5.0),
-        "shape": (_shape, "exponential"),
-        "t_min": (float, 0.5),
-        "t_max": (float, 10.0),
-        "points": (int, 25),
+        "epsilon": (float, 1.0, ""),
+        "delta": (float, 1.0, ""),
+        "eta": (float, 0.1, ">= 0"),
+        "cutoff": (float, 5.0, "> 0"),
+        "shape": (str, "exponential", None),
+        "t_min": (float, 0.5, ">= 0"),
+        "t_max": (float, 10.0, ">= 0"),
+        "points": (int, 25, 1),
     },
     "decay_scan": {
-        "epsilon": (float, 0.0),
-        "delta": (float, 1.0),
-        "gamma_min": (float, 0.2),
-        "gamma_max": (float, 6.0),
-        "points": (int, 60),
+        "epsilon": (float, 0.0, ""),
+        "delta": (float, 1.0, ""),
+        "gamma_min": (float, 0.2, "> 0"),
+        "gamma_max": (float, 6.0, "> 0"),
+        "points": (int, 60, 1),
     },
     "qbm_limit": {
-        "eta": (float, 0.1),
-        "temperature": (float, 2.0),
-        "cutoff": (float, 5.0),
-        "shape": (_shape, "exponential"),
-        "mass": (float, 1.0),
-        "omega0": (float, 1.0),
-        "x0": (float, 1.0),
-        "p0": (float, 0.0),
-        "tau_max": (float, 10.0),
-        "tau_points": (int, 201),
-        "rtol": (float, 1e-10),
+        "eta": (float, 0.1, ">= 0"),
+        "temperature": (float, 2.0, ">= 0"),
+        "cutoff": (float, 5.0, "> 0"),
+        "shape": (str, "exponential", None),
+        "mass": (float, 1.0, "> 0"),
+        "omega0": (float, 1.0, "> 0"),
+        "x0": (float, 1.0, ""),
+        "p0": (float, 0.0, ""),
+        "tau_max": (float, 10.0, "> 0"),
+        "tau_points": (int, 201, 1),
+        "rtol": (float, 1e-10, "> 0"),
     },
     "qbm_exact": {
-        "lam": (float, 0.2),
-        "eta": (float, 0.2),
-        "temperature": (float, 5.0),
-        "cutoff": (float, 5.0),
-        "shape": (_shape, "exponential"),
-        "mass": (float, 1.0),
-        "omega0": (float, 1.0),
-        "tau_min": (float, 0.9),
-        "tau_max": (float, 2.9),
-        "tau_points": (int, 41),
-        "rel_tol": (float, 1e-3),
+        "lam": (float, 0.2, "> 0"),
+        "eta": (float, 0.2, ">= 0"),
+        "temperature": (float, 5.0, ">= 0"),
+        "cutoff": (float, 5.0, "> 0"),
+        "shape": (str, "exponential", None),
+        "mass": (float, 1.0, "> 0"),
+        "omega0": (float, 1.0, "> 0"),
+        "tau_min": (float, 0.9, "> 0"),
+        "tau_max": (float, 2.9, "> 0"),
+        "tau_points": (int, 41, 5),
+        "rel_tol": (float, 1e-3, "> 0"),
     },
     "qbm_sweep": {
-        "lambda_list": (_float_list, REQUIRED),
-        "eta": (float, 0.2),
-        "temperature": (float, 5.0),
-        "cutoff": (float, 5.0),
-        "shape": (_shape, "exponential"),
-        "mass": (float, 1.0),
-        "omega0": (float, 1.0),
-        "tau_min": (float, 0.9),
-        "tau_max": (float, 2.9),
-        "tau_points": (int, 41),
-        "rel_tol": (float, 1e-3),
+        "lambda_list": (_float_list, REQUIRED, None),
+        "eta": (float, 0.2, ">= 0"),
+        "temperature": (float, 5.0, ">= 0"),
+        "cutoff": (float, 5.0, "> 0"),
+        "shape": (str, "exponential", None),
+        "mass": (float, 1.0, "> 0"),
+        "omega0": (float, 1.0, "> 0"),
+        "tau_min": (float, 0.9, "> 0"),
+        "tau_max": (float, 2.9, "> 0"),
+        "tau_points": (int, 41, 5),
+        "rel_tol": (float, 1e-3, "> 0"),
     },
     "bridge_check": {
-        "epsilon": (float, 3.0),
-        "delta": (float, 4.0),
-        "gamma_theta": (float, 1.0),
-        "tau_max": (float, 10.0),
-        "tau_points": (int, 101),
-        "n_states": (int, 20),
-        "seed": (int, 7),
-        "rtol": (float, 1e-10),
+        "epsilon": (float, 3.0, ""),
+        "delta": (float, 4.0, ""),
+        "gamma_theta": (float, 1.0, ">= 0"),
+        "tau_max": (float, 10.0, "> 0"),
+        "tau_points": (int, 101, 1),
+        "n_states": (int, 20, 1),
+        "seed": (int, 7, 0),
+        "rtol": (float, 1e-10, "> 0"),
     },
     "acceptance": {
-        "criteria": (str, ""),
+        "criteria": (str, "", None),
     },
 }
 
 
 def parse_config(scenario: str, config_path=None, overrides=()):
-    """Merge defaults, config file, and overrides into a typed dict."""
+    """Merge defaults, config file, and overrides into a typed, bound-checked dict."""
     if scenario not in SCHEMAS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; choose from {', '.join(sorted(SCHEMAS))}"
@@ -195,7 +196,7 @@ def parse_config(scenario: str, config_path=None, overrides=()):
         raw[key] = value
 
     cfg = {}
-    for key, (cast, default) in schema.items():
+    for key, (cast, default, _) in schema.items():
         if key in raw:
             value = raw.pop(key)
             try:
@@ -214,6 +215,13 @@ def parse_config(scenario: str, config_path=None, overrides=()):
     if raw:
         extra = ", ".join(sorted(raw))
         raise ConfigError(f"unknown key(s) for scenario '{scenario}': {extra}")
+    # every key is read before any is checked, so text that cannot be read
+    # into the schema is a ConfigError even beside a value out of bounds
+    for key, (cast, _, bound) in schema.items():
+        if cast is float:
+            _checked_finite(key, cfg[key], bound)
+        elif cast is int and cfg[key] < bound:
+            raise ValidationError(f"{key} must be at least {bound}, got {cfg[key]}")
     return cfg
 
 
@@ -326,32 +334,16 @@ def _spin_bath(cfg):
 
 
 def _time_grid(cfg):
-    """The output grid ``linspace(0, tau_max, tau_points)``, its keys checked."""
-    if not 0.0 < cfg["tau_max"] < np.inf:
-        raise ConfigError(f"tau_max must be finite and positive, got {cfg['tau_max']!r}")
-    if cfg["tau_points"] < 1:
-        raise ConfigError(f"tau_points must be at least 1, got {cfg['tau_points']}")
+    """The output grid ``linspace(0, tau_max, tau_points)``."""
     return np.linspace(0.0, cfg["tau_max"], cfg["tau_points"])
 
 
-def _scan_range(cfg, lo, hi, what, *, positive):
-    """``linspace(cfg[lo], cfg[hi], cfg["points"])``, its three keys checked.
-
-    A non-finite end is a ValidationError; a negative low end (or a zero
-    one when ``positive``), a reversed range or fewer than one point is a
-    ConfigError.
-    """
-    for key in (lo, hi):
-        if not np.isfinite(cfg[key]):
-            raise ValidationError(f"{key} = {cfg[key]!r}: the {what} range needs finite ends")
-    if cfg[lo] < 0.0 or (positive and cfg[lo] == 0.0):
-        raise ConfigError(f"{lo} must be {'positive' if positive else '>= 0'}, got {cfg[lo]}")
+def _scan_range(cfg, lo, hi, what):
+    """``linspace(cfg[lo], cfg[hi], cfg["points"])``; ValidationError if reversed."""
     if cfg[hi] < cfg[lo]:
-        raise ConfigError(
+        raise ValidationError(
             f"{hi} = {cfg[hi]} is below {lo} = {cfg[lo]}: the {what} range is reversed"
         )
-    if cfg["points"] < 1:
-        raise ConfigError(f"points must be at least 1, got {cfg['points']}")
     return np.linspace(cfg[lo], cfg[hi], cfg["points"])
 
 
@@ -359,8 +351,7 @@ def _run_spin_bloch(cfg):
     spin = _spin_bath(cfg)
     gen = rapid_generator(spin, cfg["gamma_theta"])
     tau = _time_grid(cfg)
-    c0 = np.array([_checked_finite(key, cfg[key])
-                   for key in ("init_plus", "init_zero", "init_minus")], dtype=complex)
+    c0 = np.array([cfg["init_plus"], cfg["init_zero"], cfg["init_minus"]], dtype=complex)
     traj = propagate_bloch(gen, c0, tau, rtol=cfg["rtol"])
     spec = decay_spectrum(gen)
     cols = {"tau": tau.tolist()}
@@ -378,15 +369,15 @@ def _run_spin_master(cfg):
     spin = _spin_bath(cfg)
     liouv = spin_liouvillian(spin, cfg["gamma_theta"])
     tau = _time_grid(cfg)
-    try:
-        pe, c_re, c_im = (_checked_finite(key, cfg[key]) for key in ("rho_ee", "coh_re", "coh_im"))
-        coh = c_re + 1j * c_im
-        rho0 = DensityMatrix2(np.array([[pe, coh], [np.conj(coh), 1.0 - pe]], dtype=complex))
-    except ValidationError as exc:
-        raise ConfigError(f"initial state is not a density matrix: {exc}") from None
-    # the stepper names its tolerance rtol; refuse a bad one by this key
-    tol = _checked_finite("tol", cfg["tol"], "> 0")
-    states = propagate_density(liouv, rho0, tau, rtol=tol)
+    pe, coh = cfg["rho_ee"], cfg["coh_re"] + 1j * cfg["coh_im"]
+    rho0 = np.array([[pe, coh], [np.conj(coh), 1.0 - pe]], dtype=complex)
+    diag = validate_density(rho0)
+    if not diag.ok:
+        raise ValidationError(
+            f"initial state is not a density matrix: rho_ee = {pe}, coh_re = {cfg['coh_re']} "
+            f"and coh_im = {cfg['coh_im']} give min eigenvalue {diag.min_eigenvalue:.3e}"
+        )
+    states = propagate_density(liouv, rho0, tau, rtol=cfg["tol"])
     purity = np.einsum("tij,tji->t", states, states).real
     cols = {
         "tau": tau.tolist(),
@@ -401,7 +392,7 @@ def _run_spin_master(cfg):
 
 def _run_weak_compare(cfg):
     spin = _spin_bath(cfg)
-    temps = _scan_range(cfg, "t_min", "t_max", "compared temperature", positive=False)
+    temps = _scan_range(cfg, "t_min", "t_max", "compared temperature")
     g_rapid, g_weak = [], []
     for t in temps:
         bath = BathSpectrum(cfg["eta"], cfg["cutoff"], cfg["shape"], float(t))
@@ -419,8 +410,7 @@ def _run_weak_compare(cfg):
 
 def _run_decay_scan(cfg):
     spin = _spin_bath(cfg)
-    gammas = _scan_range(cfg, "gamma_min", "gamma_max", "scanned gamma_theta",
-                         positive=True)
+    gammas = _scan_range(cfg, "gamma_min", "gamma_max", "scanned gamma_theta")
     cols = {name: [] for name in (
         "gamma_theta",
         "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im",
@@ -458,8 +448,7 @@ def _run_qbm_limit(cfg):
     bath, osc = _qbm_setup(cfg)
     coeffs = limit_coefficients(bath, osc, [0.0])
     mw = osc.mass * osc.omega0
-    x0, p0 = _checked_finite("x0", cfg["x0"]), _checked_finite("p0", cfg["p0"])
-    state0 = GaussianState(x0, p0, 0.5 / mw, 0.5 * mw)
+    state0 = GaussianState(cfg["x0"], cfg["p0"], 0.5 / mw, 0.5 * mw)
     tau = _time_grid(cfg)
     traj = propagate_moments(coeffs, osc, state0, tau, rtol=cfg["rtol"])
     cols = {"tau": tau.tolist()}
@@ -479,10 +468,10 @@ def _run_qbm_limit(cfg):
 
 
 def _coefficient_window(cfg):
-    if not 0.0 < cfg["tau_min"] < cfg["tau_max"] < np.inf:
-        raise ConfigError("need 0 < tau_min < tau_max < inf")
-    if cfg["tau_points"] < 5:
-        raise ConfigError("tau_points must be at least 5")
+    if cfg["tau_min"] >= cfg["tau_max"]:
+        raise ValidationError(
+            f"tau_min = {cfg['tau_min']} must be below tau_max = {cfg['tau_max']}"
+        )
     return np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_points"])
 
 
@@ -541,10 +530,6 @@ def _run_qbm_sweep(cfg):
 
 def _run_bridge_check(cfg):
     spin = _spin_bath(cfg)
-    if cfg["n_states"] < 1:
-        raise ConfigError("n_states must be at least 1")
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']}")
     rng = np.random.default_rng(cfg["seed"])
     tau = _time_grid(cfg)
     states = np.stack([random_density_matrix(rng) for _ in range(cfg["n_states"])])
@@ -569,7 +554,7 @@ def _run_acceptance(cfg):
     try:
         results = run_all(indices)
     except ValueError as exc:  # a number that names no criterion
-        raise ConfigError(f"criteria: {exc}") from None
+        raise ValidationError(f"criteria: {exc}") from None
     cols = {
         "criterion": [r.index for r in results],
         "name": [r.name for r in results],

@@ -14,8 +14,7 @@ import opendecay.acceptance
 import opendecay.scenarios
 from opendecay.acceptance import CriterionResult
 from opendecay.cli import main
-from opendecay.errors import ConfigError
-from opendecay.qbm.propagator import solve_propagator
+from opendecay.errors import ConfigError, ValidationError
 from opendecay.scenarios import (
     REQUIRED,
     SCHEMAS,
@@ -168,28 +167,27 @@ def test_cli_writes_output_file(tmp_path):
     ["spin_bloch", "--config", "/nonexistent/path.cfg"],
     ["qbm_sweep"],                        # missing required lambda_list
     ["acceptance", "--criteria", "x,y"],
-    ["bridge_check", "--n_states", "0"],
-    ["spin_bloch", "--tau_points", "0"],
-    ["spin_bloch", "--tau_max", "-1"],
-    ["spin_bloch", "--tau_max", "nan"],
-    ["qbm_limit", "--tau_max", "inf"],
-    ["bridge_check", "--seed", "-1"],
 ])
 def test_cli_usage_problems_exit_1(argv, capsys):
+    # the text cannot be read into the schema; values outside a key's
+    # bound exit 2 (test_cli_grid_and_scan_range_refusals_name_their_key)
     assert main(argv) == 1
     assert "opendecay: error:" in capsys.readouterr().err
 
 
-def test_cli_unknown_criterion_exits_1_naming_it(capsys):
-    assert main(["acceptance", "--criteria", "1,11"]) == 1
+def test_cli_unknown_criterion_exits_2_naming_it(capsys):
+    assert main(["acceptance", "--criteria", "1,11"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("opendecay: error: criteria: ") and "[11]" in err
+    assert err.startswith("opendecay: ValidationError: criteria: ") and "[11]" in err
 
 
 @pytest.mark.parametrize("override", [["--rho_ee", "1.5"], ["--coh_re", "0.9"]])
 def test_cli_spin_master_rejects_a_non_density_initial_state(override, capsys):
-    assert main(["spin_master", *override]) == 1
-    assert "initial state is not a density matrix" in capsys.readouterr().err
+    assert main(["spin_master", *override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: ValidationError: initial state is not a density matrix")
+    assert err.count("density matrix") == 1
+    assert all(key in err for key in ("rho_ee", "coh_re", "coh_im"))
 
 
 def test_cli_physics_failure_exits_2(capsys):
@@ -202,7 +200,7 @@ def test_cli_physics_failure_exits_2(capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["spin_bloch", "--gamma_theta", "-1"], "gamma_theta"),
-    (["decay_scan", "--gamma_max", "nan"], "gamma_theta"),
+    (["decay_scan", "--gamma_max", "nan"], "gamma_max"),
     (["spin_bloch", "--epsilon", "nan"], "epsilon"),
 ])
 def test_cli_invalid_spin_inputs_exit_2_promptly(argv, named, capsys):
@@ -230,15 +228,22 @@ def test_cli_bad_tolerances_exit_2_naming_the_key(argv, named, capsys):
     assert err.startswith(f"opendecay: ValidationError: {named} must be finite and > 0")
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Names of the propagator solves and steppers the scenario runners call."""
+    calls = []
+    for name in ("solve_propagator", "propagate_bloch", "propagate_density",
+                 "propagate_moments", "bloch_density_bridge"):
+        def counting(*args, _name=name, _real=getattr(opendecay.scenarios, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(opendecay.scenarios, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("bad", ["nan", "0", "1.5", "-0.1"])
-def test_qbm_sweep_refuses_a_bad_lambda_entry_before_any_solve(bad, monkeypatch, capsys):
-    solves = []
-
-    def counting_solve(*args, **kwargs):
-        solves.append(args)
-        return solve_propagator(*args, **kwargs)
-
-    monkeypatch.setattr(opendecay.scenarios, "solve_propagator", counting_solve)
+def test_qbm_sweep_refuses_a_bad_lambda_entry_before_any_solve(bad, solves, capsys):
     assert main(["qbm_sweep", "--lambda_list", f"0.4,{bad}"]) == 2
     assert solves == []
     err = capsys.readouterr().err
@@ -251,12 +256,24 @@ _TOLERANCE_KEYS = [(name, key) for name, schema in SCHEMAS.items()
 _REQUIRED_VALUES = {"lambda_list": "0.4"}
 
 
+def _overrides(scenario, key, value):
+    """``key`` set to ``value``, and every required key of ``scenario`` set."""
+    return [(key, value)] + [(name, _REQUIRED_VALUES[name])
+                             for name, (_, default, _) in SCHEMAS[scenario].items()
+                             if default is REQUIRED]
+
+
+def _argv(scenario, key, value):
+    return [scenario] + [arg for k, v in _overrides(scenario, key, value)
+                         for arg in (f"--{k}", v)]
+
+
 def test_every_tolerance_key_is_under_the_property_test():
     assert sorted(_TOLERANCE_KEYS) == [
         ("bridge_check", "rtol"), ("qbm_exact", "rel_tol"), ("qbm_limit", "rtol"),
         ("qbm_sweep", "rel_tol"), ("spin_bloch", "rtol"), ("spin_master", "tol")]
     required = {key for schema in SCHEMAS.values()
-                for key, (_, default) in schema.items() if default is REQUIRED}
+                for key, (_, default, _) in schema.items() if default is REQUIRED}
     assert required == set(_REQUIRED_VALUES)
 
 
@@ -266,10 +283,7 @@ def test_every_tolerance_key_is_under_the_property_test():
        | st.floats(max_value=0.0, allow_nan=False))
 def test_no_scenario_certifies_with_a_bad_tolerance(scenario_key, value):
     scenario, key = scenario_key
-    argv = [scenario, f"--{key}", repr(value)]
-    for name, (_, default) in SCHEMAS[scenario].items():
-        if default is REQUIRED:
-            argv += [f"--{name}", _REQUIRED_VALUES[name]]
+    argv = _argv(scenario, key, repr(value))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -278,7 +292,7 @@ def test_no_scenario_certifies_with_a_bad_tolerance(scenario_key, value):
 
 
 _FLOAT_KEYS = [(name, key) for name, schema in SCHEMAS.items()
-               for key, (cast, _) in schema.items() if cast is float]
+               for key, (cast, _, _) in schema.items() if cast is float]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -286,41 +300,108 @@ _FLOAT_KEYS = [(name, key) for name, schema in SCHEMAS.items()
 def test_every_float_key_refuses_a_non_finite_value_by_name(scenario, key, value, capsys):
     # refused where the key enters: no traceback, no RuntimeWarning (an error
     # under the project's warning filters) and no stepper blaming its state
-    argv = [scenario, f"--{key}", value]
-    for name, (_, default) in SCHEMAS[scenario].items():
-        if default is REQUIRED:
-            argv += [f"--{name}", _REQUIRED_VALUES[name]]
-    assert main(argv) in (1, 2)
+    assert main(_argv(scenario, key, value)) == 2
     err = capsys.readouterr().err
     assert err.startswith("opendecay: ") and "IntegratorAccuracyError" not in err
     assert re.search(rf"(?<!\w){key}(?!\w)", err), err
-    if key in ("rho_ee", "coh_re", "coh_im"):
-        assert "initial state is not a density matrix" in err
+
+
+_BOUNDED_KEYS = [(name, key, cast, bound) for name, schema in SCHEMAS.items()
+                 for key, (cast, _, bound) in schema.items() if bound is not None]
+
+
+def test_every_number_key_declares_a_bound():
+    for name, schema in SCHEMAS.items():
+        for key, (cast, default, bound) in schema.items():
+            if cast is float:
+                assert bound in ("", "> 0", ">= 0"), (name, key)
+            elif cast is int:
+                assert type(bound) is int and 0 <= bound <= default, (name, key)
+            else:
+                assert bound is None, (name, key)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _outside(cast, bound):
+    """Values of ``cast`` just outside ``bound``, and NaN and +-inf for a float."""
+    if cast is int:
+        return st.integers(max_value=bound - 1)
+    if bound == "> 0":
+        return _NON_FINITE | st.sampled_from([0.0, -0.0]) | st.floats(max_value=0.0)
+    if bound == ">= 0":
+        return _NON_FINITE | st.floats(max_value=-math.ulp(0.0))
+    return _NON_FINITE
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_BOUNDED_KEYS).flatmap(
+    lambda entry: st.tuples(st.just(entry), _outside(entry[2], entry[3]))))
+def test_every_bound_is_checked_when_the_config_is_parsed(entry_value):
+    (scenario, key, _, _), value = entry_value
+    refusal = rf"{key} must be (finite|at least)"
+    with pytest.raises(ValidationError, match=f"^{refusal}"):
+        parse_config(scenario, None, _overrides(scenario, key, repr(value)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(_argv(scenario, key, repr(value)))
+    assert code == 2
+    assert re.match(f"opendecay: ValidationError: {refusal}", err.getvalue())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spin_bloch", "--tau_max", "nan"], "tau_max"),
+    (["spin_bloch", "--gamma_theta", "nan"], "gamma_theta"),
+    (["qbm_exact", "--tau_min", "0"], "tau_min"),
+    (["qbm_exact", "--lam", "0"], "lam"),
+    (["qbm_exact", "--rel_tol", "nan"], "rel_tol"),
+    (["qbm_sweep", "--lambda_list", "0.4", "--rel_tol", "nan"], "rel_tol"),
+    (["qbm_exact", "--tau_points", "4"], "tau_points"),
+    (["qbm_exact", "--tau_min", "2.9"], "tau_min"),
+    (["bridge_check", "--seed", "-1"], "seed"),
+    (["decay_scan", "--gamma_min", "0"], "gamma_min"),
+    (["weak_compare", "--shape", "box"], "shape"),
+    (["acceptance", "--criteria", "11"], "criteria"),
+])
+def test_cli_bad_values_exit_2_before_any_solve(argv, named, solves, capsys):
+    assert main(argv) == 2
+    assert solves == []
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: ValidationError:")
+    assert re.search(rf"(?<!\w){named}(?!\w)", err), err
 
 
 @pytest.mark.parametrize("argv, code, named", [
-    (["spin_master", "--tau_points", "0"], 1, "tau_points"),
-    (["spin_master", "--tau_max", "-1"], 1, "tau_max"),
-    (["bridge_check", "--tau_max", "nan"], 1, "tau_max"),
-    (["qbm_limit", "--tau_points", "-3"], 1, "tau_points"),
-    (["spin_bloch", "--tau_max", "inf"], 1, "tau_max"),
-    (["decay_scan", "--points", "0"], 1, "points"),
+    (["spin_master", "--tau_points", "0"], 2, "tau_points"),
+    (["spin_master", "--tau_max", "-1"], 2, "tau_max"),
+    (["bridge_check", "--tau_max", "nan"], 2, "tau_max"),
+    (["qbm_limit", "--tau_points", "-3"], 2, "tau_points"),
+    (["spin_bloch", "--tau_max", "inf"], 2, "tau_max"),
+    (["decay_scan", "--points", "0"], 2, "points"),
     (["decay_scan", "--gamma_max", "nan"], 2, "gamma_max"),
     (["decay_scan", "--gamma_min", "nan"], 2, "gamma_min"),
     (["decay_scan", "--gamma_max", "inf"], 2, "gamma_max"),
-    (["qbm_exact", "--tau_max", "inf"], 1, "tau_max"),
-    (["decay_scan", "--gamma_min", "3", "--gamma_max", "1"], 1, "gamma_max"),
+    (["qbm_exact", "--tau_max", "inf"], 2, "tau_max"),
+    (["decay_scan", "--gamma_min", "3", "--gamma_max", "1"], 2, "gamma_max"),
     (["weak_compare", "--t_max", "nan"], 2, "t_max"),
     (["weak_compare", "--t_min", "inf"], 2, "t_min"),
-    (["weak_compare", "--points", "0"], 1, "points"),
-    (["weak_compare", "--t_min", "-1"], 1, "t_min"),
-    (["weak_compare", "--t_min", "5", "--t_max", "1"], 1, "t_max"),
+    (["weak_compare", "--points", "0"], 2, "points"),
+    (["weak_compare", "--t_min", "-1"], 2, "t_min"),
+    (["weak_compare", "--t_min", "5", "--t_max", "1"], 2, "t_max"),
+    (["bridge_check", "--n_states", "0"], 2, "n_states"),
+    (["spin_bloch", "--tau_points", "0"], 2, "tau_points"),
+    (["spin_bloch", "--tau_max", "-1"], 2, "tau_max"),
+    (["spin_bloch", "--tau_max", "nan"], 2, "tau_max"),
+    (["qbm_limit", "--tau_max", "inf"], 2, "tau_max"),
+    (["bridge_check", "--seed", "-1"], 2, "seed"),
 ])
-def test_cli_grid_and_scan_range_refusals_name_their_key(argv, code, named, capsys):
+def test_cli_grid_and_scan_range_refusals_name_their_key(argv, code, named, solves, capsys):
     # refused where the key enters, not by the stepper or rapid_generator
     assert main(argv) == code
+    assert solves == []
     err = capsys.readouterr().err
-    assert err.startswith("opendecay: ") and f"{named} " in err
+    assert err.startswith("opendecay: ValidationError: ") and f"{named} " in err
 
 
 def test_cli_single_node_grid_and_scan_are_accepted(capsys):

@@ -65,7 +65,9 @@ def test_spin_params_derive_splitting_and_weights(eps, delta):
     (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, -float("inf")),
 ])
 def test_spin_params_reject_non_finite_input(eps, delta):
-    with pytest.raises(ValidationError, match="and delta=.* must be finite"):
+    # each key is checked on its own, so the refusal names the bad one alone
+    named, value = ("epsilon", eps) if not math.isfinite(eps) else ("delta", delta)
+    with pytest.raises(ValidationError, match=f"^{named} must be finite, got {value}$"):
         SpinBosonParams(eps, delta)
 
 
