@@ -101,12 +101,9 @@ def _criterion_4():
     liouv = spin_liouvillian(spin, 0.5)
     rng = np.random.default_rng(404)
     tau = np.linspace(0.0, 40.0, 81)
-    worst_mix = 0.0
-    for _ in range(20):
-        states = propagate_density(liouv, random_density_matrix(rng), tau, rtol=1e-10)
-        diff = states[-1] - 0.5 * np.eye(2)
-        tdist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-        worst_mix = max(worst_mix, tdist)
+    rho0s = np.stack([random_density_matrix(rng) for _ in range(20)])
+    diff = propagate_density(liouv, rho0s, tau, rtol=1e-10)[-1] - 0.5 * np.eye(2)
+    worst_mix = 0.5 * float(np.max(np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)))
 
     spin_z = make_spin_params(2.0, 0.0)
     liouv_z = spin_liouvillian(spin_z, 0.5)

@@ -110,36 +110,49 @@ def spin_liouvillian(spin: SpinBosonParams, gamma_theta: float) -> Liouvillian2:
 
 def propagate_density(liouv: Liouvillian2, rho0, tau_grid,
                       rtol: float = 1e-10) -> np.ndarray:
-    """Propagate a density matrix over ``tau_grid``; returns (n, 2, 2).
+    """Propagate one density matrix, or a stack of them in one solve.
 
+    Returns (n, 2, 2) for one 2x2 state (or :class:`DensityMatrix2`) and
+    (n, k, 2, 2) for a (k, 2, 2) stack; another shape raises ValueError.
     Adaptive steps at the relative tolerance ``rtol``; the dense
     reference is ``propagate_constant(liouv.matrix, ..., method="expm")``.
-    ``rho0`` is validated as a :class:`DensityMatrix2` (raising
+    Each state is validated as a :class:`DensityMatrix2` (raising
     :class:`ValidationError` when it is not a density matrix). Every
     output state must stay within loose physicality bounds (trace
     defect below 1e-9, smallest eigenvalue above -1e-9) or
-    :class:`IntegratorAccuracyError` is raised: violations mean the
-    requested tolerance was not actually achieved.
+    :class:`IntegratorAccuracyError`, naming the tau and the state, is
+    raised: violations mean the requested tolerance was not achieved.
     """
-    if not isinstance(rho0, DensityMatrix2):
-        rho0 = DensityMatrix2(rho0)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    flat = propagate_constant(liouv.matrix, so.vec(rho0.entries), tau_grid, rtol=rtol)
-    states = flat.reshape(len(tau_grid), 2, 2)
-
-    traces = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    if np.any(traces > 1e-9):
-        k = int(np.argmax(traces))
-        raise IntegratorAccuracyError(
-            f"trace defect {traces[k]:.3e} at tau={tau_grid[k]:g} exceeds 1e-9"
+    if isinstance(rho0, DensityMatrix2):
+        rho0 = rho0.entries
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (2, 2) or rho0.size == 0:
+        raise ValueError(
+            f"rho0 must have shape (2, 2) or (k, 2, 2) with k >= 1, got {rho0.shape}"
         )
-    herm = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
-    eigs = np.linalg.eigvalsh(herm)
-    if np.any(eigs[:, 0] < -1e-9):
-        k = int(np.argmin(eigs[:, 0]))
+    for rho in rho0.reshape(-1, 2, 2):
+        DensityMatrix2(rho)
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    # one state stays a 4-vector; a stack is a (4, k) block of columns
+    flat = propagate_constant(liouv.matrix, rho0.reshape(rho0.shape[:-2] + (4,)).T,
+                              tau_grid, rtol=rtol)
+    states = np.swapaxes(flat, 1, -1).reshape((len(tau_grid),) + rho0.shape)
+
+    def where(defects, pick):
+        at = np.unravel_index(int(pick(defects)), defects.shape)
+        state = f" in state {at[1]}" if rho0.ndim == 3 else ""
+        return defects[at], f"at tau={tau_grid[at[0]]:g}{state}"
+
+    traces = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    if np.any(traces > 1e-9):
+        worst, at = where(traces, np.argmax)
+        raise IntegratorAccuracyError(f"trace defect {worst:.3e} {at} exceeds 1e-9")
+    herm = 0.5 * (states + np.conj(np.swapaxes(states, -2, -1)))
+    lowest = np.linalg.eigvalsh(herm)[..., 0]
+    if np.any(lowest < -1e-9):
+        worst, at = where(lowest, np.argmin)
         raise IntegratorAccuracyError(
-            f"negative eigenvalue {eigs[k, 0]:.3e} at tau={tau_grid[k]:g} "
-            "exceeds the -1e-9 bound"
+            f"negative eigenvalue {worst:.3e} {at} exceeds the -1e-9 bound"
         )
     return states
 
@@ -208,43 +221,26 @@ def bloch_density_bridge(spin: SpinBosonParams, gamma_theta: float, rho0,
     ``rho0`` is one state (a 2x2 matrix or :class:`DensityMatrix2`),
     giving a float, or a stack of shape (k, 2, 2), giving one deviation
     per state as a length-k array. The triple propagator is computed once
-    per call; each state gets its own density solve. Both routes use the
-    same tolerance. A deviation beyond ``100 * rtol`` indicates
+    per call and the density route in one solve for all states. Both routes
+    use the same tolerance. A deviation beyond ``100 * rtol`` indicates
     inconsistent sign/phase conventions between the two generators rather
     than integration error, and raises :class:`ConventionMismatchError`.
     """
-    if isinstance(rho0, DensityMatrix2):
-        rho0 = rho0.entries
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (2, 2) or rho0.size == 0:
-        raise ValueError(
-            f"rho0 must have shape (2, 2) or (k, 2, 2) with k >= 1, got {rho0.shape}"
-        )
-    tau_grid = np.asarray(tau_grid, dtype=float)
-
-    liouv = spin_liouvillian(spin, gamma_theta)
+    states = propagate_density(spin_liouvillian(spin, gamma_theta), rho0, tau_grid,
+                               rtol=rtol)
     props = propagator_matrix(rapid_generator(spin, gamma_theta), tau_grid,
                               rtol=rtol)
     # D_alpha(tau) = sum_b M[a,b] D_b(0), then tr[rho0 D_alpha(tau)]
-    base = np.stack(TRIPLE_AT_ZERO)  # (3, 2, 2)
-    d_t = np.einsum("tab,bij->taij", props, base)
-
-    devs = []
-    for rho in rho0.reshape(-1, 2, 2):
-        states = propagate_density(liouv, rho, tau_grid, rtol=rtol)
-        expect = np.einsum("ij,taji->ta", rho, d_t)
-        dev = 0.0
-        dev = max(dev, float(np.max(np.abs(states[:, 1, 0] - expect[:, 0]))))
-        dev = max(dev, float(np.max(np.abs(states[:, 0, 1] - expect[:, 2]))))
-        pop_plus = 0.5 * (1.0 + expect[:, 1])
-        dev = max(dev, float(np.max(np.abs(states[:, 0, 0] - pop_plus))))
-        pop_minus = 0.5 * (1.0 - expect[:, 1])
-        dev = max(dev, float(np.max(np.abs(states[:, 1, 1] - pop_minus))))
-        devs.append(dev)
-    worst = max(devs)
+    d_t = np.einsum("tab,bij->taij", props, np.stack(TRIPLE_AT_ZERO))
+    expect = np.einsum("...ij,taji->t...a", states[0], d_t)
+    # <+|rho|+>, <+|rho|->, <-|rho|+>, <-|rho|-> (row-major) by the triple route
+    bridged = np.stack([0.5 * (1.0 + expect[..., 1]), expect[..., 2], expect[..., 0],
+                        0.5 * (1.0 - expect[..., 1])], axis=-1)
+    devs = np.max(np.abs(states.reshape(bridged.shape) - bridged), axis=(0, -1))
+    worst = float(np.max(devs))
     if worst > 100.0 * rtol:
         raise ConventionMismatchError(
             f"triple and density routes disagree by {worst:.3e} "
             f"(> 100 * rtol = {100 * rtol:.1e}); conventions are inconsistent"
         )
-    return devs[0] if rho0.ndim == 2 else np.array(devs)
+    return float(devs) if devs.ndim == 0 else devs

@@ -217,12 +217,17 @@ def parse_config(scenario: str, config_path=None, overrides=()):
         raise ConfigError(f"unknown key(s) for scenario '{scenario}': {extra}")
     # every key is read before any is checked, so text that cannot be read
     # into the schema is a ConfigError even beside a value out of bounds
-    for key, (cast, _, bound) in schema.items():
+    _check_bounds(scenario, cfg)
+    return cfg
+
+
+def _check_bounds(scenario, cfg):
+    """Raise ValidationError naming the first key of ``cfg`` outside its bound."""
+    for key, (cast, _, bound) in SCHEMAS[scenario].items():
         if cast is float:
             _checked_finite(key, cfg[key], bound)
         elif cast is int and cfg[key] < bound:
             raise ValidationError(f"{key} must be at least {bound}, got {cfg[key]}")
-    return cfg
 
 
 @dataclass
@@ -580,11 +585,12 @@ _RUNNERS = {
 
 
 def run_scenario(scenario: str, cfg: dict) -> ResultTable:
-    """Dispatch to a scenario runner and stamp common metadata."""
+    """Check ``cfg`` against the scenario's bounds, run it, stamp metadata."""
     from . import __version__
 
     if scenario not in _RUNNERS:
         raise ConfigError(f"unknown scenario {scenario!r}")
+    _check_bounds(scenario, cfg)
     start = time.perf_counter()
     table = _RUNNERS[scenario](cfg)
     elapsed = time.perf_counter() - start

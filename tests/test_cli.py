@@ -348,6 +348,12 @@ def test_every_bound_is_checked_when_the_config_is_parsed(entry_value):
         code = main(_argv(scenario, key, repr(value)))
     assert code == 2
     assert re.match(f"opendecay: ValidationError: {refusal}", err.getvalue())
+    # a cfg built by hand, past parse_config, meets the same check
+    default = SCHEMAS[scenario][key][1]
+    cfg = parse_config(scenario, None, _overrides(scenario, key, str(default)))
+    cfg[key] = value
+    with pytest.raises(ValidationError, match=f"^{refusal}"):
+        run_scenario(scenario, cfg)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -370,6 +376,18 @@ def test_cli_bad_values_exit_2_before_any_solve(argv, named, solves, capsys):
     err = capsys.readouterr().err
     assert err.startswith("opendecay: ValidationError:")
     assert re.search(rf"(?<!\w){named}(?!\w)", err), err
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("bridge_check", "n_states", 0),
+    ("spin_bloch", "tau_max", math.nan),
+])
+def test_run_scenario_refuses_a_hand_built_cfg_by_key(scenario, key, value, solves):
+    cfg = parse_config(scenario)
+    cfg[key] = value
+    with pytest.raises(ValidationError, match=f"^{key} must be"):
+        run_scenario(scenario, cfg)
+    assert solves == []
 
 
 @pytest.mark.parametrize("argv, code, named", [

@@ -185,19 +185,43 @@ def test_bridge_consistency_small_case():
     assert dev < 1e-9
 
 
-def test_bridge_on_a_stack_equals_the_per_state_calls():
+def test_bridge_on_a_stack_agrees_with_the_per_state_calls():
+    # a stack takes one joint step sequence, so it agrees with the per-state
+    # solves to the tolerance rather than bit for bit
     spin = make_spin_params(3.0, 4.0)
     rng = np.random.default_rng(606)
     states = np.stack([random_density_matrix(rng) for _ in range(4)])
     tau = np.linspace(0.0, 10.0, 51)
+    liouv = spin_liouvillian(spin, 1.0)
+    stacked = propagate_density(liouv, states, tau)
+    assert stacked.shape == (51, 4, 2, 2)
+    single = np.stack([propagate_density(liouv, rho, tau) for rho in states], axis=1)
+    assert np.max(np.abs(stacked - single)) <= 1e-10
+    # one state is the plain 4-vector solve, bit for bit
+    flat = propagate_constant(liouv.matrix, so.vec(states[0]), tau)
+    assert np.array_equal(single[:, 0], flat.reshape(-1, 2, 2))
+
     devs = bloch_density_bridge(spin, 1.0, states, tau)
     assert isinstance(devs, np.ndarray) and devs.shape == (4,)
-    single = [bloch_density_bridge(spin, 1.0, rho, tau) for rho in states]
-    assert all(isinstance(d, float) for d in single)
-    assert devs.tolist() == single
-    assert bloch_density_bridge(spin, 1.0, DensityMatrix2(states[0]), tau) == single[0]
+    singles = [bloch_density_bridge(spin, 1.0, rho, tau) for rho in states]
+    assert all(isinstance(d, float) for d in singles)
+    assert np.max(np.abs(devs - singles)) <= 1e-10
+    assert bloch_density_bridge(spin, 1.0, DensityMatrix2(states[0]), tau) == singles[0]
     with pytest.raises(ValueError, match="rho0 must have shape"):
         bloch_density_bridge(spin, 1.0, states[:, :1], tau)
+
+
+def test_propagate_density_refuses_a_bad_shape_or_a_non_state():
+    liouv = spin_liouvillian(make_spin_params(1.0, 1.0), 0.4)
+    tau = [0.0, 1.0]
+    for bad in (np.eye(2)[:1], np.zeros((0, 2, 2)), np.ones(4) / 2,
+                np.ones((2, 2, 2, 2)) / 2):
+        with pytest.raises(ValueError, match="rho0 must have shape"):
+            propagate_density(liouv, bad, tau)
+    # every state of a stack is checked, not only the first
+    stack = np.stack([0.5 * np.eye(2), np.diag([1.5, -0.5])])
+    with pytest.raises(ValidationError, match="not a density matrix"):
+        propagate_density(liouv, stack, tau)
 
 
 def test_constant_generator_routes_reject_bad_method():
@@ -221,8 +245,15 @@ def test_non_cp_generator_is_refused_by_the_physicality_check():
         dissipator_part=-good.dissipator_part,
     )
     excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(IntegratorAccuracyError, match="negative eigenvalue"):
+    with pytest.raises(IntegratorAccuracyError, match="negative eigenvalue") as single:
         propagate_density(bad, excited, np.linspace(0.0, 2.0, 9))
+    tau = str(single.value).split(" at tau=")[1].split()[0]
+    # I/2 is a fixed point of either sign, so in a stack only state 1 fails,
+    # at the same tau as on its own
+    stack = np.stack([0.5 * np.eye(2, dtype=complex), excited])
+    with pytest.raises(IntegratorAccuracyError,
+                       match=f"negative eigenvalue .* at tau={tau} in state 1 "):
+        propagate_density(bad, stack, np.linspace(0.0, 2.0, 9))
 
 
 def test_bridge_refuses_mismatched_conventions(monkeypatch):
