@@ -42,8 +42,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
+import scipy  # SciPy >= 1.9 imports a submodule on its first attribute access
 
 from .errors import IntegratorAccuracyError, StiffnessError
 from .model import _checked_finite, _checked_grid
@@ -154,7 +153,7 @@ class _PolynomialStages:
     def __init__(self, matrix):
         self.matrix = matrix
         self.powers = None
-        if not scipy.sparse.issparse(matrix):
+        if isinstance(matrix, np.ndarray):
             powers = [np.eye(matrix.shape[0], dtype=matrix.dtype)]
             for _ in range(1, len(_EXPONENTS)):
                 powers.append(matrix @ powers[-1])
@@ -295,7 +294,8 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
     On either route a ``t_grid`` that is not a finite, strictly increasing
     1-d grid raises ValidationError naming its first bad node.
     """
-    if not scipy.sparse.issparse(matrix):
+    # an ndarray is dense without asking scipy.sparse, which would load it
+    if isinstance(matrix, np.ndarray) or not scipy.sparse.issparse(matrix):
         matrix = np.asarray(matrix)
     y0 = np.asarray(y0)
     if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
@@ -307,7 +307,7 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
         )
     if method == "expm":
         t_grid = _checked_grid(t_grid, "t_grid")
-        if scipy.sparse.issparse(matrix):
+        if not isinstance(matrix, np.ndarray):
             matrix = matrix.toarray()
         return np.stack([scipy.linalg.expm(matrix * t) @ y0 for t in t_grid])
     if method != "adaptive":

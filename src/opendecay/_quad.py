@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import scipy
 from numpy.polynomial import legendre
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import AccuracyError
 
@@ -28,7 +28,7 @@ def _leggauss(n: int):
     c = np.zeros(n + 1)
     c[-1] = 1.0
     m = legendre.legcompanion(c)
-    x = eigvalsh_tridiagonal(np.diag(m), np.diag(m, 1))
+    x = scipy.linalg.eigvalsh_tridiagonal(np.diag(m), np.diag(m, 1))
     dy = legendre.legval(x, c)
     df = legendre.legval(x, legendre.legder(c))
     x -= dy / df

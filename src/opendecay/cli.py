@@ -8,9 +8,10 @@ option is treated as a scenario parameter and must match the scenario's
 schema.  Exit codes: 0 success; 1 the command line or config file cannot
 be read into the schema (unknown scenario, key or format, a missing value
 or required key, a value that does not parse as its type, an unreadable
-file); 2 a value that parsed but lies outside its domain (each key's bound
-is in ``SCHEMAS``), or a computation that refused to certify its result;
-3 the acceptance scenario completed with failing criteria.
+or unwritable file); 2 a value that parsed but lies outside its domain
+(each key's bound is in ``SCHEMAS``), or a computation that refused to
+certify its result; 3 the acceptance scenario completed with failing
+criteria.
 """
 
 from __future__ import annotations
@@ -84,8 +85,11 @@ def main(argv=None) -> int:
         table = run_scenario(args.scenario, cfg)
         text = table.emit(args.format)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file: {exc}") from None
         else:
             sys.stdout.write(text)
         if args.scenario == "acceptance" and not table.metadata.get("all_passed"):

@@ -64,7 +64,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+import scipy
 
 from ..errors import AccuracyError, NodeSingularityError, ValidationError
 from ..model import BathSpectrum, OscillatorParams, _checked_finite, _checked_grid
@@ -223,7 +223,8 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     # interpolated on its own nodes, so its interpolation error shrinks
     # with the level like the quadrature error and shows in the spread.
     q1, q2, q3 = (
-        CubicHermiteSpline(t[::s], *_q_level(g[::s], gd[::s], nu[::s], s * h), axis=0)(tau)
+        scipy.interpolate.CubicHermiteSpline(
+            t[::s], *_q_level(g[::s], gd[::s], nu[::s], s * h), axis=0)(tau)
         for s in (4, 2, 1)
     )
     first = (4.0 * q2 - q1) / 3.0
@@ -331,9 +332,9 @@ def exact_coefficients(
     omega_sq = (gd / g) * (wdot / w) - gdd / g
 
     t_ff, t_fi, t_ii = _theta_window(prop, tau, rel_tol)
-    td_ff = CubicSpline(tau, t_ff)(tau, 1)
-    td_fi = CubicSpline(tau, t_fi)(tau, 1)
-    td_ii = CubicSpline(tau, t_ii)(tau, 1)
+    td_ff = scipy.interpolate.CubicSpline(tau, t_ff)(tau, 1)
+    td_fi = scipy.interpolate.CubicSpline(tau, t_fi)(tau, 1)
+    td_ii = scipy.interpolate.CubicSpline(tau, t_ii)(tau, 1)
 
     l_ff = mass * gd / g
     l_if = -mass / g

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse
+import scipy
 
 from .._integrate import integrate, propagate_constant
 from .._superop import commutator_super, left_right
@@ -232,19 +232,23 @@ def fock_liouvillian(
     eye = np.eye(d, dtype=complex)
     ham = p @ p / (2.0 * osc.mass) + 0.5 * osc.mass * omega_sq * (x @ x)
     liouv = -1j * commutator_super(ham)
-    liouv -= d_xx * (
-        left_right(x @ x, eye) - 2.0 * left_right(x, x) + left_right(eye, x @ x)
-    )
-    liouv -= 2.0 * d_xp * (
-        left_right(x @ p, eye)
-        - left_right(x, p)
-        - left_right(p, x)
-        + left_right(eye, p @ x)
-    )
-    liouv -= 1j * gamma_xp * (
-        left_right(x @ p, eye)
-        + left_right(x, p)
-        - left_right(p, x)
-        - left_right(eye, p @ x)
-    )
+    # a group whose coefficient is 0 adds nothing, so its products are not formed
+    if d_xx:
+        liouv -= d_xx * (
+            left_right(x @ x, eye) - 2.0 * left_right(x, x) + left_right(eye, x @ x)
+        )
+    if d_xp:
+        liouv -= 2.0 * d_xp * (
+            left_right(x @ p, eye)
+            - left_right(x, p)
+            - left_right(p, x)
+            + left_right(eye, p @ x)
+        )
+    if gamma_xp:
+        liouv -= 1j * gamma_xp * (
+            left_right(x @ p, eye)
+            + left_right(x, p)
+            - left_right(p, x)
+            - left_right(eye, p @ x)
+        )
     return liouv

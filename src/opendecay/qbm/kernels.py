@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1
+import scipy
 
 from .._quad import _leggauss, filon_sum, split_edges
 from ..errors import AccuracyError
@@ -180,7 +180,8 @@ def mu_laplace(s, bath: BathSpectrum, osc: OscillatorParams):
     pref = -osc.mass * osc.omega0 * bath.eta / (2.0 * math.pi)
     if bath.shape == "exponential":
         ias = 1j * s / bath.cutoff
-        i2 = (np.exp(-ias) * exp1(-ias) - np.exp(ias) * exp1(ias)) / (2j * s)
+        i2 = (np.exp(-ias) * scipy.special.exp1(-ias)
+              - np.exp(ias) * scipy.special.exp1(ias)) / (2j * s)
         bracket = bath.cutoff - s * s * i2
     else:
         bracket = bath.cutoff - s * _arctan_complex(bath.cutoff / s)

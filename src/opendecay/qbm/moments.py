@@ -22,7 +22,7 @@ yardstick the truncated-basis evolution is checked against.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+import scipy
 
 from .._integrate import integrate
 from ..errors import ValidationError
@@ -56,7 +56,7 @@ def coefficient_functions(coeffs: QBMCoefficients, tau_grid):
             f"[{coeffs.tau[0]:g}, {coeffs.tau[-1]:g}]"
         )
     splines = tuple(
-        CubicSpline(coeffs.tau, arr)
+        scipy.interpolate.CubicSpline(coeffs.tau, arr)
         for arr in (coeffs.omegaR_sq, coeffs.D_xx, coeffs.D_xp, coeffs.Gamma_xp)
     )
     return tuple((lambda t, s=s: float(s(t))) for s in splines)

@@ -53,10 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_triangular
-from scipy.special import sici
+import scipy
 
 from .._quad import _leggauss, filon_sum
 from ..errors import AccuracyError, InversionError, ValidationError
@@ -116,7 +113,7 @@ class PropagatorFunction:
     @cached_property
     def _splines(self):
         return tuple(
-            CubicSpline(self.tau_grid, y)
+            scipy.interpolate.CubicSpline(self.tau_grid, y)
             for y in (self.G, self.G_dot, self.G_ddot, self.G_dddot)
         )
 
@@ -167,7 +164,7 @@ def _antiderivatives(u, bath: BathSpectrum, osc: OscillatorParams, lam: float):
         small = x < 1e-3
         xs = np.where(small, 1.0, x)
         us = np.where(small, 1.0, u)
-        si, _ = sici(x)
+        si, _ = scipy.special.sici(x)
         sx, cx = np.sin(xs), np.cos(xs)
         x2 = x * x
         g0 = np.where(small, -c * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), -sx / us)
@@ -305,13 +302,13 @@ def _convolve(a, b, m: int):
     product at the next fast real length, step for step SciPy's FFT
     convolution of real 1-D input, whose values it returns to the bit.
     """
-    n = next_fast_len(a.size + b.size - 1, real=True)
-    return irfft(rfft(a, n) * rfft(b, n), n)[:m]
+    n = scipy.fft.next_fast_len(a.size + b.size - 1, real=True)
+    return scipy.fft.irfft(scipy.fft.rfft(a, n) * scipy.fft.rfft(b, n), n)[:m]
 
 
 def _product(a_hat, b_hat, size: int):
     """Coefficients of A(z) B(z) from the rfft stacks of a (3, 3) and a (3, c) series."""
-    return irfft(np.einsum("ijf,jcf->icf", a_hat, b_hat), size)
+    return scipy.fft.irfft(np.einsum("ijf,jcf->icf", a_hat, b_hat), size)
 
 
 def _causal_solve(K, v, w, rhs):
@@ -336,8 +333,8 @@ def _causal_solve(K, v, w, rhs):
     def tail(z, z_hat, lo, hi, size):
         # (M Z)[lo:hi] for a series Z of length lo (zero from lo on); the
         # lag product wraps only onto terms below lo
-        w_hat = rfft(w[:, :size], size)
-        wz = irfft(w_hat[0] * z_hat[0] + w_hat[1] * z_hat[1], size)[..., lo:hi]
+        w_hat = scipy.fft.rfft(w[:, :size], size)
+        wz = scipy.fft.irfft(w_hat[0] * z_hat[0] + w_hat[1] * z_hat[1], size)[..., lo:hi]
         out = -v[:, None, None] * wz
         for k in range(1, len(K) + 1):
             first = max(0, k - lo)  # rows lo + r, r < k, reach back to Z[lo + r - k]
@@ -359,22 +356,24 @@ def _causal_solve(K, v, w, rhs):
     blocks = np.where((offset >= 0)[:, :, None, None], coef[np.maximum(offset, 0)], 0.0)
     e0 = np.zeros((3 * m, 3))
     e0[:3] = np.eye(3)
-    y = solve_triangular(blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m), e0, lower=True)
+    y = scipy.linalg.solve_triangular(
+        blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m), e0, lower=True)
     y = y.reshape(m, 3, 3).transpose(1, 2, 0)
 
     while y.shape[2] < half:
         lo = y.shape[2]
         hi = min(2 * lo, half)
-        size = next_fast_len(hi, real=True)
-        y_hat = rfft(y, size)
+        size = scipy.fft.next_fast_len(hi, real=True)
+        y_hat = scipy.fft.rfft(y, size)
         err = tail(y, y_hat, lo, hi, size)  # (M Y - I)[lo:hi]; lower terms are 0
-        y = np.concatenate([y, -_product(y_hat, rfft(err, size), size)[..., : hi - lo]], 2)
+        y = np.concatenate(
+            [y, -_product(y_hat, scipy.fft.rfft(err, size), size)[..., : hi - lo]], 2)
 
-    size = next_fast_len(n, real=True)
-    y_hat = rfft(y, size)
-    x = _product(y_hat, rfft(rhs[:, None, :half], size), size)[..., :half]
-    res = rhs[:, None, half:] - tail(x, rfft(x, size), half, n, size)
-    x = np.concatenate([x, _product(y_hat, rfft(res, size), size)[..., : n - half]], 2)
+    size = scipy.fft.next_fast_len(n, real=True)
+    y_hat = scipy.fft.rfft(y, size)
+    x = _product(y_hat, scipy.fft.rfft(rhs[:, None, :half], size), size)[..., :half]
+    res = rhs[:, None, half:] - tail(x, scipy.fft.rfft(x, size), half, n, size)
+    x = np.concatenate([x, _product(y_hat, scipy.fft.rfft(res, size), size)[..., : n - half]], 2)
     return x[:, 0, :]
 
 
@@ -611,7 +610,7 @@ def propagator_via_laplace(
         )
     g2[0] = 0.0
     gd2[0] = 1.0
-    sp = CubicSpline(tau, gd2)
+    sp = scipy.interpolate.CubicSpline(tau, gd2)
     gdd = sp(tau, 1)
     gddd = sp(tau, 2)
     return PropagatorFunction(tau, g2, gd2, gdd, gddd, lam, bath, osc)

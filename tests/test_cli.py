@@ -158,6 +158,15 @@ def test_cli_writes_output_file(tmp_path):
     assert len(table.columns["tau"]) == 9
 
 
+def test_cli_unwritable_output_exits_1_naming_the_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    assert main(["decay_scan", "--output", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: error: cannot write output file:")
+    assert str(target) in err and "Traceback" not in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["no_such_scenario"],
     ["spin_bloch", "--no_such_key", "1"],

@@ -65,6 +65,10 @@ def test_real_matrix_and_real_state_stay_real():
     tau = np.linspace(0.0, 10.0, 21)
     assert propagate_constant(matrix, np.array([1.0, 0.5]), tau).dtype == float
     _assert_routes_agree(matrix, np.array([1.0, 0.5]), tau)
+    # a list of lists is no ndarray, so scipy.sparse decides it is dense
+    for method in ("adaptive", "expm"):
+        assert np.array_equal(propagate_constant(matrix.tolist(), [1.0, 0.5], tau, method=method),
+                              propagate_constant(matrix, np.array([1.0, 0.5]), tau, method=method))
 
 
 def _banded_generator(n=30):

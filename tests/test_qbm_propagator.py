@@ -1,10 +1,6 @@
 """Checks for the memory-equation fundamental solution G(tau)."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +8,6 @@ import scipy.integrate
 from scipy.signal import fftconvolve
 from scipy.special import spherical_jn
 
-import opendecay
 from opendecay._quad import _spherical_jn, filon_sum, panel_nodes
 from opendecay.errors import AccuracyError, InversionError, ValidationError
 from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
@@ -223,19 +218,6 @@ def test_convolve_is_the_fft_convolution_to_the_bit(na, nb):
     a, b = rng.normal(size=na), rng.normal(size=nb)
     for m in (1, min(na, nb), na + nb - 1):
         assert np.array_equal(_convolve(a, b, m), fftconvolve(a, b)[:m])
-
-
-def test_import_leaves_scipy_signal_unloaded():
-    # the package's convolutions go through scipy.fft alone; scipy.signal
-    # would pull in scipy.stats and scipy.ndimage at every import
-    src = str(Path(opendecay.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, opendecay; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
 
 
 def test_third_derivative_matches_the_lag_sum():
