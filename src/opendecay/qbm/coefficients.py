@@ -35,7 +35,9 @@ reduced evolution is Gaussian and fully described by
   and at every requested time the third level is the convergence check
   against that time's own scale. A time with fewer than 32 coarse
   panels below it gets a grid ending at itself, the grid a one-point
-  window has;
+  window has. ``lambda_coefficients``, ``theta_coefficients`` and
+  ``lambda_theta`` take one time or an increasing array of times, and
+  make this one pass for all of them;
 
 * the master-equation coefficients, obtained from Lambda/Theta and
   their time derivatives.  With ``W = G'' G - G'**2`` (note
@@ -91,7 +93,7 @@ _THETA_REL_TOL = 1e-3  # Richardson agreement of Theta, relative to its scale
 
 @dataclass(frozen=True)
 class LambdaTheta:
-    """Phase (L_*) and decoherence (T_*) entries of the two-point kernel."""
+    """Phase (L_*) and decoherence (T_*) kernel entries: floats, or arrays over times."""
 
     L_ff: float
     L_fi: float
@@ -122,9 +124,10 @@ class QBMCoefficients:
 
 
 def _check_tau(prop: PropagatorFunction, tau):
-    """``tau`` as floats; raises for the first time outside (0, tau_max] or near a node."""
+    """One time or an increasing 1-d array, as floats; raises naming its first bad node
+    (``_checked_grid``), else its first time outside (0, tau_max] or near a node of G."""
     tau = np.asarray(tau, dtype=float)
-    t = np.atleast_1d(tau)
+    t = _checked_grid(np.atleast_1d(tau), "tau")
     g = prop.g(t)
     outside = ~((t > 0.0) & (t <= prop.tau_max))
     bad = np.flatnonzero(outside | (np.abs(g) < _NODE_FRACTION * prop.max_abs_g))
@@ -139,13 +142,11 @@ def _check_tau(prop: PropagatorFunction, tau):
     )
 
 
-def lambda_coefficients(prop: PropagatorFunction, tau_star: float):
-    """(L_ff, L_fi, L_if) at one time; raises near nodes of G."""
-    tau_star = float(_check_tau(prop, tau_star))
+def lambda_coefficients(prop: PropagatorFunction, tau):
+    """(L_ff, L_fi, L_if) at one time or an increasing array of times; raises near nodes of G."""
+    tau = _check_tau(prop, tau)
     m = prop.osc.mass
-    g = float(prop.g(tau_star))
-    gd = float(prop.g_dot(tau_star))
-    gdd = float(prop.g_ddot(tau_star))
+    g, gd, gdd = prop.g(tau), prop.g_dot(tau), prop.g_ddot(tau)
     return m * gd / g, m * (gdd * g - gd * gd) / g, -m / g
 
 
@@ -248,25 +249,20 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     return np.array([t_ff, t_fi, t_ii])
 
 
-def theta_coefficients(prop: PropagatorFunction, tau_star: float):
-    """(T_ff, T_fi, T_ii) at one time, Richardson extrapolated.
+def theta_coefficients(prop: PropagatorFunction, tau):
+    """(T_ff, T_fi, T_ii) at one time or an increasing array of times, in one Theta pass.
 
-    The one-point window of the pass that :func:`exact_coefficients` makes
-    over a whole window: the grid ends at ``tau_star``, which is then a
-    node of every level, and the last two Richardson pairs must agree to
-    ``_THETA_REL_TOL`` relative to the largest double integral, else
-    AccuracyError.
+    AccuracyError unless at each time the last two Richardson pairs agree to
+    ``_THETA_REL_TOL`` of its largest double integral.
     """
-    tau_star = float(_check_tau(prop, tau_star))
-    t_ff, t_fi, t_ii = _theta_window(prop, np.array([tau_star]), _THETA_REL_TOL)
-    return float(t_ff[0]), float(t_fi[0]), float(t_ii[0])
+    tau = _check_tau(prop, tau)
+    rows = _theta_window(prop, np.atleast_1d(tau), _THETA_REL_TOL)
+    return tuple(rows.reshape((3,) + tau.shape))
 
 
-def lambda_theta(prop: PropagatorFunction, tau_star: float) -> LambdaTheta:
-    """Both halves of the kernel at one time; Theta as in :func:`theta_coefficients`."""
-    l_ff, l_fi, l_if = lambda_coefficients(prop, tau_star)
-    t_ff, t_fi, t_ii = theta_coefficients(prop, tau_star)
-    return LambdaTheta(l_ff, l_fi, l_if, t_ff, t_fi, t_ii)
+def lambda_theta(prop: PropagatorFunction, tau) -> LambdaTheta:
+    """Both halves of the kernel at one time or an increasing array of times, in one Theta pass."""
+    return LambdaTheta(*lambda_coefficients(prop, tau), *theta_coefficients(prop, tau))
 
 
 def limit_lambda_theta(
@@ -331,10 +327,8 @@ def exact_coefficients(
     gamma_xp = -0.5 * wdot / w
     omega_sq = (gd / g) * (wdot / w) - gdd / g
 
-    t_ff, t_fi, t_ii = _theta_window(prop, tau, rel_tol)
-    td_ff = scipy.interpolate.CubicSpline(tau, t_ff)(tau, 1)
-    td_fi = scipy.interpolate.CubicSpline(tau, t_fi)(tau, 1)
-    td_ii = scipy.interpolate.CubicSpline(tau, t_ii)(tau, 1)
+    t_ff, t_fi, t_ii = theta = _theta_window(prop, tau, rel_tol)
+    td_ff, td_fi, td_ii = scipy.interpolate.CubicSpline(tau, theta, axis=1)(tau, 1)
 
     l_ff = mass * gd / g
     l_if = -mass / g

@@ -208,22 +208,25 @@ def parse_config(scenario: str, config_path=None, overrides=()):
                     f"invalid value {value!r} for key '{key}' "
                     f"(expected {cast.__name__})"
                 ) from None
-        elif default is REQUIRED:
-            raise ConfigError(f"scenario '{scenario}' requires a value for '{key}'")
-        else:
+        elif default is not REQUIRED:
             cfg[key] = default
-    if raw:
-        extra = ", ".join(sorted(raw))
-        raise ConfigError(f"unknown key(s) for scenario '{scenario}': {extra}")
     # every key is read before any is checked, so text that cannot be read
     # into the schema is a ConfigError even beside a value out of bounds
-    _check_bounds(scenario, cfg)
+    _check_bounds(scenario, {**cfg, **raw})
     return cfg
 
 
 def _check_bounds(scenario, cfg):
-    """Raise ValidationError naming the first key of ``cfg`` outside its bound."""
-    for key, (cast, _, bound) in SCHEMAS[scenario].items():
+    """ConfigError naming a missing or unknown key, else ValidationError naming the first
+    key outside its bound."""
+    schema = SCHEMAS[scenario]
+    missing = [key for key in schema if key not in cfg]
+    if missing:
+        raise ConfigError(f"scenario '{scenario}' requires a value for '{missing[0]}'")
+    extra = ", ".join(sorted(set(cfg) - set(schema)))
+    if extra:
+        raise ConfigError(f"unknown key(s) for scenario '{scenario}': {extra}")
+    for key, (cast, _, bound) in schema.items():
         if cast is float:
             _checked_finite(key, cfg[key], bound)
         elif cast is int and cfg[key] < bound:

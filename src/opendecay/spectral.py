@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import integrate_to_tolerance, split_edges
-from .errors import DivergenceError, OverdampedRenormalizationError
-from .model import BathSpectrum, SpinBosonParams
+from .errors import DivergenceError, OverdampedRenormalizationError, ValidationError
+from .model import BathSpectrum, SpinBosonParams, _checked_finite
 
 __all__ = [
     "LimitRates",
@@ -72,9 +72,11 @@ def bose_occupation(omega: float, temperature: float) -> float:
     """Thermal occupation ``1/(exp(omega/T) - 1)``.
 
     Diverges at ``omega = 0`` (raises :class:`DivergenceError`); at
-    ``T = 0`` the zero-temperature limit is returned.
+    ``T = 0`` the zero-temperature limit is returned. ValidationError names
+    ``omega`` unless finite, ``temperature`` unless finite and >= 0.
     """
-    omega = float(omega)
+    omega = _checked_finite("omega", omega)
+    temperature = _checked_finite("temperature", temperature, ">= 0")
     if omega == 0.0:
         raise DivergenceError("bose_occupation diverges at omega = 0")
     if temperature == 0.0:
@@ -88,8 +90,16 @@ def bose_occupation(omega: float, temperature: float) -> float:
 
 
 def spectral_density(omega, bath: BathSpectrum):
-    """Bath spectral function Gamma(omega); zero for omega <= 0."""
+    """Bath spectral function Gamma(omega); zero for omega <= 0.
+
+    ValidationError names ``omega``, or its first non-finite entry (flat index).
+    """
     w = np.asarray(omega, dtype=float)
+    if w.ndim == 0:
+        _checked_finite("omega", w)
+    elif not np.isfinite(w).all():
+        i = int(np.argmin(np.isfinite(w)))
+        raise ValidationError(f"omega must be finite; entry {i} is {w.flat[i]}")
     if bath.shape == "exponential":
         # clip before exp() so w < 0 cannot overflow; those entries are
         # masked to zero anyway
@@ -98,9 +108,7 @@ def spectral_density(omega, bath: BathSpectrum):
         )
     else:
         out = np.where((w > 0.0) & (w < bath.cutoff), bath.eta * w, 0.0)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
-    return out
+    return float(out) if w.ndim == 0 else out
 
 
 def dressed_rate(omega, bath: BathSpectrum, branch: str = "+"):
@@ -112,11 +120,11 @@ def dressed_rate(omega, bath: BathSpectrum, branch: str = "+"):
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+    base = np.atleast_1d(spectral_density(omega, bath))  # checks omega
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     out = np.zeros_like(w)
     pos = w > 0.0
     if np.any(pos):
-        base = spectral_density(w[pos], bath)
         if bath.temperature > 0.0:
             x = w[pos] / bath.temperature
             occ = np.where(x > 700.0, np.exp(-np.minimum(x, 745.0)), 0.0)
@@ -124,11 +132,9 @@ def dressed_rate(omega, bath: BathSpectrum, branch: str = "+"):
             occ[small] = 1.0 / np.expm1(x[small])
         else:
             occ = np.zeros_like(w[pos])
-        out[pos] = (1.0 + occ) * base if branch == "+" else occ * base
+        out[pos] = (1.0 + occ) * base[pos] if branch == "+" else occ * base[pos]
     out[w == 0.0] = 0.5 * bath.eta * bath.temperature
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(omega))
+    return float(out[0]) if np.ndim(omega) == 0 else out
 
 
 def limit_rates(bath: BathSpectrum) -> LimitRates:
@@ -197,7 +203,7 @@ def self_energy(omega: float, bath: BathSpectrum, branch: str = "+") -> SelfEner
     ``w' -> 0+``, so the principal value diverges logarithmically; that
     raises :class:`DivergenceError`.
     """
-    omega = float(omega)
+    omega = _checked_finite("omega", omega)
     if omega == 0.0 and bath.eta * bath.temperature > 0.0:
         raise DivergenceError(
             "self_energy diverges at omega=0: the dressed rate there is "

@@ -387,14 +387,29 @@ def test_cli_bad_values_exit_2_before_any_solve(argv, named, solves, capsys):
     assert re.search(rf"(?<!\w){named}(?!\w)", err), err
 
 
-@pytest.mark.parametrize("scenario, key, value", [
-    ("bridge_check", "n_states", 0),
-    ("spin_bloch", "tau_max", math.nan),
+_DROPPED = object()  # the key is deleted from the parsed cfg
+
+
+@pytest.mark.parametrize("scenario, key, value, error, message", [
+    pytest.param("bridge_check", "n_states", 0, ValidationError, "^n_states must be",
+                 id="bridge_check-n_states-0"),
+    pytest.param("spin_bloch", "tau_max", math.nan, ValidationError, "^tau_max must be",
+                 id="spin_bloch-tau_max-nan"),
+    pytest.param("spin_bloch", "rtol", _DROPPED, ConfigError,
+                 "^scenario 'spin_bloch' requires a value for 'rtol'$",
+                 id="spin_bloch-rtol-missing"),
+    pytest.param("qbm_limit", "bogus", 1, ConfigError,
+                 r"^unknown key\(s\) for scenario 'qbm_limit': bogus$",
+                 id="qbm_limit-bogus-1"),
 ])
-def test_run_scenario_refuses_a_hand_built_cfg_by_key(scenario, key, value, solves):
+def test_run_scenario_refuses_a_hand_built_cfg_by_key(scenario, key, value, error, message,
+                                                      solves):
     cfg = parse_config(scenario)
-    cfg[key] = value
-    with pytest.raises(ValidationError, match=f"^{key} must be"):
+    if value is _DROPPED:
+        del cfg[key]
+    else:
+        cfg[key] = value
+    with pytest.raises(error, match=message):
         run_scenario(scenario, cfg)
     assert solves == []
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -106,8 +107,9 @@ def test_window_check_names_the_first_offending_point(free_prop):
     # one pass over the window still reports the first bad point: the third
     # sits on the node of G = sin(tau) at pi, the last beyond tau_max = 4
     tau = np.array([2.0, 2.5, math.pi, 3.5, 5.0])
-    with pytest.raises(NodeSingularityError, match=r"^G\(3\.14159\) = "):
-        exact_coefficients(free_prop, tau)
+    for call in (exact_coefficients, lambda_coefficients, theta_coefficients, lambda_theta):
+        with pytest.raises(NodeSingularityError, match=r"^G\(3\.14159\) = "):
+            call(free_prop, tau)
     with pytest.raises(ValidationError, match=r"^tau=5 outside"):
         exact_coefficients(free_prop, np.array([2.0, 2.5, 3.0, 3.5, 5.0]))
 
@@ -286,10 +288,62 @@ def test_window_takes_one_noise_kernel_call(exp_prop, monkeypatch):
 
     monkeypatch.setattr(coefficients, "noise_kernel", counting)
     tau = np.linspace(0.9, 1.4, 11)
-    exact_coefficients(exp_prop, tau)
     m0 = max(32, math.ceil(1.4 / _theta_grid_step(exp_prop)))
-    assert len(sizes) == 1
-    assert sizes[0] <= 4 * m0 + 1
+    for call in (exact_coefficients, lambda_theta):
+        sizes.clear()
+        call(exp_prop, tau)
+        assert len(sizes) == 1, call.__name__
+        assert sizes[0] <= 4 * m0 + 1
+
+
+def test_an_array_call_equals_the_per_time_calls(exp_prop):
+    # The window ends at 1.2; 0.004 and 0.0213 lie below 32 of its coarse
+    # panels and take grids of their own, the rest share its grid, on its
+    # fine nodes or between them.
+    m0 = max(32, math.ceil(1.2 / _theta_grid_step(exp_prop)))
+    fine = 1.2 / (4 * m0)
+    own = [0.004, 0.0213]
+    on_node = [1240 * fine, 3600 * fine, 1.2]
+    off_node = [0.31377, 0.77713, 1.2 - 0.4 * fine]
+    tau = np.sort(own + on_node + off_node)
+    got = lambda_theta(exp_prop, tau)
+    for i, ts in enumerate(tau):
+        one = lambda_theta(exp_prop, ts)
+        assert (got.L_ff[i], got.L_fi[i], got.L_if[i]) == (one.L_ff, one.L_fi, one.L_if)
+        want = np.array([one.T_ff, one.T_fi, one.T_ii])
+        rel = np.max(np.abs(np.array([got.T_ff[i], got.T_fi[i], got.T_ii[i]]) - want))
+        rel /= np.max(np.abs(want))
+        if ts in own:
+            assert rel == 0.0, ts  # the same one-point window
+        elif ts in on_node:
+            assert rel < 1e-12, (ts, rel)  # the same double sums
+        else:
+            # the window's Hermite interpolation against a grid ending at
+            # ts (<= 2.3e-9 here), as in the per-time route test above
+            assert rel < 1e-7, (ts, rel)
+
+
+@pytest.mark.parametrize("call", [lambda_coefficients, theta_coefficients, lambda_theta])
+def test_a_float_call_is_a_one_element_array_call(exp_prop, call):
+    def entries(result):
+        return astuple(result) if isinstance(result, LambdaTheta) else result
+
+    values = entries(call(exp_prop, 1.2))
+    arrays = entries(call(exp_prop, np.array([1.2])))
+    assert all(np.ndim(v) == 0 for v in values)
+    assert all(a.shape == (1,) for a in arrays)
+    assert values == tuple(a[0] for a in arrays)
+
+
+@pytest.mark.parametrize("call", [lambda_coefficients, theta_coefficients, lambda_theta])
+@pytest.mark.parametrize("tau, message", [
+    ([0.9, np.nan, 1.2], r"^tau must be finite; node 1 is nan$"),
+    ([0.9, 1.0, 1.0, 1.2], r"^tau must be strictly increasing; node 2 is 1\.0 after 1\.0$"),
+    ([0.9, 1.2, 1.1], r"^tau must be strictly increasing; node 2 is 1\.1 after 1\.2$"),
+], ids=["nan", "repeated", "decreasing"])
+def test_a_bad_time_array_is_refused_by_node(exp_prop, call, tau, message):
+    with pytest.raises(ValidationError, match=message):
+        call(exp_prop, np.array(tau))
 
 
 def test_points_near_zero_take_a_grid_of_their_own(exp_prop, monkeypatch):

@@ -11,6 +11,7 @@ from opendecay.errors import (
     AccuracyError,
     DivergenceError,
     OverdampedRenormalizationError,
+    ValidationError,
 )
 from opendecay.model import BathSpectrum, OscillatorParams, make_spin_params
 from opendecay.qbm.kernels import mu_laplace
@@ -36,6 +37,12 @@ def test_bose_occupation_values():
     assert bose_occupation(-1.0, 0.0) == -1.0
     with pytest.raises(DivergenceError):
         bose_occupation(0.0, 2.0)
+    # a negative temperature would give a negative occupation
+    with pytest.raises(ValidationError, match=r"^temperature must be finite and >= 0, got -1\.0$"):
+        bose_occupation(1.0, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match=r"^omega must be finite, got"):
+            bose_occupation(bad, 2.0)
 
 
 def test_bose_occupation_detailed_balance():
@@ -54,6 +61,12 @@ def test_spectral_density_shapes():
     assert spectral_density(0.0, BATH) == 0.0
     arr = spectral_density(np.array([-1.0, 1.0]), BATH)
     assert arr[0] == 0.0 and arr[1] > 0.0
+    # NaN would fail every comparison and read as "no bath"
+    for bath in (BATH, HARD):
+        with pytest.raises(ValidationError, match=r"^omega must be finite, got nan$"):
+            spectral_density(math.nan, bath)
+        with pytest.raises(ValidationError, match=r"^omega must be finite; entry 1 is nan$"):
+            spectral_density(np.array([1.0, np.nan, np.inf]), bath)
 
 
 @given(st.floats(1e-3, 20.0))
@@ -69,6 +82,11 @@ def test_dressed_rate_midpoint_at_zero():
     assert dressed_rate(0.0, BATH, "+") == pytest.approx(0.5 * 0.3 * 2.0)
     assert dressed_rate(0.0, BATH, "-") == pytest.approx(0.5 * 0.3 * 2.0)
     assert dressed_rate(-3.0, BATH, "+") == 0.0
+    for branch in ("+", "-"):
+        with pytest.raises(ValidationError, match=r"^omega must be finite, got nan$"):
+            dressed_rate(math.nan, BATH, branch)
+        with pytest.raises(ValidationError, match=r"^omega must be finite; entry 2 is -inf$"):
+            dressed_rate(np.array([0.0, 1.0, -np.inf]), BATH, branch)
 
 
 def test_dressed_rate_flat_band_limit():
@@ -106,6 +124,10 @@ def test_weak_dephasing_scale_frozen_values():
 def test_self_energy_imaginary_part_is_half_rate():
     se = self_energy(1.3, BATH, "+")
     assert se.imag_part == pytest.approx(-0.5 * dressed_rate(1.3, BATH, "+"))
+    # refused by name before any node doubling
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match=r"^omega must be finite, got"):
+            self_energy(bad, BATH, "+")
 
 
 def test_self_energy_matches_slow_quadrature(monkeypatch):
