@@ -21,11 +21,11 @@ reduced evolution is Gaussian and fully described by
   window of times. One grid on ``[0, tau_last]``, fine enough for the
   noise-kernel boundary layer, carries one noise-kernel evaluation; its
   m0-, 2m0- and 4m0-panel subsamples are the three Richardson levels.
-  Per level, two FFT convolutions ``nu*(wG)`` and ``nu*(wG')``, each one
+  Per level, the two FFT convolutions ``nu*(wG)`` and ``nu*(wG')``, one
   call of :func:`.propagator._convolve` (the package's only linear
-  convolution, also behind the Volterra memory sums), give by
-  running sums the trapezoidal Q ending at every node, and also their
-  tau-derivatives (``nu`` is even):
+  convolution, also behind the Volterra memory sums) that transforms
+  ``nu`` once, give by running sums the trapezoidal Q ending at every
+  node, and also their tau-derivatives (``nu`` is even):
 
       dQ_gg/dtau = 2 G (nu*G),   dQ_dg/dtau = G' (nu*G) + G (nu*G'),
       dQ_dd/dtau = 2 G' (nu*G').
@@ -172,8 +172,7 @@ def _q_level(g, gd, nu, h):
     a[0] = 0.5
     ag, ad = a * g, a * gd
     # c[n] = sum_{j <= n} nu(t_n - t_j) a_j f_j, full weight at j = n
-    cg = _convolve(nu, ag, g.size)
-    cd = _convolve(nu, ad, g.size)
+    cg, cd = _convolve(nu, np.stack([ag, ad]), g.size)
     nu0 = nu[0]
     # Node n adds a row and a column to the square: the cumulative sums of
     # these increments are the double sums with full weight at t_n, and

@@ -21,9 +21,9 @@ nonzeros out of ``d^2``.  A single-sample coefficient set weights the
 diagonals and converts them once to one CSR constant generator for
 :func:`opendecay._integrate.propagate_constant`; a window converts each
 part to CSR and weights the stacked parts at every stage time inside
-:func:`opendecay._integrate.integrate`.  :func:`fock_liouvillian` builds
-the frozen generator densely, by Kronecker products, as the reference
-for both.
+:func:`opendecay._integrate.integrate`.  :func:`fock_liouvillian` writes
+the weighted diagonals out as one dense matrix, the frozen generator
+whose complete positivity :mod:`opendecay._superop` inspects.
 
 The truncation guard is blunt on purpose: if the boundary population
 ``rho[-1, -1]`` ever exceeds ``_BOUNDARY_TOL`` the basis was too small
@@ -34,14 +34,14 @@ moments.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 import scipy
 
 from .._integrate import integrate, propagate_constant
-from .._superop import commutator_super, left_right
 from ..errors import TruncationError, ValidationError
-from ..model import OscillatorParams
+from ..model import OscillatorParams, _checked_finite
 from .coefficients import QBMCoefficients
 from .moments import coefficient_functions
 
@@ -58,8 +58,8 @@ _BOUNDARY_TOL = 1e-8  # largest top-ladder population a result may carry
 
 def ladder_operators(n_max: int, osc: OscillatorParams):
     """(x, p) in the (n_max + 1)-dimensional ladder basis at omega0."""
-    if n_max < 1:
-        raise ValidationError("n_max must be at least 1")
+    if not isinstance(n_max, numbers.Integral) or n_max < 1:
+        raise ValidationError(f"n_max must be an integer of at least 1, got {n_max!r}")
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1).astype(complex)
     ad = a.conj().T
     scale = math.sqrt(0.5 / (osc.mass * osc.omega0))
@@ -223,32 +223,22 @@ def fock_liouvillian(
 ) -> np.ndarray:
     """Dense superoperator of the frozen-coefficient generator.
 
+    The parts of :func:`_generator_parts` weighted by ``(1, omega_sq,
+    d_xx, d_xp, gamma_xp)``, as the constant path of
+    :func:`truncated_basis_propagate` weights them, written out densely.
     Row-major vec convention, matching the superoperator helpers; feed
     the result to ``opendecay._superop.gks_block`` to inspect complete
     positivity of the truncated generator.
     """
-    x, p = ladder_operators(n_max, osc)
-    d = n_max + 1
-    eye = np.eye(d, dtype=complex)
-    ham = p @ p / (2.0 * osc.mass) + 0.5 * osc.mass * omega_sq * (x @ x)
-    liouv = -1j * commutator_super(ham)
-    # a group whose coefficient is 0 adds nothing, so its products are not formed
-    if d_xx:
-        liouv -= d_xx * (
-            left_right(x @ x, eye) - 2.0 * left_right(x, x) + left_right(eye, x @ x)
-        )
-    if d_xp:
-        liouv -= 2.0 * d_xp * (
-            left_right(x @ p, eye)
-            - left_right(x, p)
-            - left_right(p, x)
-            + left_right(eye, p @ x)
-        )
-    if gamma_xp:
-        liouv -= 1j * gamma_xp * (
-            left_right(x @ p, eye)
-            + left_right(x, p)
-            - left_right(p, x)
-            - left_right(eye, p @ x)
-        )
+    coefficients = {"omega_sq": omega_sq, "d_xx": d_xx, "d_xp": d_xp, "gamma_xp": gamma_xp}
+    weights = [1.0] + [_checked_finite(name, value) for name, value in coefficients.items()]
+    offsets, parts = _generator_parts(*ladder_operators(n_max, osc), osc.mass)
+    data = sum(w * part for w, part in zip(weights, parts))
+    n = data.shape[-1]
+    # DIA layout: data[k, col] sits at (col - offsets[k], col)
+    cols = np.broadcast_to(np.arange(n), data.shape)
+    rows = cols - offsets[:, None]
+    inside = (rows >= 0) & (rows < n)
+    liouv = np.zeros((n, n), dtype=complex)
+    liouv[rows[inside], cols[inside]] = data[inside]
     return liouv

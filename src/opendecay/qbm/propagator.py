@@ -295,15 +295,16 @@ def _startup_nodes(h: float, w0sq: float, mass: float, bath, osc, lam: float):
 
 
 def _convolve(a, b, m: int):
-    """First ``m`` terms of the linear convolution of two real 1-D arrays.
+    """First ``m`` terms of the linear convolution of a real 1-D ``a`` with each row of ``b``.
 
     The one linear convolution of the package: the Volterra memory sums
     here and the Theta noise sums of :mod:`.coefficients`.  It is the rfft
     product at the next fast real length, step for step SciPy's FFT
-    convolution of real 1-D input, whose values it returns to the bit.
+    convolution of real 1-D input, whose values it returns to the bit for
+    each row; ``a`` is transformed once for all rows.
     """
-    n = scipy.fft.next_fast_len(a.size + b.size - 1, real=True)
-    return scipy.fft.irfft(scipy.fft.rfft(a, n) * scipy.fft.rfft(b, n), n)[:m]
+    n = scipy.fft.next_fast_len(a.size + b.shape[-1] - 1, real=True)
+    return scipy.fft.irfft(scipy.fft.rfft(a, n) * scipy.fft.rfft(b, n), n)[..., :m]
 
 
 def _product(a_hat, b_hat, size: int):

@@ -46,6 +46,9 @@ report = {{"import": loaded(SUBMODULES)}}
 for name in {_SCIPY_FREE_SCENARIOS!r}:
     run_scenario(name, parse_config(name))
     report[name] = loaded(SUBMODULES)
+from opendecay import acceptance
+assert all(result.passed for result in acceptance.run_all((1, 2, 3, 4, 5, 6)))
+report["criteria 1-6"] = loaded(SUBMODULES)
 run_scenario("qbm_exact", parse_config("qbm_exact"))
 report["qbm_exact"] = loaded("scipy.signal")
 print(json.dumps(report))
@@ -54,10 +57,10 @@ print(json.dumps(report))
 
 def test_scipy_submodules_load_on_first_use():
     # a SciPy submodule costs start-up time only once a computation calls
-    # into it: the spin scenarios and qbm_limit load none, and the package's
-    # convolutions go through scipy.fft alone (scipy.signal would pull in
-    # scipy.stats and scipy.ndimage); pytest's warning filters load
-    # scipy.sparse, so this runs in a fresh interpreter
+    # into it: the spin scenarios, qbm_limit and acceptance criteria 1-6
+    # load none, and the package's convolutions go through scipy.fft alone
+    # (scipy.signal would pull in scipy.stats and scipy.ndimage); pytest's
+    # warning filters load scipy.sparse, so this runs in a fresh interpreter
     src = str(Path(opendecay.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -65,4 +68,4 @@ def test_scipy_submodules_load_on_first_use():
                          capture_output=True, text=True).stdout
     report = json.loads(out)
     assert report == {stage: [] for stage in ("import",) + _SCIPY_FREE_SCENARIOS
-                      + ("qbm_exact",)}
+                      + ("criteria 1-6", "qbm_exact")}

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse
 
 from opendecay._integrate import integrate
+from opendecay._superop import commutator_super, left_right
 from opendecay.errors import TruncationError, ValidationError
 from opendecay.model import BathSpectrum, GaussianState, OscillatorParams
 from opendecay.qbm import fock
@@ -101,6 +102,19 @@ def test_ladder_operators_reject_trivial_basis():
         ladder_operators(0, OSC)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: ladder_operators(2.5, OSC), "n_max"),
+    (lambda: fock_liouvillian(OSC, 2.5, 1.0, 0.05, 0.0, 0.0), "n_max"),
+    (lambda: fock_liouvillian(OSC, 6, math.nan, 0.05, 0.0, 0.0), "omega_sq"),
+    (lambda: fock_liouvillian(OSC, 6, 1.0, math.inf, 0.0, 0.0), "d_xx"),
+    (lambda: fock_liouvillian(OSC, 6, 1.0, 0.05, math.nan, 0.0), "d_xp"),
+    (lambda: fock_liouvillian(OSC, 6, 1.0, 0.05, 0.0, -math.inf), "gamma_xp"),
+])
+def test_number_basis_refuses_bad_input_by_name(call, name):
+    with pytest.raises(ValidationError, match=name):
+        call()
+
+
 def test_coherent_density_is_a_pure_state_at_the_right_spot():
     rho = coherent_density(OSC, 0.6, -0.4, 24)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -127,6 +141,36 @@ def test_truncated_basis_matches_moment_transport():
     assert np.max(np.abs(got - want)) < 1e-7
 
 
+def _kronecker_liouvillian(osc, n_max, omega_sq, d_xx, d_xp, gamma_xp):
+    # the frozen generator summed from dense Kronecker products, independent
+    # of the band build of fock._generator_parts; kept as its reference
+    x, p = ladder_operators(n_max, osc)
+    d = n_max + 1
+    eye = np.eye(d, dtype=complex)
+    ham = p @ p / (2.0 * osc.mass) + 0.5 * osc.mass * omega_sq * (x @ x)
+    liouv = -1j * commutator_super(ham)
+    # a group whose coefficient is 0 adds nothing, so its products are not formed
+    if d_xx:
+        liouv -= d_xx * (
+            left_right(x @ x, eye) - 2.0 * left_right(x, x) + left_right(eye, x @ x)
+        )
+    if d_xp:
+        liouv -= 2.0 * d_xp * (
+            left_right(x @ p, eye)
+            - left_right(x, p)
+            - left_right(p, x)
+            + left_right(eye, p @ x)
+        )
+    if gamma_xp:
+        liouv -= 1j * gamma_xp * (
+            left_right(x @ p, eye)
+            + left_right(x, p)
+            - left_right(p, x)
+            - left_right(eye, p @ x)
+        )
+    return liouv
+
+
 def test_truncated_basis_matches_the_frozen_liouvillian(monkeypatch):
     # every term of the generator on (D_xp, G_xp != 0), against the dense
     # superoperator exponential in the same truncated basis
@@ -139,11 +183,25 @@ def test_truncated_basis_matches_the_frozen_liouvillian(monkeypatch):
     # since the dense reference is truncated in the same basis
     monkeypatch.setattr(fock, "_BOUNDARY_TOL", 1.0)
     states = truncated_basis_propagate(co, OSC, rho0, tau, rtol=1e-12)
-    liouv = fock_liouvillian(OSC, n_max, w2, dxx, dxp, gxp)
+    liouv = _kronecker_liouvillian(OSC, n_max, w2, dxx, dxp, gxp)
     d = n_max + 1
     for t, rho in zip(tau, states):
         want = (scipy.linalg.expm(liouv * t) @ rho0.reshape(-1)).reshape(d, d)
         assert np.max(np.abs(rho - want)) < 1e-9
+
+
+@pytest.mark.parametrize("mass", [1.0, 1.7])
+@pytest.mark.parametrize("n_max", [1, 2, 6, 8, 40])
+def test_fock_liouvillian_matches_the_kronecker_build(n_max, mass):
+    # every coefficient off, each switched on alone, and all of them on
+    osc = OscillatorParams(mass, 1.3)
+    on = np.array([1.2, 0.05, 0.01, 0.03])
+    for mask in np.vstack([np.zeros(4), np.eye(4), np.ones(4)]):
+        coefficients = on * mask
+        got = fock_liouvillian(osc, n_max, *coefficients)
+        want = _kronecker_liouvillian(osc, n_max, *coefficients)
+        assert got.shape == want.shape == ((n_max + 1) ** 2,) * 2
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 8, 40])
@@ -153,7 +211,7 @@ def test_band_built_parts_match_the_dense_liouvillian(n_max):
     osc = OscillatorParams(1.7, 1.3)
     offsets, parts = fock._generator_parts(*ladder_operators(n_max, osc), osc.mass)
     assert parts.shape[:2] == (5, offsets.size)
-    kinetic = fock_liouvillian(osc, n_max, 0.0, 0.0, 0.0, 0.0)
+    kinetic = _kronecker_liouvillian(osc, n_max, 0.0, 0.0, 0.0, 0.0)
     for k, part in enumerate(parts):
         got = fock._csr(offsets, part)
         fresh = scipy.sparse.csr_array((got.data, got.indices, got.indptr), shape=got.shape)
@@ -162,7 +220,7 @@ def test_band_built_parts_match_the_dense_liouvillian(n_max):
         coefficients = [0.0] * 4
         if k:
             coefficients[k - 1] = 1.0
-        want = fock_liouvillian(osc, n_max, *coefficients)
+        want = _kronecker_liouvillian(osc, n_max, *coefficients)
         if k:
             want -= kinetic
         assert np.max(np.abs(got.toarray() - want)) <= 1e-14 * np.max(np.abs(want))

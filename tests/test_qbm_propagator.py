@@ -216,8 +216,13 @@ _CONVOLVE_SIZES = (
 def test_convolve_is_the_fft_convolution_to_the_bit(na, nb):
     rng = np.random.default_rng(na * 10007 + nb)
     a, b = rng.normal(size=na), rng.normal(size=nb)
+    stacked = np.stack([b, rng.normal(size=nb)])  # one transform of a for both rows
     for m in (1, min(na, nb), na + nb - 1):
         assert np.array_equal(_convolve(a, b, m), fftconvolve(a, b)[:m])
+        rows = _convolve(a, stacked, m)
+        assert rows.shape == (2, m)
+        for got, row in zip(rows, stacked):
+            assert np.array_equal(got, fftconvolve(a, row)[:m])
 
 
 def test_third_derivative_matches_the_lag_sum():
