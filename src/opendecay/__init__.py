@@ -47,7 +47,6 @@ from .lindblad import (
     propagate_density,
     random_density_matrix,
     spin_liouvillian,
-    steady_states,
 )
 from .model import (
     BathSpectrum,
@@ -71,9 +70,7 @@ from .spectral import (
     dressed_rate,
     gamma_theta,
     gamma_theta_weak,
-    limit_rates,
     renormalized_frequency_sq,
-    self_energy,
     spectral_density,
 )
 
@@ -107,10 +104,8 @@ __all__ = [
     "spectral_density",
     "bose_occupation",
     "dressed_rate",
-    "limit_rates",
     "gamma_theta",
     "gamma_theta_weak",
-    "self_energy",
     "renormalized_frequency_sq",
     # bloch
     "BlochGenerator",
@@ -128,7 +123,6 @@ __all__ = [
     "spin_liouvillian",
     "propagate_density",
     "random_density_matrix",
-    "steady_states",
     "gks_check",
     "bloch_density_bridge",
     # scenarios / acceptance

@@ -1,10 +1,11 @@
 """Composite Gauss-Legendre quadrature: one node-doubling loop, one Filon sum.
 
-The one module that builds Gauss-Legendre panels. ``integrate_to_tolerance``
-is the one node-doubling loop, for scalar integrals. ``filon_sum`` is the
-one Fourier integral: it integrates a Legendre interpolant of the integrand
-on each panel against ``e^{i beta tau}`` exactly, for the Bromwich route of
-the propagator and the hard-cutoff noise kernel.
+The one module that builds Gauss-Legendre panels, from numpy's rules.
+``filon_sum`` is the one Fourier integral: it integrates a Legendre
+interpolant of the integrand on each panel against ``e^{i beta tau}``
+exactly, for the Bromwich route of the propagator and the hard-cutoff
+noise kernel. ``integrate_to_tolerance``, the one node-doubling loop for
+scalar integrals, is the reference quadrature of the tests.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy
 from numpy.polynomial import legendre
 
 from .errors import AccuracyError
@@ -20,26 +20,7 @@ from .errors import AccuracyError
 _MILLER_EXTRA = 20  # orders above the highest needed where the Bessel ratios start
 _BLOCK_ENTRIES = 1 << 18  # panel-order-time entries in one block of the Filon sum
 
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    # numpy's leggauss step for step, so bit for bit, but with the companion
-    # eigenvalues from the O(n**2) tridiagonal solver, not the O(n**3) dense one
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    m = legendre.legcompanion(c)
-    x = scipy.linalg.eigvalsh_tridiagonal(np.diag(m), np.diag(m, 1))
-    dy = legendre.legval(x, c)
-    df = legendre.legval(x, legendre.legder(c))
-    x -= dy / df
-    fm = legendre.legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
+_leggauss = lru_cache(maxsize=32)(legendre.leggauss)
 
 
 @lru_cache(maxsize=8)

@@ -16,10 +16,6 @@ def vec(a):
     return np.asarray(a).reshape(-1)
 
 
-def unvec(v, d):
-    return np.asarray(v).reshape(d, d)
-
-
 def left_right(a, b):
     """Superoperator of X -> A X B."""
     # a contiguous B^T: the same entries, and np.kron runs about 3x faster
@@ -88,11 +84,6 @@ def gks_block(liouv_matrix, d):
     block = 0.5 * (block + block.conj().T)
     min_eig = float(np.linalg.eigvalsh(block)[0])
     return block, min_eig
-
-
-def choi_matrix(propagator, d):
-    """Choi matrix of a propagator superoperator (row-major reshuffle)."""
-    return reshuffle(np.asarray(propagator, dtype=complex), d)
 
 
 def trace_dual_defect(liouv_matrix, d):

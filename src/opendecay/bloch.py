@@ -173,10 +173,13 @@ def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,
 
     Requires an oscillating spectrum at ``gamma_lo`` and a fully real one
     at ``gamma_hi``; raises :class:`AccuracyError` otherwise, and
-    :class:`ValidationError` unless ``tol`` is finite and > 0. Bisection
+    :class:`ValidationError` naming ``gamma_lo`` or ``gamma_hi`` unless it
+    is finite and >= 0, or ``tol`` unless it is finite and > 0. Bisection
     stops at a bracket of width ``tol`` or once the midpoint is no longer
     strictly inside it, so a ``tol`` below the float spacing ends there.
     """
+    lo = _checked_finite("gamma_lo", gamma_lo, ">= 0")
+    hi = _checked_finite("gamma_hi", gamma_hi, ">= 0")
     tol = _checked_finite("tol", tol, "> 0")
 
     def oscillating(g: float) -> bool:
@@ -185,7 +188,6 @@ def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,
             == "two_complex_one_real"
         )
 
-    lo, hi = float(gamma_lo), float(gamma_hi)
     if not oscillating(lo) or oscillating(hi):
         raise AccuracyError(
             "classification does not change over the supplied bracket "

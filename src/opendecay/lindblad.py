@@ -48,7 +48,6 @@ __all__ = [
     "spin_liouvillian",
     "propagate_density",
     "random_density_matrix",
-    "steady_states",
     "gks_check",
     "bloch_density_bridge",
 ]
@@ -162,25 +161,6 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-def steady_states(liouv: Liouvillian2):
-    """Null space of the Liouvillian as a list of 2x2 matrices.
-
-    Vectors with singular value below ``1e-10 * smax`` count as null.
-    The basis is orthonormal in the Hilbert-Schmidt inner product, with
-    an arbitrary but deterministic phase.
-    """
-    u, s, vh = np.linalg.svd(liouv.matrix)
-    smax = s[0] if len(s) else 0.0
-    null = [vh[i].conj() for i in range(4) if s[i] <= 1e-10 * max(smax, 1e-300)]
-    out = []
-    for v in null:
-        # fix the phase: largest-magnitude entry real positive
-        k = int(np.argmax(np.abs(v)))
-        v = v * np.exp(-1j * np.angle(v[k]))
-        out.append(so.unvec(v, 2))
-    return out
 
 
 def gks_check(liouv) -> GKSReport:

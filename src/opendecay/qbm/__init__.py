@@ -13,7 +13,6 @@ from .coefficients import (
     LambdaTheta,
     QBMCoefficients,
     exact_coefficients,
-    kernel_logdensity,
     lambda_coefficients,
     lambda_theta,
     limit_coefficients,
@@ -56,7 +55,6 @@ __all__ = [
     "limit_lambda_theta",
     "exact_coefficients",
     "limit_coefficients",
-    "kernel_logdensity",
     "MOMENT_LABELS",
     "coefficient_functions",
     "propagate_moments",

@@ -83,7 +83,6 @@ __all__ = [
     "limit_lambda_theta",
     "exact_coefficients",
     "limit_coefficients",
-    "kernel_logdensity",
 ]
 
 _NODE_FRACTION = 1e-3  # |G| below this times max|G| counts as a node
@@ -105,7 +104,12 @@ class LambdaTheta:
 
 @dataclass(frozen=True)
 class QBMCoefficients:
-    """Master-equation coefficients sampled on a time window."""
+    """Master-equation coefficients sampled on a time window.
+
+    ``tau`` is one time or a finite, strictly increasing 1-d grid
+    (ValidationError naming ``tau`` otherwise); each coefficient is
+    broadcast onto it.
+    """
 
     tau: np.ndarray
     omegaR_sq: np.ndarray
@@ -114,7 +118,7 @@ class QBMCoefficients:
     Gamma_xp: np.ndarray
 
     def __post_init__(self):
-        tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
+        tau = _checked_grid(np.atleast_1d(self.tau), "tau")
         object.__setattr__(self, "tau", tau)
         for name in ("omegaR_sq", "D_xx", "D_xp", "Gamma_xp"):
             arr = np.broadcast_to(
@@ -353,35 +357,5 @@ def limit_coefficients(
     """Constant rapid-decay coefficients broadcast over ``tau_points``."""
     wr_sq = renormalized_frequency_sq(bath, osc)
     kappa = osc.mass * osc.omega0 * bath.eta * bath.temperature
-    tau = np.atleast_1d(np.asarray(tau_points, dtype=float))
+    tau = _checked_grid(np.atleast_1d(tau_points), "tau_points")
     return QBMCoefficients(tau, wr_sq, 0.5 * kappa, 0.0, 0.0)
-
-
-def kernel_logdensity(
-    prop: PropagatorFunction,
-    tau_star: float,
-    x_f: float,
-    x_fp: float,
-    x_i: float,
-    x_ip: float,
-) -> complex:
-    """log of the two-point kernel at endpoints (x_f, x_f'; x_i, x_i').
-
-    In sum/difference coordinates S = (x + x')/2, D = x - x':
-
-        log J = log(|L_if| / 2 pi)
-                + i [ D_f (L_ff S_f + L_fi S_i) + D_i (L_if S_f + L_ff S_i) ]
-                - [ T_ff D_f**2 + 2 T_fi D_f D_i + T_ii D_i**2 ].
-
-    The real part is bounded by the normalization term because the
-    decoherence matrix is positive semidefinite. Theta is certified to
-    ``_THETA_REL_TOL`` as in :func:`theta_coefficients`.
-    """
-    lt = lambda_theta(prop, tau_star)
-    s_f, d_f = 0.5 * (x_f + x_fp), x_f - x_fp
-    s_i, d_i = 0.5 * (x_i + x_ip), x_i - x_ip
-    phase = d_f * (lt.L_ff * s_f + lt.L_fi * s_i) + d_i * (
-        lt.L_if * s_f + lt.L_ff * s_i
-    )
-    damp = lt.T_ff * d_f * d_f + 2.0 * lt.T_fi * d_f * d_i + lt.T_ii * d_i * d_i
-    return complex(math.log(abs(lt.L_if) / (2.0 * math.pi)) - damp, phase)

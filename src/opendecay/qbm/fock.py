@@ -70,7 +70,14 @@ def ladder_operators(n_max: int, osc: OscillatorParams):
 
 def coherent_density(osc: OscillatorParams, mean_x: float, mean_p: float,
                      n_max: int) -> np.ndarray:
-    """Pure coherent state centered at (mean_x, mean_p), renormalized."""
+    """Pure coherent state centered at (mean_x, mean_p), renormalized.
+
+    ValidationError names ``n_max`` as :func:`ladder_operators` does, or a
+    mean that is not finite.
+    """
+    ladder_operators(n_max, osc)  # only for its check of n_max
+    mean_x = _checked_finite("mean_x", mean_x)
+    mean_p = _checked_finite("mean_p", mean_p)
     mw = osc.mass * osc.omega0
     alpha = math.sqrt(0.5 * mw) * (mean_x + 1j * mean_p / mw)
     psi = np.empty(n_max + 1, dtype=complex)

@@ -140,6 +140,15 @@ def test_boundary_refuses_a_bad_tol(tol):
         find_classification_boundary(make_spin_params(0.0, 1.0), 1.0, 3.0, tol=tol)
 
 
+@pytest.mark.parametrize("lo, hi, name", [
+    (float("nan"), 3.0, "gamma_lo"), (-1.0, 3.0, "gamma_lo"),
+    (1.0, float("inf"), "gamma_hi"), (1.0, -3.0, "gamma_hi"),
+])
+def test_boundary_refuses_a_bad_bracket_end_by_name(lo, hi, name):
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite and >= 0, got"):
+        find_classification_boundary(make_spin_params(0.0, 1.0), lo, hi, tol=1e-8)
+
+
 def test_boundary_stops_where_the_bracket_stops_shrinking():
     # no bracket around the flip is 1e-300 wide; bisection ends when the
     # midpoint of two adjacent floats is one of them

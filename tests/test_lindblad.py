@@ -24,7 +24,6 @@ from opendecay.lindblad import (
     propagate_density,
     random_density_matrix,
     spin_liouvillian,
-    steady_states,
 )
 from opendecay.model import DensityMatrix2, make_spin_params
 
@@ -42,7 +41,7 @@ def test_vec_unvec_roundtrip_row_major():
     a = np.arange(4.0).reshape(2, 2)
     v = so.vec(a)
     assert np.allclose(v, [0.0, 1.0, 2.0, 3.0])  # rows concatenated
-    assert np.allclose(so.unvec(v, 2), a)
+    assert np.allclose(v.reshape(2, 2), a)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -53,7 +52,7 @@ def test_left_right_represents_sandwich(d):
 
 def test_commutator_super_action():
     h, x = _rand_matrix(2), _rand_matrix(2)
-    got = so.unvec(so.commutator_super(h) @ so.vec(x), 2)
+    got = (so.commutator_super(h) @ so.vec(x)).reshape(2, 2)
     assert np.allclose(got, h @ x - x @ h)
 
 
@@ -63,7 +62,7 @@ def test_reshuffle_is_an_involution():
 
 
 def test_choi_of_identity_channel_is_maximally_entangled():
-    choi = so.choi_matrix(np.eye(4), 2)
+    choi = so.reshuffle(np.eye(4), 2)
     v = so.vec(np.eye(2))
     assert np.allclose(choi, np.outer(v, v.conj()))
 
@@ -118,9 +117,15 @@ def test_propagation_accepts_wrapped_state_and_expm_route():
     assert np.max(np.abs(adaptive - exact)) < 1e-9
 
 
+def _null_space(liouv):
+    """The Liouvillian's null vectors as 2x2 matrices, by SVD."""
+    _, s, vh = np.linalg.svd(liouv.matrix)
+    return [v.conj().reshape(2, 2) for v, si in zip(vh, s) if si <= 1e-10 * s[0]]
+
+
 def test_generic_steady_state_is_maximally_mixed():
     liouv = spin_liouvillian(make_spin_params(1.0, 2.0), 0.6)
-    basis = steady_states(liouv)
+    basis = _null_space(liouv)
     assert len(basis) == 1
     rho = basis[0] / np.trace(basis[0])
     assert np.allclose(rho, 0.5 * np.eye(2), atol=1e-10)
@@ -129,7 +134,7 @@ def test_generic_steady_state_is_maximally_mixed():
 def test_zero_tunneling_has_two_conserved_directions():
     # delta = 0: populations decouple and are individually conserved
     liouv = spin_liouvillian(make_spin_params(2.0, 0.0), 0.6)
-    basis = steady_states(liouv)
+    basis = _null_space(liouv)
     assert len(basis) == 2
     for b in basis:
         assert np.allclose(b - np.diag(np.diag(b)), 0.0, atol=1e-12)
@@ -165,7 +170,7 @@ def test_gks_check_accepts_raw_matrix_and_rejects_nontrace():
 def test_evolution_is_completely_positive(eps, delta, g, tau):
     liouv = spin_liouvillian(make_spin_params(eps, delta), g)
     channel = scipy.linalg.expm(liouv.matrix * tau)
-    choi = so.choi_matrix(channel, 2)
+    choi = so.reshuffle(channel, 2)
     assert np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))) > -1e-10
 
 

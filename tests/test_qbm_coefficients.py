@@ -19,7 +19,6 @@ from opendecay.qbm.coefficients import (
     LambdaTheta,
     QBMCoefficients,
     exact_coefficients,
-    kernel_logdensity,
     lambda_coefficients,
     lambda_theta,
     limit_coefficients,
@@ -193,27 +192,27 @@ def test_limit_coefficients_are_constant_and_broadcast():
     single = limit_coefficients(EXP, OSC, 1.0)
     assert single.tau.shape == (1,)
     assert single.omegaR_sq.shape == (1,)
+    with pytest.raises(ValidationError, match=r"^tau_points must be finite; node 1 is nan$"):
+        limit_coefficients(EXP, OSC, [0.0, math.nan])
 
 
-def test_kernel_logdensity_damping_bound(exp_prop):
-    lt = lambda_theta(exp_prop, 1.2)
-    cap = math.log(abs(lt.L_if) / (2.0 * math.pi))
-    rng = np.random.default_rng(99)
-    for _ in range(12):
-        xf, xfp, xi, xip = rng.normal(scale=1.5, size=4)
-        val = kernel_logdensity(exp_prop, 1.2, xf, xfp, xi, xip)
-        assert val.real <= cap + 1e-12
-    diag = kernel_logdensity(exp_prop, 1.2, 0.7, 0.7, -0.4, -0.4)
-    assert diag.real == pytest.approx(cap)  # no damping on the diagonal
-    assert diag.imag == 0.0
+@pytest.mark.parametrize("tau, why", [
+    (np.array([]), "be a 1-d array with at least one node"),
+    (np.zeros((2, 2)), "be a 1-d array with at least one node"),
+    (np.array([0.0, np.nan]), "be finite; node 1 is nan"),
+    (np.array([1.0, 1.0]), "be strictly increasing; node 1 is 1.0 after 1.0"),
+])
+def test_coefficients_refuse_a_bad_tau_grid_by_name(tau, why):
+    with pytest.raises(ValidationError, match=rf"^tau must {re.escape(why)}$"):
+        QBMCoefficients(tau, 1.0, 0.0, 0.0, 0.0)
 
 
-def test_kernel_logdensity_endpoint_symmetry(free_prop):
-    # without damping the two-point kernel is symmetric under swapping
-    # the final and initial slots (L_fi = L_if, Theta = 0)
-    a = kernel_logdensity(free_prop, 1.1, 0.3, -0.2, 0.9, 0.5)
-    b = kernel_logdensity(free_prop, 1.1, 0.9, 0.5, 0.3, -0.2)
-    assert a == pytest.approx(b, rel=1e-12)
+def test_exact_decoherence_matrix_is_positive_semidefinite(exp_prop):
+    # Theta is a double integral of the positive noise kernel, so the
+    # two-point kernel's Gaussian damping never turns into growth
+    t_ff, t_fi, t_ii = theta_coefficients(exp_prop, np.linspace(0.4, 2.6, 12))
+    assert np.all(t_ff > 0.0) and np.all(t_ii > 0.0)
+    assert np.all(t_ff * t_ii - t_fi**2 > 0.0)
 
 
 def test_lambda_theta_is_frozen(exp_prop):

@@ -109,6 +109,10 @@ def test_ladder_operators_reject_trivial_basis():
     (lambda: fock_liouvillian(OSC, 6, 1.0, math.inf, 0.0, 0.0), "d_xx"),
     (lambda: fock_liouvillian(OSC, 6, 1.0, 0.05, math.nan, 0.0), "d_xp"),
     (lambda: fock_liouvillian(OSC, 6, 1.0, 0.05, 0.0, -math.inf), "gamma_xp"),
+    (lambda: coherent_density(OSC, 0.5, 0.1, 2.5), "n_max"),
+    (lambda: coherent_density(OSC, 0.5, 0.1, -1), "n_max"),
+    (lambda: coherent_density(OSC, math.nan, 0.1, 6), "mean_x"),
+    (lambda: coherent_density(OSC, 0.5, math.inf, 6), "mean_p"),
 ])
 def test_number_basis_refuses_bad_input_by_name(call, name):
     with pytest.raises(ValidationError, match=name):

@@ -1,18 +1,30 @@
 """Gauss-Legendre rules, panel edges and the Filon sum of the shared quadrature module."""
 
+import re
+
 import numpy as np
 import pytest
 
-from opendecay._quad import _leggauss, filon_sum, panel_nodes, split_edges
+from opendecay._quad import (
+    _leggauss,
+    filon_sum,
+    integrate_to_tolerance,
+    panel_nodes,
+    split_edges,
+)
+from opendecay.errors import AccuracyError
 
 
-def test_rule_is_numpys_bit_for_bit():
-    def same(n):
-        x, w = _leggauss(n)
-        want_x, want_w = np.polynomial.legendre.leggauss(n)
-        return np.array_equal(x, want_x) and np.array_equal(w, want_w)
-
-    assert [n for n in [*range(1, 257), 512, 1024] if not same(n)] == []
+def test_node_doubling_refusal_reports_the_last_change():
+    # sqrt is not smooth at 0, so two doublings cannot reach 1e-12; the
+    # refusal must name the change of the final doubling, not the zero left
+    # by prev = cur
+    with pytest.raises(AccuracyError, match=r"^sqrt: node doubling did not converge "
+                       r"to rel_tol=1e-12 \(last change \S+ at 16 nodes/panel\)$") as err:
+        integrate_to_tolerance([(np.sqrt, split_edges(0.0, 1.0, 0.5))], rel_tol=1e-12,
+                               n0=4, max_doublings=2, what="sqrt")
+    change = float(re.search(r"last change (\S+)", str(err.value)).group(1))
+    assert change > 0.0
 
 
 def test_empty_interval_has_no_panels():

@@ -1,14 +1,11 @@
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opendecay import spectral
 from opendecay._quad import integrate_to_tolerance, split_edges
 from opendecay.errors import (
-    AccuracyError,
     DivergenceError,
     OverdampedRenormalizationError,
     ValidationError,
@@ -20,9 +17,7 @@ from opendecay.spectral import (
     dressed_rate,
     gamma_theta,
     gamma_theta_weak,
-    limit_rates,
     renormalized_frequency_sq,
-    self_energy,
     spectral_density,
 )
 
@@ -97,11 +92,13 @@ def test_dressed_rate_flat_band_limit():
 
 
 def test_limit_rates_structure():
-    rates = limit_rates(BATH)
-    assert rates.rate_pos == pytest.approx(0.6)
-    assert rates.rate_zero == pytest.approx(0.3)
-    assert rates.rate_neg == 0.0
-    assert gamma_theta(BATH) == pytest.approx(2.0 * rates.rate_pos)
+    # the flat-band limits eta*T (w -> 0+), eta*T/2 (w = 0) and 0 (w < 0);
+    # the rapid-decay dephasing rate is twice the first
+    for branch in ("+", "-"):
+        assert dressed_rate(1e-9, BATH, branch) == pytest.approx(0.6, rel=1e-8)
+        assert dressed_rate(0.0, BATH, branch) == pytest.approx(0.3)
+        assert dressed_rate(-1e-9, BATH, branch) == 0.0
+    assert gamma_theta(BATH) == pytest.approx(2.0 * 0.6)
 
 
 def test_weak_dephasing_scale_frozen_values():
@@ -119,62 +116,6 @@ def test_weak_dephasing_scale_frozen_values():
     )
     # outside the hard band the dressed rate vanishes
     assert gamma_theta_weak(make_spin_params(3.0, 5.0), HARD) == 0.0
-
-
-def test_self_energy_imaginary_part_is_half_rate():
-    se = self_energy(1.3, BATH, "+")
-    assert se.imag_part == pytest.approx(-0.5 * dressed_rate(1.3, BATH, "+"))
-    # refused by name before any node doubling
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValidationError, match=r"^omega must be finite, got"):
-            self_energy(bad, BATH, "+")
-
-
-def test_self_energy_matches_slow_quadrature(monkeypatch):
-    # cross-check the principal value against a midpoint-rule evaluation
-    # with explicit pole subtraction on a very fine grid
-    from scipy.integrate import trapezoid
-
-    w0 = 1.3
-    monkeypatch.setattr(spectral, "_SELF_ENERGY_REL_TOL", 1e-11)
-    se = self_energy(w0, BATH, "+")
-    u = np.linspace(1e-9, 100.0, 2_000_001)
-    f = dressed_rate(u, BATH, "+") / (2.0 * math.pi)
-    f0 = dressed_rate(w0, BATH, "+") / (2.0 * math.pi)
-    # PV int f(u)/(w0-u) du = int (f(u)-f0)/(w0-u) du + f0 * log(w0/(U-w0))
-    val = float(trapezoid((f - f0) / (w0 - u), u))
-    val += f0 * math.log(w0 / (u[-1] - w0))
-    assert se.real_part == pytest.approx(val, abs=1e-7)
-
-def test_self_energy_refusal_reports_the_last_change(monkeypatch):
-    # a target below double precision cannot be met; the refusal must name
-    # the change of the final doubling, not the zero left by prev = cur
-    bath = BathSpectrum(0.3, 4.0, "exponential", 2.0)
-    monkeypatch.setattr(spectral, "_SELF_ENERGY_REL_TOL", 1e-20)
-    with pytest.raises(AccuracyError, match="last change") as err:
-        self_energy(1.3, bath, "+")
-    change = float(re.search(r"last change (\S+)", str(err.value)).group(1))
-    assert change > 0.0
-
-
-@pytest.mark.parametrize("bath", [BATH, HARD])
-@pytest.mark.parametrize("branch", ["+", "-"])
-def test_self_energy_diverges_at_zero_frequency_when_warm(bath, branch):
-    # the dressed rate tends to eta*T at w -> 0+, so the principal value
-    # at omega = 0 grows like log|omega|: an input error, not a quadrature one
-    with pytest.raises(DivergenceError, match=r"omega=0.*eta\*T/2 = 0\.3\b"):
-        self_energy(0.0, bath, branch)
-
-
-def test_self_energy_at_zero_frequency_when_cold():
-    # at T = 0 the rate vanishes at w = 0 and the integral is finite:
-    # PV int_0^inf dw eta w exp(-w/wc) / (2 pi (0 - w)) = -eta wc / (2 pi)
-    bath = BathSpectrum(0.3, 5.0, "exponential", 0.0)
-    se = self_energy(0.0, bath)
-    assert se.real_part == pytest.approx(-0.23873241463784298, rel=1e-14)
-    assert se.real_part == pytest.approx(-0.3 * 5.0 / (2.0 * math.pi), rel=1e-13)
-    assert se.imag_part == 0.0
-
 
 
 @pytest.mark.parametrize("bath", [BATH, HARD])
