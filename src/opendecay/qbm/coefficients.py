@@ -30,8 +30,9 @@ reduced evolution is Gaussian and fully described by
       dQ_gg/dtau = 2 G (nu*G),   dQ_dg/dtau = G' (nu*G) + G (nu*G'),
       dQ_dd/dtau = 2 G' (nu*G').
 
-  Cubic Hermite interpolation on each level's own nodes carries Q to the
-  requested times. Richardson extrapolation in the grid step follows,
+  Each level's cubic Hermite interpolant on its own nodes, evaluated only
+  on the intervals that hold the requested times, carries Q to those
+  times. Richardson extrapolation in the grid step follows,
   and at every requested time the third level is the convergence check
   against that time's own scale. A time with fewer than 32 coarse
   panels below it gets a grid ending at itself, the grid a one-point
@@ -48,8 +49,9 @@ reduced evolution is Gaussian and fully described by
       OmegaR_sq  = (G'/G) (W'/W) - G''/G,
 
   while the diffusion coefficients mix in Theta and its time derivative.
-  That derivative is still taken by a cubic spline across the requested
-  window, which is why a window needs at least 5 points. The Q
+  That derivative is still taken from the not-a-knot cubic spline across
+  the requested window (its node slopes, ``_cubic.not_a_knot_slopes``),
+  which is why a window needs at least 5 points. The Q
   derivatives above would give it exactly, but they move D_xx on a
   5-point window by up to ~10% relative and so would change every
   coefficient this module has reported so far; that change is left to
@@ -66,8 +68,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
+from .._cubic import hermite, not_a_knot_slopes
 from ..errors import AccuracyError, NodeSingularityError, ValidationError
 from ..model import BathSpectrum, OscillatorParams, _checked_finite, _checked_grid
 from ..spectral import renormalized_frequency_sq
@@ -129,16 +131,18 @@ class QBMCoefficients:
 
 def _check_tau(prop: PropagatorFunction, tau):
     """One time or an increasing 1-d array, as floats; raises naming its first bad node
-    (``_checked_grid``), else its first time outside (0, tau_max] or near a node of G."""
+    (``_checked_grid``), else its first time outside (0, tau_max] or near a node of G.
+    G is evaluated at the times inside that window only."""
     tau = np.asarray(tau, dtype=float)
     t = _checked_grid(np.atleast_1d(tau), "tau")
-    g = prop.g(t)
-    outside = ~((t > 0.0) & (t <= prop.tau_max))
-    bad = np.flatnonzero(outside | (np.abs(g) < _NODE_FRACTION * prop.max_abs_g))
+    inside = (t > 0.0) & (t <= prop.tau_max)
+    g = np.zeros_like(t)
+    g[inside] = prop.g(t[inside])  # inside only: G refuses a time past tau_max
+    bad = np.flatnonzero(~inside | (np.abs(g) < _NODE_FRACTION * prop.max_abs_g))
     if bad.size == 0:
         return tau
     i = bad[0]  # the first offending time; its range is checked before its node
-    if outside[i]:
+    if not inside[i]:
         raise ValidationError(f"tau={t[i]:g} outside the solved window (0, {prop.tau_max:g}]")
     raise NodeSingularityError(
         f"G({t[i]:g}) = {g[i]:.3e} is too close to a node of the "
@@ -165,9 +169,9 @@ def _theta_grid_step(prop: PropagatorFunction) -> float:
 def _q_level(g, gd, nu, h):
     """Trapezoidal (Q_gg, Q_dg, Q_dd) ending at every node, and their tau-derivatives.
 
-    ``g``, ``gd`` and ``nu`` hold G, G' and nu at the nodes ``h*n``. Row n
-    of ``q`` is the double sum over ``[0, t_n]**2`` with end weight 1/2 at
-    0 and at ``t_n``; row n of ``dq`` is the derivative of the double
+    ``g``, ``gd`` and ``nu`` hold G, G' and nu at the nodes ``h*n``. Column
+    n of ``q`` is the double sum over ``[0, t_n]**2`` with end weight 1/2 at
+    0 and at ``t_n``; column n of ``dq`` is the derivative of the double
     integral in its upper limit, with the inner integral taken by the same
     trapezoid (nu is even, so each is G or G' at ``t_n`` times one inner
     integral).
@@ -183,16 +187,16 @@ def _q_level(g, gd, nu, h):
     # subtracting the end terms halves that weight.
     inc = np.stack([2.0 * ag * cg - nu0 * ag * ag,
                     ad * cg + ag * cd - nu0 * ad * ag,
-                    2.0 * ad * cd - nu0 * ad * ad], axis=1)
+                    2.0 * ad * cd - nu0 * ad * ad])
     end = np.stack([g * cg - 0.25 * nu0 * g * g,
                     0.5 * (gd * cg + g * cd) - 0.25 * nu0 * gd * g,
-                    gd * cd - 0.25 * nu0 * gd * gd], axis=1)
-    q = np.cumsum(inc, axis=0) - end
+                    gd * cd - 0.25 * nu0 * gd * gd])
+    q = np.cumsum(inc, axis=1) - end
     inner_g = h * (cg - 0.5 * nu0 * g)
     inner_d = h * (cd - 0.5 * nu0 * gd)
     dq = np.stack([2.0 * g * inner_g,
                    gd * inner_g + g * inner_d,
-                   2.0 * gd * inner_d], axis=1)
+                   2.0 * gd * inner_d])
     return h * h * q, dq
 
 
@@ -220,30 +224,30 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     nu = noise_kernel(t, prop.bath, prop.osc, prop.lam)
     finite = np.isfinite(nu)
     if not np.all(finite):
-        # the level splines below would refuse a NaN without naming it
+        # a NaN would reach the Richardson check below unnamed, as a
+        # convergence failure of every later time
         i = int(np.argmin(finite))
         raise AccuracyError(f"noise kernel is {nu[i]} at t={t[i]:g}")
     # The m0-, 2m0- and 4m0-panel levels subsample one grid. Each level is
     # interpolated on its own nodes, so its interpolation error shrinks
     # with the level like the quadrature error and shows in the spread.
     q1, q2, q3 = (
-        scipy.interpolate.CubicHermiteSpline(
-            t[::s], *_q_level(g[::s], gd[::s], nu[::s], s * h), axis=0)(tau)
+        hermite(t[::s], *_q_level(g[::s], gd[::s], nu[::s], s * h), tau)
         for s in (4, 2, 1)
     )
     first = (4.0 * q2 - q1) / 3.0
     second = (4.0 * q3 - q2) / 3.0
-    scale = np.max(np.abs(q3), axis=1, keepdims=True)
+    scale = np.max(np.abs(q3), axis=0)
     spread = np.abs(second - first)
-    bad = np.argwhere(~(spread <= rel_tol * np.maximum(scale, 1e-300)))
+    bad = np.argwhere(~(spread.T <= rel_tol * np.maximum(scale, 1e-300)[:, None]))
     if bad.size:
         i, j = bad[0]
         raise AccuracyError(
             f"noise double integral Q_{('gg', 'dg', 'dd')[j]} not converged at "
-            f"tau={tau[i]:g}: Richardson levels differ by {spread[i, j]:.3e} "
-            f"against scale {scale[i, 0]:.3e}"
+            f"tau={tau[i]:g}: Richardson levels differ by {spread[j, i]:.3e} "
+            f"against scale {scale[i]:.3e}"
         )
-    q_gg, q_dg, q_dd = second.T
+    q_gg, q_dg, q_dd = second
     g_tau = prop.g(tau)
     r = prop.g_dot(tau) / g_tau
     t_ff = 0.5 * (q_dd - 2.0 * r * q_dg + r * r * q_gg)
@@ -309,10 +313,10 @@ def exact_coefficients(
     Richardson level, and a convergence check at every point that raises
     AccuracyError naming the first point whose last two Richardson pairs
     differ by more than ``rel_tol`` of its largest double integral. The
-    Theta derivative is a cubic spline across the window, hence the 5
-    points. ValidationError names ``rel_tol`` unless it is finite and > 0,
-    and ``tau_points`` and its first bad node unless they are finite and
-    strictly increasing.
+    Theta derivative is the slope of the not-a-knot cubic spline across
+    the window, hence the 5 points. ValidationError names ``rel_tol``
+    unless it is finite and > 0, and ``tau_points`` and its first bad node
+    unless they are finite and strictly increasing.
     """
     rel_tol = _checked_finite("rel_tol", rel_tol, "> 0")
     tau = _checked_grid(tau_points, "tau_points", min_nodes=5)
@@ -331,7 +335,7 @@ def exact_coefficients(
     omega_sq = (gd / g) * (wdot / w) - gdd / g
 
     t_ff, t_fi, t_ii = theta = _theta_window(prop, tau, rel_tol)
-    td_ff, td_fi, td_ii = scipy.interpolate.CubicSpline(tau, theta, axis=1)(tau, 1)
+    td_ff, td_fi, td_ii = not_a_knot_slopes(tau, theta)
 
     l_ff = mass * gd / g
     l_if = -mass / g

@@ -22,8 +22,8 @@ yardstick the truncated-basis evolution is checked against.
 from __future__ import annotations
 
 import numpy as np
-import scipy
 
+from .._cubic import hermite, not_a_knot_slopes
 from .._integrate import integrate
 from ..errors import ValidationError
 from ..model import GaussianState, OscillatorParams
@@ -38,8 +38,8 @@ def coefficient_functions(coeffs: QBMCoefficients, tau_grid):
     """Callables (W2, D_xx, D_xp, G_xp) of time covering ``tau_grid``.
 
     Single-sample coefficient sets are treated as constants; otherwise
-    cubic splines over the coefficient window are used and the requested
-    grid must stay inside it.
+    not-a-knot cubic splines over the coefficient window are used and the
+    requested grid must stay inside it.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if coeffs.tau.size == 1:
@@ -55,11 +55,10 @@ def coefficient_functions(coeffs: QBMCoefficients, tau_grid):
             "tau grid extends outside the coefficient window "
             f"[{coeffs.tau[0]:g}, {coeffs.tau[-1]:g}]"
         )
-    splines = tuple(
-        scipy.interpolate.CubicSpline(coeffs.tau, arr)
-        for arr in (coeffs.omegaR_sq, coeffs.D_xx, coeffs.D_xp, coeffs.Gamma_xp)
-    )
-    return tuple((lambda t, s=s: float(s(t))) for s in splines)
+    x = coeffs.tau
+    y = np.stack([coeffs.omegaR_sq, coeffs.D_xx, coeffs.D_xp, coeffs.Gamma_xp])
+    slopes = not_a_knot_slopes(x, y)
+    return tuple((lambda t, k=k: float(hermite(x, y[k], slopes[k], t))) for k in range(4))
 
 
 def propagate_moments(

@@ -50,11 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy
 
+from .._cubic import hermite, not_a_knot_slopes
 from .._quad import _leggauss, filon_sum
 from ..errors import AccuracyError, InversionError, ValidationError
 from ..model import BathSpectrum, OscillatorParams, _checked_finite, _checked_grid
@@ -73,15 +74,21 @@ _REL_TOL = 1e-7  # agreement both routes certify G to, relative
 _MAX_REFINEMENTS = 3  # grid halvings past the first before the solve refuses
 _MAX_TAU = 1000.0  # longest tau_grid the Bromwich route accepts
 _GEOMETRIC_RATIO = 1.25  # Bromwich panel width over its left edge beyond the pole pair
-_DENSE_TERMS = 16  # terms of M^{-1} found by a dense solve before Newton
+_DENSE_TERMS = 16  # terms of M^{-1} found by forward substitution before Newton
 
 
 @dataclass(frozen=True)
 class PropagatorFunction:
-    """``G`` and its derivatives on a uniform grid, with spline access.
+    """``G`` and its derivatives on a uniform grid, interpolated locally between nodes.
 
     ``G[0] == 0.0`` and ``G_dot[0] == 1.0`` hold exactly; construction
     refuses data that merely approximates the initial conditions.
+    ``g``, ``g_dot`` and ``g_ddot`` evaluate the cubic Hermite interpolant
+    of each array with the next one as its derivative, on the grid
+    interval that holds each time. ``G_dddot`` has no stored derivative:
+    ``g_dddot`` is its not-a-knot cubic spline, whose node slopes are
+    solved once, on first use. Each raises ValidationError naming ``tau``
+    and its first entry that is NaN or outside ``[0, tau_max]``.
     """
 
     tau_grid: np.ndarray
@@ -110,24 +117,32 @@ class PropagatorFunction:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @cached_property
-    def _splines(self):
-        return tuple(
-            scipy.interpolate.CubicSpline(self.tau_grid, y)
-            for y in (self.G, self.G_dot, self.G_ddot, self.G_dddot)
-        )
+    def _times(self, tau):
+        t = np.asarray(tau, dtype=float)
+        inside = (t >= 0.0) & (t <= self.tau_max)  # False for NaN
+        if not inside.all():
+            i = int(np.argmin(inside.ravel()))
+            raise ValidationError(
+                f"tau must lie in the solved window [0, {self.tau_max:g}]; "
+                f"entry {i} is {t.ravel()[i]}"
+            )
+        return t
 
     def g(self, tau):
-        return self._splines[0](tau)
+        return hermite(self.tau_grid, self.G, self.G_dot, self._times(tau))
 
     def g_dot(self, tau):
-        return self._splines[1](tau)
+        return hermite(self.tau_grid, self.G_dot, self.G_ddot, self._times(tau))
 
     def g_ddot(self, tau):
-        return self._splines[2](tau)
+        return hermite(self.tau_grid, self.G_ddot, self.G_dddot, self._times(tau))
 
     def g_dddot(self, tau):
-        return self._splines[3](tau)
+        return hermite(self.tau_grid, self.G_dddot, self._dddot_slopes, self._times(tau))
+
+    @cached_property
+    def _dddot_slopes(self):
+        return not_a_knot_slopes(self.tau_grid, self.G_dddot)
 
     @property
     def tau_max(self) -> float:
@@ -294,22 +309,38 @@ def _startup_nodes(h: float, w0sq: float, mass: float, bath, osc, lam: float):
     return g, gd
 
 
+@lru_cache(maxsize=1024)
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, the real FFT length SciPy's ``next_fast_len`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve(a, b, m: int):
     """First ``m`` terms of the linear convolution of a real 1-D ``a`` with each row of ``b``.
 
     The one linear convolution of the package: the Volterra memory sums
     here and the Theta noise sums of :mod:`.coefficients`.  It is the rfft
-    product at the next fast real length, step for step SciPy's FFT
-    convolution of real 1-D input, whose values it returns to the bit for
-    each row; ``a`` is transformed once for all rows.
+    product at the next 5-smooth length, step for step SciPy's FFT
+    convolution of real 1-D input (``scipy.signal.fftconvolve``), whose
+    values it returns to the bit for each row on NumPy >= 2.0, which
+    shares SciPy's pocketfft; ``a`` is transformed once for all rows.
     """
-    n = scipy.fft.next_fast_len(a.size + b.shape[-1] - 1, real=True)
-    return scipy.fft.irfft(scipy.fft.rfft(a, n) * scipy.fft.rfft(b, n), n)[..., :m]
+    n = _fast_len(a.size + b.shape[-1] - 1)
+    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[..., :m]
 
 
 def _product(a_hat, b_hat, size: int):
     """Coefficients of A(z) B(z) from the rfft stacks of a (3, 3) and a (3, c) series."""
-    return scipy.fft.irfft(np.einsum("ijf,jcf->icf", a_hat, b_hat), size)
+    return np.fft.irfft(np.einsum("ijf,jcf->icf", a_hat, b_hat), size)
 
 
 def _causal_solve(K, v, w, rhs):
@@ -318,7 +349,7 @@ def _causal_solve(K, v, w, rhs):
     ``M(z) = I - sum_k K[k-1] z^k - v w(z)^T`` with the lag row
     ``w_l = (w[0, l], w[1, l], 0)`` for l >= 1 (entries l = 0 are
     ignored); ``rhs`` holds R as (3, N).  The first terms of
-    ``Y = M^{-1}`` come from a dense block-triangular solve; Newton's
+    ``Y = M^{-1}`` come from block forward substitution; Newton's
     iteration ``Y <- Y - Y (M Y - I)`` then doubles the number of correct
     terms per pass up to ``ceil(N/2)`` (Brent and Kung, J. ACM 25, 581
     (1978)), and one more correction ``X <- X + Y (R - M X)`` takes X
@@ -334,8 +365,8 @@ def _causal_solve(K, v, w, rhs):
     def tail(z, z_hat, lo, hi, size):
         # (M Z)[lo:hi] for a series Z of length lo (zero from lo on); the
         # lag product wraps only onto terms below lo
-        w_hat = scipy.fft.rfft(w[:, :size], size)
-        wz = scipy.fft.irfft(w_hat[0] * z_hat[0] + w_hat[1] * z_hat[1], size)[..., lo:hi]
+        w_hat = np.fft.rfft(w[:, :size], size)
+        wz = np.fft.irfft(w_hat[0] * z_hat[0] + w_hat[1] * z_hat[1], size)[..., lo:hi]
         out = -v[:, None, None] * wz
         for k in range(1, len(K) + 1):
             first = max(0, k - lo)  # rows lo + r, r < k, reach back to Z[lo + r - k]
@@ -346,35 +377,35 @@ def _causal_solve(K, v, w, rhs):
                 )
         return out
 
-    # dense start: block column 0 of the inverse of the lower-triangular
-    # block-Toeplitz matrix of M's first terms
+    # dense start: the first terms of Y from M Y = I by block forward
+    # substitution; M's first term coef[0] is I (w[:, 0] was zeroed)
     m = min(half, _DENSE_TERMS)
     coef = np.zeros((m, 3, 3))
     coef[:, :, :2] = -v[None, :, None] * w[:, :m].T[:, None, :]
     coef[0] += np.eye(3)
     coef[1 : len(K) + 1] -= K[: m - 1]
-    offset = np.subtract.outer(np.arange(m), np.arange(m))
-    blocks = np.where((offset >= 0)[:, :, None, None], coef[np.maximum(offset, 0)], 0.0)
-    e0 = np.zeros((3 * m, 3))
-    e0[:3] = np.eye(3)
-    y = scipy.linalg.solve_triangular(
-        blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m), e0, lower=True)
-    y = y.reshape(m, 3, 3).transpose(1, 2, 0)
+    y = np.zeros((m, 3, 3))
+    y[0] = np.eye(3)
+    for i in range(1, m):
+        y[i] = -np.einsum("kab,kbc->ac", coef[1 : i + 1], y[i - 1 :: -1])
+    # C order, as every later Y: einsum's summation order, so its last bits,
+    # and its speed follow the layout numpy.fft hands on from its input
+    y = np.ascontiguousarray(y.transpose(1, 2, 0))
 
     while y.shape[2] < half:
         lo = y.shape[2]
         hi = min(2 * lo, half)
-        size = scipy.fft.next_fast_len(hi, real=True)
-        y_hat = scipy.fft.rfft(y, size)
+        size = _fast_len(hi)
+        y_hat = np.fft.rfft(y, size)
         err = tail(y, y_hat, lo, hi, size)  # (M Y - I)[lo:hi]; lower terms are 0
         y = np.concatenate(
-            [y, -_product(y_hat, scipy.fft.rfft(err, size), size)[..., : hi - lo]], 2)
+            [y, -_product(y_hat, np.fft.rfft(err, size), size)[..., : hi - lo]], 2)
 
-    size = scipy.fft.next_fast_len(n, real=True)
-    y_hat = scipy.fft.rfft(y, size)
-    x = _product(y_hat, scipy.fft.rfft(rhs[:, None, :half], size), size)[..., :half]
-    res = rhs[:, None, half:] - tail(x, scipy.fft.rfft(x, size), half, n, size)
-    x = np.concatenate([x, _product(y_hat, scipy.fft.rfft(res, size), size)[..., : n - half]], 2)
+    size = _fast_len(n)
+    y_hat = np.fft.rfft(y, size)
+    x = _product(y_hat, np.fft.rfft(rhs[:, None, :half], size), size)[..., :half]
+    res = rhs[:, None, half:] - tail(x, np.fft.rfft(x, size), half, n, size)
+    x = np.concatenate([x, _product(y_hat, np.fft.rfft(res, size), size)[..., : n - half]], 2)
     return x[:, 0, :]
 
 
@@ -611,7 +642,6 @@ def propagator_via_laplace(
         )
     g2[0] = 0.0
     gd2[0] = 1.0
-    sp = scipy.interpolate.CubicSpline(tau, gd2)
-    gdd = sp(tau, 1)
-    gddd = sp(tau, 2)
+    gdd = not_a_knot_slopes(tau, gd2)  # the not-a-knot spline of G' and its derivatives
+    gddd = hermite(tau, gd2, gdd, tau, nu=2)
     return PropagatorFunction(tau, g2, gd2, gdd, gddd, lam, bath, osc)

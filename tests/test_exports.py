@@ -31,41 +31,56 @@ def test_star_import():
     assert set(opendecay.__all__) <= set(namespace)
 
 
-_SCIPY_SUBMODULES = ("scipy.fft", "scipy.interpolate", "scipy.linalg", "scipy.optimize",
-                     "scipy.signal", "scipy.sparse", "scipy.special")
 _SCIPY_FREE_SCENARIOS = ("spin_bloch", "spin_master", "bridge_check", "decay_scan",
                          "weak_compare", "qbm_limit")
-_IMPORT_BUDGET = f"""
+# Each stage runs after the ones before it in one fresh interpreter and
+# reports what is loaded then: the public SciPy submodules, and numpy.fft.
+_IMPORT_BUDGET = """
 import json, sys
-SUBMODULES = {_SCIPY_SUBMODULES!r}
-def loaded(prefixes):
-    return sorted(m for m in sys.modules if m.startswith(prefixes))
+def loaded():
+    subs = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+    subs = sorted("scipy." + s for s in subs if not s.startswith("_") and s != "version")
+    return subs + (["numpy.fft"] if "numpy.fft" in sys.modules else [])
+report = {}
 import opendecay
-from opendecay.scenarios import parse_config, run_scenario
-report = {{"import": loaded(SUBMODULES)}}
-for name in {_SCIPY_FREE_SCENARIOS!r}:
-    run_scenario(name, parse_config(name))
-    report[name] = loaded(SUBMODULES)
+report["import"] = loaded()
 from opendecay import acceptance
-assert all(result.passed for result in acceptance.run_all((1, 2, 3, 4, 5, 6)))
-report["criteria 1-6"] = loaded(SUBMODULES)
-run_scenario("qbm_exact", parse_config("qbm_exact"))
-report["qbm_exact"] = loaded("scipy.signal")
+from opendecay.scenarios import parse_config, run_scenario
+for stage in json.loads(sys.argv[1]):
+    name, _, rest = stage.partition(" ")
+    if name == "criteria":
+        numbers = [int(k) for k in rest.split(",")]
+        assert all(result.passed for result in acceptance.run_all(numbers))
+    else:
+        run_scenario(name, parse_config(name, None, [kv.split("=") for kv in rest.split()]))
+    report[stage] = loaded()
 print(json.dumps(report))
 """
+_NUMPY_FFT = ["numpy.fft"]
+_BUDGETS = [
+    # the spin scenarios, qbm_limit and criteria 1-6 load nothing; the
+    # exponential-cutoff qbm path (G, the Theta pass, the coefficients) then
+    # loads numpy.fft alone
+    {"import": [], **{name: [] for name in _SCIPY_FREE_SCENARIOS}, "criteria 1,2,3,4,5,6": [],
+     "qbm_exact": _NUMPY_FFT, "qbm_sweep lambda_list=0.4,0.2": _NUMPY_FFT,
+     "criteria 8,9": _NUMPY_FFT, "criteria 10": ["scipy.sparse"] + _NUMPY_FFT},
+    # sici of the hard-cutoff kernel moments, exp1 of the Bromwich route
+    {"import": [], "qbm_exact shape=hard tau_points=5": ["scipy.special"] + _NUMPY_FFT},
+    {"import": [], "criteria 7": ["scipy.special"] + _NUMPY_FFT},
+]
 
 
 def test_scipy_submodules_load_on_first_use():
     # a SciPy submodule costs start-up time only once a computation calls
-    # into it: the spin scenarios, qbm_limit and acceptance criteria 1-6
-    # load none, and the package's convolutions go through scipy.fft alone
-    # (scipy.signal would pull in scipy.stats and scipy.ndimage); pytest's
-    # warning filters load scipy.sparse, so this runs in a fresh interpreter
+    # into it, and numpy.fft is not loaded by importing the package; the
+    # qbm path needs no scipy.fft, scipy.interpolate or scipy.linalg (and so
+    # no scipy.optimize or scipy.spatial either). pytest's warning filters
+    # load scipy.sparse, so each budget runs in a fresh interpreter.
     src = str(Path(opendecay.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    report = json.loads(out)
-    assert report == {stage: [] for stage in ("import",) + _SCIPY_FREE_SCENARIOS
-                      + ("criteria 1-6", "qbm_exact")}
+    for budget in _BUDGETS:
+        stages = json.dumps([stage for stage in budget if stage != "import"])
+        out = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET, stages], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert json.loads(out) == budget

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
+from scipy.interpolate import CubicSpline
 from scipy.signal import fftconvolve
 from scipy.special import spherical_jn
 
@@ -223,6 +225,42 @@ def test_convolve_is_the_fft_convolution_to_the_bit(na, nb):
         assert rows.shape == (2, m)
         for got, row in zip(rows, stacked):
             assert np.array_equal(got, fftconvolve(a, row)[:m])
+
+
+def test_fast_len_is_scipys_real_fft_length():
+    n_all = list(range(1, 20001)) + np.random.default_rng(5).integers(1, 1 << 22, 2000).tolist()
+    bad = [n for n in n_all if propagator._fast_len(n) != scipy.fft.next_fast_len(n, real=True)]
+    assert bad == []
+
+
+@pytest.mark.parametrize("bath, tols", [
+    (EXP, (1e-12, 1e-12, 1e-12)),
+    (HARD, (1e-12, 1e-10, 1e-8)),  # the ripple at cutoff/lam**2 is barely resolved
+])
+@pytest.mark.parametrize("lam", [0.4, 0.1])
+def test_hermite_access_matches_the_cubic_spline(bath, tols, lam):
+    # G, G' and G'' are Hermite cubics on the stored next derivative, the
+    # parent's CubicSpline the oracle; from tau = 0.1 on, past the boundary
+    # layer of width lam**2/cutoff that neither interpolant resolves in G''.
+    # g_dddot is the not-a-knot spline itself.
+    pf = solve_propagator(bath, OSC, lam, 2.5)
+    t = np.linspace(0.1, 2.5, 2001)
+    pairs = [(pf.G, pf.g), (pf.G_dot, pf.g_dot), (pf.G_ddot, pf.g_ddot), (pf.G_dddot, pf.g_dddot)]
+    for (arr, access), tol in zip(pairs, tols + (1e-13,)):
+        want = CubicSpline(pf.tau_grid, arr)(t)
+        assert np.max(np.abs(access(t) - want)) <= tol * np.max(np.abs(want))
+
+
+def test_access_refuses_a_time_outside_the_grid_by_name():
+    pf = solve_propagator(EXP, OSC, 0.4, 1.0)
+    for access in (pf.g, pf.g_dot, pf.g_ddot, pf.g_dddot):
+        for bad in (-0.1, 1.01 * pf.tau_max, math.nan):
+            with pytest.raises(ValidationError, match=r"^tau must lie in the solved window "
+                               r"\[0, 1\]; entry 0 is "):
+                access(bad)
+        with pytest.raises(ValidationError, match=r"entry 2 is nan$"):
+            access([0.2, 0.5, math.nan, 2.0])
+        assert np.all(np.isfinite(access([0.0, pf.tau_max])))
 
 
 def test_third_derivative_matches_the_lag_sum():
