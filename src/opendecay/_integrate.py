@@ -29,8 +29,17 @@ One step controller (:func:`_advance`) serves two stage evaluators:
     1..7 of the accepted step's block, kept as row 1 of the next (the
     first-same-as-last property of the method, as in :func:`integrate`).
 
-The controller keeps ``|y5|`` of an accepted step as the next step's
-``|y|`` and builds the error scale in place.
+Each evaluator returns the trial pair ``[y5, err]`` as one ``(2, *y.shape)``
+array, one small product with its slopes or its block. The controller
+takes the error norm in one pass over that pair: one ``np.abs`` fills a
+buffer with ``[|y5|, |err|]``, the scale ``rtol * max(|y|, |y5|) + 1e-14``
+and ``|err| / scale`` are formed in place, and the norm is
+``sqrt(r @ r / n)`` of the flat ratio row ``r``. The accepted step's
+``|y5|`` becomes the next ``|y|`` by swapping two such buffers. They are
+C-ordered whatever the order of ``y``: a transposed ``y`` (as
+``lindblad.propagate_density`` passes) is Fortran-ordered, a buffer of
+its order would make ``reshape(-1)`` a copy instead of a view, and the
+norm would read stale values.
 
 The matrix exponential is the reference route of :func:`propagate_constant`;
 it densifies a sparse ``M``.
@@ -44,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 import scipy  # SciPy >= 1.9 imports a submodule on its first attribute access
 
-from .errors import IntegratorAccuracyError, StiffnessError
+from .errors import IntegratorAccuracyError, StiffnessError, ValidationError
 from .model import _checked_finite, _checked_grid
 
 # Dormand-Prince coefficients, exact; the stepper uses their nearest floats
@@ -63,10 +72,11 @@ _B5_EXACT = (_F(35, 384), _F(0), _F(500, 1113), _F(125, 192), _F(-2187, 6784),
 _B4_EXACT = (_F(5179, 57600), _F(0), _F(7571, 16695), _F(393, 640),
              _F(-92097, 339200), _F(187, 2100), _F(1, 40))
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [[float(a) for a in row] for row in _A_EXACT]
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = [np.array([float(a) for a in row]) for row in _A_EXACT]
 _B5 = np.array([float(b) for b in _B5_EXACT])
 _B4 = np.array([float(b) for b in _B4_EXACT])
+_B54 = np.array([_B5, _B5 - _B4])  # weights of the trial pair [y5 - y, err]
 
 # Attempted steps, accepted and rejected, after which one call refuses.
 # The most any test or acceptance criterion takes in one call is 2581
@@ -101,46 +111,50 @@ _EXPONENTS = np.arange(_STEP_POLY.shape[1], dtype=float)
 
 
 class _RungeKuttaStages:
-    """Dormand-Prince stages of a general right-hand side ``f(t, y)``."""
+    """Dormand-Prince stages of a general right-hand side ``f(t, y)``.
 
-    def __init__(self, f):
+    The seven slopes live in one preallocated array, so a stage state and
+    the trial pair are each one small product with its rows.
+    """
+
+    def __init__(self, f, y):
         self.f = f
-        self.k = [None] * 7
+        self.k = np.empty((7,) + y.shape, dtype=y.dtype)
+        self.slopes = self.k.reshape(7, -1)  # a view: k is C-ordered
+        self.first = True  # k[0] is not yet f at the step start
 
     def __call__(self, t, h, y):
-        """Return ``(y5, err)`` of one trial step of size ``h`` from ``(t, y)``."""
-        f, k = self.f, self.k
-        if k[0] is None:
+        """Return ``[y5, err]`` of one trial step of size ``h`` from ``(t, y)``."""
+        f, k, slopes = self.f, self.k, self.slopes
+        if self.first:
             k0 = np.asarray(f(t, y))
+            if k0.shape != y.shape:
+                raise ValueError(
+                    f"right-hand side returned shape {k0.shape} for a state of "
+                    f"shape {y.shape}; it must return the state's shape"
+                )
             if np.iscomplexobj(k0) and not np.iscomplexobj(y):
                 raise ValueError(
                     f"right-hand side returned {k0.dtype} for a state of dtype "
                     f"{y.dtype}; the real state would drop its imaginary part, "
                     "so pass a complex y0"
                 )
-            k[0] = k0.astype(y.dtype, copy=False)
+            k[0] = k0
+            self.first = False
+        flat = y.reshape(-1)
         for i in range(1, 7):
-            yi = y.copy()
-            for j, a in enumerate(_A[i]):
-                yi += (h * a) * k[j]
-            k[i] = np.asarray(f(t + _C[i] * h, yi), dtype=y.dtype)
-        y5 = y.copy()
-        for i in range(7):
-            if _B5[i] != 0.0:
-                y5 += (h * _B5[i]) * k[i]
-        err = np.zeros_like(y)
-        for i in range(7):
-            d = _B5[i] - _B4[i]
-            if d != 0.0:
-                err += (h * d) * k[i]
-        return y5, err
+            yi = flat + (h * _A[i]) @ slopes[:i]
+            k[i] = f(t + _C[i] * h, yi.reshape(y.shape))
+        pair = (h * _B54) @ slopes
+        pair[0] += flat
+        return pair.reshape((2,) + y.shape)
 
     def accept(self):
         self.k[0] = self.k[6]  # FSAL: last stage is f at the accepted point
 
 
 class _PolynomialStages:
-    """Dormand-Prince stages of ``y' = M y``: ``(y5, err) = (R5(hM) y, E(hM) y)``.
+    """Dormand-Prince stages of ``y' = M y``: ``[y5, err] = [R5(hM) y, E(hM) y]``.
 
     A sparse ``M`` forms the block ``[y, My, ..., M^7 y]`` by sparse
     products into one preallocated array. ``R5`` has degree 6, so
@@ -159,7 +173,9 @@ class _PolynomialStages:
                 powers.append(matrix @ powers[-1])
             self.powers = np.concatenate(powers)  # rows of M^0, ..., M^7 in turn
         self.block = None  # [y, My, ..., M^7 y] of the current step start, flattened
-        self.coeffs = None  # rows R5, E scaled by h^p for the last trial step
+        # rows R5, E scaled by h^p for the last trial step, in the dtype of
+        # M (and so of the block), so no trial makes a mixed real/complex product
+        self.coeffs = np.empty(_STEP_POLY.shape, dtype=matrix.dtype)
         self.krylov = None  # the sparse route's block, reused from step to step
         self.carried = None  # M y at the next step start, kept by accept()
 
@@ -174,13 +190,12 @@ class _PolynomialStages:
         return block
 
     def __call__(self, t, h, y):
-        """Return ``(y5, err)`` of one trial step of size ``h`` from ``y``."""
+        """Return ``[y5, err]`` of one trial step of size ``h`` from ``y``."""
         if self.block is None:
             block = self._krylov_block(y) if self.powers is None else self.powers @ y
             self.block = block.reshape(len(_EXPONENTS), -1)
-        self.coeffs = _STEP_POLY * h**_EXPONENTS
-        y5, err = (self.coeffs @ self.block).reshape((2,) + y.shape)
-        return y5, err
+        np.multiply(_STEP_POLY, np.power(h, _EXPONENTS), out=self.coeffs)
+        return (self.coeffs @ self.block).reshape((2,) + y.shape)
 
     def accept(self):
         if self.powers is None:
@@ -193,7 +208,8 @@ def _advance(stages, y, t_grid, rtol):
     """Step ``y`` from ``t_grid[0]`` over the grid with DOPRI 5(4) step control.
 
     ``stages(t, h, y)`` returns the 5th-order update and the embedded error
-    estimate of one trial step; ``stages.accept()`` is called after each
+    estimate of one trial step, stacked as ``[y5, err]`` in one array of
+    shape ``(2, *y.shape)``; ``stages.accept()`` is called after each
     accepted one. Between two accepts every trial step starts from the
     same ``y``, so ``stages`` may keep work that depends on ``y`` alone.
     Raises ValidationError naming ``rtol`` unless it is finite and > 0, or
@@ -210,15 +226,18 @@ def _advance(stages, y, t_grid, rtol):
     if len(t_grid) == 1:
         return out
 
-    t = t_grid[0]
-    span = t_grid[-1] - t_grid[0]
+    t = float(t_grid[0])
+    span = float(t_grid[-1]) - t
     h = span / 100.0
     idx = 1
-    target = t_grid[idx]
+    target = float(t_grid[idx])
     n_comp = y.size
-    abs_y = np.abs(y)  # |y| of the step start, kept from the accepted |y5|
-    abs_y5 = np.empty_like(abs_y)
-    scale = np.empty_like(abs_y)
+    # [|y5|, |err|] of a trial step, and |y| of the step start in row 0 of
+    # the other buffer, each with its rows as flat views: C-ordered, as a
+    # buffer like a transposed (Fortran-ordered) y would not be
+    trial, start = ((m, *m.reshape(2, -1)) for m in np.empty((2, 2) + y.shape))
+    np.abs(y, out=start[0][0])
+    scale = np.empty(n_comp)
 
     for _ in range(_MAX_STEPS):
         if h <= 1e-14 * max(abs(t), span):
@@ -231,12 +250,14 @@ def _advance(stages, y, t_grid, rtol):
         if t + h_try >= target:
             h_try = target - t
             clipped = True
-        y5, err = stages(t, h_try, y)
-        np.abs(y5, out=abs_y5)
-        np.maximum(abs_y, abs_y5, out=scale)
+        pair = stages(t, h_try, y)
+        np.abs(pair, out=trial[0])
+        _, abs_y5, ratio = trial
+        np.maximum(start[1], abs_y5, out=scale)
         scale *= rtol
         scale += 1e-14
-        enorm = float(np.sqrt(np.sum(np.abs(err / scale) ** 2) / n_comp))
+        np.divide(ratio, scale, out=ratio)  # |err| / scale
+        enorm = math.sqrt(ratio @ ratio / n_comp)
         if not math.isfinite(enorm):
             # a NaN estimate would be rejected forever without shrinking h
             raise IntegratorAccuracyError(
@@ -246,15 +267,15 @@ def _advance(stages, y, t_grid, rtol):
         factor = 0.9 * (enorm ** -0.2) if enorm > 0.0 else 5.0
         if enorm <= 1.0:
             t = target if clipped else t + h_try
-            y = y5
-            abs_y, abs_y5 = abs_y5, abs_y
+            y = pair[0]
+            trial, start = start, trial  # the accepted |y5| is the next |y|
             stages.accept()
             if clipped:
                 out[idx] = y
                 idx += 1
                 if idx == len(t_grid):
                     return out
-                target = t_grid[idx]
+                target = float(t_grid[idx])
                 # keep the controller step: a clip says nothing about error
             else:
                 h = h_try * min(5.0, max(0.2, factor))
@@ -267,18 +288,29 @@ def _advance(stages, y, t_grid, rtol):
     )
 
 
+def _checked_state(y):
+    """``y``; ValidationError naming ``y0`` when it is 0-d or has no component."""
+    if y.ndim == 0 or y.size == 0:
+        raise ValidationError(
+            f"y0 must be an array of at least one dimension and one component, "
+            f"got shape {y.shape}"
+        )
+    return y
+
+
 def integrate(f, y0, t_grid, rtol=1e-10):
     """Integrate y' = f(t, y) from t_grid[0], returning y at every node.
 
-    Raises ValidationError unless ``rtol`` is finite and > 0 or when
+    Raises ValidationError unless ``rtol`` is finite and > 0, when
     ``t_grid`` is not a finite, strictly increasing 1-d grid (naming its
-    first bad node), StiffnessError when the step size underflows or after
-    ``_MAX_STEPS`` attempted steps, IntegratorAccuracyError when a step's
-    error estimate is not finite (a NaN or infinite state or ``f``), and
-    ValueError when ``f`` returns a complex value for a real ``y0``.
+    first bad node) or when ``y0`` is 0-d or empty, StiffnessError when the
+    step size underflows or after ``_MAX_STEPS`` attempted steps,
+    IntegratorAccuracyError when a step's error estimate is not finite (a
+    NaN or infinite state or ``f``), and ValueError when the first value of
+    ``f`` does not have ``y0``'s shape or is complex for a real ``y0``.
     """
-    y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
-    return _advance(_RungeKuttaStages(f), y, t_grid, rtol)
+    y = _checked_state(np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy())
+    return _advance(_RungeKuttaStages(f, y), y, t_grid, rtol)
 
 
 def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
@@ -290,8 +322,8 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
     evaluates ``expm(M t) @ y0`` at every node (densifying a sparse ``M``),
     the reference route for the adaptive one. ``y0`` is a vector or a
     matrix whose columns are propagated together; a matrix that is not
-    square or does not match ``y0``'s leading dimension raises ValueError.
-    On either route a ``t_grid`` that is not a finite, strictly increasing
+    square or does not match ``y0``'s leading dimension raises ValueError,
+    and an empty ``y0`` ValidationError. On either route a ``t_grid`` that is not a finite, strictly increasing
     1-d grid raises ValidationError naming its first bad node.
     """
     # an ndarray is dense without asking scipy.sparse, which would load it
@@ -305,6 +337,7 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
             f"{y0.shape}: it must be a square matrix whose size is the leading "
             "dimension of a vector or matrix y0"
         )
+    _checked_state(y0)
     if method == "expm":
         t_grid = _checked_grid(t_grid, "t_grid")
         if not isinstance(matrix, np.ndarray):

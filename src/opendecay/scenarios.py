@@ -16,7 +16,6 @@ exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -249,15 +248,12 @@ class ResultTable:
         raise ConfigError(f"unknown output format {fmt!r}")
 
     def _emit_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# scenario={self.scenario}\n")
-        for key, value in self.metadata.items():
-            buf.write(f"# {key}={_cell(value)}\n")
-        names = list(self.columns)
-        buf.write(",".join(names) + "\n")
-        for row in zip(*(self.columns[n] for n in names)):
-            buf.write(",".join(_cell(v) for v in row) + "\n")
-        return buf.getvalue()
+        lines = [f"# scenario={self.scenario}"]
+        lines += [f"# {key}={_cell(value)}" for key, value in self.metadata.items()]
+        lines.append(",".join(self.columns))
+        cells = [list(map(_cell, column)) for column in self.columns.values()]
+        lines += map(",".join, zip(*cells))
+        return "\n".join(lines) + "\n"
 
     def _emit_json(self) -> str:
         obj = {
@@ -269,6 +265,8 @@ class ResultTable:
 
 
 def _cell(value) -> str:
+    if type(value) is float:  # most cells: every spin column is a list of floats
+        return "%.17g" % value
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -289,6 +287,8 @@ def _native(value):
 
 
 def _parse_cell(text: str):
+    if text == "-0":  # no int is written so: the float -0.0
+        return -0.0
     try:
         return int(text)
     except ValueError:

@@ -117,6 +117,43 @@ def test_string_columns_survive_round_trip():
     assert parsed.emit("csv") == text
 
 
+def test_csv_cells_of_every_type_keep_their_bytes():
+    # the column-wise writer against the per-cell, row-by-row formatting it replaced
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return str(int(v))
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return "%.17g" % float(v)
+        return str(v).replace(",", ";").replace("\n", " ")
+
+    columns = {
+        "py_float": [0.1, -2.5e-300, 1.0 / 3.0],
+        "np_float": [np.float64(0.1), np.float64(-0.0), np.float64(7e22)],
+        "int": [0, -3, 12345678901234567890],
+        "np_int": [np.int64(5), np.int64(-1), np.int64(2**62)],
+        "bool": [True, False, True],
+        "np_bool": [np.bool_(False), np.bool_(True), np.bool_(False)],
+        "text": ["a,b", "line\nbreak", "plain"],
+        "mixed": [1.5, np.int64(2), "x,y\nz"],
+    }
+    metadata = {"rate": 0.25, "count": np.int64(4), "flag": np.bool_(True), "note": "p,q"}
+    table = opendecay.scenarios.ResultTable("mixed", columns, metadata)
+    expected = "# scenario=mixed\n"
+    expected += "".join(f"# {k}={cell(v)}\n" for k, v in metadata.items())
+    expected += ",".join(columns) + "\n"
+    expected += "".join(",".join(cell(v) for v in row) + "\n" for row in zip(*columns.values()))
+    text = table.emit("csv")
+    assert text == expected
+    parsed = parse_csv(text)
+    assert parsed.emit("csv") == text
+    for name in ("py_float", "np_float", "int", "np_int"):
+        assert parsed.columns[name] == [float(v) if "float" in name else int(v)
+                                        for v in columns[name]]
+    assert parsed.columns["text"] == ["a;b", "line break", "plain"]
+
+
 def test_decay_scan_reports_the_flip():
     cfg = parse_config("decay_scan", None, [("points", "7")])
     table = run_scenario("decay_scan", cfg)

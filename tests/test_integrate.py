@@ -242,3 +242,76 @@ def test_general_route_refuses_a_complex_rhs_on_a_real_state():
         integrate(rhs, np.ones(1), [0.0, 1.0])
     out = integrate(rhs, np.ones(1, dtype=complex), [0.0, 1.0])
     assert out[-1, 0] == pytest.approx(np.exp(1j), rel=1e-9)
+
+
+def test_general_route_reuses_its_last_stage_as_the_next_first(monkeypatch):
+    # first same as last: one evaluation at the start, then six per trial step
+    matrix = _banded_generator(6)
+    y0 = np.arange(12.0).reshape(6, 2) + 1j
+    shapes, trials = [], []
+    stages = _integrate._RungeKuttaStages
+
+    class CountingStages(stages):
+        def __call__(self, t, h, y):
+            trials.append(h)
+            return super().__call__(t, h, y)
+
+    def rhs(t, y):
+        shapes.append((y.shape, y.dtype))
+        return matrix @ y
+
+    monkeypatch.setattr(_integrate, "_RungeKuttaStages", CountingStages)
+    out = integrate(rhs, y0, np.linspace(0.0, 3.0, 4))
+    assert np.all(np.isfinite(out)) and len(trials) > 3
+    assert len(shapes) == 1 + 6 * len(trials)
+    assert set(shapes) == {(y0.shape, y0.dtype)}
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_the_memory_order_of_y0_does_not_change_a_bit(sparse, columns):
+    # a transposed block (as propagate_density passes) is Fortran-ordered and a
+    # column of a C-ordered matrix is strided; the error norm reads flat views
+    # of its buffers, which would go stale if they took y0's order
+    matrix = _banded_generator(8)
+    if not sparse:
+        matrix = matrix.toarray()
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+    y0 = base[:, 0] if columns is None else np.asfortranarray(base[:, :columns])
+    assert not y0.flags.c_contiguous
+    tau = np.linspace(0.0, 4.0, 5)
+    for route in (lambda y: propagate_constant(matrix, y, tau),
+                  lambda y: integrate(lambda t, x: matrix @ x, y, tau)):
+        assert np.array_equal(route(y0), route(np.ascontiguousarray(y0)))
+
+
+@pytest.mark.parametrize("y0", [np.ones(0), np.ones((2, 0))], ids=["vector", "columns"])
+def test_every_route_refuses_an_empty_state(y0):
+    # the error norm is a root mean square over the components: there are none
+    matrix = -np.eye(y0.shape[0])
+    pattern = r"^y0 must be an array of at least one dimension and one component, got shape"
+    with pytest.raises(ValidationError, match=pattern):
+        integrate(lambda t, y: -y, y0, [0.0, 1.0])
+    for m in (matrix, scipy.sparse.csr_array(matrix)):
+        for method in ("adaptive", "expm"):
+            with pytest.raises(ValidationError, match=pattern):
+                propagate_constant(m, y0, [0.0, 1.0], method=method)
+
+
+def test_general_route_refuses_a_scalar_state():
+    with pytest.raises(ValidationError, match=r"^y0 must be an array .* got shape \(\)"):
+        integrate(lambda t, y: -y, 1.0, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("value", [
+    lambda y: np.ones(3),            # wrong length
+    lambda y: np.ones((2, 1)),       # would broadcast
+    lambda y: -1.0,                  # a scalar
+], ids=["length", "broadcast", "scalar"])
+def test_general_route_refuses_a_rhs_of_another_shape(value):
+    y0 = np.ones(2)
+    shape = np.shape(value(y0))
+    pattern = "shape " + re.escape(str(shape)) + ".*shape " + re.escape(str(y0.shape))
+    with pytest.raises(ValueError, match=pattern):
+        integrate(lambda t, y: value(y), y0, [0.0, 1.0])
