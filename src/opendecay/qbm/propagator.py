@@ -18,7 +18,8 @@ Two independent routes are provided:
     ``mu`` is integrated exactly against the cubic Hermite interpolant
     of ``G`` (the kernel is concentrated in a boundary layer of width
     ``lam**2/cutoff`` that no polynomial rule on the ``G`` grid could
-    resolve, but its monomial moments have closed forms).  The first
+    resolve, but its monomial moments have closed forms, bar one sine
+    integral of the hard cutoff taken by panel quadrature).  The first
     three nodes come from a trapezoidal PECE run on a 16x/32x finer
     subgrid, Richardson extrapolated; the later ones from an
     Adams-Bashforth-4 predictor with two Adams-Moulton-4 corrector
@@ -53,7 +54,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy
 
 from .._cubic import hermite, not_a_knot_slopes
 from .._quad import _leggauss, filon_sum
@@ -161,6 +161,22 @@ class PropagatorFunction:
 # normalized to decay (or grow as slowly as possible) as u -> inf:
 # a large constant plateau in g_j would be amplified by the k**3 factor
 # of the panel-recentering binomial below and wreck the late weights.
+# At the hard cutoff, with x = c u and c = cutoff / lam**2, the first
+# antiderivative g_1 = Si(x) - sin x - pi/2 needs the sine integral.
+# ``_antiderivatives`` returns only its elementary part -sin x there, and
+# ``_raw_moments`` adds the panel integral of sin t / t by Gauss-Legendre
+# quadrature (``_sine_integral_panels``), so no special function is called.
+# The exact difference of sin x stays at the edges: integrating
+# sin t / t - cos t instead loses digits on the wide panels, where rounding
+# the nodes near x ~ 1e3 moves cos.
+#
+# sin t / t is entire, and its k-th derivative is at most 1/(k+1) in size,
+# so the n-node rule's remainder on a panel w wide is at most
+# w**(2n+1) (n!)**4 / ((2n+1)**2 ((2n)!)**3).  Each rule below keeps that
+# under 1e-18 w up to its reach in x.  A panel of the first grid spans
+# cutoff / (409.6 w0 lam**2) rad: 0.076 at lam 0.4 and 4.9 at lam 0.05 with
+# the default bath, so the narrow panels of large lam take 4 nodes.
+_SI_RULES = ((4, 0.1), (8, 2.4), (16, 15.0))  # (nodes, widest panel in x)
 
 
 def _antiderivatives(u, bath: BathSpectrum, osc: OscillatorParams, lam: float):
@@ -177,13 +193,11 @@ def _antiderivatives(u, bath: BathSpectrum, osc: OscillatorParams, lam: float):
         c = bath.cutoff / lam**2
         x = c * u
         small = x < 1e-3
-        xs = np.where(small, 1.0, x)
         us = np.where(small, 1.0, u)
-        si, _ = scipy.special.sici(x)
-        sx, cx = np.sin(xs), np.cos(xs)
+        sx, cx = np.sin(x), np.cos(x)
         x2 = x * x
         g0 = np.where(small, -c * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), -sx / us)
-        g1 = np.where(small, x * x2 / 9.0 - 0.5 * math.pi, si - np.sin(x) - 0.5 * math.pi)
+        g1 = -sx  # the Si(x) part of g_1 is added per panel by _raw_moments
         g2 = np.where(
             small,
             (-2.0 + x2 * x2 / 12.0) / c,
@@ -197,13 +211,41 @@ def _antiderivatives(u, bath: BathSpectrum, osc: OscillatorParams, lam: float):
     return g0, g1, g2, g3
 
 
+def _sine_integral_panels(x):
+    """``int sin t / t dt`` over each panel of a uniform grid ``x >= 0``.
+
+    The first rule of ``_SI_RULES`` that reaches across a panel is applied
+    to each; panels wider than every reach are split into equal parts for
+    the last one.  The nodes are interior, so ``t > 0`` at every one.
+    """
+    n = x.size - 1
+    width = (x[-1] - x[0]) / n
+    nodes, reach = next((rule for rule in _SI_RULES if width <= rule[1]), _SI_RULES[-1])
+    parts = math.ceil(width / reach)
+    if parts > 1:
+        x = np.linspace(x[0], x[-1], n * parts + 1)
+    xi, wi = _leggauss(nodes)
+    half = 0.5 * np.diff(x)
+    t = x[:-1] + (1.0 + xi)[:, None] * half  # (nodes, panels): long rows for numpy's loops
+    return (half * (wi @ (np.sin(t) / t))).reshape(n, -1).sum(axis=1)
+
+
 def _raw_moments(edges, bath, osc, lam):
-    """Panel integrals of mu(u) * u**j, j = 0..3, one row per j."""
+    """Panel integrals of mu(u) * u**j, j = 0..3, one row per j.
+
+    Row j is ``-K`` times the difference of ``g_j`` across each panel.  At
+    the hard cutoff row 1 is ``-K (int sin t / t dt - (sin x_hi - sin x_lo))``
+    over the panel's ``x = cutoff u / lam**2``; the integral is the
+    quadrature of ``_sine_integral_panels``, rows 0, 2 and 3 stay closed
+    forms, and the exponential cutoff is closed form throughout.
+    """
     if bath.eta == 0.0:
         return np.zeros((4, len(edges) - 1))
     k0 = osc.mass * osc.omega0 * bath.eta * lam**2 / (2.0 * math.pi)
-    gs = _antiderivatives(edges, bath, osc, lam)
-    return np.stack([-k0 * np.diff(g) for g in gs])
+    rows = np.stack([np.diff(g) for g in _antiderivatives(edges, bath, osc, lam)])
+    if bath.shape == "hard":
+        rows[1] += _sine_integral_panels(bath.cutoff / lam**2 * edges)
+    return -k0 * rows
 
 
 def _hermite_weights(n: int, h: float, bath, osc, lam: float):

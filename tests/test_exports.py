@@ -64,8 +64,10 @@ _BUDGETS = [
     {"import": [], **{name: [] for name in _SCIPY_FREE_SCENARIOS}, "criteria 1,2,3,4,5,6": [],
      "qbm_exact": _NUMPY_FFT, "qbm_sweep lambda_list=0.4,0.2": _NUMPY_FFT,
      "criteria 8,9": _NUMPY_FFT, "criteria 10": ["scipy.sparse"] + _NUMPY_FFT},
-    # sici of the hard-cutoff kernel moments, exp1 of the Bromwich route
-    {"import": [], "qbm_exact shape=hard tau_points=5": ["scipy.special"] + _NUMPY_FFT},
+    # the hard-cutoff qbm path takes its kernel moments by quadrature and
+    # loads numpy.fft alone; exp1 of the Bromwich route loads scipy.special
+    {"import": [], "qbm_exact shape=hard tau_points=5": _NUMPY_FFT,
+     "qbm_sweep shape=hard lambda_list=0.4": _NUMPY_FFT},
     {"import": [], "criteria 7": ["scipy.special"] + _NUMPY_FFT},
 ]
 

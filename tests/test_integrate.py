@@ -304,14 +304,15 @@ def test_general_route_refuses_a_scalar_state():
         integrate(lambda t, y: -y, 1.0, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("value", [
-    lambda y: np.ones(3),            # wrong length
-    lambda y: np.ones((2, 1)),       # would broadcast
-    lambda y: -1.0,                  # a scalar
-], ids=["length", "broadcast", "scalar"])
-def test_general_route_refuses_a_rhs_of_another_shape(value):
+@pytest.mark.parametrize("rhs", [
+    lambda t, y: np.ones(3),                 # wrong length
+    lambda t, y: np.ones((2, 1)),            # would broadcast
+    lambda t, y: -1.0,                       # a scalar
+    lambda t, y: -y if t == 0.0 else -1.0,   # a scalar from the second stage on
+], ids=["length", "broadcast", "scalar", "later-stage"])
+def test_general_route_refuses_a_rhs_of_another_shape(rhs):
     y0 = np.ones(2)
-    shape = np.shape(value(y0))
+    shape = np.shape(rhs(0.5, y0))
     pattern = "shape " + re.escape(str(shape)) + ".*shape " + re.escape(str(y0.shape))
     with pytest.raises(ValueError, match=pattern):
-        integrate(lambda t, y: value(y), y0, [0.0, 1.0])
+        integrate(rhs, y0, [0.0, 1.0])

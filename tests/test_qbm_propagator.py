@@ -8,7 +8,7 @@ import scipy.fft
 import scipy.integrate
 from scipy.interpolate import CubicSpline
 from scipy.signal import fftconvolve
-from scipy.special import spherical_jn
+from scipy.special import sici, spherical_jn
 
 from opendecay._quad import _spherical_jn, filon_sum, panel_nodes
 from opendecay.errors import AccuracyError, InversionError, ValidationError
@@ -23,6 +23,8 @@ from opendecay.qbm.propagator import (
     _convolve,
     _hermite_weights,
     _linear_weights,
+    _raw_moments,
+    _sine_integral_panels,
     _step_map,
     _trapezoid_step,
     _volterra_solve,
@@ -197,6 +199,70 @@ def test_laplace_route_agrees_on_the_hard_cutoff(lam):
     pf_l = propagator_via_laplace(HARD, OSC, lam, grid)
     assert np.max(np.abs(pf_t.g(grid) - pf_l.G)) < 1e-6 * pf_t.max_abs_g
     assert np.max(np.abs(pf_t.g_dot(grid) - pf_l.G_dot)) < 1e-5
+
+
+HARD_DEFAULT = BathSpectrum(0.2, 5.0, "hard", 5.0)  # the scenarios' default bath, hard cutoff
+
+
+def _si_minus_sin(x):
+    # Si(x) - sin x from scipy's sici; below x = 0.5 the two cancel to
+    # x**3/9, so there the Taylor series of the difference is summed
+    si, _ = sici(x)
+    out = si - np.sin(x)
+    xs = x[x < 0.5]
+    term, total = xs.copy(), np.zeros_like(xs)
+    for k in range(1, 12):
+        term *= -xs * xs / (2 * k * (2 * k + 1))
+        total -= term * 2 * k / (2 * k + 1)
+    out[x < 0.5] = total
+    return out
+
+
+def _moment_panels(tau_max):
+    # edges of the coarse and fine grids of solve_propagator and of the
+    # start-up subgrids of each (48 and 96 panels over three steps)
+    n = max(16, math.ceil(propagator._POINTS_PER_UNIT_PHASE * OSC.omega0 * tau_max))
+    for nodes in (n, 2 * n):
+        h = tau_max / nodes
+        yield h * np.arange(nodes + 1)
+        for nsub in (48, 96):
+            yield 3.0 * h / nsub * np.arange(nsub + 1)
+
+
+@pytest.mark.parametrize("tau_max", [0.5, 2.9, 7.5])
+@pytest.mark.parametrize("lam", [0.4, 0.1, 0.05])
+def test_hard_first_moment_matches_the_sine_integral(lam, tau_max):
+    # row 1 = -K * panel difference of Si(x) - sin x, x = cutoff u / lam**2.
+    # Near x = 0 row 1 is ~K w x**2 / 3 on a panel w wide, while the
+    # difference of sin x at its edges costs a few ulps of sin x: on the fine
+    # start-up panels at lam 0.4 (x < 0.12) that is 2.3e-12 of max|row 1|,
+    # so the bound adds 1e-15 K min(1, x)
+    k0 = OSC.mass * OSC.omega0 * HARD_DEFAULT.eta * lam**2 / (2.0 * math.pi)
+    for edges in _moment_panels(tau_max):
+        x = HARD_DEFAULT.cutoff / lam**2 * edges
+        got = _raw_moments(edges, HARD_DEFAULT, OSC, lam)[1]
+        want = -k0 * np.diff(_si_minus_sin(x))
+        tol = 2e-12 * np.max(np.abs(want)) + 1e-15 * k0 * min(1.0, x[-1])
+        assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("tau_max", [0.5, 2.9, 7.5])
+@pytest.mark.parametrize("lam", [0.4, 0.1, 0.05])
+def test_sine_integral_rules_are_converged(lam, tau_max, monkeypatch):
+    # the rule each panel width picks, against 32 nodes on every panel
+    x_all = [HARD_DEFAULT.cutoff / lam**2 * edges for edges in _moment_panels(tau_max)]
+    got = [_sine_integral_panels(x) for x in x_all]
+    monkeypatch.setattr(propagator, "_SI_RULES", ((32, 15.0),))
+    for x, g in zip(x_all, got):
+        assert np.max(np.abs(g - _sine_integral_panels(x))) <= 1e-15 * np.max(np.abs(g))
+
+
+def test_sine_integral_splits_panels_beyond_the_widest_rule():
+    # cutoff/lam**2 = 1.6e5: each of these panels spans ~390 rad, where one
+    # 16-node rule would be meaningless; they are split into 27 parts
+    x = 1.6e5 / propagator._POINTS_PER_UNIT_PHASE * np.arange(17)
+    want = np.diff(sici(x)[0])
+    assert np.max(np.abs(_sine_integral_panels(x) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _lag_weights(n, h, bath, lam):
