@@ -57,6 +57,21 @@ def _checked_finite(name, value, bound="") -> float:
     return x
 
 
+def _checked_all_finite(values, name) -> np.ndarray:
+    """``values`` as an array; ValidationError naming ``name`` unless every entry is finite.
+
+    The message names the first entry that is NaN or infinite: its node
+    for a 1-d array, its index tuple otherwise.
+    """
+    a = np.asarray(values)
+    finite = np.isfinite(a)
+    if not finite.all():
+        i = np.unravel_index(int(np.argmin(finite)), a.shape)
+        where = f"node {i[0]}" if a.ndim == 1 else f"entry {tuple(map(int, i))}"
+        raise ValidationError(f"{name} must be finite; {where} is {a[i]}")
+    return a
+
+
 def _checked_grid(values, name, *, min_nodes=1, start=None) -> np.ndarray:
     """``values`` as a 1-d float grid, checked once for every route that takes one.
 
@@ -69,10 +84,7 @@ def _checked_grid(values, name, *, min_nodes=1, start=None) -> np.ndarray:
     if grid.ndim != 1 or grid.size < min_nodes:
         nodes = "one node" if min_nodes == 1 else f"{min_nodes} nodes"
         raise ValidationError(f"{name} must be a 1-d array with at least {nodes}")
-    finite = np.isfinite(grid)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValidationError(f"{name} must be finite; node {i} is {grid[i]}")
+    _checked_all_finite(grid, name)
     rule = "be strictly increasing" if start is None else f"increase strictly from {start:g}"
     if start is not None and grid[0] != start:
         raise ValidationError(f"{name} must {rule}; node 0 is {grid[0]}")

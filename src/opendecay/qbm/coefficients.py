@@ -71,7 +71,13 @@ import numpy as np
 
 from .._cubic import hermite, not_a_knot_slopes
 from ..errors import AccuracyError, NodeSingularityError, ValidationError
-from ..model import BathSpectrum, OscillatorParams, _checked_finite, _checked_grid
+from ..model import (
+    BathSpectrum,
+    OscillatorParams,
+    _checked_all_finite,
+    _checked_finite,
+    _checked_grid,
+)
 from ..spectral import renormalized_frequency_sq
 from .kernels import noise_kernel
 from .propagator import PropagatorFunction, _convolve
@@ -110,7 +116,8 @@ class QBMCoefficients:
 
     ``tau`` is one time or a finite, strictly increasing 1-d grid
     (ValidationError naming ``tau`` otherwise); each coefficient is
-    broadcast onto it.
+    broadcast onto it, and ValidationError names the coefficient and its
+    first node that is NaN or infinite.
     """
 
     tau: np.ndarray
@@ -126,7 +133,7 @@ class QBMCoefficients:
             arr = np.broadcast_to(
                 np.asarray(getattr(self, name), dtype=float), tau.shape
             ).copy()
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _checked_all_finite(arr, name))
 
 
 def _check_tau(prop: PropagatorFunction, tau):

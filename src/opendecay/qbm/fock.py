@@ -41,7 +41,7 @@ import scipy
 
 from .._integrate import integrate, propagate_constant
 from ..errors import TruncationError, ValidationError
-from ..model import OscillatorParams, _checked_finite
+from ..model import OscillatorParams, _checked_all_finite, _checked_finite
 from .coefficients import QBMCoefficients
 from .moments import coefficient_functions
 
@@ -170,11 +170,13 @@ def truncated_basis_propagate(
     """Evolve rho0 on tau_grid; (n_tau, d, d) array of density matrices.
 
     Raises TruncationError when the population of the top ladder state
-    exceeds ``_BOUNDARY_TOL`` at any output time.
+    exceeds ``_BOUNDARY_TOL`` at any output time, and ValidationError
+    naming ``rho0`` unless it is a finite square matrix of dimension >= 2.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho0.shape[0] < 2:
         raise ValidationError("rho0 must be a square matrix of dimension >= 2")
+    _checked_all_finite(rho0, "rho0")
     d = rho0.shape[0]
     offsets, parts = _generator_parts(*ladder_operators(d - 1, osc), osc.mass)
     tau = np.asarray(tau_grid, dtype=float)

@@ -9,6 +9,9 @@ The reduced dynamics are organized around a single scalar function
 with the dissipation kernel ``mu`` of :mod:`opendecay.qbm.kernels`.
 Everything else (the time-local coefficients, the two-point kernel
 exponents) is assembled from ``G`` and its first three derivatives.
+Each route stores ``G`` and its first four derivatives at the nodes, and
+:class:`PropagatorFunction` reads every one of the first four between
+the nodes as the cubic Hermite interpolant on the next.
 
 Two independent routes are provided:
 
@@ -29,9 +32,10 @@ Two independent routes are provided:
     Newton's iteration for ``M^{-1}`` with FFT products rather than node
     by node, which gives the stepped solution to round-off.  Once the
     history is complete, ``G'''`` follows from the same product weights
-    applied to ``(G', G'')``, all nodes at once.  Every memory sum, on
-    the startup nodes and for ``G'''``, is one call of ``_convolve``, the
-    package's only linear convolution.  The
+    applied to ``(G', G'')``, all nodes at once, and ``G''''`` from them
+    applied to ``(G'', G''')`` plus ``mu(tau)`` in closed form.  Every
+    memory sum, on the startup nodes and for ``G'''`` and ``G''''``, is
+    one call of ``_convolve``, the package's only linear convolution.  The
     whole solve is repeated on a half-step grid and the two solutions
     compared, so the returned accuracy is certified rather than hoped for.
 
@@ -51,16 +55,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .._cubic import hermite, not_a_knot_slopes
 from .._quad import _leggauss, filon_sum
 from ..errors import AccuracyError, InversionError, ValidationError
-from ..model import BathSpectrum, OscillatorParams, _checked_finite, _checked_grid
+from ..model import (
+    BathSpectrum,
+    OscillatorParams,
+    _checked_all_finite,
+    _checked_finite,
+    _checked_grid,
+)
 from ..spectral import renormalized_frequency_sq
-from .kernels import _lam_value, mu_laplace
+from .kernels import _lam_value, dissipation_kernel, mu_laplace
 
 __all__ = [
     "PropagatorFunction",
@@ -79,16 +89,16 @@ _DENSE_TERMS = 16  # terms of M^{-1} found by forward substitution before Newton
 
 @dataclass(frozen=True)
 class PropagatorFunction:
-    """``G`` and its derivatives on a uniform grid, interpolated locally between nodes.
+    """``G`` and its first four derivatives on a uniform grid, interpolated locally.
 
     ``G[0] == 0.0`` and ``G_dot[0] == 1.0`` hold exactly; construction
-    refuses data that merely approximates the initial conditions.
-    ``g``, ``g_dot`` and ``g_ddot`` evaluate the cubic Hermite interpolant
-    of each array with the next one as its derivative, on the grid
-    interval that holds each time. ``G_dddot`` has no stored derivative:
-    ``g_dddot`` is its not-a-knot cubic spline, whose node slopes are
-    solved once, on first use. Each raises ValidationError naming ``tau``
-    and its first entry that is NaN or outside ``[0, tau_max]``.
+    refuses data that merely approximates the initial conditions, and
+    names the array and its first node when an entry is NaN or infinite.
+    ``g``, ``g_dot``, ``g_ddot`` and ``g_dddot`` evaluate the cubic
+    Hermite interpolant of each array with the next one as its
+    derivative, on the grid interval that holds each time. Each raises
+    ValidationError naming ``tau`` and its first entry that is NaN or
+    outside ``[0, tau_max]``.
     """
 
     tau_grid: np.ndarray
@@ -96,23 +106,24 @@ class PropagatorFunction:
     G_dot: np.ndarray
     G_ddot: np.ndarray
     G_dddot: np.ndarray
+    G_ddddot: np.ndarray
     lam: float
     bath: BathSpectrum
     osc: OscillatorParams
 
     def __post_init__(self):
         tau = _checked_grid(self.tau_grid, "tau_grid", min_nodes=5, start=0.0)
-        arrays = {"G": self.G, "G_dot": self.G_dot, "G_ddot": self.G_ddot,
-                  "G_dddot": self.G_dddot}
-        for name, arr in arrays.items():
-            if np.shape(arr) != tau.shape:
+        arrays = ("G", "G_dot", "G_ddot", "G_dddot", "G_ddddot")
+        for name in arrays:
+            if np.shape(getattr(self, name)) != tau.shape:
                 raise ValidationError(f"{name} does not match the tau grid")
+            _checked_all_finite(getattr(self, name), name)
         if self.G[0] != 0.0 or self.G_dot[0] != 1.0:
             raise ValidationError(
                 "initial conditions G(0)=0, G'(0)=1 must hold exactly; got "
                 f"G(0)={self.G[0]!r}, G'(0)={self.G_dot[0]!r}"
             )
-        for name in ("tau_grid",) + tuple(arrays):
+        for name in ("tau_grid",) + arrays:
             a = np.ascontiguousarray(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -138,11 +149,7 @@ class PropagatorFunction:
         return hermite(self.tau_grid, self.G_ddot, self.G_dddot, self._times(tau))
 
     def g_dddot(self, tau):
-        return hermite(self.tau_grid, self.G_dddot, self._dddot_slopes, self._times(tau))
-
-    @cached_property
-    def _dddot_slopes(self):
-        return not_a_knot_slopes(self.tau_grid, self.G_dddot)
+        return hermite(self.tau_grid, self.G_dddot, self.G_ddddot, self._times(tau))
 
     @property
     def tau_max(self) -> float:
@@ -498,15 +505,16 @@ def _volterra_solve(bath, osc, lam: float, tau_max: float, n: int):
         rhs[:, :rows] += K[k - 1] @ known[:, 4 - k : 4 - k + rows]
     G[4:], Gd[4:], Gdd[4:] = _causal_solve(K, v, np.stack([wg, wd]), rhs)
 
-    # third derivative: differentiating the memory term moves the same
-    # product weights onto (G', G'') since mu(tau) G(0) vanishes.
-    Gddd = np.empty(n + 1)
-    Gddd[0] = -w0sq * Gd[0]
-    Gddd[1:] = -w0sq * Gd[1:] - two_over_m * memory(Gd, Gdd)
-
+    # G''' and G'''': differentiating the memory term moves the same weights
+    # onto (G', G''), as mu(tau) G(0) = 0, then onto (G'', G''') plus mu(tau) G'(0).
     # linspace keeps the interior nodes of h * arange(n + 1) and ends on
     # tau_max exactly, so a window ending at tau_max stays inside the grid
-    return np.linspace(0.0, tau_max, n + 1), G, Gd, Gdd, Gddd
+    tau = np.linspace(0.0, tau_max, n + 1)
+    Gddd = -w0sq * Gd
+    Gddd[1:] -= two_over_m * memory(Gd, Gdd)
+    Gdddd = -w0sq * Gdd  # G''''(0) = 0, since mu(0) = 0 and G''(0) = 0
+    Gdddd[1:] -= two_over_m * (dissipation_kernel(tau[1:], bath, osc, lam) + memory(Gdd, Gddd))
+    return tau, G, Gd, Gdd, Gddd, Gdddd
 
 
 def solve_propagator(
@@ -552,8 +560,7 @@ def solve_propagator(
             np.max(np.abs(coarse[2] - fine[2][::2])) / scale_gd,
         )
         if err <= _REL_TOL:
-            tau, g, gd, gdd, gddd = fine
-            return PropagatorFunction(tau, g, gd, gdd, gddd, lam, bath, osc)
+            return PropagatorFunction(*fine, lam, bath, osc)
         coarse = fine
         n *= 2
     raise AccuracyError(
@@ -622,8 +629,9 @@ def propagator_via_laplace(
     time-domain route, else InversionError; so must the initial data
     G(0) = 0, G'(0) = 1, and a NaN fails either check.  ``G'`` is
     produced the same way (one extra power of s); the stored second and
-    third derivatives come from spline differentiation of ``G'`` and are
-    diagnostic quality only -- use the time-domain route when the
+    third derivatives come from spline differentiation of ``G'``, and the
+    fourth is the slope of the not-a-knot spline through the third.  They
+    are diagnostic quality only -- use the time-domain route when the
     derivatives matter.  A bad grid raises ValidationError naming
     ``tau_grid`` and the offending node unless it is 1-D, finite and
     strictly increasing from 0 over at least 5 nodes, and naming the limit
@@ -645,7 +653,7 @@ def propagator_via_laplace(
         g = np.sin(w0 * tau) / w0
         gd = np.cos(w0 * tau)
         return PropagatorFunction(
-            tau, g, gd, -w0**2 * g, -w0**2 * gd, lam, bath, osc
+            tau, g, gd, -w0**2 * g, -w0**2 * gd, w0**4 * g, lam, bath, osc
         )
 
     sigma = 3.5 / tau_max
@@ -686,4 +694,5 @@ def propagator_via_laplace(
     gd2[0] = 1.0
     gdd = not_a_knot_slopes(tau, gd2)  # the not-a-knot spline of G' and its derivatives
     gddd = hermite(tau, gd2, gdd, tau, nu=2)
-    return PropagatorFunction(tau, g2, gd2, gdd, gddd, lam, bath, osc)
+    return PropagatorFunction(tau, g2, gd2, gdd, gddd, not_a_knot_slopes(tau, gddd),
+                              lam, bath, osc)

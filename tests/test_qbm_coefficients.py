@@ -207,6 +207,19 @@ def test_coefficients_refuse_a_bad_tau_grid_by_name(tau, why):
         QBMCoefficients(tau, 1.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("name", ["omegaR_sq", "D_xx", "D_xp", "Gamma_xp"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_coefficients_refuse_a_non_finite_entry_by_name(name, value):
+    # refused where it enters: the stepper's refusal would name its error estimate
+    tau = np.linspace(0.0, 1.0, 5)
+    entries = dict(omegaR_sq=1.0, D_xx=0.1, D_xp=0.0, Gamma_xp=np.full(5, 0.2))
+    entries[name] = np.where(tau == 0.75, value, entries[name])
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite; node 3 is {value}$"):
+        QBMCoefficients(tau, **entries)
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite; node 0 is {value}$"):
+        QBMCoefficients(np.array([0.0]), **dict(entries, **{name: value}))
+
+
 def test_exact_decoherence_matrix_is_positive_semidefinite(exp_prop):
     # Theta is a double integral of the positive noise kernel, so the
     # two-point kernel's Gaussian damping never turns into growth

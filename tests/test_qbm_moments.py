@@ -297,6 +297,15 @@ def test_truncated_basis_input_validation():
         truncated_basis_propagate(co, OSC, np.ones((1, 1)), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_truncated_basis_refuses_a_non_finite_rho0_by_name(value):
+    # refused where it enters: the stepper's refusal would name its error estimate
+    rho0 = coherent_density(OSC, 0.5, 0.0, 6)
+    rho0[2, 1] = value
+    with pytest.raises(ValidationError, match=r"^rho0 must be finite; entry \(2, 1\) is "):
+        truncated_basis_propagate(_free_coeffs(), OSC, rho0, [0.0, 1.0])
+
+
 def test_limit_coefficients_plug_into_transport():
     bath_tau = np.linspace(0.0, 2.0, 5)
     from opendecay.model import BathSpectrum

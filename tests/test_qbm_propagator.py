@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.integrate
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.signal import fftconvolve
 from scipy.special import sici, spherical_jn
 
@@ -45,6 +45,7 @@ def test_free_oscillator_reduces_to_sine():
     assert np.max(np.abs(pf.G_dot - np.cos(tau))) < 1e-10
     assert np.max(np.abs(pf.G_ddot + np.sin(tau))) < 1e-9
     assert np.max(np.abs(pf.G_dddot + np.cos(tau))) < 1e-9
+    assert np.max(np.abs(pf.G_ddddot - np.sin(tau))) < 1e-9
 
 
 def test_initial_data_is_exact():
@@ -94,6 +95,7 @@ def test_laplace_route_free_case_is_exact():
     pf = propagator_via_laplace(FREE, OSC, 0.4, grid)
     assert np.allclose(pf.G, np.sin(grid), atol=1e-14)
     assert np.allclose(pf.G_dot, np.cos(grid), atol=1e-14)
+    assert np.allclose(pf.G_ddddot, np.sin(grid), atol=1e-14)
 
 
 def test_laplace_refinement_check_raises_when_unreachable(monkeypatch):
@@ -306,15 +308,34 @@ def test_fast_len_is_scipys_real_fft_length():
 @pytest.mark.parametrize("lam", [0.4, 0.1])
 def test_hermite_access_matches_the_cubic_spline(bath, tols, lam):
     # G, G' and G'' are Hermite cubics on the stored next derivative, the
-    # parent's CubicSpline the oracle; from tau = 0.1 on, past the boundary
-    # layer of width lam**2/cutoff that neither interpolant resolves in G''.
-    # g_dddot is the not-a-knot spline itself.
+    # not-a-knot CubicSpline of each array the oracle; from tau = 0.1 on,
+    # past the boundary layer of width lam**2/cutoff that neither
+    # interpolant resolves in G''.  G''' follows the same rule on the
+    # stored G'''', so it is SciPy's Hermite spline of the two to the bit.
     pf = solve_propagator(bath, OSC, lam, 2.5)
     t = np.linspace(0.1, 2.5, 2001)
-    pairs = [(pf.G, pf.g), (pf.G_dot, pf.g_dot), (pf.G_ddot, pf.g_ddot), (pf.G_dddot, pf.g_dddot)]
-    for (arr, access), tol in zip(pairs, tols + (1e-13,)):
+    pairs = [(pf.G, pf.g), (pf.G_dot, pf.g_dot), (pf.G_ddot, pf.g_ddot)]
+    for (arr, access), tol in zip(pairs, tols):
         want = CubicSpline(pf.tau_grid, arr)(t)
         assert np.max(np.abs(access(t) - want)) <= tol * np.max(np.abs(want))
+    want = CubicHermiteSpline(pf.tau_grid, pf.G_dddot, pf.G_ddddot)(t)
+    assert np.array_equal(pf.g_dddot(t), want)
+
+
+def test_stored_fourth_derivative_carries_g_dddot_between_the_nodes():
+    # hard cutoff at lam 0.05: ~5 nodes per period of the cutoff/lam**2
+    # ripple.  At the midpoints of the returned grid g_dddot is held to
+    # nodes of a 4x finer solve, from tau = 0.2 on, past the start where
+    # mu, decaying as 1/tau**2, still swings G''' across a few nodes.
+    bath = BathSpectrum(0.2, 5.0, "hard", 5.0)
+    pf = solve_propagator(bath, OSC, 0.05, 2.9)
+    n = pf.tau_grid.size - 1
+    fine = _volterra_solve(bath, OSC, 0.05, 2.9, 4 * n)
+    mid = 0.5 * (pf.tau_grid[:-1] + pf.tau_grid[1:])
+    assert np.max(np.abs(fine[0][2::4] - mid)) < 1e-14
+    keep = mid >= 0.2
+    err = np.abs(pf.g_dddot(mid[keep]) - fine[4][2::4][keep])
+    assert np.max(err) < 1e-4 * np.max(np.abs(fine[4]))
 
 
 def test_access_refuses_a_time_outside_the_grid_by_name():
@@ -335,15 +356,23 @@ def test_third_derivative_matches_the_lag_sum():
     n = pf.tau_grid.size - 1
     h = tau_max / n
     wg, wd, gamma, delta = _lag_weights(n, h, EXP, lam)
-    gd, gdd = pf.G_dot, pf.G_ddot
-    # reference form: the product-integration memory sum node by node
-    want = np.empty(n + 1)
-    want[0] = -OSC.omega0**2 * gd[0]
-    for j in range(1, n + 1):
-        mem = (gamma[j - 1] * gd[0] + h * delta[j - 1] * gdd[0]
-               + np.dot(wg[:j], gd[j:0:-1]) + np.dot(wd[:j], gdd[j:0:-1]))
-        want[j] = -OSC.omega0**2 * gd[j] - 2.0 / OSC.mass * mem
+
+    def lag_sum(a, ad):
+        # reference form: the product-integration memory sum node by node
+        out = np.zeros(n + 1)
+        for j in range(1, n + 1):
+            out[j] = (gamma[j - 1] * a[0] + h * delta[j - 1] * ad[0]
+                      + np.dot(wg[:j], a[j:0:-1]) + np.dot(wd[:j], ad[j:0:-1]))
+        return out
+
+    w0sq, two_over_m = OSC.omega0**2, 2.0 / OSC.mass
+    want = -w0sq * pf.G_dot - two_over_m * lag_sum(pf.G_dot, pf.G_ddot)
     assert np.max(np.abs(pf.G_dddot - want)) < 1e-12 * np.max(np.abs(want))
+    # G'''' takes the same sum on (G'', G''') plus mu(tau) G'(0) = mu(tau)
+    mu = dissipation_kernel(pf.tau_grid, EXP, OSC, lam)
+    want = -w0sq * pf.G_ddot - two_over_m * (mu + lag_sum(pf.G_ddot, pf.G_dddot))
+    assert mu[0] == 0.0 and pf.G_ddddot[0] == 0.0
+    assert np.max(np.abs(pf.G_ddddot - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def _loop_trapezoid_step(h, w0sq, two_over_m, w0, g, gd, gdd, lagd):
@@ -506,28 +535,44 @@ def test_solver_input_validation():
 
 def _valid_arrays():
     tau = np.linspace(0.0, 1.0, 6)
-    return tau, np.sin(tau), np.cos(tau), -np.sin(tau), -np.cos(tau)
+    return tau, np.sin(tau), np.cos(tau), -np.sin(tau), -np.cos(tau), np.sin(tau)
 
 
 def test_propagator_function_validates_and_freezes():
-    tau, g, gd, gdd, gddd = _valid_arrays()
-    pf = PropagatorFunction(tau, g, gd, gdd, gddd, 0.4, EXP, OSC)
+    tau, g, gd, gdd, gddd, gdddd = _valid_arrays()
+    pf = PropagatorFunction(tau, g, gd, gdd, gddd, gdddd, 0.4, EXP, OSC)
     assert pf.tau_max == 1.0
     assert pf.max_abs_g == pytest.approx(np.sin(1.0))
     with pytest.raises(ValueError):
         pf.G[2] = 5.0  # stored arrays are read-only
 
     with pytest.raises(ValidationError):  # grid must start at zero
-        PropagatorFunction(tau + 0.1, g, gd, gdd, gddd, 0.4, EXP, OSC)
+        PropagatorFunction(tau + 0.1, g, gd, gdd, gddd, gdddd, 0.4, EXP, OSC)
     with pytest.raises(ValidationError):  # G(0) must be exactly 0
-        PropagatorFunction(tau, g + 1e-12, gd, gdd, gddd, 0.4, EXP, OSC)
+        PropagatorFunction(tau, g + 1e-12, gd, gdd, gddd, gdddd, 0.4, EXP, OSC)
     with pytest.raises(ValidationError):  # G'(0) must be exactly 1
-        PropagatorFunction(tau, g, 0.999 * gd, gdd, gddd, 0.4, EXP, OSC)
+        PropagatorFunction(tau, g, 0.999 * gd, gdd, gddd, gdddd, 0.4, EXP, OSC)
     with pytest.raises(ValidationError):  # too few nodes
-        PropagatorFunction(tau[:4], g[:4], gd[:4], gdd[:4], gddd[:4],
+        PropagatorFunction(tau[:4], g[:4], gd[:4], gdd[:4], gddd[:4], gdddd[:4],
                            0.4, EXP, OSC)
     with pytest.raises(ValidationError):  # shape mismatch
-        PropagatorFunction(tau, g[:-1], gd, gdd, gddd, 0.4, EXP, OSC)
+        PropagatorFunction(tau, g[:-1], gd, gdd, gddd, gdddd, 0.4, EXP, OSC)
+    with pytest.raises(ValidationError, match="^G_ddddot does not match the tau grid$"):
+        PropagatorFunction(tau, g, gd, gdd, gddd, gdddd[:-1], 0.4, EXP, OSC)
+
+
+_NODE_ARRAYS = ("G", "G_dot", "G_ddot", "G_dddot", "G_ddddot")
+
+
+@pytest.mark.parametrize("name", _NODE_ARRAYS)
+@pytest.mark.parametrize("node, value", [(0, np.nan), (3, np.inf), (5, -np.inf)])
+def test_propagator_function_names_a_non_finite_node(name, node, value):
+    # a NaN in G''' between window times would turn every Gamma_xp and D_xx
+    # of exact_coefficients into NaN without an error
+    tau, *arrays = _valid_arrays()
+    arrays[_NODE_ARRAYS.index(name)][node] = value
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite; node {node} is {value}$"):
+        PropagatorFunction(tau, *arrays, 0.4, EXP, OSC)
 
 
 @pytest.mark.parametrize("node, value, message", [
@@ -536,10 +581,10 @@ def test_propagator_function_validates_and_freezes():
     (4, np.nan, "must be finite; node 4 is nan$"),
 ])
 def test_propagator_function_names_the_bad_grid_node(node, value, message):
-    tau, g, gd, gdd, gddd = _valid_arrays()
+    tau, *arrays = _valid_arrays()
     tau[node] = value
     with pytest.raises(ValidationError, match="^tau_grid " + message):
-        PropagatorFunction(tau, g, gd, gdd, gddd, 0.4, EXP, OSC)
+        PropagatorFunction(tau, *arrays, 0.4, EXP, OSC)
 
 
 def test_laplace_route_grid_validation():
