@@ -34,7 +34,7 @@ import numpy as np
 # that its reference in this module is rebound (bench/tests/test_bench.py)
 from ._integrate import integrate, propagate_constant  # noqa: F401
 from .errors import AccuracyError, ValidationError
-from .model import BathSpectrum, SpinBosonParams, _checked_finite
+from .model import BathSpectrum, SpinBosonParams, _checked_finite, _checked_grid
 from .spectral import gamma_theta_weak
 
 __all__ = [
@@ -115,8 +115,10 @@ def propagate_bloch(gen: BlochGenerator, triple0, tau_grid, rtol: float = 1e-10,
     relative tolerance; ``method="expm"`` evaluates the matrix
     exponential at every node (cross-check path for the constant
     generator). ValidationError names ``triple0`` unless its entries are
-    finite.
+    finite, and ``tau_grid`` and its first bad node unless it is 1-d,
+    finite and strictly increasing.
     """
+    tau_grid = _checked_grid(tau_grid, "tau_grid")
     v0 = np.asarray(triple0, dtype=complex)
     if v0.shape != (3,):
         raise ValueError(f"triple0 must have shape (3,), got {v0.shape}")
@@ -130,7 +132,9 @@ def propagator_matrix(gen: BlochGenerator, tau_grid, rtol: float = 1e-10) -> np.
 
     Adaptive steps at the relative tolerance ``rtol``; the matrix
     exponential reference is ``propagate_bloch(..., method="expm")``.
+    ValidationError names ``tau_grid`` as :func:`propagate_bloch` does.
     """
+    tau_grid = _checked_grid(tau_grid, "tau_grid")
     return propagate_constant(gen.matrix, np.eye(3, dtype=complex), tau_grid,
                               rtol=rtol)
 

@@ -40,7 +40,7 @@ from .errors import (
     IntegratorAccuracyError,
     StructuralError,
 )
-from .model import DensityMatrix2, SpinBosonParams, _checked_finite
+from .model import DensityMatrix2, SpinBosonParams, _checked_finite, _checked_grid
 
 __all__ = [
     "Liouvillian2",
@@ -116,11 +116,13 @@ def propagate_density(liouv: Liouvillian2, rho0, tau_grid,
     Adaptive steps at the relative tolerance ``rtol``; the dense
     reference is ``propagate_constant(liouv.matrix, ..., method="expm")``.
     Each state is validated as a :class:`DensityMatrix2` (raising
-    :class:`ValidationError` when it is not a density matrix). Every
-    output state must stay within loose physicality bounds (trace
-    defect below 1e-9, smallest eigenvalue above -1e-9) or
-    :class:`IntegratorAccuracyError`, naming the tau and the state, is
-    raised: violations mean the requested tolerance was not achieved.
+    :class:`ValidationError` when it is not a density matrix), and so is
+    ``tau_grid``, by name and first bad node, unless it is 1-d, finite and
+    strictly increasing. Every output state must stay within loose
+    physicality bounds (trace defect below 1e-9, smallest eigenvalue
+    above -1e-9) or :class:`IntegratorAccuracyError`, naming the tau and
+    the state, is raised: violations mean the requested tolerance was
+    not achieved.
     """
     if isinstance(rho0, DensityMatrix2):
         rho0 = rho0.entries
@@ -131,7 +133,7 @@ def propagate_density(liouv: Liouvillian2, rho0, tau_grid,
         )
     for rho in rho0.reshape(-1, 2, 2):
         DensityMatrix2(rho)
-    tau_grid = np.asarray(tau_grid, dtype=float)
+    tau_grid = _checked_grid(tau_grid, "tau_grid")
     # one state stays a 4-vector; a stack is a (4, k) block of columns
     flat = propagate_constant(liouv.matrix, rho0.reshape(rho0.shape[:-2] + (4,)).T,
                               tau_grid, rtol=rtol)

@@ -323,7 +323,9 @@ def exact_coefficients(
     Theta derivative is the slope of the not-a-knot cubic spline across
     the window, hence the 5 points. ValidationError names ``rel_tol``
     unless it is finite and > 0, and ``tau_points`` and its first bad node
-    unless they are finite and strictly increasing.
+    unless they are finite and strictly increasing. NodeSingularityError
+    names the first window time where ``G''G - G'**2`` vanishes (below
+    1e-12 of the larger of ``G'**2`` and ``|G''G|`` over the window).
     """
     rel_tol = _checked_finite("rel_tol", rel_tol, "> 0")
     tau = _checked_grid(tau_points, "tau_points", min_nodes=5)
@@ -336,8 +338,13 @@ def exact_coefficients(
     gddd = prop.g_dddot(tau)
     w = gdd * g - gd * gd
     wdot = gddd * g - gd * gdd
-    if np.any(np.abs(w) < 1e-12 * max(np.max(gd * gd), np.max(np.abs(gdd * g)))):
-        raise NodeSingularityError("Wronskian-type denominator vanished in window")
+    scale = max(np.max(gd * gd), np.max(np.abs(gdd * g)))
+    vanished = np.flatnonzero(np.abs(w) < 1e-12 * scale)
+    if vanished.size:
+        raise NodeSingularityError(
+            f"Wronskian-type denominator G''G - G'**2 vanishes at tau={tau[vanished[0]]:g}, "
+            "the first such window time"
+        )
     gamma_xp = -0.5 * wdot / w
     omega_sq = (gd / g) * (wdot / w) - gdd / g
 

@@ -41,7 +41,7 @@ import scipy
 
 from .._integrate import integrate, propagate_constant
 from ..errors import TruncationError, ValidationError
-from ..model import OscillatorParams, _checked_all_finite, _checked_finite
+from ..model import OscillatorParams, _checked_all_finite, _checked_finite, _checked_grid
 from .coefficients import QBMCoefficients
 from .moments import coefficient_functions
 
@@ -171,15 +171,17 @@ def truncated_basis_propagate(
 
     Raises TruncationError when the population of the top ladder state
     exceeds ``_BOUNDARY_TOL`` at any output time, and ValidationError
-    naming ``rho0`` unless it is a finite square matrix of dimension >= 2.
+    naming ``rho0`` unless it is a finite square matrix of dimension >= 2,
+    and ``tau_grid`` and its first bad node unless it is 1-d, finite and
+    strictly increasing.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho0.shape[0] < 2:
         raise ValidationError("rho0 must be a square matrix of dimension >= 2")
     _checked_all_finite(rho0, "rho0")
+    tau = _checked_grid(tau_grid, "tau_grid")
     d = rho0.shape[0]
     offsets, parts = _generator_parts(*ladder_operators(d - 1, osc), osc.mass)
-    tau = np.asarray(tau_grid, dtype=float)
     if coeffs.tau.size == 1:
         weights = (1.0, coeffs.omegaR_sq[0], coeffs.D_xx[0], coeffs.D_xp[0],
                    coeffs.Gamma_xp[0])

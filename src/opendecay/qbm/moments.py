@@ -26,7 +26,7 @@ import numpy as np
 from .._cubic import hermite, not_a_knot_slopes
 from .._integrate import integrate
 from ..errors import ValidationError
-from ..model import GaussianState, OscillatorParams
+from ..model import GaussianState, OscillatorParams, _checked_grid
 from .coefficients import QBMCoefficients
 
 __all__ = ["MOMENT_LABELS", "coefficient_functions", "propagate_moments"]
@@ -68,8 +68,12 @@ def propagate_moments(
     tau_grid,
     rtol: float = 1e-10,
 ) -> np.ndarray:
-    """Integrate the closed moment system; rows follow MOMENT_LABELS."""
-    tau = np.asarray(tau_grid, dtype=float)
+    """Integrate the closed moment system; rows follow MOMENT_LABELS.
+
+    ValidationError names ``tau_grid`` and its first bad node unless it is
+    1-d, finite and strictly increasing.
+    """
+    tau = _checked_grid(tau_grid, "tau_grid")
     w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
     m = osc.mass
 

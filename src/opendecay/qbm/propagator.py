@@ -22,22 +22,26 @@ Two independent routes are provided:
     of ``G`` (the kernel is concentrated in a boundary layer of width
     ``lam**2/cutoff`` that no polynomial rule on the ``G`` grid could
     resolve, but its monomial moments have closed forms, bar one sine
-    integral of the hard cutoff taken by panel quadrature).  The first
-    three nodes come from a trapezoidal PECE run on a 16x/32x finer
-    subgrid, Richardson extrapolated; the later ones from an
-    Adams-Bashforth-4 predictor with two Adams-Moulton-4 corrector
-    sweeps.  Either step is linear with constant coefficients in the
-    last nodes and in the memory sum, so each run is one causal 3x3
-    matrix power-series equation ``M(z) X(z) = R(z)``.  It is solved by
-    Newton's iteration for ``M^{-1}`` with FFT products rather than node
-    by node, which gives the stepped solution to round-off.  Once the
-    history is complete, ``G'''`` follows from the same product weights
-    applied to ``(G', G'')``, all nodes at once, and ``G''''`` from them
-    applied to ``(G'', G''')`` plus ``mu(tau)`` in closed form.  Every
-    memory sum, on the startup nodes and for ``G'''`` and ``G''''``, is
-    one call of ``_convolve``, the package's only linear convolution.  The
-    whole solve is repeated on a half-step grid and the two solutions
-    compared, so the returned accuracy is certified rather than hoped for.
+    integral of the hard cutoff taken by panel quadrature).  This one
+    product rule (``_lag_weights``) carries every memory sum of the solve.
+    The first three nodes come from trapezoidal PECE runs on a 16x/32x
+    finer subgrid, each on that subgrid's weights, Richardson
+    extrapolated; the later ones from an Adams-Bashforth-4 predictor with
+    two Adams-Moulton-4 corrector sweeps.  Either step is linear with
+    constant coefficients in the last nodes and in the memory sum, so
+    each run is one causal 3x3 matrix power-series equation
+    ``M(z) X(z) = R(z)``, whose right side ``_march`` builds from the
+    known nodes.  It is solved by Newton's iteration for ``M^{-1}`` with
+    FFT products rather than node by node, which gives the stepped
+    solution to round-off.  The whole solve of ``(G, G', G'')`` is
+    repeated on a half-step grid and the two solutions' ``G`` and ``G'``
+    compared, so the returned accuracy is certified rather than hoped
+    for.  On the certified grid alone, once, ``G'''`` follows from the
+    same product weights applied to ``(G', G'')``, all nodes at once, and
+    ``G''''`` from them applied to ``(G'', G''')`` plus ``mu(tau)`` in
+    closed form.  The memory sums at the first three nodes and for
+    ``G'''`` and ``G''''`` are each one call of ``_convolve``, the
+    package's only linear convolution.
 
 ``propagator_via_laplace``
     Numerical Bromwich inversion of
@@ -278,29 +282,40 @@ def _hermite_weights(n: int, h: float, bath, osc, lam: float):
     return alpha, beta, gamma, delta
 
 
-def _linear_weights(n: int, h: float, bath, osc, lam: float):
-    """Piecewise-linear product weights (startup grid); lag-l weight on G."""
-    edges = h * np.arange(n + 1)
-    r0, r1, _, _ = _raw_moments(edges, bath, osc, lam)
-    k = np.arange(n, dtype=float)
-    m0 = r0
-    m1 = r1 / h - k * r0
-    w = m0 - m1
-    w[1:] += m1[:-1]
-    return w  # the lag-n weight m1[n-1] multiplies G(0) = 0 and is dropped
+def _lag_weights(n: int, h: float, bath, osc, lam: float):
+    """The cubic-Hermite rule collected per lag: ``(wg, wd, gamma, hdelta)``.
+
+    ``wg[l]``, ``wd[l]`` multiply (G, G') at lag l < n; the tau = 0 node
+    keeps its own coefficients, ``gamma[j - 1]`` on G(0) and
+    ``hdelta[j - 1]`` (h delta) on G'(0) in the memory sum at node j.
+    """
+    alpha, beta, gamma, delta = _hermite_weights(n, h, bath, osc, lam)
+    wg = alpha.copy()
+    wg[1:] += gamma[:-1]
+    wd = h * beta
+    wd[1:] += h * delta[:-1]
+    return wg, wd, gamma, h * delta
 
 
-def _trapezoid_step(h: float, w0sq: float, two_over_m: float, w0: float):
+def _memory(weights, a, ad):
+    """Memory sum at nodes 1 .. len(a) - 1 of the history (a, ad), all at once."""
+    wg, wd, gamma, hdelta = weights
+    m = a.size - 1
+    out = _convolve(wg[:m], a[1:], m) + _convolve(wd[:m], ad[1:], m)
+    return out + gamma[:m] * a[0] + hdelta[:m] * ad[0]
+
+
+def _trapezoid_step(h: float, w0sq: float, two_over_m: float, wg0: float, wd0: float):
     """One trapezoidal PECE step (four corrector sweeps) of the startup grid."""
 
     def step(g, gd, gdd, base):  # values at node m; base: lag sum of node m + 1
         gs = g[0] + h * gd[0] + 0.5 * h * h * gdd[0]
         gds = gd[0] + h * gdd[0]
         for _ in range(4):
-            gdds = -w0sq * gs - two_over_m * (base + w0 * gs)
+            gdds = -w0sq * gs - two_over_m * (base + wg0 * gs + wd0 * gds)
             gds = gd[0] + 0.5 * h * (gdd[0] + gdds)
             gs = g[0] + 0.5 * h * (gd[0] + gds)
-        return gs, gds, -w0sq * gs - two_over_m * (base + w0 * gs)
+        return gs, gds, -w0sq * gs - two_over_m * (base + wg0 * gs + wd0 * gds)
 
     return step
 
@@ -333,29 +348,6 @@ def _step_map(step, nodes: int):
     x = unit[:-1].reshape(nodes, 3, -1)  # x[k, c]: component c of node m - k
     out = np.stack(step(x[:, 0], x[:, 1], x[:, 2], unit[-1]))
     return out[:, :-1].reshape(3, nodes, 3).transpose(1, 0, 2), out[:, -1]
-
-
-def _startup_nodes(h: float, w0sq: float, mass: float, bath, osc, lam: float):
-    """(G, G') at tau = h, 2h, 3h from Richardson-paired fine PECE runs."""
-
-    def run(nsub: int):
-        # the PECE recursion over nodes 1 .. nsub as one causal solve; only
-        # node 1 sees the initial data x_0 = (0, 1, 0)
-        hf = 3.0 * h / nsub
-        w = _linear_weights(nsub, hf, bath, osc, lam)
-        K, v = _step_map(_trapezoid_step(hf, w0sq, 2.0 / mass, w[0]), 1)
-        rhs = np.zeros((3, nsub))
-        rhs[:, 0] = K[0][:, 1]
-        x = _causal_solve(K, v, np.stack([w, np.zeros(nsub)]), rhs)
-        return x[0], x[1]
-
-    g16, gd16 = run(48)
-    g32, gd32 = run(96)
-    i16 = np.array([15, 31, 47])  # nodes 16, 32, 48
-    i32 = np.array([31, 63, 95])
-    g = (4.0 * g32[i32] - g16[i16]) / 3.0
-    gd = (4.0 * gd32[i32] - gd16[i16]) / 3.0
-    return g, gd
 
 
 @lru_cache(maxsize=1024)
@@ -458,63 +450,91 @@ def _causal_solve(K, v, w, rhs):
     return x[:, 0, :]
 
 
+def _march(step, weights, known, n: int):
+    """``(G, G', G'')`` at nodes k .. n of a run whose nodes 0 .. k - 1 are ``known``.
+
+    ``step`` is linear over the last k nodes (``known`` is (3, k)), so by
+    ``_step_map`` the run obeys x_j = sum_i K_i x_{j-1-i} + v b_j, where b_j
+    is the memory sum on ``weights`` (``_lag_weights``) over nodes
+    j - 1 .. 0.  Taking x_k .. x_n as one series X(z), this is
+    ``M(z) X(z) = R(z)`` of ``_causal_solve``, and R holds every term on the
+    known nodes.  Do not apply (I - sum_i K_i z^{i+1})^{-1} as a rational
+    filter (lfilter): for the AB4/AM4 step its determinant has a double
+    root on the unit circle, and the recursion loses digits (1.7e-10
+    relative).  The whole matrix series is inverted instead.
+    """
+    wg, wd, gamma, hdelta = weights
+    k = known.shape[1]
+    K, v = _step_map(step, k)
+    b = gamma[k - 1 : n] * known[0, 0] + hdelta[k - 1 : n] * known[1, 0]
+    for i in range(1, k):
+        b += wg[k - i : n + 1 - i] * known[0, i] + wd[k - i : n + 1 - i] * known[1, i]
+    rhs = np.outer(v, b)
+    for i in range(1, k + 1):
+        rows = min(i, n + 1 - k)  # node k + r, r < i, reaches back to node k + r - i
+        rhs[:, :rows] += K[i - 1] @ known[:, k - i : k - i + rows]
+    return _causal_solve(K, v, np.stack([wg, wd]), rhs)
+
+
+def _startup_nodes(h: float, w0sq: float, two_over_m: float, bath, osc, lam: float):
+    """(G, G') at tau = h, 2h, 3h from Richardson-paired fine PECE runs.
+
+    Each run marches the trapezoidal PECE step from the initial data
+    x_0 = (0, 1, 0) over the 48 or 96 nodes of a 3h subgrid, its memory
+    sums on that subgrid's cubic Hermite lag weights, the rule of the main
+    run.  The step is second order, so (4 x_96 - x_48) / 3 at the shared
+    nodes h, 2h, 3h cancels the leading error.
+    """
+
+    def run(nsub: int):
+        hf = 3.0 * h / nsub
+        weights = _lag_weights(nsub, hf, bath, osc, lam)
+        step = _trapezoid_step(hf, w0sq, two_over_m, weights[0][0], weights[1][0])
+        return _march(step, weights, np.array([[0.0], [1.0], [0.0]]), nsub)
+
+    x16 = run(48)
+    x32 = run(96)
+    i16 = np.array([15, 31, 47])  # nodes 16, 32, 48
+    i32 = np.array([31, 63, 95])
+    g = (4.0 * x32[0, i32] - x16[0, i16]) / 3.0
+    gd = (4.0 * x32[1, i32] - x16[1, i16]) / 3.0
+    return g, gd
+
+
 def _volterra_solve(bath, osc, lam: float, tau_max: float, n: int):
+    """``(tau, G, G', G'', weights)`` on n steps of [0, tau_max], ``weights`` of ``_lag_weights``."""
     h = tau_max / n
     w0sq = osc.omega0**2
-    mass = osc.mass
-    two_over_m = 2.0 / mass
-    alpha, beta, gamma, delta = _hermite_weights(n, h, bath, osc, lam)
-    # collected lag weights: wg[l], wd[l] multiply (G, G') at lag l < n;
-    # the oldest node keeps its own gamma/delta coefficient.
-    wg = alpha.copy()
-    wg[1:] += gamma[:-1]
-    wd = h * beta
-    wd[1:] += h * delta[:-1]
-
-    def memory(a, ad):
-        # product-integration memory sum at nodes 1 .. len(a) - 1 applied
-        # to the history (a, ad), the tau = 0 node through gamma/delta
-        m = a.size - 1
-        out = _convolve(wg[:m], a[1:], m) + _convolve(wd[:m], ad[1:], m)
-        return out + gamma[:m] * a[0] + h * delta[:m] * ad[0]
-
+    two_over_m = 2.0 / osc.mass
+    weights = _lag_weights(n, h, bath, osc, lam)
     G = np.zeros(n + 1)
     Gd = np.zeros(n + 1)
     Gdd = np.zeros(n + 1)
     Gd[0] = 1.0
-    G[1:4], Gd[1:4] = _startup_nodes(h, w0sq, mass, bath, osc, lam)
-    Gdd[1:4] = -w0sq * G[1:4] - two_over_m * memory(G[:4], Gd[:4])
-
-    # From node 4 on, one AB4/AM4 step is linear with constant
-    # coefficients: x_j = (G, G', G'')_j obeys x_j = sum_k K_k x_{j-k} + v b_j,
-    # where b_j is the memory sum over nodes j-1 .. 0.  Taking x_4 .. x_n as
-    # one series X(z), this is M(z) X(z) = R(z) with
-    # M = I - sum_k K_k z^k - v w(z)^T, and R holds every term on the known
-    # nodes 0 .. 3.  Do not apply (I - sum_k K_k z^k)^{-1} as a rational
-    # filter (lfilter): its determinant has a double root on the unit
-    # circle, and the recursion loses digits (1.7e-10 relative).
-    # The whole matrix series is inverted instead.
-    K, v = _step_map(_adams_step(h, w0sq, two_over_m, wg[0], wd[0]), 4)
-    known = np.stack([G[:4], Gd[:4], Gdd[:4]])
-    b_known = gamma[3:n] * G[0] + h * delta[3:n] * Gd[0]
-    for i in (1, 2, 3):
-        b_known += wg[4 - i : n + 1 - i] * G[i] + wd[4 - i : n + 1 - i] * Gd[i]
-    rhs = np.outer(v, b_known)
-    for k in range(1, 5):
-        rows = min(k, n - 3)  # node 3 + r, r < k, reaches back to node 3 + r - k
-        rhs[:, :rows] += K[k - 1] @ known[:, 4 - k : 4 - k + rows]
-    G[4:], Gd[4:], Gdd[4:] = _causal_solve(K, v, np.stack([wg, wd]), rhs)
-
-    # G''' and G'''': differentiating the memory term moves the same weights
-    # onto (G', G''), as mu(tau) G(0) = 0, then onto (G'', G''') plus mu(tau) G'(0).
+    G[1:4], Gd[1:4] = _startup_nodes(h, w0sq, two_over_m, bath, osc, lam)
+    Gdd[1:4] = -w0sq * G[1:4] - two_over_m * _memory(weights, G[:4], Gd[:4])
+    # from node 4 on, one AB4 predictor and two AM4 corrector sweeps per node
+    step = _adams_step(h, w0sq, two_over_m, weights[0][0], weights[1][0])
+    G[4:], Gd[4:], Gdd[4:] = _march(step, weights, np.stack([G[:4], Gd[:4], Gdd[:4]]), n)
     # linspace keeps the interior nodes of h * arange(n + 1) and ends on
     # tau_max exactly, so a window ending at tau_max stays inside the grid
-    tau = np.linspace(0.0, tau_max, n + 1)
+    return np.linspace(0.0, tau_max, n + 1), G, Gd, Gdd, weights
+
+
+def _finish(tau, G, Gd, Gdd, weights, lam, bath, osc) -> PropagatorFunction:
+    """The propagator of one solved grid, with G''' and G'''' from its memory sums.
+
+    Differentiating the memory term moves the same weights onto (G', G''),
+    as mu(tau) G(0) = 0, then onto (G'', G''') plus mu(tau) G'(0).
+    """
+    w0sq = osc.omega0**2
+    two_over_m = 2.0 / osc.mass
     Gddd = -w0sq * Gd
-    Gddd[1:] -= two_over_m * memory(Gd, Gdd)
+    Gddd[1:] -= two_over_m * _memory(weights, Gd, Gdd)
     Gdddd = -w0sq * Gdd  # G''''(0) = 0, since mu(0) = 0 and G''(0) = 0
-    Gdddd[1:] -= two_over_m * (dissipation_kernel(tau[1:], bath, osc, lam) + memory(Gdd, Gddd))
-    return tau, G, Gd, Gdd, Gddd, Gdddd
+    Gdddd[1:] -= two_over_m * (dissipation_kernel(tau[1:], bath, osc, lam)
+                               + _memory(weights, Gdd, Gddd))
+    return PropagatorFunction(tau, G, Gd, Gdd, Gddd, Gdddd, lam, bath, osc)
 
 
 def solve_propagator(
@@ -560,7 +580,7 @@ def solve_propagator(
             np.max(np.abs(coarse[2] - fine[2][::2])) / scale_gd,
         )
         if err <= _REL_TOL:
-            return PropagatorFunction(*fine, lam, bath, osc)
+            return _finish(*fine, lam, bath, osc)
         coarse = fine
         n *= 2
     raise AccuracyError(

@@ -9,11 +9,13 @@ import scipy.sparse
 
 from opendecay import _integrate
 from opendecay._integrate import integrate, propagate_constant
-from opendecay.bloch import propagator_matrix, rapid_generator
+from opendecay.bloch import propagate_bloch, propagator_matrix, rapid_generator
 from opendecay.errors import IntegratorAccuracyError, StiffnessError, ValidationError
-from opendecay.lindblad import spin_liouvillian
-from opendecay.model import OscillatorParams, make_spin_params
+from opendecay.lindblad import bloch_density_bridge, propagate_density, spin_liouvillian
+from opendecay.model import GaussianState, OscillatorParams, make_spin_params
 from opendecay.qbm import fock
+from opendecay.qbm.coefficients import QBMCoefficients
+from opendecay.qbm.moments import propagate_moments
 
 
 def test_stage_polynomials_are_exact():
@@ -219,6 +221,35 @@ def test_every_route_refuses_a_bad_time_grid(grid, message):
         for method in ("adaptive", "expm"):
             with pytest.raises(ValueError, match=pattern):
                 propagate_constant(m, np.ones(2), grid, method=method)
+
+
+_SPIN = make_spin_params(1.0, 0.5)
+_RHO = np.diag([0.7, 0.3])
+_CALLERS = {
+    "propagate_bloch": lambda grid: propagate_bloch(
+        rapid_generator(_SPIN, 0.3), [1.0, 0.0, 0.0], grid),
+    "propagator_matrix": lambda grid: propagator_matrix(rapid_generator(_SPIN, 0.3), grid),
+    "propagate_density": lambda grid: propagate_density(spin_liouvillian(_SPIN, 0.3), _RHO, grid),
+    "bloch_density_bridge": lambda grid: bloch_density_bridge(_SPIN, 0.3, _RHO, grid),
+    "propagate_moments": lambda grid: propagate_moments(
+        QBMCoefficients(np.array([0.0]), 1.0, 0.0, 0.0, 0.0), OscillatorParams(1.0, 1.0),
+        GaussianState(1.0, 0.0, 0.5, 0.5), grid),
+    "truncated_basis_propagate": lambda grid: fock.truncated_basis_propagate(
+        QBMCoefficients(np.array([0.0]), 1.0, 0.0, 0.0, 0.0), OscillatorParams(1.0, 1.0),
+        fock.coherent_density(OscillatorParams(1.0, 1.0), 0.5, 0.0, 5), grid),
+}
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, np.nan, 1.0], "be finite; node 1 is nan"),
+    ([0.0, 1.0, 0.5], "be strictly increasing; node 2 is 0.5 after 1.0"),
+])
+@pytest.mark.parametrize("caller", list(_CALLERS))
+def test_every_caller_of_the_stepper_names_its_own_tau_grid(caller, grid, message):
+    # checked where it enters, so the refusal names the caller's argument,
+    # not the stepper's t_grid
+    with pytest.raises(ValidationError, match=f"^tau_grid must {re.escape(message)}$"):
+        _CALLERS[caller](grid)
 
 
 @pytest.mark.parametrize("rtol", [0.0, -1.0, float("nan"), float("inf")])

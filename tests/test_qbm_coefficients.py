@@ -28,7 +28,7 @@ from opendecay.qbm.coefficients import (
     _theta_window,
 )
 from opendecay.qbm.kernels import noise_kernel
-from opendecay.qbm.propagator import solve_propagator
+from opendecay.qbm.propagator import PropagatorFunction, solve_propagator
 from opendecay.spectral import renormalized_frequency_sq
 
 OSC = OscillatorParams(1.0, 1.0)
@@ -119,6 +119,19 @@ def test_decoherence_matrix_is_positive(exp_prop):
         assert t_ff > 0.0
         assert t_ii > 0.0
         assert t_ff * t_ii - t_fi * t_fi >= -1e-6 * (t_ff * t_ii + t_fi * t_fi)
+
+
+def test_exact_coefficients_name_where_the_wronskian_vanishes():
+    # G = tau exp(tau**2/2) has W = G''G - G'**2 = exp(tau**2) (tau**2 - 1),
+    # zero at tau = 1 and nowhere else; no node of G lies in the window
+    tau = np.linspace(0.0, 2.0, 9)
+    e = np.exp(0.5 * tau**2)
+    t2 = tau * tau
+    derivs = (tau * e, (1.0 + t2) * e, (3.0 + t2) * tau * e, (3.0 + 6.0 * t2 + t2 * t2) * e,
+              (15.0 + 10.0 * t2 + t2 * t2) * tau * e)
+    prop = PropagatorFunction(tau, *derivs, 0.2, EXP, OSC)
+    with pytest.raises(NodeSingularityError, match=r"vanishes at tau=1, the first"):
+        exact_coefficients(prop, np.array([0.5, 0.75, 1.0, 1.25, 1.5]))
 
 
 def test_decoherence_refinement_guard(exp_prop, monkeypatch):

@@ -21,8 +21,8 @@ from opendecay.qbm.propagator import (
     _adams_step,
     _contour_panels,
     _convolve,
+    _finish,
     _hermite_weights,
-    _linear_weights,
     _raw_moments,
     _sine_integral_panels,
     _step_map,
@@ -330,12 +330,12 @@ def test_stored_fourth_derivative_carries_g_dddot_between_the_nodes():
     bath = BathSpectrum(0.2, 5.0, "hard", 5.0)
     pf = solve_propagator(bath, OSC, 0.05, 2.9)
     n = pf.tau_grid.size - 1
-    fine = _volterra_solve(bath, OSC, 0.05, 2.9, 4 * n)
+    fine = _finish(*_volterra_solve(bath, OSC, 0.05, 2.9, 4 * n), 0.05, bath, OSC)
     mid = 0.5 * (pf.tau_grid[:-1] + pf.tau_grid[1:])
-    assert np.max(np.abs(fine[0][2::4] - mid)) < 1e-14
+    assert np.max(np.abs(fine.tau_grid[2::4] - mid)) < 1e-14
     keep = mid >= 0.2
-    err = np.abs(pf.g_dddot(mid[keep]) - fine[4][2::4][keep])
-    assert np.max(err) < 1e-4 * np.max(np.abs(fine[4]))
+    err = np.abs(pf.g_dddot(mid[keep]) - fine.G_dddot[2::4][keep])
+    assert np.max(err) < 1e-4 * np.max(np.abs(fine.G_dddot))
 
 
 def test_access_refuses_a_time_outside_the_grid_by_name():
@@ -375,30 +375,42 @@ def test_third_derivative_matches_the_lag_sum():
     assert np.max(np.abs(pf.G_ddddot - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def _loop_trapezoid_step(h, w0sq, two_over_m, w0, g, gd, gdd, lagd):
+def _loop_trapezoid_step(h, w0sq, two_over_m, wg0, wd0, g, gd, gdd, lagd):
     # one trapezoidal PECE step with four corrector sweeps from node m
     gs = g + h * gd + 0.5 * h * h * gdd
     gds = gd + h * gdd
     for _ in range(4):
-        gdds = -w0sq * gs - two_over_m * (lagd + w0 * gs)
+        gdds = -w0sq * gs - two_over_m * (lagd + wg0 * gs + wd0 * gds)
         gds = gd + 0.5 * h * (gdd + gdds)
         gs = g + 0.5 * h * (gd + gds)
-    return gs, gds, -w0sq * gs - two_over_m * (lagd + w0 * gs)
+    return gs, gds, -w0sq * gs - two_over_m * (lagd + wg0 * gs + wd0 * gds)
+
+
+def _loop_lag(weights, h, j, a, ad):
+    # memory of node j over history nodes j-1 .. 1 plus the tau=0 boundary node
+    wg, wd, gamma, delta = weights
+    s = gamma[j - 1] * a[0] + h * delta[j - 1] * ad[0]
+    if j > 1:
+        s += np.dot(wg[1:j], a[j - 1 : 0 : -1])
+        s += np.dot(wd[1:j], ad[j - 1 : 0 : -1])
+    return s
 
 
 def _loop_startup(h, bath, lam):
-    # (G, G') at h, 2h, 3h: fine PECE runs stepped node by node, Richardson paired
+    # (G, G') at h, 2h, 3h: fine PECE runs stepped node by node on the
+    # subgrid's Hermite lag weights, Richardson paired
     w0sq, two_over_m = OSC.omega0**2, 2.0 / OSC.mass
 
     def run(nsub):
         hf = 3.0 * h / nsub
-        w = _linear_weights(nsub, hf, bath, OSC, lam)
+        weights = _lag_weights(nsub, hf, bath, lam)
+        wg, wd = weights[:2]
         g, gd, gdd = np.zeros(nsub + 1), np.zeros(nsub + 1), np.zeros(nsub + 1)
         gd[0] = 1.0
         for j in range(nsub):
-            lagd = np.dot(w[1 : j + 1], g[j:0:-1]) if j >= 1 else 0.0
             g[j + 1], gd[j + 1], gdd[j + 1] = _loop_trapezoid_step(
-                hf, w0sq, two_over_m, w[0], g[j], gd[j], gdd[j], lagd)
+                hf, w0sq, two_over_m, wg[0], wd[0], g[j], gd[j], gdd[j],
+                _loop_lag(weights, hf, j + 1, g, gd))
         return g, gd
 
     g16, gd16 = run(48)
@@ -423,30 +435,22 @@ def _loop_solve(bath, lam, tau_max, n):
     # reference form: the product-integration scheme stepped node by node
     h = tau_max / n
     w0sq, two_over_m = OSC.omega0**2, 2.0 / OSC.mass
-    wg, wd, gamma, delta = _lag_weights(n, h, bath, lam)
-
-    def lag(j, a, ad):
-        # memory over history nodes j-1 .. 1 plus the tau=0 boundary node
-        s = gamma[j - 1] * a[0] + h * delta[j - 1] * ad[0]
-        if j > 1:
-            s += np.dot(wg[1:j], a[j - 1 : 0 : -1])
-            s += np.dot(wd[1:j], ad[j - 1 : 0 : -1])
-        return s
-
+    weights = _lag_weights(n, h, bath, lam)
+    wg, wd = weights[:2]
     G, Gd, Gdd, Gddd = (np.zeros(n + 1) for _ in range(4))
     Gd[0] = 1.0
     G[1:4], Gd[1:4] = _loop_startup(h, bath, lam)
     for i in (1, 2, 3):
-        mem = lag(i, G, Gd) + wg[0] * G[i] + wd[0] * Gd[i]
+        mem = _loop_lag(weights, h, i, G, Gd) + wg[0] * G[i] + wd[0] * Gd[i]
         Gdd[i] = -w0sq * G[i] - two_over_m * mem
     for m in range(3, n):
         back = slice(m, m - 4 if m > 3 else None, -1)
         G[m + 1], Gd[m + 1], Gdd[m + 1] = _loop_step(
             h, w0sq, two_over_m, wg[0], wd[0], G[back], Gd[back], Gdd[back],
-            lag(m + 1, G, Gd))
+            _loop_lag(weights, h, m + 1, G, Gd))
     Gddd[0] = -w0sq * Gd[0]
     for j in range(1, n + 1):
-        mem = lag(j, Gd, Gdd) + wg[0] * Gd[j] + wd[0] * Gdd[j]
+        mem = _loop_lag(weights, h, j, Gd, Gdd) + wg[0] * Gd[j] + wd[0] * Gdd[j]
         Gddd[j] = -w0sq * Gd[j] - two_over_m * mem
     return G, Gd, Gdd, Gddd
 
@@ -455,10 +459,10 @@ def _loop_solve(bath, lam, tau_max, n):
 @pytest.mark.parametrize("lam", [0.4, 0.1])
 @pytest.mark.parametrize("bath", [EXP, HARD, FREE], ids=["exp", "hard", "free"])
 def test_series_solve_matches_the_node_loop(bath, lam, n, tau_max):
-    tau, *got = _volterra_solve(bath, OSC, lam, tau_max, n)
+    pf = _finish(*_volterra_solve(bath, OSC, lam, tau_max, n), lam, bath, OSC)
     want = _loop_solve(bath, lam, tau_max, n)
-    assert tau.size == n + 1
-    for g, w in zip(got, want):
+    assert pf.tau_grid.size == n + 1
+    for g, w in zip((pf.G, pf.G_dot, pf.G_ddot, pf.G_dddot), want):
         assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
 
 
@@ -475,9 +479,9 @@ def test_step_map_reproduces_one_loop_step(scheme):
             h, w0sq, two_over_m, wg[0], wd[0], *hist, b)
     else:
         nodes = 1
-        K, v = _step_map(_trapezoid_step(h, w0sq, two_over_m, wg[0]), nodes)
+        K, v = _step_map(_trapezoid_step(h, w0sq, two_over_m, wg[0], wd[0]), nodes)
         loop = lambda hist, b: _loop_trapezoid_step(  # noqa: E731
-            h, w0sq, two_over_m, wg[0], *hist[:, 0], b)
+            h, w0sq, two_over_m, wg[0], wd[0], *hist[:, 0], b)
     assert K.shape == (nodes, 3, 3) and v.shape == (3,)
     for _ in range(5):
         hist = rng.standard_normal((3, nodes))  # rows G, G', G''; column k: node m - k
@@ -485,6 +489,20 @@ def test_step_map_reproduces_one_loop_step(scheme):
         want = np.array(loop(hist, base))
         got = sum(K[k] @ hist[:, k] for k in range(nodes)) + v * base
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_one_solve_evaluates_the_kernel_once(monkeypatch):
+    # G''' and G'''' are formed on the certified grid alone, so mu is taken
+    # at its nodes once, however many grids the halving solved
+    solves, kernels = [], []
+    volterra, kernel = propagator._volterra_solve, propagator.dissipation_kernel
+    monkeypatch.setattr(propagator, "_volterra_solve",
+                        lambda *args: solves.append(args[-1]) or volterra(*args))
+    monkeypatch.setattr(propagator, "dissipation_kernel",
+                        lambda tau, *args: kernels.append(tau.size) or kernel(tau, *args))
+    pf = solve_propagator(EXP, OSC, 0.4, 1.0)
+    assert len(solves) >= 2
+    assert kernels == [pf.tau_grid.size - 1] == [solves[-1]]
 
 
 def test_grid_ends_exactly_on_tau_max():
@@ -596,6 +614,8 @@ def test_laplace_route_grid_validation():
         propagator_via_laplace(EXP, OSC, 0.4, np.array([0.0, 1.0, 2.0, 0.5, 3.0]))
     with pytest.raises(ValidationError, match="beyond supported range: .*1500.0 > 1000$"):
         propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 1500.0, 101))
+    with pytest.raises(ValidationError, match=r"range: last node 1001\.0 > 1000$"):
+        propagator_via_laplace(EXP, OSC, 0.4, np.linspace(0.0, 1001.0, 101))
     with pytest.raises(ValidationError):  # too few nodes
         propagator_via_laplace(EXP, OSC, 0.4, np.array([0.0, 1.0, 2.0]))
     grid = np.linspace(0.0, 2.0, 41)
