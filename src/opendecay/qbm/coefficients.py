@@ -96,6 +96,10 @@ __all__ = [
 _NODE_FRACTION = 1e-3  # |G| below this times max|G| counts as a node
 _MIN_PANELS = 32  # fewest coarse Theta panels below any time
 _THETA_REL_TOL = 1e-3  # Richardson agreement of Theta, relative to its scale
+# Nodes of one Theta grid, ~5x criterion 9's 428 801 and ~540 MB at peak;
+# at the default bath (step lam**2/40) a window ending at tau 2.9 reaches it
+# near lam = 0.015.
+_MAX_THETA_NODES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -216,6 +220,12 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     if prop.bath.eta == 0.0:
         return np.zeros((3, tau.size))
     m0 = max(_MIN_PANELS, math.ceil(tau[-1] / _theta_grid_step(prop)))
+    if 4 * m0 + 1 > _MAX_THETA_NODES:
+        raise ValidationError(
+            f"lam={prop.lam:g} is too small for a Theta pass up to tau={tau[-1]:g}: its "
+            f"grid needs {4 * m0 + 1} nodes, beyond the budget _MAX_THETA_NODES="
+            f"{_MAX_THETA_NODES}"
+        )
     # Every time keeps at least _MIN_PANELS coarse panels below it, as a
     # grid ending at it has; short of that the interpolated levels lose
     # orders of magnitude of accuracy. Earlier times take such a grid of

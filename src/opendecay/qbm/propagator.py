@@ -24,20 +24,20 @@ Two independent routes are provided:
     resolve, but its monomial moments have closed forms, bar one sine
     integral of the hard cutoff taken by panel quadrature).  This one
     product rule (``_lag_weights``) carries every memory sum of the solve.
-    The first three nodes come from trapezoidal PECE runs on a 16x/32x
-    finer subgrid, each on that subgrid's weights, Richardson
-    extrapolated; the later ones from an Adams-Bashforth-4 predictor with
-    two Adams-Moulton-4 corrector sweeps.  Either step is linear with
-    constant coefficients in the last nodes and in the memory sum, so
-    each run is one causal 3x3 matrix power-series equation
-    ``M(z) X(z) = R(z)``, whose right side ``_march`` builds from the
-    known nodes.  It is solved by Newton's iteration for ``M^{-1}`` with
-    FFT products rather than node by node, which gives the stepped
+    The first three nodes are the first Picard iterate of the equation in
+    closed form (``_startup_nodes``), its memory integrals running sums of
+    the same kernel moments; the later ones come from an Adams-Bashforth-4
+    predictor with two Adams-Moulton-4 corrector sweeps.  That step is
+    linear with constant coefficients in the last four nodes and in the
+    memory sum, so the march is one causal 3x3 matrix power-series
+    equation ``M(z) X(z) = R(z)``, whose right side ``_march`` builds from
+    the known nodes.  It is solved by Newton's iteration for ``M^{-1}``
+    with FFT products rather than node by node, which gives the stepped
     solution to round-off.  The whole solve of ``(G, G', G'')`` is
     repeated on a half-step grid and the two solutions' ``G`` and ``G'``
-    compared, so the returned accuracy is certified rather than hoped
-    for.  On the certified grid alone, once, ``G'''`` follows from the
-    same product weights applied to ``(G', G'')``, all nodes at once, and
+    compared, so the returned accuracy is certified rather than hoped for.
+    On the certified grid alone, once, ``G'''`` follows from the same
+    product weights applied to ``(G', G'')``, all nodes at once, and
     ``G''''`` from them applied to ``(G'', G''')`` plus ``mu(tau)`` in
     closed form.  The memory sums at the first three nodes and for
     ``G'''`` and ``G''''`` are each one call of ``_convolve``, the
@@ -188,6 +188,11 @@ class PropagatorFunction:
 # cutoff / (409.6 w0 lam**2) rad: 0.076 at lam 0.4 and 4.9 at lam 0.05 with
 # the default bath, so the narrow panels of large lam take 4 nodes.
 _SI_RULES = ((4, 0.1), (8, 2.4), (16, 15.0))  # (nodes, widest panel in x)
+# Quadrature points of one sine-integral pass: the 16-node rule over a grid
+# at the node budget.  Split panels take ~16/15 points per radian of
+# x = cutoff tau / lam**2, so at cutoff 5 and tau_max 2.9 this refuses lam
+# below ~1e-3.
+_MAX_SI_POINTS = 16 * _MAX_NODES
 
 
 def _antiderivatives(u, bath: BathSpectrum, osc: OscillatorParams, lam: float):
@@ -222,6 +227,12 @@ def _antiderivatives(u, bath: BathSpectrum, osc: OscillatorParams, lam: float):
     return g0, g1, g2, g3
 
 
+def _si_rule(width: float):
+    """``(nodes, parts)`` of ``_SI_RULES`` for panels ``width`` wide in x."""
+    nodes, reach = next((rule for rule in _SI_RULES if width <= rule[1]), _SI_RULES[-1])
+    return nodes, math.ceil(width / reach)
+
+
 def _sine_integral_panels(x):
     """``int sin t / t dt`` over each panel of a uniform grid ``x >= 0``.
 
@@ -230,9 +241,7 @@ def _sine_integral_panels(x):
     the last one.  The nodes are interior, so ``t > 0`` at every one.
     """
     n = x.size - 1
-    width = (x[-1] - x[0]) / n
-    nodes, reach = next((rule for rule in _SI_RULES if width <= rule[1]), _SI_RULES[-1])
-    parts = math.ceil(width / reach)
+    nodes, parts = _si_rule((x[-1] - x[0]) / n)
     if parts > 1:
         x = np.linspace(x[0], x[-1], n * parts + 1)
     xi, wi = _leggauss(nodes)
@@ -249,13 +258,23 @@ def _raw_moments(edges, bath, osc, lam):
     over the panel's ``x = cutoff u / lam**2``; the integral is the
     quadrature of ``_sine_integral_panels``, rows 0, 2 and 3 stay closed
     forms, and the exponential cutoff is closed form throughout.
+    ValidationError names ``lam`` and the cutoff when that quadrature would
+    take more than ``_MAX_SI_POINTS`` points.
     """
     if bath.eta == 0.0:
         return np.zeros((4, len(edges) - 1))
     k0 = osc.mass * osc.omega0 * bath.eta * lam**2 / (2.0 * math.pi)
     rows = np.stack([np.diff(g) for g in _antiderivatives(edges, bath, osc, lam)])
     if bath.shape == "hard":
-        rows[1] += _sine_integral_panels(bath.cutoff / lam**2 * edges)
+        x = bath.cutoff / lam**2 * edges
+        points = math.prod(_si_rule((x[-1] - x[0]) / (x.size - 1))) * (x.size - 1)
+        if points > _MAX_SI_POINTS:
+            raise ValidationError(
+                f"lam={lam:g} is too small for the hard cutoff={bath.cutoff:g}: its sine "
+                f"integral up to tau={edges[-1]:g} needs {points} quadrature points, "
+                f"beyond the budget _MAX_SI_POINTS={_MAX_SI_POINTS}"
+            )
+        rows[1] += _sine_integral_panels(x)
     return -k0 * rows
 
 
@@ -305,21 +324,6 @@ def _memory(weights, a, ad):
     return out + gamma[:m] * a[0] + hdelta[:m] * ad[0]
 
 
-def _trapezoid_step(h: float, w0sq: float, two_over_m: float, wg0: float, wd0: float):
-    """One trapezoidal PECE step (four corrector sweeps) of the startup grid."""
-
-    def step(g, gd, gdd, base):  # values at node m; base: lag sum of node m + 1
-        gs = g[0] + h * gd[0] + 0.5 * h * h * gdd[0]
-        gds = gd[0] + h * gdd[0]
-        for _ in range(4):
-            gdds = -w0sq * gs - two_over_m * (base + wg0 * gs + wd0 * gds)
-            gds = gd[0] + 0.5 * h * (gdd[0] + gdds)
-            gs = g[0] + 0.5 * h * (gd[0] + gds)
-        return gs, gds, -w0sq * gs - two_over_m * (base + wg0 * gs + wd0 * gds)
-
-    return step
-
-
 def _adams_step(h: float, w0sq: float, two_over_m: float, wg0: float, wd0: float):
     """One AB4 predictor and two AM4 corrector sweeps from node m to m + 1."""
 
@@ -338,7 +342,7 @@ def _adams_step(h: float, w0sq: float, two_over_m: float, wg0: float, wd0: float
 def _step_map(step, nodes: int):
     """Coefficients ``(K, v)`` of a linear step over ``nodes`` past nodes.
 
-    A step of the schemes above is linear with constant coefficients in
+    The Adams step above is linear with constant coefficients in
     the last nodes ``x_{m-k} = (G, G', G'')_{m-k}``, k < nodes, and in the
     lag sum ``b`` of the older history: ``x_{m+1} = sum_k K[k] x_{m-k} + v b``.
     The columns are read off by pushing unit vectors through the step's
@@ -451,9 +455,10 @@ def _causal_solve(K, v, w, rhs):
 
 
 def _march(step, weights, known, n: int):
-    """``(G, G', G'')`` at nodes k .. n of a run whose nodes 0 .. k - 1 are ``known``.
+    """``(G, G', G'')`` at nodes k .. n of the main run, whose nodes 0 .. k - 1 are ``known``.
 
-    ``step`` is linear over the last k nodes (``known`` is (3, k)), so by
+    The one run of a solve: ``step`` is ``_adams_step`` and ``known`` the
+    (3, 4) start.  The step is linear over the last k nodes, so by
     ``_step_map`` the run obeys x_j = sum_i K_i x_{j-1-i} + v b_j, where b_j
     is the memory sum on ``weights`` (``_lag_weights``) over nodes
     j - 1 .. 0.  Taking x_k .. x_n as one series X(z), this is
@@ -477,27 +482,31 @@ def _march(step, weights, known, n: int):
 
 
 def _startup_nodes(h: float, w0sq: float, two_over_m: float, bath, osc, lam: float):
-    """(G, G') at tau = h, 2h, 3h from Richardson-paired fine PECE runs.
+    """(G, G') at tau = h, 2h, 3h from the first Picard iterate, in closed form.
 
-    Each run marches the trapezoidal PECE step from the initial data
-    x_0 = (0, 1, 0) over the 48 or 96 nodes of a 3h subgrid, its memory
-    sums on that subgrid's cubic Hermite lag weights, the rule of the main
-    run.  The step is second order, so (4 x_96 - x_48) / 3 at the shared
-    nodes h, 2h, 3h cancels the leading error.
+    Integrating the memory equation twice with G(u) = u under the memory
+    integral, and keeping the free oscillator's w0**4 term of the next
+    iterate, gives
+
+        G  = tau - w0**2 tau**3/6 + w0**4 tau**5/120 - (1/3M) int mu(u) (tau - u)**3 du,
+        G' = 1 - w0**2 tau**2/2 + w0**4 tau**4/24 - (1/M) int mu(u) (tau - u)**2 du,
+
+    the integrals over [0, tau].  Expanding (tau - u)**k leaves the running
+    sums R_j(tau) = int_0^tau mu(u) u**j du of ``_raw_moments`` on the edges
+    (0, h, 2h, 3h).  The neglected rest of the second iterate, the memory
+    term acting on itself and on w0**2, is about
+    tau**4 (w0**2 + (2/M) int |mu|)**2 / 120 relative to G, and five times
+    that relative to G'.  At tau = 3h of a first grid (h = 1/(409.6 w0)),
+    against a 256x finer solve, that is at most 2.4e-11 in G and 1.2e-10 in
+    G' up to eta 0.6 (w_R**2 = 0.045) and down to lam 0.02, either cutoff.
     """
-
-    def run(nsub: int):
-        hf = 3.0 * h / nsub
-        weights = _lag_weights(nsub, hf, bath, osc, lam)
-        step = _trapezoid_step(hf, w0sq, two_over_m, weights[0][0], weights[1][0])
-        return _march(step, weights, np.array([[0.0], [1.0], [0.0]]), nsub)
-
-    x16 = run(48)
-    x32 = run(96)
-    i16 = np.array([15, 31, 47])  # nodes 16, 32, 48
-    i32 = np.array([31, 63, 95])
-    g = (4.0 * x32[0, i32] - x16[0, i16]) / 3.0
-    gd = (4.0 * x32[1, i32] - x16[1, i16]) / 3.0
+    tau = h * np.arange(1.0, 4.0)
+    r0, r1, r2, r3 = np.cumsum(_raw_moments(h * np.arange(4.0), bath, osc, lam), axis=1)
+    mem2 = tau * tau * r0 - 2.0 * tau * r1 + r2
+    mem3 = tau * (tau * tau * r0 - 3.0 * tau * r1 + 3.0 * r2) - r3
+    x = w0sq * tau * tau
+    g = tau * (1.0 - x / 6.0 + x * x / 120.0) - two_over_m * mem3 / 6.0
+    gd = 1.0 - x / 2.0 + x * x / 24.0 - two_over_m * mem2 / 2.0
     return g, gd
 
 

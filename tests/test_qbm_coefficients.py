@@ -152,6 +152,24 @@ def test_a_nan_noise_kernel_is_refused_by_name(exp_prop, monkeypatch):
         theta_coefficients(exp_prop, 1.2)
 
 
+def test_theta_grid_refuses_beyond_its_node_budget(exp_prop, monkeypatch):
+    # checked before the grid is laid, so the noise kernel is never taken;
+    # a grid of exactly the budget runs
+    nodes = 4 * math.ceil(1.2 / _theta_grid_step(exp_prop)) + 1
+    calls = []
+    monkeypatch.setattr(coefficients, "noise_kernel",
+                        lambda *args: calls.append(1) or noise_kernel(*args))
+    monkeypatch.setattr(coefficients, "_MAX_THETA_NODES", nodes - 1)
+    with pytest.raises(ValidationError, match=(
+            rf"^lam=0\.2 is too small for a Theta pass up to tau=1\.2: its grid needs "
+            rf"{nodes} nodes, beyond the budget _MAX_THETA_NODES={nodes - 1}$")):
+        theta_coefficients(exp_prop, 1.2)
+    assert calls == []
+    monkeypatch.setattr(coefficients, "_MAX_THETA_NODES", nodes)
+    theta_coefficients(exp_prop, 1.2)
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_exact_coefficients_refuse_a_bad_rel_tol(exp_prop, rel_tol):
     with pytest.raises(ValidationError, match=r"^rel_tol must be finite and > 0"):

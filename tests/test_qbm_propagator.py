@@ -25,8 +25,8 @@ from opendecay.qbm.propagator import (
     _hermite_weights,
     _raw_moments,
     _sine_integral_panels,
+    _startup_nodes,
     _step_map,
-    _trapezoid_step,
     _volterra_solve,
     propagator_via_laplace,
     solve_propagator,
@@ -222,13 +222,12 @@ def _si_minus_sin(x):
 
 def _moment_panels(tau_max):
     # edges of the coarse and fine grids of solve_propagator and of the
-    # start-up subgrids of each (48 and 96 panels over three steps)
+    # closed-form start of each (three panels, 0 .. 3h)
     n = max(16, math.ceil(propagator._POINTS_PER_UNIT_PHASE * OSC.omega0 * tau_max))
     for nodes in (n, 2 * n):
         h = tau_max / nodes
         yield h * np.arange(nodes + 1)
-        for nsub in (48, 96):
-            yield 3.0 * h / nsub * np.arange(nsub + 1)
+        yield h * np.arange(4.0)
 
 
 @pytest.mark.parametrize("tau_max", [0.5, 2.9, 7.5])
@@ -236,16 +235,15 @@ def _moment_panels(tau_max):
 def test_hard_first_moment_matches_the_sine_integral(lam, tau_max):
     # row 1 = -K * panel difference of Si(x) - sin x, x = cutoff u / lam**2.
     # Near x = 0 row 1 is ~K w x**2 / 3 on a panel w wide, while the
-    # difference of sin x at its edges costs a few ulps of sin x: on the fine
-    # start-up panels at lam 0.4 (x < 0.12) that is 2.3e-12 of max|row 1|,
-    # so the bound adds 1e-15 K min(1, x)
+    # difference of sin x at its edges costs a few ulps of sin x: on the
+    # start's three panels at lam 0.4 (x < 0.23) that is up to 7.5e-14 of
+    # max|row 1|
     k0 = OSC.mass * OSC.omega0 * HARD_DEFAULT.eta * lam**2 / (2.0 * math.pi)
     for edges in _moment_panels(tau_max):
         x = HARD_DEFAULT.cutoff / lam**2 * edges
         got = _raw_moments(edges, HARD_DEFAULT, OSC, lam)[1]
         want = -k0 * np.diff(_si_minus_sin(x))
-        tol = 2e-12 * np.max(np.abs(want)) + 1e-15 * k0 * min(1.0, x[-1])
-        assert np.max(np.abs(got - want)) <= tol
+        assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("tau_max", [0.5, 2.9, 7.5])
@@ -265,6 +263,31 @@ def test_sine_integral_splits_panels_beyond_the_widest_rule():
     x = 1.6e5 / propagator._POINTS_PER_UNIT_PHASE * np.arange(17)
     want = np.diff(sici(x)[0])
     assert np.max(np.abs(_sine_integral_panels(x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.02])
+def test_sine_integral_refuses_beyond_its_point_budget(lam, monkeypatch):
+    # the first grid at tau_max 2.9: 1188 panels 4.9 and 30.5 rad wide, 16
+    # nodes on each part of a panel split at 15 rad.  The budget is checked
+    # before any node is laid; a pass of exactly the budget runs.
+    n = 1188
+    edges = 2.9 / n * np.arange(n + 1)
+    points = 16 * math.ceil(HARD_DEFAULT.cutoff / lam**2 * 2.9 / n / 15.0) * n
+    calls = []
+    monkeypatch.setattr(propagator, "_sine_integral_panels",
+                        lambda x: calls.append(1) or _sine_integral_panels(x))
+    monkeypatch.setattr(propagator, "_MAX_SI_POINTS", points - 1)
+    message = (rf"^lam={lam:g} is too small for the hard cutoff=5: its sine integral up to "
+               rf"tau=2\.9 needs {points} quadrature points, beyond the budget "
+               rf"_MAX_SI_POINTS={points - 1}$")
+    with pytest.raises(ValidationError, match=message):
+        _raw_moments(edges, HARD_DEFAULT, OSC, lam)
+    with pytest.raises(ValidationError, match=message):
+        solve_propagator(HARD_DEFAULT, OSC, lam, 2.9)
+    assert calls == []
+    monkeypatch.setattr(propagator, "_MAX_SI_POINTS", points)
+    assert np.all(np.isfinite(_raw_moments(edges, HARD_DEFAULT, OSC, lam)))
+    assert calls == [1]
 
 
 def _lag_weights(n, h, bath, lam):
@@ -397,8 +420,9 @@ def _loop_lag(weights, h, j, a, ad):
 
 
 def _loop_startup(h, bath, lam):
-    # (G, G') at h, 2h, 3h: fine PECE runs stepped node by node on the
-    # subgrid's Hermite lag weights, Richardson paired
+    # (G, G') at h, 2h, 3h by a second route, the oracle of the closed-form
+    # start: trapezoidal PECE runs on 16x and 32x finer subgrids, stepped
+    # node by node on each subgrid's Hermite lag weights, Richardson paired
     w0sq, two_over_m = OSC.omega0**2, 2.0 / OSC.mass
 
     def run(nsub):
@@ -417,6 +441,37 @@ def _loop_startup(h, bath, lam):
     g32, gd32 = run(96)
     i16, i32 = np.array([16, 32, 48]), np.array([32, 64, 96])
     return (4.0 * g32[i32] - g16[i16]) / 3.0, (4.0 * gd32[i32] - gd16[i16]) / 3.0
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.2, 0.4, 0.6])  # w_R**2 down to 0.045
+@pytest.mark.parametrize("shape", ["exponential", "hard"])
+def test_closed_form_start_matches_the_pece_start(shape, eta):
+    # the first Picard iterate against the node-by-node PECE start at the
+    # step of a first grid and at half of it, the step of the returned grid
+    # (largest differences seen 1.5e-10 and 1.2e-11), and against a 256x
+    # finer solve at the first step (2.4e-11 in G, 1.2e-10 in G')
+    bath = BathSpectrum(eta, 5.0, shape, 5.0)
+    w0sq, two_over_m = OSC.omega0**2, 2.0 / OSC.mass
+    for lam in (1.0, 0.4, 0.2, 0.1, 0.05, 0.02):
+        for h, tol in ((1.0 / 409.6, 2e-10), (0.5 / 409.6, 2e-11)):
+            got = _startup_nodes(h, w0sq, two_over_m, bath, OSC, lam)
+            for g, w in zip(got, _loop_startup(h, bath, lam)):
+                assert np.max(np.abs(g / w - 1.0)) <= tol
+        h = 1.0 / 409.6
+        got = _startup_nodes(h, w0sq, two_over_m, bath, OSC, lam)
+        fine = _volterra_solve(bath, OSC, lam, 3.0 * h, 768)
+        for g, w, tol in zip(got, fine[1:3], (4e-11, 2e-10)):
+            assert np.max(np.abs(g / w[256::256] - 1.0)) <= tol
+
+
+def test_closed_form_start_is_the_free_oscillator_to_round_off():
+    for w0 in (1.0, 2.5):
+        osc = OscillatorParams(1.0, w0)
+        h = 1.0 / (409.6 * w0)
+        g, gd = _startup_nodes(h, w0 * w0, 2.0, FREE, osc, 0.4)
+        tau = h * np.arange(1, 4)
+        assert np.max(np.abs(w0 * g / np.sin(w0 * tau) - 1.0)) <= 5e-16
+        assert np.max(np.abs(gd - np.cos(w0 * tau))) <= 5e-16
 
 
 def _loop_step(h, w0sq, two_over_m, wg0, wd0, g, gd, gdd, base):
@@ -439,7 +494,7 @@ def _loop_solve(bath, lam, tau_max, n):
     wg, wd = weights[:2]
     G, Gd, Gdd, Gddd = (np.zeros(n + 1) for _ in range(4))
     Gd[0] = 1.0
-    G[1:4], Gd[1:4] = _loop_startup(h, bath, lam)
+    G[1:4], Gd[1:4] = _startup_nodes(h, w0sq, two_over_m, bath, OSC, lam)
     for i in (1, 2, 3):
         mem = _loop_lag(weights, h, i, G, Gd) + wg[0] * G[i] + wd[0] * Gd[i]
         Gdd[i] = -w0sq * G[i] - two_over_m * mem
@@ -466,28 +521,18 @@ def test_series_solve_matches_the_node_loop(bath, lam, n, tau_max):
         assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
 
 
-@pytest.mark.parametrize("scheme", ["adams", "trapezoid"])
-def test_step_map_reproduces_one_loop_step(scheme):
+def test_step_map_reproduces_one_loop_step():
     rng = np.random.default_rng(11)
     h, lam = 0.01, 0.4
     w0sq, two_over_m = OSC.omega0**2, 2.0 / OSC.mass
     wg, wd, _, _ = _lag_weights(64, h, EXP, lam)
-    if scheme == "adams":
-        nodes = 4
-        K, v = _step_map(_adams_step(h, w0sq, two_over_m, wg[0], wd[0]), nodes)
-        loop = lambda hist, b: _loop_step(  # noqa: E731
-            h, w0sq, two_over_m, wg[0], wd[0], *hist, b)
-    else:
-        nodes = 1
-        K, v = _step_map(_trapezoid_step(h, w0sq, two_over_m, wg[0], wd[0]), nodes)
-        loop = lambda hist, b: _loop_trapezoid_step(  # noqa: E731
-            h, w0sq, two_over_m, wg[0], wd[0], *hist[:, 0], b)
-    assert K.shape == (nodes, 3, 3) and v.shape == (3,)
+    K, v = _step_map(_adams_step(h, w0sq, two_over_m, wg[0], wd[0]), 4)
+    assert K.shape == (4, 3, 3) and v.shape == (3,)
     for _ in range(5):
-        hist = rng.standard_normal((3, nodes))  # rows G, G', G''; column k: node m - k
+        hist = rng.standard_normal((3, 4))  # rows G, G', G''; column k: node m - k
         base = rng.standard_normal()
-        want = np.array(loop(hist, base))
-        got = sum(K[k] @ hist[:, k] for k in range(nodes)) + v * base
+        want = np.array(_loop_step(h, w0sq, two_over_m, wg[0], wd[0], *hist, base))
+        got = sum(K[k] @ hist[:, k] for k in range(4)) + v * base
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
