@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     ConventionMismatchError,
     DegenerateSystemError,
-    DivergenceError,
     IntegratorAccuracyError,
     InversionError,
     NodeSingularityError,
@@ -66,8 +65,6 @@ from .scenarios import (
     run_scenario,
 )
 from .spectral import (
-    bose_occupation,
-    dressed_rate,
     gamma_theta,
     gamma_theta_weak,
     renormalized_frequency_sq,
@@ -81,7 +78,6 @@ __all__ = [
     "ConfigError",
     "ValidationError",
     "DegenerateSystemError",
-    "DivergenceError",
     "AccuracyError",
     "OverdampedRenormalizationError",
     "StiffnessError",
@@ -102,8 +98,6 @@ __all__ = [
     "validate_density",
     # spectral
     "spectral_density",
-    "bose_occupation",
-    "dressed_rate",
     "gamma_theta",
     "gamma_theta_weak",
     "renormalized_frequency_sq",

@@ -1,45 +1,33 @@
-"""Adaptive Dormand-Prince 5(4) integration onto a fixed output grid.
+"""Propagation onto a fixed output grid.
 
-Works on complex or real arrays of any shape; steps are clipped so every
-requested output time is hit exactly (no dense-output interpolation).
-Callers set ``rtol`` only; a component's error scale is ``1e-14 + rtol*|y|``.
+Two routes, each returning the state at every node of ``t_grid``:
 
-One step controller (:func:`_advance`) serves two stage evaluators:
-
-- :func:`integrate` evaluates the seven Runge-Kutta stages of a general
-  right-hand side ``f(t, y)``, reusing the last stage of an accepted step
-  as the first of the next (first same as last).
+- :func:`integrate` solves ``y' = f(t, y)`` by adaptive Dormand-Prince
+  5(4) steps, clipped so every requested output time is hit exactly (no
+  dense-output interpolation). Callers set ``rtol`` only; a component's
+  error scale is ``1e-14 + rtol*|y|``. It reuses the last stage of an
+  accepted step as the first of the next (first same as last). The error
+  norm takes one pass over the trial pair ``[y5, err]``: one ``np.abs``
+  fills a buffer with ``[|y5|, |err|]``, the scale
+  ``rtol * max(|y|, |y5|) + 1e-14`` and ``|err| / scale`` are formed in
+  place, and the norm is ``sqrt(r @ r / n)`` of the flat ratio row ``r``.
+  The accepted step's ``|y5|`` becomes the next ``|y|`` by swapping two
+  such buffers. They are C-ordered whatever the order of ``y``: a buffer
+  of a transposed (Fortran-ordered) ``y`` would make ``reshape(-1)`` a
+  copy instead of a view, and the norm would read stale values.
 - :func:`propagate_constant` solves ``y' = M y`` for a constant matrix
-  ``M``. There every stage is a polynomial in ``z = h M`` applied to
-  ``y``: the 5th-order update is ``R5(z) y`` with the method's stability
-  polynomial ``R5`` (degree 6) and the error estimate is ``E(z) y``
-  (degree 7, no term below ``z^5``). Both polynomials are derived from
-  the Butcher tableau in exact rational arithmetic. A step combines the
-  block ``[y, M y, ..., M^7 y]`` with the coefficients scaled by ``h^p``
-  in one small product. The block is formed once per step start, and a
-  rejected retry from the same ``y`` reuses it. It is formed in one of
-  two ways:
-
-  - for a dense ``M``, as one product of ``y`` with the stack of powers
-    ``[M^0, ..., M^7]``, formed once per call;
-  - for a ``scipy.sparse`` ``M``, as a Krylov block of sparse
-    matrix-vector products, so no power of ``M`` is ever formed. The
-    first step start takes seven products and every later one six:
-    ``R5`` has no ``z^7`` term, so ``M y5`` is a combination of rows
-    1..7 of the accepted step's block, kept as row 1 of the next (the
-    first-same-as-last property of the method, as in :func:`integrate`).
-
-Each evaluator returns the trial pair ``[y5, err]`` as one ``(2, *y.shape)``
-array, one small product with its slopes or its block. The controller
-takes the error norm in one pass over that pair: one ``np.abs`` fills a
-buffer with ``[|y5|, |err|]``, the scale ``rtol * max(|y|, |y5|) + 1e-14``
-and ``|err| / scale`` are formed in place, and the norm is
-``sqrt(r @ r / n)`` of the flat ratio row ``r``. The accepted step's
-``|y5|`` becomes the next ``|y|`` by swapping two such buffers. They are
-C-ordered whatever the order of ``y``: a transposed ``y`` (as
-``lindblad.propagate_density`` passes) is Fortran-ordered, a buffer of
-its order would make ``reshape(-1)`` a copy instead of a view, and the
-norm would read stale values.
+  ``M`` exactly to round-off, by a truncated Taylor series of
+  ``exp(h M)`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+  It reads no tolerance. For each output spacing ``h`` the degree ``m``
+  and substep count ``s`` are chosen a priori so that ``||hM/s||_1 <=
+  theta_m``; there the Taylor remainder is at most ``2^-53`` of the state
+  (see ``_THETA``). A dense ``M`` forms ``E = exp(hM)`` once per distinct
+  spacing, as ``T_m(hM / 2^k)`` squared ``k`` times with ``2^k >= s``
+  (scaling and squaring, Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+  (2005)), and steps ``y <- E y``. A ``scipy.sparse`` ``M`` applies
+  ``T_m(hM/s)`` to ``y`` ``s`` times per interval, in ``m`` sparse
+  products each, so no power of ``M`` is formed. The state is copied to
+  C order first, so the memory order of ``y0`` changes no bit.
 
 The matrix exponential is the reference route of :func:`propagate_constant`;
 it densifies a sparse ``M``.
@@ -48,66 +36,53 @@ it densifies a sparse ``M``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import scipy  # SciPy >= 1.9 imports a submodule on its first attribute access
 
 from .errors import IntegratorAccuracyError, StiffnessError, ValidationError
-from .model import _checked_finite, _checked_grid
+from .model import _checked_all_finite, _checked_finite, _checked_grid
 
-# Dormand-Prince coefficients, exact; the stepper uses their nearest floats
-_F = Fraction
-_A_EXACT = (
-    (),
-    (_F(1, 5),),
-    (_F(3, 40), _F(9, 40)),
-    (_F(44, 45), _F(-56, 15), _F(32, 9)),
-    (_F(19372, 6561), _F(-25360, 2187), _F(64448, 6561), _F(-212, 729)),
-    (_F(9017, 3168), _F(-355, 33), _F(46732, 5247), _F(49, 176), _F(-5103, 18656)),
-    (_F(35, 384), _F(0), _F(500, 1113), _F(125, 192), _F(-2187, 6784), _F(11, 84)),
-)
-_B5_EXACT = (_F(35, 384), _F(0), _F(500, 1113), _F(125, 192), _F(-2187, 6784),
-             _F(11, 84), _F(0))
-_B4_EXACT = (_F(5179, 57600), _F(0), _F(7571, 16695), _F(393, 640),
-             _F(-92097, 339200), _F(187, 2100), _F(1, 40))
-
+# Dormand-Prince coefficients; an int quotient is the nearest float to it
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = [np.array([float(a) for a in row]) for row in _A_EXACT]
-_B5 = np.array([float(b) for b in _B5_EXACT])
-_B4 = np.array([float(b) for b in _B4_EXACT])
+_A = [np.array(row) for row in (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)]
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                187 / 2100, 1 / 40])
 _B54 = np.array([_B5, _B5 - _B4])  # weights of the trial pair [y5 - y, err]
 
-# Attempted steps, accepted and rejected, after which one call refuses.
-# The most any test or acceptance criterion takes in one call is 2581
-# (a 4-vector over tau in [0, 40] at rtol 1e-10).
+# Attempted steps, accepted and rejected, after which one call of
+# integrate refuses.
 _MAX_STEPS = 1_000_000
 
+# theta_m for m = 1..30: the largest theta with theta^(m+1) e^theta / (m+1)!
+# <= 2^-53, found by bisection. With ||A||_1 <= theta_m the terms of exp(A)
+# past degree m sum to at most that bound times ||y||_1.
+_THETA = np.array([
+    1.4901161082825398e-08, 8.73345115755366e-06, 0.0002271855482444527,
+    0.0016779250295614237, 0.006556155374192009, 0.017725227918169623,
+    0.03795820911731926, 0.06944931693563773, 0.11365313850770736,
+    0.1713296719540245, 0.24267747932735625, 0.3274837131027528,
+    0.42525776147482364, 0.5353375572742738, 0.6569684347661536,
+    0.7893586814173491, 0.9317169257310868, 1.0832760936813923,
+    1.2433077952828437, 1.4111300937950637, 1.5861108253433691,
+    1.76766801650252, 1.9552684810602357, 2.148425337484402,
+    2.3466949464971956, 2.5496735983548233, 2.756994161904439,
+    2.9683228271146356, 3.1833560184777387, 3.401817520510592,
+])
+_DEGREES = np.arange(1, len(_THETA) + 1)
 
-def _stage_polynomials():
-    """Exact coefficients of ``(R5, E)`` in powers ``z^0 .. z^7``.
-
-    For ``f(t, y) = M y`` stage ``i`` is ``h k_i = P_i(z) y`` with
-    ``P_i(z) = z (1 + sum_j a_ij P_j(z))``, so ``R5 = 1 + sum_i b5_i P_i``
-    and ``E = sum_i (b5_i - b4_i) P_i``. Stage ``i`` has degree ``i + 1``.
-    """
-    stages = []
-    for row in _A_EXACT:
-        inner = [_F(1)] + [_F(0)] * 7
-        for a, p in zip(row, stages):
-            inner = [c + a * q for c, q in zip(inner, p)]
-        stages.append([_F(0)] + inner[:-1])
-    r5 = [_F(1)] + [_F(0)] * 7
-    err = [_F(0)] * 8
-    for b5, b4, p in zip(_B5_EXACT, _B4_EXACT, stages):
-        r5 = [c + b5 * q for c, q in zip(r5, p)]
-        err = [c + (b5 - b4) * q for c, q in zip(err, p)]
-    return r5, err
-
-
-# rows R5 and E as floats, converted once from the exact coefficients
-_STEP_POLY = np.array([[float(c) for c in poly] for poly in _stage_polynomials()])
-_EXPONENTS = np.arange(_STEP_POLY.shape[1], dtype=float)
+# Taylor substeps, summed over the output intervals, past which one call
+# refuses before any product (the dense route takes log2 of them as squarings)
+_MAX_SUBSTEPS = 1_000_000
 
 
 def _check_slope_shape(k, y):
@@ -160,66 +135,13 @@ class _RungeKuttaStages:
         self.k[0] = self.k[6]  # FSAL: last stage is f at the accepted point
 
 
-class _PolynomialStages:
-    """Dormand-Prince stages of ``y' = M y``: ``[y5, err] = [R5(hM) y, E(hM) y]``.
-
-    A sparse ``M`` forms the block ``[y, My, ..., M^7 y]`` by sparse
-    products into one preallocated array. ``R5`` has degree 6, so
-    ``M y5 = sum_j r5_j h^j M^(j+1) y`` combines the block's rows 1..7:
-    :meth:`accept` keeps it as row 1 of the next block, which then takes
-    six products instead of seven (first same as last). Only the first
-    step start takes seven.
-    """
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.powers = None
-        if isinstance(matrix, np.ndarray):
-            powers = [np.eye(matrix.shape[0], dtype=matrix.dtype)]
-            for _ in range(1, len(_EXPONENTS)):
-                powers.append(matrix @ powers[-1])
-            self.powers = np.concatenate(powers)  # rows of M^0, ..., M^7 in turn
-        self.block = None  # [y, My, ..., M^7 y] of the current step start, flattened
-        # rows R5, E scaled by h^p for the last trial step, in the dtype of
-        # M (and so of the block), so no trial makes a mixed real/complex product
-        self.coeffs = np.empty(_STEP_POLY.shape, dtype=matrix.dtype)
-        self.krylov = None  # the sparse route's block, reused from step to step
-        self.carried = None  # M y at the next step start, kept by accept()
-
-    def _krylov_block(self, y):
-        if self.krylov is None:
-            self.krylov = np.empty((len(_EXPONENTS),) + y.shape, dtype=y.dtype)
-        block = self.krylov
-        block[0] = y
-        block[1] = self.matrix @ y if self.carried is None else self.carried
-        for j in range(2, len(_EXPONENTS)):
-            block[j] = self.matrix @ block[j - 1]
-        return block
-
-    def __call__(self, t, h, y):
-        """Return ``[y5, err]`` of one trial step of size ``h`` from ``y``."""
-        if self.block is None:
-            block = self._krylov_block(y) if self.powers is None else self.powers @ y
-            self.block = block.reshape(len(_EXPONENTS), -1)
-        np.multiply(_STEP_POLY, np.power(h, _EXPONENTS), out=self.coeffs)
-        return (self.coeffs @ self.block).reshape((2,) + y.shape)
-
-    def accept(self):
-        if self.powers is None:
-            # R5 has no z^7 term (_STEP_POLY[0, -1] == 0), so rows 1..7 give M y5
-            self.carried = (self.coeffs[0, :-1] @ self.block[1:]).reshape(self.krylov.shape[1:])
-        self.block = None  # the next step starts from a new y
-
-
 def _advance(stages, y, t_grid, rtol):
     """Step ``y`` from ``t_grid[0]`` over the grid with DOPRI 5(4) step control.
 
     ``stages(t, h, y)`` returns the 5th-order update and the embedded error
     estimate of one trial step, stacked as ``[y5, err]`` in one array of
     shape ``(2, *y.shape)``; ``stages.accept()`` is called after each
-    accepted one. Between two accepts every trial step starts from the
-    same ``y``, so ``stages`` may keep work that depends on ``y`` alone.
-    Raises ValidationError naming ``rtol`` unless it is finite and > 0, or
+    accepted one. Raises ValidationError naming ``rtol`` unless it is finite and > 0, or
     naming ``t_grid`` and its first bad node unless it is a finite, strictly
     increasing 1-d grid with at least one node; StiffnessError when the
     step size underflows or after ``_MAX_STEPS`` attempted steps, and
@@ -320,22 +242,96 @@ def integrate(f, y0, t_grid, rtol=1e-10):
     return _advance(_RungeKuttaStages(f, y), y, t_grid, rtol)
 
 
-def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
+def _taylor_plan(norms):
+    """Degree ``m`` and substep count ``s`` of the Taylor series for each ``||hM||_1``.
+
+    The pair of least cost ``m * s`` (products with ``M``) among those with
+    ``norm / s <= theta_m``, the lower degree on a tie. ``s`` is a float,
+    infinite for an infinite norm, so the budget can refuse it unconverted.
+    """
+    steps = np.maximum(np.ceil(norms[:, None] / _THETA), 1.0)
+    best = np.argmin(steps * _DEGREES, axis=1)
+    return _DEGREES[best], steps[np.arange(len(best)), best]
+
+
+def _taylor_exp(a, degree, steps):
+    """``exp(a)`` as ``T_m(a / 2^k)`` squared ``k`` times, with ``2^k >= steps``."""
+    k = (int(steps) - 1).bit_length()
+    a = a / 2.0**k
+    eye = np.eye(len(a), dtype=a.dtype)
+    e = eye
+    for j in range(degree, 0, -1):  # Horner: T_m(a) = I + a (I + a/2 (... (I + a/m)))
+        e = eye + (a @ e) / j
+    for _ in range(k):
+        e = e @ e
+    return e
+
+
+def _taylor_propagate(matrix, y, t_grid):
+    """``exp((t - t_grid[0]) M) y`` at every node, by the plan of :func:`_taylor_plan`."""
+    out = np.empty((len(t_grid),) + y.shape, dtype=y.dtype)
+    out[0] = y
+    spacings, which = np.unique(np.diff(t_grid), return_inverse=True)
+    norm = float(abs(matrix).sum(axis=0).max())
+    degrees, steps = _taylor_plan(spacings * norm)
+    total = float(steps[which].sum())
+    if total > _MAX_SUBSTEPS:
+        raise StiffnessError(
+            f"substep budget of {_MAX_SUBSTEPS} exceeded: ||M||_1 = {norm:.3e} over "
+            f"[{t_grid[0]:.6g}, {t_grid[-1]:.6g}] takes {total:.3e} Taylor substeps; "
+            "the system is too stiff or the span too long"
+        )
+    # an overflow is refused below, by the first node it reaches
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(matrix, np.ndarray):
+            props = [_taylor_exp(h * matrix, m, s) for h, m, s in zip(spacings, degrees, steps)]
+            for i, j in enumerate(which):
+                np.matmul(props[j], out[i], out=out[i + 1])
+        else:
+            for i, j in enumerate(which):
+                scale, y = spacings[j] / steps[j], out[i]
+                for _ in range(int(steps[j])):
+                    term, y = y, y.copy()
+                    for p in range(1, degrees[j] + 1):
+                        term = matrix @ term
+                        term *= scale / p
+                        y += term
+                out[i + 1] = y
+    finite = np.isfinite(out.reshape(len(t_grid), -1)).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise IntegratorAccuracyError(
+            f"the propagated state is not finite at t={t_grid[bad]:.6g} (node {bad}): "
+            "exp(t M) y0 overflows"
+        )
+    return out
+
+
+def propagate_constant(matrix, y0, t_grid, method="taylor"):
     """Solve y' = M y for a constant matrix M, returning y at every node.
 
-    ``M`` is a dense array or a ``scipy.sparse`` matrix. ``method="adaptive"``
-    takes Dormand-Prince steps at the relative tolerance ``rtol``, with the
-    same step control and refusals as :func:`integrate`; ``method="expm"``
-    evaluates ``expm(M t) @ y0`` at every node (densifying a sparse ``M``),
-    the reference route for the adaptive one. ``y0`` is a vector or a
-    matrix whose columns are propagated together; a matrix that is not
-    square or does not match ``y0``'s leading dimension raises ValueError,
-    and an empty ``y0`` ValidationError. On either route a ``t_grid`` that is not a finite, strictly increasing
-    1-d grid raises ValidationError naming its first bad node.
+    ``M`` is a dense array or a ``scipy.sparse`` matrix. ``method="taylor"``
+    applies a truncated Taylor series of ``exp(hM)`` whose remainder is
+    bounded a priori by ``2^-53`` of the state (module docstring), so it is
+    exact to round-off and reads no tolerance; ``method="expm"`` evaluates
+    ``expm(M t) @ y0`` at every node (densifying a sparse ``M``), the
+    reference route for the Taylor one. ``y0`` is a vector or a matrix
+    whose columns are propagated together; a matrix that is not square or
+    does not match ``y0``'s leading dimension raises ValueError, and an
+    empty ``y0`` ValidationError. On either route ValidationError names
+    ``matrix`` (``matrix.data`` when sparse) unless its entries are finite,
+    and ``t_grid`` and its first bad node unless it is a finite, strictly
+    increasing 1-d grid. The Taylor route raises StiffnessError before any
+    product when its substeps would exceed ``_MAX_SUBSTEPS``, and
+    IntegratorAccuracyError naming the first node whose state is not finite.
     """
     # an ndarray is dense without asking scipy.sparse, which would load it
     if isinstance(matrix, np.ndarray) or not scipy.sparse.issparse(matrix):
         matrix = np.asarray(matrix)
+        _checked_all_finite(matrix, "matrix")
+    else:
+        matrix = matrix.tocsr()
+        _checked_all_finite(matrix.data, "matrix.data")
     y0 = np.asarray(y0)
     if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
             or y0.ndim not in (1, 2) or y0.shape[0] != matrix.shape[0]):
@@ -345,13 +341,13 @@ def propagate_constant(matrix, y0, t_grid, rtol=1e-10, method="adaptive"):
             "dimension of a vector or matrix y0"
         )
     _checked_state(y0)
+    t_grid = _checked_grid(t_grid, "t_grid")
     if method == "expm":
-        t_grid = _checked_grid(t_grid, "t_grid")
         if not isinstance(matrix, np.ndarray):
             matrix = matrix.toarray()
         return np.stack([scipy.linalg.expm(matrix * t) @ y0 for t in t_grid])
-    if method != "adaptive":
+    if method != "taylor":
         raise ValueError(f"unknown method {method!r}")
     dtype = complex if np.iscomplexobj(matrix) or np.iscomplexobj(y0) else float
-    return _advance(_PolynomialStages(matrix.astype(dtype)), y0.astype(dtype),
-                    t_grid, rtol)
+    return _taylor_propagate(matrix.astype(dtype, copy=False),
+                             np.ascontiguousarray(y0, dtype=dtype), t_grid)

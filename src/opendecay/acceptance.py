@@ -102,14 +102,14 @@ def _criterion_4():
     rng = np.random.default_rng(404)
     tau = np.linspace(0.0, 40.0, 81)
     rho0s = np.stack([random_density_matrix(rng) for _ in range(20)])
-    diff = propagate_density(liouv, rho0s, tau, rtol=1e-10)[-1] - 0.5 * np.eye(2)
+    diff = propagate_density(liouv, rho0s, tau)[-1] - 0.5 * np.eye(2)
     worst_mix = 0.5 * float(np.max(np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)))
 
     spin_z = make_spin_params(2.0, 0.0)
     liouv_z = spin_liouvillian(spin_z, 0.5)
     rho0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]])
     tau2 = np.linspace(0.0, 4.0, 41)
-    states = propagate_density(liouv_z, rho0, tau2, rtol=1e-12)
+    states = propagate_density(liouv_z, rho0, tau2)
     coh = np.abs(states[:, 0, 1])
     expected = abs(rho0[0, 1]) * np.exp(-0.5 * tau2)
     worst_deph = float(np.max(np.abs(coh - expected) / expected))

@@ -107,15 +107,15 @@ def weak_generator(spin: SpinBosonParams, bath: BathSpectrum) -> BlochGenerator:
     return BlochGenerator(matrix=m, gamma_theta=gw)
 
 
-def propagate_bloch(gen: BlochGenerator, triple0, tau_grid, rtol: float = 1e-10,
-                    method: str = "adaptive") -> np.ndarray:
+def propagate_bloch(gen: BlochGenerator, triple0, tau_grid,
+                    method: str = "taylor") -> np.ndarray:
     """Evolve a coefficient triple over ``tau_grid``.
 
-    ``method="adaptive"`` uses embedded Runge-Kutta with the given
-    relative tolerance; ``method="expm"`` evaluates the matrix
-    exponential at every node (cross-check path for the constant
-    generator). ValidationError names ``triple0`` unless its entries are
-    finite, and ``tau_grid`` and its first bad node unless it is 1-d,
+    ``method="taylor"`` is the truncated Taylor propagator of
+    :func:`~opendecay._integrate.propagate_constant`, exact to round-off;
+    ``method="expm"`` evaluates the matrix exponential at every node
+    (the reference route). ValidationError names ``triple0`` unless its
+    entries are finite, and ``tau_grid`` and its first bad node unless it is 1-d,
     finite and strictly increasing.
     """
     tau_grid = _checked_grid(tau_grid, "tau_grid")
@@ -124,19 +124,18 @@ def propagate_bloch(gen: BlochGenerator, triple0, tau_grid, rtol: float = 1e-10,
         raise ValueError(f"triple0 must have shape (3,), got {v0.shape}")
     if not np.isfinite(v0).all():
         raise ValidationError(f"triple0 must be finite, got {v0}")
-    return propagate_constant(gen.matrix, v0, tau_grid, rtol=rtol, method=method)
+    return propagate_constant(gen.matrix, v0, tau_grid, method=method)
 
 
-def propagator_matrix(gen: BlochGenerator, tau_grid, rtol: float = 1e-10) -> np.ndarray:
+def propagator_matrix(gen: BlochGenerator, tau_grid) -> np.ndarray:
     """Full evolution matrices exp(L tau) on the grid, shape (n, 3, 3).
 
-    Adaptive steps at the relative tolerance ``rtol``; the matrix
+    Propagated by the truncated Taylor route, exact to round-off; the matrix
     exponential reference is ``propagate_bloch(..., method="expm")``.
     ValidationError names ``tau_grid`` as :func:`propagate_bloch` does.
     """
     tau_grid = _checked_grid(tau_grid, "tau_grid")
-    return propagate_constant(gen.matrix, np.eye(3, dtype=complex), tau_grid,
-                              rtol=rtol)
+    return propagate_constant(gen.matrix, np.eye(3, dtype=complex), tau_grid)
 
 
 def decay_spectrum(gen: BlochGenerator) -> DecaySpectrum:

@@ -22,10 +22,6 @@ class DegenerateSystemError(ValidationError):
     """Both the bias and the tunneling element vanish: no two-level splitting."""
 
 
-class DivergenceError(OpenDecayError):
-    """Evaluation requested at a point where the expression diverges."""
-
-
 class AccuracyError(OpenDecayError):
     """A quadrature or grid refinement failed to converge to tolerance."""
 
@@ -35,7 +31,11 @@ class OverdampedRenormalizationError(OpenDecayError):
 
 
 class StiffnessError(OpenDecayError):
-    """Adaptive step-size control underflowed; the problem is too stiff."""
+    """The problem is too stiff for its budget.
+
+    Adaptive step-size control underflowed or ran out of steps, or a
+    constant generator's Taylor plan needs more substeps than its budget.
+    """
 
 
 class IntegratorAccuracyError(OpenDecayError):

@@ -107,13 +107,12 @@ def spin_liouvillian(spin: SpinBosonParams, gamma_theta: float) -> Liouvillian2:
     return Liouvillian2(hamiltonian_part=ham, dissipator_part=diss)
 
 
-def propagate_density(liouv: Liouvillian2, rho0, tau_grid,
-                      rtol: float = 1e-10) -> np.ndarray:
+def propagate_density(liouv: Liouvillian2, rho0, tau_grid) -> np.ndarray:
     """Propagate one density matrix, or a stack of them in one solve.
 
     Returns (n, 2, 2) for one 2x2 state (or :class:`DensityMatrix2`) and
     (n, k, 2, 2) for a (k, 2, 2) stack; another shape raises ValueError.
-    Adaptive steps at the relative tolerance ``rtol``; the dense
+    Propagated by the truncated Taylor route, exact to round-off; the dense
     reference is ``propagate_constant(liouv.matrix, ..., method="expm")``.
     Each state is validated as a :class:`DensityMatrix2` (raising
     :class:`ValidationError` when it is not a density matrix), and so is
@@ -121,8 +120,8 @@ def propagate_density(liouv: Liouvillian2, rho0, tau_grid,
     strictly increasing. Every output state must stay within loose
     physicality bounds (trace defect below 1e-9, smallest eigenvalue
     above -1e-9) or :class:`IntegratorAccuracyError`, naming the tau and
-    the state, is raised: violations mean the requested tolerance was
-    not achieved.
+    the state, is raised: the generator is then not a valid Lindblad
+    generator (not completely positive or not trace preserving).
     """
     if isinstance(rho0, DensityMatrix2):
         rho0 = rho0.entries
@@ -136,7 +135,7 @@ def propagate_density(liouv: Liouvillian2, rho0, tau_grid,
     tau_grid = _checked_grid(tau_grid, "tau_grid")
     # one state stays a 4-vector; a stack is a (4, k) block of columns
     flat = propagate_constant(liouv.matrix, rho0.reshape(rho0.shape[:-2] + (4,)).T,
-                              tau_grid, rtol=rtol)
+                              tau_grid)
     states = np.swapaxes(flat, 1, -1).reshape((len(tau_grid),) + rho0.shape)
 
     def where(defects, pick):
@@ -204,14 +203,15 @@ def bloch_density_bridge(spin: SpinBosonParams, gamma_theta: float, rho0,
     giving a float, or a stack of shape (k, 2, 2), giving one deviation
     per state as a length-k array. The triple propagator is computed once
     per call and the density route in one solve for all states. Both routes
-    use the same tolerance. A deviation beyond ``100 * rtol`` indicates
-    inconsistent sign/phase conventions between the two generators rather
-    than integration error, and raises :class:`ConventionMismatchError`.
+    are exact to round-off, so ``rtol`` is only the refusal bound: a
+    deviation beyond ``100 * rtol`` indicates inconsistent sign/phase
+    conventions between the two generators rather than propagation error,
+    and raises :class:`ConventionMismatchError`. ValidationError names
+    ``rtol`` unless it is finite and > 0.
     """
-    states = propagate_density(spin_liouvillian(spin, gamma_theta), rho0, tau_grid,
-                               rtol=rtol)
-    props = propagator_matrix(rapid_generator(spin, gamma_theta), tau_grid,
-                              rtol=rtol)
+    rtol = _checked_finite("rtol", rtol, "> 0")
+    states = propagate_density(spin_liouvillian(spin, gamma_theta), rho0, tau_grid)
+    props = propagator_matrix(rapid_generator(spin, gamma_theta), tau_grid)
     # D_alpha(tau) = sum_b M[a,b] D_b(0), then tr[rho0 D_alpha(tau)]
     d_t = np.einsum("tab,bij->taij", props, np.stack(TRIPLE_AT_ZERO))
     expect = np.einsum("...ij,taji->t...a", states[0], d_t)

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -183,7 +184,9 @@ class BathSpectrum:
 class CouplingScale:
     """System-bath coupling scale lambda, restricted to 0 < lambda <= 1.
 
-    (``lam`` because ``lambda`` is reserved in Python.)
+    The kernels scale with lambda^2, so a ``lam`` whose square is below
+    the smallest normal float is refused too: lambda^2 would reach them
+    as 0 or a subnormal. (``lam`` because ``lambda`` is reserved in Python.)
     """
 
     lam: float
@@ -192,6 +195,11 @@ class CouplingScale:
         if not (0.0 < self.lam <= 1.0):
             raise ValidationError(
                 f"coupling scale lam must satisfy 0 < lam <= 1, got {self.lam}"
+            )
+        if self.lam * self.lam < sys.float_info.min:
+            raise ValidationError(
+                f"coupling scale lam = {self.lam} is too small: lam**2 is below "
+                f"the smallest normal float {sys.float_info.min:g}"
             )
 
 

@@ -19,8 +19,9 @@ diagonal of the superoperator of ``rho -> A rho B``.  The parts share
 at most nine superoperator diagonals, so a row holds at most nine
 nonzeros out of ``d^2``.  A single-sample coefficient set weights the
 diagonals and converts them once to one CSR constant generator for
-:func:`opendecay._integrate.propagate_constant`; a window converts each
-part to CSR and weights the stacked parts at every stage time inside
+:func:`opendecay._integrate.propagate_constant`, whose truncated Taylor
+series is exact to round-off; a window converts each part to CSR and
+weights the stacked parts at every stage time inside the adaptive
 :func:`opendecay._integrate.integrate`.  :func:`fock_liouvillian` writes
 the weighted diagonals out as one dense matrix, the frozen generator
 whose complete positivity :mod:`opendecay._superop` inspects.
@@ -169,7 +170,9 @@ def truncated_basis_propagate(
 ) -> np.ndarray:
     """Evolve rho0 on tau_grid; (n_tau, d, d) array of density matrices.
 
-    Raises TruncationError when the population of the top ladder state
+    ``rtol`` is the relative tolerance of the adaptive steps of a window
+    of coefficients; a single-sample (constant) set is propagated exactly
+    to round-off and does not read it. Raises TruncationError when the population of the top ladder state
     exceeds ``_BOUNDARY_TOL`` at any output time, and ValidationError
     naming ``rho0`` unless it is a finite square matrix of dimension >= 2,
     and ``tau_grid`` and its first bad node unless it is 1-d, finite and
@@ -186,7 +189,7 @@ def truncated_basis_propagate(
         weights = (1.0, coeffs.omegaR_sq[0], coeffs.D_xx[0], coeffs.D_xp[0],
                    coeffs.Gamma_xp[0])
         gen = _csr(offsets, sum(w * part for w, part in zip(weights, parts)))
-        flat = propagate_constant(gen, rho0.reshape(-1), tau, rtol=rtol)
+        flat = propagate_constant(gen, rho0.reshape(-1), tau)
     else:
         w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
         stacked = scipy.sparse.vstack([_csr(offsets, part) for part in parts], format="csr")

@@ -360,7 +360,7 @@ def _run_spin_bloch(cfg):
     gen = rapid_generator(spin, cfg["gamma_theta"])
     tau = _time_grid(cfg)
     c0 = np.array([cfg["init_plus"], cfg["init_zero"], cfg["init_minus"]], dtype=complex)
-    traj = propagate_bloch(gen, c0, tau, rtol=cfg["rtol"])
+    traj = propagate_bloch(gen, c0, tau)
     spec = decay_spectrum(gen)
     cols = {"tau": tau.tolist()}
     for i, name in enumerate(("d_plus", "d_zero", "d_minus")):
@@ -385,7 +385,7 @@ def _run_spin_master(cfg):
             f"initial state is not a density matrix: rho_ee = {pe}, coh_re = {cfg['coh_re']} "
             f"and coh_im = {cfg['coh_im']} give min eigenvalue {diag.min_eigenvalue:.3e}"
         )
-    states = propagate_density(liouv, rho0, tau, rtol=cfg["tol"])
+    states = propagate_density(liouv, rho0, tau)
     purity = np.einsum("tij,tji->t", states, states).real
     cols = {
         "tau": tau.tolist(),
@@ -486,7 +486,8 @@ def _coefficient_window(cfg):
 def _run_qbm_exact(cfg):
     bath, osc = _qbm_setup(cfg)
     window = _coefficient_window(cfg)
-    prop = solve_propagator(bath, osc, cfg["lam"], cfg["tau_max"])
+    # checked before the solve, as qbm_sweep checks each entry
+    prop = solve_propagator(bath, osc, CouplingScale(cfg["lam"]), cfg["tau_max"])
     coeffs = exact_coefficients(prop, window, rel_tol=cfg["rel_tol"])
     limit = limit_coefficients(bath, osc, window[:1])
     cols = {

@@ -22,38 +22,15 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, OverdampedRenormalizationError, ValidationError
+from .errors import OverdampedRenormalizationError, ValidationError
 from .model import BathSpectrum, SpinBosonParams, _checked_finite
 
 __all__ = [
-    "bose_occupation",
     "spectral_density",
-    "dressed_rate",
     "gamma_theta",
     "gamma_theta_weak",
     "renormalized_frequency_sq",
 ]
-
-
-def bose_occupation(omega: float, temperature: float) -> float:
-    """Thermal occupation ``1/(exp(omega/T) - 1)``.
-
-    Diverges at ``omega = 0`` (raises :class:`DivergenceError`); at
-    ``T = 0`` the zero-temperature limit is returned. ValidationError names
-    ``omega`` unless finite, ``temperature`` unless finite and >= 0.
-    """
-    omega = _checked_finite("omega", omega)
-    temperature = _checked_finite("temperature", temperature, ">= 0")
-    if omega == 0.0:
-        raise DivergenceError("bose_occupation diverges at omega = 0")
-    if temperature == 0.0:
-        return 0.0 if omega > 0.0 else -1.0
-    x = omega / temperature
-    if x > 700.0:
-        return math.exp(-x)
-    if x < -700.0:
-        return -1.0
-    return 1.0 / math.expm1(x)
 
 
 def spectral_density(omega, bath: BathSpectrum):
@@ -76,32 +53,6 @@ def spectral_density(omega, bath: BathSpectrum):
     else:
         out = np.where((w > 0.0) & (w < bath.cutoff), bath.eta * w, 0.0)
     return float(out) if w.ndim == 0 else out
-
-
-def dressed_rate(omega, bath: BathSpectrum, branch: str = "+"):
-    """Thermally dressed rate Gamma_branch(omega).
-
-    ``branch="+"`` gives the emission rate ``(1+N)*Gamma``, ``"-"`` the
-    absorption rate ``N*Gamma``; at exactly zero frequency both take the
-    midpoint value ``eta*T/2``.
-    """
-    if branch not in ("+", "-"):
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    base = np.atleast_1d(spectral_density(omega, bath))  # checks omega
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    if np.any(pos):
-        if bath.temperature > 0.0:
-            x = w[pos] / bath.temperature
-            occ = np.where(x > 700.0, np.exp(-np.minimum(x, 745.0)), 0.0)
-            small = x <= 700.0
-            occ[small] = 1.0 / np.expm1(x[small])
-        else:
-            occ = np.zeros_like(w[pos])
-        out[pos] = (1.0 + occ) * base[pos] if branch == "+" else occ * base[pos]
-    out[w == 0.0] = 0.5 * bath.eta * bath.temperature
-    return float(out[0]) if np.ndim(omega) == 0 else out
 
 
 def gamma_theta(bath: BathSpectrum) -> float:

@@ -415,6 +415,9 @@ def test_every_bound_is_checked_when_the_config_is_parsed(entry_value):
     (["decay_scan", "--gamma_min", "0"], "gamma_min"),
     (["weak_compare", "--shape", "box"], "shape"),
     (["acceptance", "--criteria", "11"], "criteria"),
+    # lam**2 would underflow: refused by CouplingScale before the solve
+    (["qbm_exact", "--lam", "1e-200"], "lam"),
+    (["qbm_exact", "--shape", "hard", "--lam", "1e-200", "--tau_points", "5"], "lam"),
 ])
 def test_cli_bad_values_exit_2_before_any_solve(argv, named, solves, capsys):
     assert main(argv) == 2

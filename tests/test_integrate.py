@@ -1,7 +1,7 @@
-"""The constant-generator route of the DOPRI stepper against its general route."""
+"""The constant-generator propagator against the matrix exponential, and the DOPRI stepper."""
 
+import math
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +18,19 @@ from opendecay.qbm.coefficients import QBMCoefficients
 from opendecay.qbm.moments import propagate_moments
 
 
-def test_stage_polynomials_are_exact():
-    r5, err = _integrate._stage_polynomials()
-    assert r5 == [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6),
-                  Fraction(1, 24), Fraction(1, 120), Fraction(1, 600), Fraction(0)]
-    assert err[:5] == [0] * 5
-    assert all(c != 0 for c in err[5:])
+def test_theta_table_is_the_largest_theta_within_the_round_off_bound():
+    # theta^(m+1) e^theta / (m+1)! <= 2^-53 in logs, bisected down to the float
+    # spacing; the table keeps the largest theta that meets it, m = 1..30
+    def excess(theta, m):
+        return (m + 1) * math.log(theta) + theta - math.lgamma(m + 2) + 53 * math.log(2.0)
+
+    assert len(_integrate._THETA) == 30
+    for m, theta in zip(_integrate._DEGREES, _integrate._THETA):
+        lo, hi = 0.0, 64.0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid, m) <= 0.0 else (lo, mid)
+        assert theta == pytest.approx(lo, rel=1e-14)
 
 
 def _general_route(matrix, y0, tau):
@@ -31,10 +38,14 @@ def _general_route(matrix, y0, tau):
 
 
 def _assert_routes_agree(matrix, y0, tau):
-    poly = propagate_constant(matrix, y0, tau)
+    # the Taylor route is exact to round-off against the matrix exponential;
+    # the general DOPRI route at rtol 1e-10 agrees with it to 100 rtol
+    taylor = propagate_constant(matrix, y0, tau)
+    reference = propagate_constant(matrix, y0, tau, method="expm")
     general = _general_route(matrix, y0, tau)
-    assert poly.shape == general.shape and poly.dtype == general.dtype
-    assert np.max(np.abs(poly - general)) <= 1e-12 * np.max(np.abs(general))
+    assert taylor.shape == general.shape and taylor.dtype == general.dtype
+    assert np.max(np.abs(taylor - reference)) <= 1e-13 * np.max(np.abs(reference))
+    assert np.max(np.abs(general - taylor)) <= 1e-8 * np.max(np.abs(taylor))
 
 
 @pytest.mark.parametrize("eps, delta, gamma", [
@@ -58,8 +69,10 @@ def test_propagator_matrix_matches_the_general_route():
     gen = rapid_generator(make_spin_params(0.5, 1.5), 0.4)
     tau = np.linspace(0.0, 5.0, 11)
     props = propagator_matrix(gen, tau)
+    reference = propagate_constant(gen.matrix, np.eye(3, dtype=complex), tau, method="expm")
+    assert np.max(np.abs(props - reference)) <= 1e-13 * np.max(np.abs(reference))
     general = _general_route(gen.matrix, np.eye(3, dtype=complex), tau)
-    assert np.max(np.abs(props - general)) <= 1e-12 * np.max(np.abs(general))
+    assert np.max(np.abs(general - props)) <= 1e-8 * np.max(np.abs(props))
 
 
 def test_real_matrix_and_real_state_stay_real():
@@ -68,7 +81,7 @@ def test_real_matrix_and_real_state_stay_real():
     assert propagate_constant(matrix, np.array([1.0, 0.5]), tau).dtype == float
     _assert_routes_agree(matrix, np.array([1.0, 0.5]), tau)
     # a list of lists is no ndarray, so scipy.sparse decides it is dense
-    for method in ("adaptive", "expm"):
+    for method in ("taylor", "expm"):
         assert np.array_equal(propagate_constant(matrix.tolist(), [1.0, 0.5], tau, method=method),
                               propagate_constant(matrix, np.array([1.0, 0.5]), tau, method=method))
 
@@ -93,48 +106,22 @@ def test_sparse_generator_matches_the_dense_one_and_expm(columns):
     sparse = propagate_constant(matrix, y0, tau)
     dense = propagate_constant(matrix.toarray(), y0, tau)
     assert sparse.shape == dense.shape and sparse.dtype == dense.dtype
-    assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.max(np.abs(sparse - dense)) <= 1e-13 * np.max(np.abs(dense))
     reference = propagate_constant(matrix, y0, tau, method="expm")
     assert np.array_equal(reference, propagate_constant(matrix.toarray(), y0, tau,
                                                         method="expm"))
-    # the adaptive route at rtol 1e-10 against the exponential: 100 rtol
-    assert np.max(np.abs(sparse - reference)) <= 1e-8 * np.max(np.abs(reference))
+    # both Taylor routes are exact to round-off
+    assert np.max(np.abs(sparse - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-def test_sparse_route_forms_seven_products_first_then_six_per_step_start(monkeypatch):
-    # the Krylov block [y, My, ..., M^7 y] is formed once per step start;
-    # a rejected retry from the same y reuses it, and every step start but
-    # the first takes M y from the accepted step's block (first same as last)
-    matvecs, trials, accepts = [], [], []
+class _CountingCSR(scipy.sparse.csr_array):
+    """A CSR generator that records each product it takes."""
 
-    class CountingCSR(scipy.sparse.csr_array):
-        def __matmul__(self, other):
-            matvecs.append(1)
-            return super().__matmul__(other)
+    products = 0
 
-    matrix = CountingCSR(_banded_generator())
-    stages = _integrate._PolynomialStages
-
-    class CountingStages(stages):
-        def __call__(self, t, h, y):
-            trials.append(h)
-            return super().__call__(t, h, y)
-
-        def accept(self):
-            accepts.append(1)
-            super().accept()
-
-    monkeypatch.setattr(_integrate, "_PolynomialStages", CountingStages)
-    out = propagate_constant(matrix, np.ones(matrix.shape[0], dtype=complex),
-                             [0.0, 20.0])
-    assert np.all(np.isfinite(out))
-    assert len(trials) > len(accepts) > 0  # some trial steps were rejected
-    assert len(matvecs) == 7 + 6 * (len(accepts) - 1)
-
-
-def test_r5_has_no_z7_term():
-    # the reuse of M y5 rests on it: M R5(hM) y needs only M y .. M^7 y
-    assert _integrate._STEP_POLY[0, -1] == 0.0
+    def __matmul__(self, other):
+        type(self).products += 1
+        return super().__matmul__(other)
 
 
 def _fock_generator(n_max=9):
@@ -144,36 +131,50 @@ def _fock_generator(n_max=9):
     return fock._csr(offsets, sum(w * part for w, part in zip(weights, parts)))
 
 
-@pytest.mark.parametrize("columns", [None, 3])
-def test_carried_product_is_the_product_of_the_accepted_state(columns):
+def test_sparse_route_takes_the_planned_products(monkeypatch):
+    # m products for each of the s substeps of every interval, no more: the
+    # plan is a priori, with no early stop
     matrix = _fock_generator()
-    rng = np.random.default_rng(11)
-    shape = (matrix.shape[0],) if columns is None else (matrix.shape[0], columns)
-    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    stages = _integrate._PolynomialStages(matrix)
-    for h in (0.05, 0.02):  # a rejected trial, then the accepted one
-        y5, _ = stages(0.0, h, y)
-    stages.accept()
-    assert stages.carried.shape == y5.shape
-    fresh = matrix @ y5
-    assert np.max(np.abs(stages.carried - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+    monkeypatch.setattr(_CountingCSR, "products", 0)
+    counting = _CountingCSR(matrix)
+    tau = np.array([0.0, 0.1, 0.2, 1.7, 5.0])
+    out = propagate_constant(counting, np.eye(matrix.shape[0], dtype=complex)[0], tau)
+    norms = np.diff(tau) * np.max(np.sum(np.abs(matrix.toarray()), axis=0))
+    degrees, steps = _integrate._taylor_plan(norms)
+    assert np.all(norms / steps <= _integrate._THETA[degrees - 1])
+    assert _CountingCSR.products == np.sum(degrees * steps)
+    assert np.all(np.isfinite(out))
 
 
 def test_constant_route_refuses_past_its_step_budget(monkeypatch):
     matrix = -np.eye(2)
-    out = propagate_constant(matrix, np.ones(2), [0.0, 10.0], rtol=1e-12)
-    assert out[-1] == pytest.approx(np.exp(-10.0) * np.ones(2), rel=1e-10)
-    monkeypatch.setattr(_integrate, "_MAX_STEPS", 50)
-    with pytest.raises(StiffnessError, match="step budget of 50 attempted steps"):
-        propagate_constant(matrix, np.ones(2), [0.0, 10.0], rtol=1e-12)
+    out = propagate_constant(matrix, np.ones(2), [0.0, 10.0])
+    assert out[-1] == pytest.approx(np.exp(-10.0) * np.ones(2), rel=1e-14)
+    # ||10 M||_1 = 10 takes three substeps of degree 30
+    monkeypatch.setattr(_integrate, "_MAX_SUBSTEPS", 2)
+    monkeypatch.setattr(_CountingCSR, "products", 0)
+    for m in (matrix, _CountingCSR(matrix)):
+        with pytest.raises(StiffnessError, match="substep budget of 2 exceeded"):
+            propagate_constant(m, np.ones(2), [0.0, 10.0])
+    assert _CountingCSR.products == 0
 
 
-def test_constant_route_refuses_a_stiff_system():
-    with pytest.raises(StiffnessError, match="step size underflow"):
-        propagate_constant(-1e16 * np.eye(2), np.ones(2), [0.0, 1.0])
+def test_constant_route_refuses_a_stiff_system(monkeypatch):
+    # refused a priori, before a product with M or an exponential is formed
+    def no_exponential(*args):
+        raise AssertionError("an exponential was formed")
+
+    monkeypatch.setattr(_integrate, "_taylor_exp", no_exponential)
+    monkeypatch.setattr(_CountingCSR, "products", 0)
+    matrix = -1e16 * np.eye(2)
+    for m in (matrix, _CountingCSR(matrix)):
+        with pytest.raises(StiffnessError,
+                           match=r"substep budget of 1000000 exceeded: \|\|M\|\|_1 = 1\.000e\+16"):
+            propagate_constant(m, np.ones(2), [0.0, 1.0])
+    assert _CountingCSR.products == 0
 
 
-def test_both_routes_refuse_a_non_finite_error_estimate_at_once():
+def test_general_route_refuses_a_non_finite_error_estimate_at_once():
     # a NaN estimate is neither accepted nor shrinks the step, so without
     # the check a call would spin through its whole step budget
     def rhs(t, y):
@@ -182,8 +183,27 @@ def test_both_routes_refuse_a_non_finite_error_estimate_at_once():
     with pytest.raises(IntegratorAccuracyError,
                        match=r"error estimate is nan .*t=0\.4.*not finite"):
         integrate(rhs, np.ones(2), [0.0, 1.0])
-    with pytest.raises(IntegratorAccuracyError, match=r"from t=0 .*not finite"):
-        propagate_constant(np.diag([np.nan, -1.0]), np.ones(2), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_constant_route_refuses_a_non_finite_matrix(value):
+    matrix = np.diag([value, -1.0])
+    for method in ("taylor", "expm"):
+        with pytest.raises(ValidationError, match=r"^matrix must be finite; entry \(0, 0\)"):
+            propagate_constant(matrix, np.ones(2), [0.0, 1.0], method=method)
+        with pytest.raises(ValidationError, match=r"^matrix\.data must be finite; node 0"):
+            propagate_constant(scipy.sparse.csr_array(matrix), np.ones(2), [0.0, 1.0],
+                               method=method)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_constant_route_names_the_first_node_that_overflows(sparse):
+    # exp(1000 t) passes the largest float between t = 0.5 and t = 1
+    matrix = 1e3 * np.eye(2)
+    if sparse:
+        matrix = scipy.sparse.csr_array(matrix)
+    with pytest.raises(IntegratorAccuracyError, match=r"not finite at t=1 \(node 2\)"):
+        propagate_constant(matrix, np.ones(2), [0.0, 0.5, 1.0, 2.0])
 
 
 @pytest.mark.parametrize("matrix, y0", [
@@ -196,7 +216,7 @@ def test_constant_route_validates_its_matrix(matrix, y0):
     shapes = re.escape(str(matrix.shape)) + ".*" + re.escape(str(y0.shape))
     matrices = [matrix] + ([scipy.sparse.csr_array(matrix)] if matrix.ndim == 2 else [])
     for m in matrices:
-        for method in ("adaptive", "expm"):
+        for method in ("taylor", "expm"):
             with pytest.raises(ValueError, match=shapes):
                 propagate_constant(m, y0, [0.0, 1.0], method=method)
 
@@ -218,7 +238,7 @@ def test_every_route_refuses_a_bad_time_grid(grid, message):
     with pytest.raises(ValueError, match=pattern):
         integrate(lambda t, y: -y, np.ones(2), grid)
     for m in (matrix, scipy.sparse.csr_array(matrix)):
-        for method in ("adaptive", "expm"):
+        for method in ("taylor", "expm"):
             with pytest.raises(ValueError, match=pattern):
                 propagate_constant(m, np.ones(2), grid, method=method)
 
@@ -255,14 +275,12 @@ def test_every_caller_of_the_stepper_names_its_own_tau_grid(caller, grid, messag
 @pytest.mark.parametrize("rtol", [0.0, -1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("route", [
     lambda rtol: integrate(lambda t, y: -y, np.ones(2), [0.0, 1.0], rtol=rtol),
-    lambda rtol: propagate_constant(-np.eye(2), np.ones(2), [0.0, 1.0], rtol=rtol),
-    lambda rtol: propagate_constant(scipy.sparse.csr_array(-np.eye(2)), np.ones(2),
-                                    [0.0], rtol=rtol),
-], ids=["integrate", "dense", "sparse-one-node"])
+    lambda rtol: integrate(lambda t, y: -y, np.ones(2), [0.0], rtol=rtol),
+], ids=["integrate", "integrate-one-node"])
 def test_every_stepping_route_refuses_a_bad_rtol(route, rtol):
     # NaN would pass every error test, inf accepts any step, and a negative
     # rtol acts as its absolute value; each is refused by name, also on a
-    # one-node grid that takes no step
+    # one-node grid that takes no step (the constant route reads no rtol)
     with pytest.raises(ValidationError, match=r"^rtol must be finite and > 0"):
         route(rtol)
 
@@ -325,7 +343,7 @@ def test_every_route_refuses_an_empty_state(y0):
     with pytest.raises(ValidationError, match=pattern):
         integrate(lambda t, y: -y, y0, [0.0, 1.0])
     for m in (matrix, scipy.sparse.csr_array(matrix)):
-        for method in ("adaptive", "expm"):
+        for method in ("taylor", "expm"):
             with pytest.raises(ValidationError, match=pattern):
                 propagate_constant(m, y0, [0.0, 1.0], method=method)
 

@@ -101,7 +101,7 @@ def test_propagation_conserves_trace_and_positivity():
     liouv = spin_liouvillian(make_spin_params(1.0, 1.0), 0.8)
     rho0 = np.array([[0.9, 0.1j], [-0.1j, 0.1]])
     tau = np.linspace(0.0, 8.0, 33)
-    states = propagate_density(liouv, rho0, tau, rtol=1e-11)
+    states = propagate_density(liouv, rho0, tau)
     traces = np.trace(states, axis1=1, axis2=2)
     assert np.max(np.abs(traces - 1.0)) < 1e-10
     assert np.min(np.linalg.eigvalsh(states)) > -1e-10
@@ -111,10 +111,10 @@ def test_propagation_accepts_wrapped_state_and_expm_route():
     liouv = spin_liouvillian(make_spin_params(0.5, 1.5), 0.3)
     rho0 = DensityMatrix2(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
     tau = np.linspace(0.0, 3.0, 7)
-    adaptive = propagate_density(liouv, rho0, tau, rtol=1e-11)
+    taylor = propagate_density(liouv, rho0, tau)
     exact = propagate_constant(liouv.matrix, so.vec(rho0.entries), tau,
                                method="expm").reshape(-1, 2, 2)
-    assert np.max(np.abs(adaptive - exact)) < 1e-9
+    assert np.max(np.abs(taylor - exact)) < 1e-13
 
 
 def _null_space(liouv):
@@ -191,8 +191,8 @@ def test_bridge_consistency_small_case():
 
 
 def test_bridge_on_a_stack_agrees_with_the_per_state_calls():
-    # a stack takes one joint step sequence, so it agrees with the per-state
-    # solves to the tolerance rather than bit for bit
+    # a stack is stepped as one block of columns, so it agrees with the
+    # per-state solves to round-off rather than bit for bit
     spin = make_spin_params(3.0, 4.0)
     rng = np.random.default_rng(606)
     states = np.stack([random_density_matrix(rng) for _ in range(4)])
@@ -277,3 +277,12 @@ def test_bridge_refuses_mismatched_conventions(monkeypatch):
     with pytest.raises(ConventionMismatchError, match="disagree"):
         bloch_density_bridge(make_spin_params(1.0, 2.0), 0.7, stack,
                              np.linspace(0.0, 5.0, 21))
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bridge_refuses_a_bad_rtol(rtol):
+    # the routes read no tolerance, but NaN would pass the 100 * rtol bound
+    # and inf would accept any mismatch
+    rho0 = np.array([[0.8, 0.1 + 0.2j], [0.1 - 0.2j, 0.2]])
+    with pytest.raises(ValidationError, match=r"^rtol must be finite and > 0"):
+        bloch_density_bridge(make_spin_params(1.0, 2.0), 0.7, rho0, [0.0, 1.0], rtol=rtol)

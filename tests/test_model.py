@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -99,10 +100,22 @@ def test_bath_accepts_zero_coupling_and_temperature():
     assert bath.eta == 0.0 and bath.temperature == 0.0
 
 
-@pytest.mark.parametrize("lam", [0.0, -0.2, 1.5, float("inf")])
+@pytest.mark.parametrize("lam", [0.0, -0.2, 1.5, float("inf"), float("nan"), 1e-200,
+                                 1e-155, 5e-324])
 def test_coupling_scale_bounds(lam):
-    with pytest.raises(ValidationError):
+    # lam**2 below the smallest normal float would reach the kernels as 0
+    # or a subnormal, so the refusal names lam where it enters
+    with pytest.raises(ValidationError, match="lam"):
         CouplingScale(lam)
+
+
+def test_coupling_scale_keeps_the_smallest_lam_with_a_normal_square():
+    lam = math.sqrt(sys.float_info.min)
+    while lam * lam < sys.float_info.min:
+        lam = math.nextafter(lam, 1.0)
+    assert CouplingScale(lam).lam == lam
+    with pytest.raises(ValidationError, match=r"lam\*\*2 is below the smallest normal float"):
+        CouplingScale(math.nextafter(lam, 0.0))
 
 
 def test_oscillator_validation():

@@ -2,19 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from opendecay._quad import integrate_to_tolerance, split_edges
 from opendecay.errors import (
-    DivergenceError,
     OverdampedRenormalizationError,
     ValidationError,
 )
 from opendecay.model import BathSpectrum, OscillatorParams, make_spin_params
 from opendecay.qbm.kernels import mu_laplace
 from opendecay.spectral import (
-    bose_occupation,
-    dressed_rate,
     gamma_theta,
     gamma_theta_weak,
     renormalized_frequency_sq,
@@ -23,29 +19,6 @@ from opendecay.spectral import (
 
 BATH = BathSpectrum(eta=0.3, cutoff=5.0, shape="exponential", temperature=2.0)
 HARD = BathSpectrum(eta=0.3, cutoff=5.0, shape="hard", temperature=2.0)
-
-
-def test_bose_occupation_values():
-    # 1/(e - 1) at omega = T
-    assert bose_occupation(2.0, 2.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-14)
-    assert bose_occupation(1.0, 0.0) == 0.0
-    assert bose_occupation(-1.0, 0.0) == -1.0
-    with pytest.raises(DivergenceError):
-        bose_occupation(0.0, 2.0)
-    # a negative temperature would give a negative occupation
-    with pytest.raises(ValidationError, match=r"^temperature must be finite and >= 0, got -1\.0$"):
-        bose_occupation(1.0, -1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValidationError, match=r"^omega must be finite, got"):
-            bose_occupation(bad, 2.0)
-
-
-def test_bose_occupation_detailed_balance():
-    # N(-w) = -(1 + N(w))
-    for w in (0.3, 1.7, 9.0):
-        assert bose_occupation(-w, 2.0) == pytest.approx(
-            -(1.0 + bose_occupation(w, 2.0)), rel=1e-12
-        )
 
 
 def test_spectral_density_shapes():
@@ -64,41 +37,9 @@ def test_spectral_density_shapes():
             spectral_density(np.array([1.0, np.nan, np.inf]), bath)
 
 
-@given(st.floats(1e-3, 20.0))
-def test_dressed_rates_differ_by_bare_rate(w):
-    # (1+N)*Gamma - N*Gamma = Gamma for any w > 0
-    up = dressed_rate(w, BATH, "+")
-    down = dressed_rate(w, BATH, "-")
-    assert up - down == pytest.approx(spectral_density(w, BATH), rel=1e-12)
-    assert up >= down >= 0.0
-
-
-def test_dressed_rate_midpoint_at_zero():
-    assert dressed_rate(0.0, BATH, "+") == pytest.approx(0.5 * 0.3 * 2.0)
-    assert dressed_rate(0.0, BATH, "-") == pytest.approx(0.5 * 0.3 * 2.0)
-    assert dressed_rate(-3.0, BATH, "+") == 0.0
-    for branch in ("+", "-"):
-        with pytest.raises(ValidationError, match=r"^omega must be finite, got nan$"):
-            dressed_rate(math.nan, BATH, branch)
-        with pytest.raises(ValidationError, match=r"^omega must be finite; entry 2 is -inf$"):
-            dressed_rate(np.array([0.0, 1.0, -np.inf]), BATH, branch)
-
-
-def test_dressed_rate_flat_band_limit():
-    # both branches approach eta*T as w -> 0+
-    for w in (1e-4, 1e-6):
-        assert dressed_rate(w, BATH, "+") == pytest.approx(0.6, rel=1e-3)
-        assert dressed_rate(w, BATH, "-") == pytest.approx(0.6, rel=1e-3)
-
-
 def test_limit_rates_structure():
-    # the flat-band limits eta*T (w -> 0+), eta*T/2 (w = 0) and 0 (w < 0);
-    # the rapid-decay dephasing rate is twice the first
-    for branch in ("+", "-"):
-        assert dressed_rate(1e-9, BATH, branch) == pytest.approx(0.6, rel=1e-8)
-        assert dressed_rate(0.0, BATH, branch) == pytest.approx(0.3)
-        assert dressed_rate(-1e-9, BATH, branch) == 0.0
-    assert gamma_theta(BATH) == pytest.approx(2.0 * 0.6)
+    # the rapid-decay dephasing rate is twice the flat-band limit rate eta*T
+    assert gamma_theta(BATH) == pytest.approx(2.0 * 0.3 * 2.0)
 
 
 def test_weak_dephasing_scale_frozen_values():
