@@ -4,17 +4,16 @@ Two routes, each returning the state at every node of ``t_grid``:
 
 - :func:`integrate` solves ``y' = f(t, y)`` by adaptive Dormand-Prince
   5(4) steps, clipped so every requested output time is hit exactly (no
-  dense-output interpolation). Callers set ``rtol`` only; a component's
-  error scale is ``1e-14 + rtol*|y|``. It reuses the last stage of an
-  accepted step as the first of the next (first same as last). The error
-  norm takes one pass over the trial pair ``[y5, err]``: one ``np.abs``
-  fills a buffer with ``[|y5|, |err|]``, the scale
-  ``rtol * max(|y|, |y5|) + 1e-14`` and ``|err| / scale`` are formed in
-  place, and the norm is ``sqrt(r @ r / n)`` of the flat ratio row ``r``.
-  The accepted step's ``|y5|`` becomes the next ``|y|`` by swapping two
-  such buffers. They are C-ordered whatever the order of ``y``: a buffer
-  of a transposed (Fortran-ordered) ``y`` would make ``reshape(-1)`` a
-  copy instead of a view, and the norm would read stale values.
+  dense-output interpolation). It serves the coefficient windows, whose
+  generator depends on time: the moment route
+  (:func:`opendecay.qbm.moments.propagate_moments`, which also takes
+  constant coefficients) and the number-basis route
+  (:func:`opendecay.qbm.fock.truncated_basis_propagate`). Callers set
+  ``rtol`` only; a component's error scale is
+  ``rtol * max(|y|, |y5|) + 1e-14``, and the error norm is the root mean
+  square of ``|err| / scale``. The last stage of an accepted step is the
+  first of the next (first same as last). The state is stepped as a flat
+  C-ordered copy, so the memory order of ``y0`` changes no bit.
 - :func:`propagate_constant` solves ``y' = M y`` for a constant matrix
   ``M`` exactly to round-off, by a truncated Taylor series of
   ``exp(h M)`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
@@ -94,129 +93,6 @@ def _check_slope_shape(k, y):
         )
 
 
-class _RungeKuttaStages:
-    """Dormand-Prince stages of a general right-hand side ``f(t, y)``.
-
-    The seven slopes live in one preallocated array, so a stage state and
-    the trial pair are each one small product with its rows.
-    """
-
-    def __init__(self, f, y):
-        self.f = f
-        self.k = np.empty((7,) + y.shape, dtype=y.dtype)
-        self.slopes = self.k.reshape(7, -1)  # a view: k is C-ordered
-        self.first = True  # k[0] is not yet f at the step start
-
-    def __call__(self, t, h, y):
-        """Return ``[y5, err]`` of one trial step of size ``h`` from ``(t, y)``."""
-        f, k, slopes = self.f, self.k, self.slopes
-        if self.first:
-            k0 = np.asarray(f(t, y))
-            _check_slope_shape(k0, y)
-            if np.iscomplexobj(k0) and not np.iscomplexobj(y):
-                raise ValueError(
-                    f"right-hand side returned {k0.dtype} for a state of dtype "
-                    f"{y.dtype}; the real state would drop its imaginary part, "
-                    "so pass a complex y0"
-                )
-            k[0] = k0
-            self.first = False
-        flat = y.reshape(-1)
-        for i in range(1, 7):
-            yi = flat + (h * _A[i]) @ slopes[:i]
-            ki = f(t + _C[i] * h, yi.reshape(y.shape))
-            _check_slope_shape(ki, y)  # numpy would broadcast a scalar or a (1,) row
-            k[i] = ki
-        pair = (h * _B54) @ slopes
-        pair[0] += flat
-        return pair.reshape((2,) + y.shape)
-
-    def accept(self):
-        self.k[0] = self.k[6]  # FSAL: last stage is f at the accepted point
-
-
-def _advance(stages, y, t_grid, rtol):
-    """Step ``y`` from ``t_grid[0]`` over the grid with DOPRI 5(4) step control.
-
-    ``stages(t, h, y)`` returns the 5th-order update and the embedded error
-    estimate of one trial step, stacked as ``[y5, err]`` in one array of
-    shape ``(2, *y.shape)``; ``stages.accept()`` is called after each
-    accepted one. Raises ValidationError naming ``rtol`` unless it is finite and > 0, or
-    naming ``t_grid`` and its first bad node unless it is a finite, strictly
-    increasing 1-d grid with at least one node; StiffnessError when the
-    step size underflows or after ``_MAX_STEPS`` attempted steps, and
-    IntegratorAccuracyError on the first step whose error estimate is not
-    finite.
-    """
-    rtol = _checked_finite("rtol", rtol, "> 0")
-    t_grid = _checked_grid(t_grid, "t_grid")
-    out = np.empty((len(t_grid),) + y.shape, dtype=y.dtype)
-    out[0] = y
-    if len(t_grid) == 1:
-        return out
-
-    t = float(t_grid[0])
-    span = float(t_grid[-1]) - t
-    h = span / 100.0
-    idx = 1
-    target = float(t_grid[idx])
-    n_comp = y.size
-    # [|y5|, |err|] of a trial step, and |y| of the step start in row 0 of
-    # the other buffer, each with its rows as flat views: C-ordered, as a
-    # buffer like a transposed (Fortran-ordered) y would not be
-    trial, start = ((m, *m.reshape(2, -1)) for m in np.empty((2, 2) + y.shape))
-    np.abs(y, out=start[0][0])
-    scale = np.empty(n_comp)
-
-    for _ in range(_MAX_STEPS):
-        if h <= 1e-14 * max(abs(t), span):
-            raise StiffnessError(
-                f"step size underflow at t={t:.6g} (h={h:.3e}); "
-                "the system is too stiff for the requested tolerance"
-            )
-        h_try = h
-        clipped = False
-        if t + h_try >= target:
-            h_try = target - t
-            clipped = True
-        pair = stages(t, h_try, y)
-        np.abs(pair, out=trial[0])
-        _, abs_y5, ratio = trial
-        np.maximum(start[1], abs_y5, out=scale)
-        scale *= rtol
-        scale += 1e-14
-        np.divide(ratio, scale, out=ratio)  # |err| / scale
-        enorm = math.sqrt(ratio @ ratio / n_comp)
-        if not math.isfinite(enorm):
-            # a NaN estimate would be rejected forever without shrinking h
-            raise IntegratorAccuracyError(
-                f"error estimate is {enorm} in the step from t={t:.6g} "
-                f"(h={h_try:.3e}): the state or the right-hand side is not finite"
-            )
-        factor = 0.9 * (enorm ** -0.2) if enorm > 0.0 else 5.0
-        if enorm <= 1.0:
-            t = target if clipped else t + h_try
-            y = pair[0]
-            trial, start = start, trial  # the accepted |y5| is the next |y|
-            stages.accept()
-            if clipped:
-                out[idx] = y
-                idx += 1
-                if idx == len(t_grid):
-                    return out
-                target = float(t_grid[idx])
-                # keep the controller step: a clip says nothing about error
-            else:
-                h = h_try * min(5.0, max(0.2, factor))
-        else:
-            h = h_try * min(1.0, max(0.2, factor))
-    raise StiffnessError(
-        f"step budget of {_MAX_STEPS} attempted steps exhausted at t={t:.6g} "
-        f"of [{t_grid[0]:.6g}, {t_grid[-1]:.6g}]; the system is too stiff or "
-        "the span too long for the requested tolerance"
-    )
-
-
 def _checked_state(y):
     """``y``; ValidationError naming ``y0`` when it is 0-d or has no component."""
     if y.ndim == 0 or y.size == 0:
@@ -235,11 +111,91 @@ def integrate(f, y0, t_grid, rtol=1e-10):
     first bad node) or when ``y0`` is 0-d or empty, StiffnessError when the
     step size underflows or after ``_MAX_STEPS`` attempted steps,
     IntegratorAccuracyError when a step's error estimate is not finite (a
-    NaN or infinite state or ``f``), and ValueError when the first value of
-    ``f`` does not have ``y0``'s shape or is complex for a real ``y0``.
+    NaN or infinite state or ``f``), and ValueError when a value of ``f``
+    does not have ``y0``'s shape or its first is complex for a real ``y0``.
     """
     y = _checked_state(np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy())
-    return _advance(_RungeKuttaStages(f, y), y, t_grid, rtol)
+    rtol = _checked_finite("rtol", rtol, "> 0")
+    t_grid = _checked_grid(t_grid, "t_grid")
+    shape = y.shape
+    out = np.empty((len(t_grid),) + shape, dtype=y.dtype)
+    out[0] = y
+    if len(t_grid) == 1:
+        return out
+
+    t = float(t_grid[0])
+    span = float(t_grid[-1]) - t
+    h = span / 100.0
+    idx = 1
+    target = float(t_grid[idx])
+    n_comp = y.size
+    # the seven slopes in one C-ordered array, so a stage state and the
+    # trial pair are each one small product with its flat rows
+    k = np.empty((7,) + shape, dtype=y.dtype)
+    slopes = k.reshape(7, -1)
+    k0 = np.asarray(f(t, y))
+    _check_slope_shape(k0, y)
+    if np.iscomplexobj(k0) and not np.iscomplexobj(y):
+        raise ValueError(
+            f"right-hand side returned {k0.dtype} for a state of dtype "
+            f"{y.dtype}; the real state would drop its imaginary part, "
+            "so pass a complex y0"
+        )
+    k[0] = k0
+    flat = y.reshape(-1)  # y is a C-ordered copy, so this is a view
+    abs_y = np.abs(flat)
+
+    for _ in range(_MAX_STEPS):
+        if h <= 1e-14 * max(abs(t), span):
+            raise StiffnessError(
+                f"step size underflow at t={t:.6g} (h={h:.3e}); "
+                "the system is too stiff for the requested tolerance"
+            )
+        h_try = h
+        clipped = False
+        if t + h_try >= target:
+            h_try = target - t
+            clipped = True
+        for i in range(1, 7):
+            yi = flat + (h_try * _A[i]) @ slopes[:i]
+            ki = f(t + _C[i] * h_try, yi.reshape(shape))
+            _check_slope_shape(ki, y)  # numpy would broadcast a scalar or a (1,) row
+            k[i] = ki
+        pair = (h_try * _B54) @ slopes  # [y5 - y, err]
+        pair[0] += flat
+        abs_y5, ratio = np.abs(pair)
+        scale = np.maximum(abs_y, abs_y5)
+        scale *= rtol
+        scale += 1e-14
+        ratio /= scale
+        enorm = math.sqrt(ratio @ ratio / n_comp)
+        if not math.isfinite(enorm):
+            # a NaN estimate would be rejected forever without shrinking h
+            raise IntegratorAccuracyError(
+                f"error estimate is {enorm} in the step from t={t:.6g} "
+                f"(h={h_try:.3e}): the state or the right-hand side is not finite"
+            )
+        factor = 0.9 * (enorm ** -0.2) if enorm > 0.0 else 5.0
+        if enorm <= 1.0:
+            t = target if clipped else t + h_try
+            flat, abs_y = pair[0], abs_y5
+            k[0] = k[6]  # first same as last: the last stage is f at the accepted point
+            if clipped:
+                out[idx] = flat.reshape(shape)
+                idx += 1
+                if idx == len(t_grid):
+                    return out
+                target = float(t_grid[idx])
+                # keep the controller step: a clip says nothing about error
+            else:
+                h = h_try * min(5.0, max(0.2, factor))
+        else:
+            h = h_try * min(1.0, max(0.2, factor))
+    raise StiffnessError(
+        f"step budget of {_MAX_STEPS} attempted steps exhausted at t={t:.6g} "
+        f"of [{t_grid[0]:.6g}, {t_grid[-1]:.6g}]; the system is too stiff or "
+        "the span too long for the requested tolerance"
+    )
 
 
 def _taylor_plan(norms):

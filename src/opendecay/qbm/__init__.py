@@ -32,7 +32,7 @@ from .kernels import (
     noise_kernel,
     trigamma_complex,
 )
-from .moments import MOMENT_LABELS, coefficient_functions, propagate_moments
+from .moments import MOMENT_LABELS, coefficient_weights, propagate_moments
 from .propagator import (
     PropagatorFunction,
     propagator_via_laplace,
@@ -56,7 +56,7 @@ __all__ = [
     "exact_coefficients",
     "limit_coefficients",
     "MOMENT_LABELS",
-    "coefficient_functions",
+    "coefficient_weights",
     "propagate_moments",
     "coherent_density",
     "fock_liouvillian",

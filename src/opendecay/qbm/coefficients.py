@@ -223,7 +223,7 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     if 4 * m0 + 1 > _MAX_THETA_NODES:
         raise ValidationError(
             f"lam={prop.lam:g} is too small for a Theta pass up to tau={tau[-1]:g}: its "
-            f"grid needs {4 * m0 + 1} nodes, beyond the budget _MAX_THETA_NODES="
+            f"grid needs {4 * m0 + 1:.3e} nodes, beyond the budget _MAX_THETA_NODES="
             f"{_MAX_THETA_NODES}"
         )
     # Every time keeps at least _MIN_PANELS coarse panels below it, as a

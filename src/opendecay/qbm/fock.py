@@ -44,7 +44,7 @@ from .._integrate import integrate, propagate_constant
 from ..errors import TruncationError, ValidationError
 from ..model import OscillatorParams, _checked_all_finite, _checked_finite, _checked_grid
 from .coefficients import QBMCoefficients
-from .moments import coefficient_functions
+from .moments import coefficient_weights
 
 __all__ = [
     "ladder_operators",
@@ -170,13 +170,16 @@ def truncated_basis_propagate(
 ) -> np.ndarray:
     """Evolve rho0 on tau_grid; (n_tau, d, d) array of density matrices.
 
-    ``rtol`` is the relative tolerance of the adaptive steps of a window
-    of coefficients; a single-sample (constant) set is propagated exactly
-    to round-off and does not read it. Raises TruncationError when the population of the top ladder state
-    exceeds ``_BOUNDARY_TOL`` at any output time, and ValidationError
-    naming ``rho0`` unless it is a finite square matrix of dimension >= 2,
-    and ``tau_grid`` and its first bad node unless it is 1-d, finite and
-    strictly increasing.
+    The generator parts are weighted by :func:`.moments.coefficient_weights`.
+    A single-sample (constant) set weights them once into one generator,
+    propagated exactly to round-off, and does not read ``rtol``. A window
+    weights the stacked parts at each stage time of the adaptive steps,
+    taken at relative tolerance ``rtol``. Raises TruncationError when the
+    population of the top ladder state exceeds ``_BOUNDARY_TOL`` at any
+    output time, and ValidationError naming ``rho0`` unless it is a finite
+    square matrix of dimension >= 2, naming ``tau_grid`` and its first bad
+    node unless it is 1-d, finite and strictly increasing, and when a
+    window does not cover ``tau_grid``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho0.shape[0] < 2:
@@ -185,18 +188,15 @@ def truncated_basis_propagate(
     tau = _checked_grid(tau_grid, "tau_grid")
     d = rho0.shape[0]
     offsets, parts = _generator_parts(*ladder_operators(d - 1, osc), osc.mass)
+    weights = coefficient_weights(coeffs, tau)
     if coeffs.tau.size == 1:
-        weights = (1.0, coeffs.omegaR_sq[0], coeffs.D_xx[0], coeffs.D_xp[0],
-                   coeffs.Gamma_xp[0])
-        gen = _csr(offsets, sum(w * part for w, part in zip(weights, parts)))
+        gen = _csr(offsets, sum(w * part for w, part in zip(weights(tau[0]), parts)))
         flat = propagate_constant(gen, rho0.reshape(-1), tau)
     else:
-        w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
         stacked = scipy.sparse.vstack([_csr(offsets, part) for part in parts], format="csr")
 
         def rhs(t, v):
-            weights = np.array([1.0, w2(t), d_xx(t), d_xp(t), g_xp(t)])
-            return weights @ (stacked @ v).reshape(len(parts), -1)
+            return weights(t) @ (stacked @ v).reshape(len(parts), -1)
 
         flat = integrate(rhs, rho0.reshape(-1), tau, rtol=rtol)
     states = flat.reshape(len(flat), d, d)

@@ -29,36 +29,35 @@ from ..errors import ValidationError
 from ..model import GaussianState, OscillatorParams, _checked_grid
 from .coefficients import QBMCoefficients
 
-__all__ = ["MOMENT_LABELS", "coefficient_functions", "propagate_moments"]
+__all__ = ["MOMENT_LABELS", "coefficient_weights", "propagate_moments"]
 
 MOMENT_LABELS = ("mean_x", "mean_p", "var_xx", "cov_xp", "var_pp")
 
 
-def coefficient_functions(coeffs: QBMCoefficients, tau_grid):
-    """Callables (W2, D_xx, D_xp, G_xp) of time covering ``tau_grid``.
+def coefficient_weights(coeffs: QBMCoefficients, tau_grid):
+    """Callable ``t -> (1, W2, D_xx, D_xp, G_xp)`` covering ``tau_grid``.
 
-    Single-sample coefficient sets are treated as constants; otherwise
-    not-a-knot cubic splines over the coefficient window are used and the
-    requested grid must stay inside it.
+    These are the weights of the five generator parts, as one array. A
+    single-sample coefficient set gives constants; a window gives the
+    not-a-knot cubic splines over it, evaluated together, and the requested
+    grid must stay inside it (ValidationError otherwise).
     """
-    tau = np.asarray(tau_grid, dtype=float)
     if coeffs.tau.size == 1:
-        vals = (
-            float(coeffs.omegaR_sq[0]),
-            float(coeffs.D_xx[0]),
-            float(coeffs.D_xp[0]),
-            float(coeffs.Gamma_xp[0]),
-        )
-        return tuple((lambda t, v=v: v) for v in vals)
+        weights = np.array([1.0, coeffs.omegaR_sq[0], coeffs.D_xx[0], coeffs.D_xp[0],
+                            coeffs.Gamma_xp[0]])
+        return lambda t: weights
+    tau = np.asarray(tau_grid, dtype=float)
     if tau.min() < coeffs.tau[0] - 1e-12 or tau.max() > coeffs.tau[-1] + 1e-12:
         raise ValidationError(
             "tau grid extends outside the coefficient window "
             f"[{coeffs.tau[0]:g}, {coeffs.tau[-1]:g}]"
         )
     x = coeffs.tau
-    y = np.stack([coeffs.omegaR_sq, coeffs.D_xx, coeffs.D_xp, coeffs.Gamma_xp])
+    # the constant row has slopes 0, so its spline is 1.0 exactly
+    y = np.stack([np.ones_like(x), coeffs.omegaR_sq, coeffs.D_xx, coeffs.D_xp,
+                  coeffs.Gamma_xp])
     slopes = not_a_knot_slopes(x, y)
-    return tuple((lambda t, k=k: float(hermite(x, y[k], slopes[k], t))) for k in range(4))
+    return lambda t: hermite(x, y, slopes, t)
 
 
 def propagate_moments(
@@ -70,23 +69,28 @@ def propagate_moments(
 ) -> np.ndarray:
     """Integrate the closed moment system; rows follow MOMENT_LABELS.
 
-    ValidationError names ``tau_grid`` and its first bad node unless it is
-    1-d, finite and strictly increasing.
+    The right-hand side reads the weights of :func:`coefficient_weights`
+    at each stage time, constant or a window's splines, and
+    :func:`opendecay._integrate.integrate` steps it at relative tolerance
+    ``rtol``. ValidationError names ``tau_grid`` and its first bad node
+    unless it is 1-d, finite and strictly increasing, and is raised when a
+    window does not cover it.
     """
     tau = _checked_grid(tau_grid, "tau_grid")
-    w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
+    weights = coefficient_weights(coeffs, tau)
     m = osc.mass
 
     def rhs(t, y):
         mx, mp, sxx, sxp, spp = y
-        w2t, gt = w2(t), g_xp(t)
+        # Python floats: this arithmetic on NumPy scalars takes twice as long
+        _, w2t, d_xx, d_xp, gt = weights(t).tolist()
         return np.array(
             [
                 mp / m,
                 -m * w2t * mx - 2.0 * gt * mp,
                 2.0 * sxp / m,
-                spp / m - m * w2t * sxx - 2.0 * gt * sxp - 2.0 * d_xp(t),
-                -2.0 * m * w2t * sxp - 4.0 * gt * spp + 2.0 * d_xx(t),
+                spp / m - m * w2t * sxx - 2.0 * gt * sxp - 2.0 * d_xp,
+                -2.0 * m * w2t * sxp - 4.0 * gt * spp + 2.0 * d_xx,
             ]
         )
 

@@ -228,9 +228,13 @@ def _antiderivatives(u, bath: BathSpectrum, osc: OscillatorParams, lam: float):
 
 
 def _si_rule(width: float):
-    """``(nodes, parts)`` of ``_SI_RULES`` for panels ``width`` wide in x."""
+    """``(nodes, parts)`` of ``_SI_RULES`` for panels ``width`` wide in x.
+
+    ``parts`` is a float, so an infinite or NaN width gives an infinite or
+    NaN count that the budget refuses.
+    """
     nodes, reach = next((rule for rule in _SI_RULES if width <= rule[1]), _SI_RULES[-1])
-    return nodes, math.ceil(width / reach)
+    return nodes, float(np.ceil(width / reach))
 
 
 def _sine_integral_panels(x):
@@ -243,7 +247,7 @@ def _sine_integral_panels(x):
     n = x.size - 1
     nodes, parts = _si_rule((x[-1] - x[0]) / n)
     if parts > 1:
-        x = np.linspace(x[0], x[-1], n * parts + 1)
+        x = np.linspace(x[0], x[-1], n * int(parts) + 1)
     xi, wi = _leggauss(nodes)
     half = 0.5 * np.diff(x)
     t = x[:-1] + (1.0 + xi)[:, None] * half  # (nodes, panels): long rows for numpy's loops
@@ -259,21 +263,32 @@ def _raw_moments(edges, bath, osc, lam):
     quadrature of ``_sine_integral_panels``, rows 0, 2 and 3 stay closed
     forms, and the exponential cutoff is closed form throughout.
     ValidationError names ``lam`` and the cutoff when that quadrature would
-    take more than ``_MAX_SI_POINTS`` points.
+    take more than ``_MAX_SI_POINTS`` points, checked before any row is
+    formed, and when a row is not finite: at the exponential cutoff
+    ``(u / a)**2``, with ``a = lam**2 / cutoff``, overflows for ``lam``
+    below ~1e-77 at cutoff 5 and tau 2.9.
     """
     if bath.eta == 0.0:
         return np.zeros((4, len(edges) - 1))
     k0 = osc.mass * osc.omega0 * bath.eta * lam**2 / (2.0 * math.pi)
-    rows = np.stack([np.diff(g) for g in _antiderivatives(edges, bath, osc, lam)])
+    # an overflow is refused below, by name, before any solve reads it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if bath.shape == "hard":
+            x = bath.cutoff / lam**2 * edges
+            points = math.prod(_si_rule((x[-1] - x[0]) / (x.size - 1))) * (x.size - 1)
+            if not points <= _MAX_SI_POINTS:
+                raise ValidationError(
+                    f"lam={lam:g} is too small for the hard cutoff={bath.cutoff:g}: its sine "
+                    f"integral up to tau={edges[-1]:g} needs {points:.3e} quadrature "
+                    f"points, beyond the budget _MAX_SI_POINTS={_MAX_SI_POINTS}"
+                )
+        rows = np.stack([np.diff(g) for g in _antiderivatives(edges, bath, osc, lam)])
+    if not np.isfinite(rows).all():
+        raise ValidationError(
+            f"lam={lam:g} is too small for the {bath.shape} cutoff={bath.cutoff:g}: "
+            f"its kernel moments up to tau={edges[-1]:g} overflow"
+        )
     if bath.shape == "hard":
-        x = bath.cutoff / lam**2 * edges
-        points = math.prod(_si_rule((x[-1] - x[0]) / (x.size - 1))) * (x.size - 1)
-        if points > _MAX_SI_POINTS:
-            raise ValidationError(
-                f"lam={lam:g} is too small for the hard cutoff={bath.cutoff:g}: its sine "
-                f"integral up to tau={edges[-1]:g} needs {points} quadrature points, "
-                f"beyond the budget _MAX_SI_POINTS={_MAX_SI_POINTS}"
-            )
         rows[1] += _sine_integral_panels(x)
     return -k0 * rows
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opendecay.acceptance
+import opendecay.qbm.propagator
 import opendecay.scenarios
 from opendecay.acceptance import CriterionResult
 from opendecay.cli import main
@@ -425,6 +426,24 @@ def test_cli_bad_values_exit_2_before_any_solve(argv, named, solves, capsys):
     err = capsys.readouterr().err
     assert err.startswith("opendecay: ValidationError:")
     assert re.search(rf"(?<!\w){named}(?!\w)", err), err
+
+
+@pytest.mark.parametrize("shape", ["exponential", "hard"])
+@pytest.mark.parametrize("lam", ["1.6e-154", "2e-154", "1e-150", "1e-80"])
+def test_cli_tiny_lam_exits_2_before_any_volterra_march(lam, shape, monkeypatch, capsys):
+    # lam**2 is a normal float, so CouplingScale accepts it, but the kernel
+    # moments overflow (exponential) or the sine integral has no finite
+    # budget (hard): each is refused by name, without a RuntimeWarning (an
+    # error in this suite), before the first march of the Volterra stepper
+    marches = []
+    real = opendecay.qbm.propagator._causal_solve
+    monkeypatch.setattr(opendecay.qbm.propagator, "_causal_solve",
+                        lambda *args: marches.append(1) or real(*args))
+    assert main(["qbm_exact", "--shape", shape, "--lam", lam, "--tau_points", "5"]) == 2
+    assert marches == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"opendecay: ValidationError: lam={float(lam):g} is too small "
+                          f"for the {shape} cutoff=5"), err
 
 
 _DROPPED = object()  # the key is deleted from the parsed cfg

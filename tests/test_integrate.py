@@ -293,26 +293,28 @@ def test_general_route_refuses_a_complex_rhs_on_a_real_state():
     assert out[-1, 0] == pytest.approx(np.exp(1j), rel=1e-9)
 
 
-def test_general_route_reuses_its_last_stage_as_the_next_first(monkeypatch):
-    # first same as last: one evaluation at the start, then six per trial step
+def test_general_route_reuses_its_last_stage_as_the_next_first():
+    # first same as last: one evaluation at the start, then six per trial
+    # step, at t + c h for c = 1/5, 3/10, 4/5, 8/9, 1, 1. Evaluating stage 0
+    # again at each step would put a seventh, at t, into every group.
     matrix = _banded_generator(6)
     y0 = np.arange(12.0).reshape(6, 2) + 1j
-    shapes, trials = [], []
-    stages = _integrate._RungeKuttaStages
-
-    class CountingStages(stages):
-        def __call__(self, t, h, y):
-            trials.append(h)
-            return super().__call__(t, h, y)
+    times, shapes = [], []
 
     def rhs(t, y):
+        times.append(t)
         shapes.append((y.shape, y.dtype))
         return matrix @ y
 
-    monkeypatch.setattr(_integrate, "_RungeKuttaStages", CountingStages)
     out = integrate(rhs, y0, np.linspace(0.0, 3.0, 4))
-    assert np.all(np.isfinite(out)) and len(trials) > 3
-    assert len(shapes) == 1 + 6 * len(trials)
+    assert np.all(np.isfinite(out)) and times[0] == 0.0
+    assert (len(times) - 1) % 6 == 0
+    trials = np.reshape(times[1:], (-1, 6))
+    h = (trials[:, 5] - trials[:, 0]) / 0.8
+    start = trials[:, 5] - h
+    assert len(trials) > 3 and np.all(h > 0.0)
+    want = start[:, None] + h[:, None] * np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+    assert np.allclose(trials, want, rtol=0.0, atol=1e-12)
     assert set(shapes) == {(y0.shape, y0.dtype)}
 
 

@@ -162,7 +162,8 @@ def test_theta_grid_refuses_beyond_its_node_budget(exp_prop, monkeypatch):
     monkeypatch.setattr(coefficients, "_MAX_THETA_NODES", nodes - 1)
     with pytest.raises(ValidationError, match=(
             rf"^lam=0\.2 is too small for a Theta pass up to tau=1\.2: its grid needs "
-            rf"{nodes} nodes, beyond the budget _MAX_THETA_NODES={nodes - 1}$")):
+            rf"{re.escape(f'{nodes:.3e}')} nodes, beyond the budget "
+            rf"_MAX_THETA_NODES={nodes - 1}$")):
         theta_coefficients(exp_prop, 1.2)
     assert calls == []
     monkeypatch.setattr(coefficients, "_MAX_THETA_NODES", nodes)

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from opendecay._cubic import hermite
 from opendecay._integrate import integrate
 from opendecay._superop import commutator_super, left_right
 from opendecay.errors import TruncationError, ValidationError
@@ -21,9 +22,10 @@ from opendecay.qbm.fock import (
     ladder_operators,
     truncated_basis_propagate,
 )
+from opendecay.qbm import moments
 from opendecay.qbm.moments import (
     MOMENT_LABELS,
-    coefficient_functions,
+    coefficient_weights,
     propagate_moments,
 )
 
@@ -78,16 +80,26 @@ def test_friction_contracts_the_means():
     assert np.all(r[1:] < 1.0)
 
 
-def test_coefficient_functions_constant_and_spline_paths():
-    const = coefficient_functions(_free_coeffs(), np.linspace(0.0, 3.0, 7))
-    assert [f(2.1) for f in const] == [1.0, 0.0, 0.0, 0.0]
+def test_coefficient_weights_constant_and_window_paths(monkeypatch):
+    const = coefficient_weights(_free_coeffs(), np.linspace(0.0, 3.0, 7))
+    assert const(2.1).tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
 
     window = np.linspace(1.0, 2.0, 11)
-    co = QBMCoefficients(window, 1.0 + 0.1 * window, 0.0, 0.0, 0.0)
-    fns = coefficient_functions(co, np.linspace(1.0, 2.0, 5))
-    assert fns[0](1.5) == pytest.approx(1.15, rel=1e-12)
-    with pytest.raises(ValidationError):
-        coefficient_functions(co, np.linspace(0.5, 1.5, 5))  # leaves window
+    co = QBMCoefficients(window, 1.0 + 0.1 * window, 0.02 * window, 0.003 * window**2,
+                         0.05 / window)
+    rows = np.stack([co.omegaR_sq, co.D_xx, co.D_xp, co.Gamma_xp])
+    calls = []
+    monkeypatch.setattr(moments, "hermite",
+                        lambda *args: calls.append(1) or hermite(*args))
+    weights = coefficient_weights(co, np.linspace(1.0, 2.0, 5))
+    for k, t in enumerate(window):
+        w = weights(t)
+        assert w.shape == (5,) and w[0] == 1.0  # exactly, so the kinetic part is unscaled
+        np.testing.assert_allclose(w[1:], rows[:, k], rtol=1e-14)
+        assert weights(t + 0.05 if k < 10 else t - 0.05)[0] == 1.0
+    assert len(calls) == 2 * len(window)  # one per evaluation, all five rows at once
+    with pytest.raises(ValidationError, match="outside the coefficient window"):
+        coefficient_weights(co, np.linspace(0.5, 1.5, 5))
 
 
 def test_ladder_operators_commutator():
@@ -235,14 +247,15 @@ def _matrix_form_propagate(coeffs, rho0, tau, rtol):
     # the number-basis generator as six dense matrix products on rho, the
     # form the sparse superoperator replaced; kept as its reference
     x, p = ladder_operators(rho0.shape[0] - 1, OSC)
-    w2, d_xx, d_xp, g_xp = coefficient_functions(coeffs, tau)
+    weights = coefficient_weights(coeffs, tau)
     m = OSC.mass
     x2, p2_2m, xp, px = x @ x, (p @ p) / (2.0 * m), x @ p, p @ x
 
     def rhs(t, rho):
-        dxx, c_minus = d_xx(t), 2.0 * d_xp(t) - 1j * g_xp(t)
+        _, w2, dxx, dxp, gxp = weights(t)
+        c_minus = 2.0 * dxp - 1j * gxp
         c_plus = c_minus.conjugate()
-        ham = p2_2m + (0.5 * m * w2(t)) * x2
+        ham = p2_2m + (0.5 * m * w2) * x2
         k_left = -1j * ham - dxx * x2 - c_plus * xp
         k_right = 1j * ham - dxx * x2 - c_minus * px
         out = k_left @ rho + rho @ k_right

@@ -1,6 +1,7 @@
 """Checks for the memory-equation fundamental solution G(tau)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ def test_sine_integral_refuses_beyond_its_point_budget(lam, monkeypatch):
                         lambda x: calls.append(1) or _sine_integral_panels(x))
     monkeypatch.setattr(propagator, "_MAX_SI_POINTS", points - 1)
     message = (rf"^lam={lam:g} is too small for the hard cutoff=5: its sine integral up to "
-               rf"tau=2\.9 needs {points} quadrature points, beyond the budget "
+               rf"tau=2\.9 needs {re.escape(f'{points:.3e}')} quadrature points, beyond the budget "
                rf"_MAX_SI_POINTS={points - 1}$")
     with pytest.raises(ValidationError, match=message):
         _raw_moments(edges, HARD_DEFAULT, OSC, lam)
