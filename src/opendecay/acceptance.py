@@ -188,7 +188,7 @@ def _criterion_8():
     dev_xx, dev_xp, dev_g = [], [], []
     for lam in (0.4, 0.2, 0.1):
         prop = solve_propagator(_BATH, _OSC, lam, 2.9)
-        coeffs = exact_coefficients(prop, window, rel_tol=1e-3)
+        coeffs = exact_coefficients(prop, window)
         dev_xx.append(float(np.max(np.abs(coeffs.D_xx - 0.5))))
         dev_xp.append(float(np.max(np.abs(coeffs.D_xp))))
         dev_g.append(float(np.max(np.abs(coeffs.Gamma_xp))))

@@ -49,13 +49,12 @@ reduced evolution is Gaussian and fully described by
       OmegaR_sq  = (G'/G) (W'/W) - G''/G,
 
   while the diffusion coefficients mix in Theta and its time derivative.
-  That derivative is still taken from the not-a-knot cubic spline across
+  That derivative is the slope of the not-a-knot cubic spline across
   the requested window (its node slopes, ``_cubic.not_a_knot_slopes``),
-  which is why a window needs at least 5 points. The Q
+  and a window needs at least 5 points because that spline does. The Q
   derivatives above would give it exactly, but they move D_xx on a
-  5-point window by up to ~10% relative and so would change every
-  coefficient this module has reported so far; that change is left to
-  its own step.
+  5-point window by up to ~10% relative, so the spline slope stays the
+  one this module reports, and with it the 5-point rule.
 
 In the rapid-decay limit everything collapses to the constant
 coefficients of ``limit_coefficients`` and the closed trigonometric
@@ -211,11 +210,13 @@ def _q_level(g, gd, nu, h):
     return h * h * q, dq
 
 
-def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
+def _theta_window(prop: PropagatorFunction, tau: np.ndarray):
     """(T_ff, T_fi, T_ii) rows on an increasing window of checked times.
 
     The one implementation behind :func:`theta_coefficients` and
-    :func:`exact_coefficients`; see the module docstring.
+    :func:`exact_coefficients`; see the module docstring. AccuracyError
+    names the first time whose last two Richardson pairs differ by more
+    than ``_THETA_REL_TOL`` of its largest double integral.
     """
     if prop.bath.eta == 0.0:
         return np.zeros((3, tau.size))
@@ -232,8 +233,8 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     # their own, as one-point windows.
     k = int(np.searchsorted(tau, _MIN_PANELS * tau[-1] / m0))
     if k:
-        parts = [_theta_window(prop, tau[i : i + 1], rel_tol) for i in range(k)]
-        return np.concatenate(parts + [_theta_window(prop, tau[k:], rel_tol)], axis=1)
+        parts = [_theta_window(prop, tau[i : i + 1]) for i in range(k)]
+        return np.concatenate(parts + [_theta_window(prop, tau[k:])], axis=1)
     h = tau[-1] / (4 * m0)
     t = np.linspace(0.0, tau[-1], 4 * m0 + 1)
     g = prop.g(t)
@@ -256,7 +257,7 @@ def _theta_window(prop: PropagatorFunction, tau: np.ndarray, rel_tol: float):
     second = (4.0 * q3 - q2) / 3.0
     scale = np.max(np.abs(q3), axis=0)
     spread = np.abs(second - first)
-    bad = np.argwhere(~(spread.T <= rel_tol * np.maximum(scale, 1e-300)[:, None]))
+    bad = np.argwhere(~(spread.T <= _THETA_REL_TOL * np.maximum(scale, 1e-300)[:, None]))
     if bad.size:
         i, j = bad[0]
         raise AccuracyError(
@@ -277,10 +278,10 @@ def theta_coefficients(prop: PropagatorFunction, tau):
     """(T_ff, T_fi, T_ii) at one time or an increasing array of times, in one Theta pass.
 
     AccuracyError unless at each time the last two Richardson pairs agree to
-    ``_THETA_REL_TOL`` of its largest double integral.
+    ``_THETA_REL_TOL`` (1e-3, fixed) of its largest double integral.
     """
     tau = _check_tau(prop, tau)
-    rows = _theta_window(prop, np.atleast_1d(tau), _THETA_REL_TOL)
+    rows = _theta_window(prop, np.atleast_1d(tau))
     return tuple(rows.reshape((3,) + tau.shape))
 
 
@@ -318,9 +319,7 @@ def limit_lambda_theta(
     )
 
 
-def exact_coefficients(
-    prop: PropagatorFunction, tau_points, rel_tol: float = _THETA_REL_TOL
-) -> QBMCoefficients:
+def exact_coefficients(prop: PropagatorFunction, tau_points) -> QBMCoefficients:
     """Master-equation coefficients on a window of times.
 
     ``tau_points`` needs at least 5 strictly increasing entries inside
@@ -329,15 +328,14 @@ def exact_coefficients(
     docstring): one noise-kernel evaluation, two FFT convolutions per
     Richardson level, and a convergence check at every point that raises
     AccuracyError naming the first point whose last two Richardson pairs
-    differ by more than ``rel_tol`` of its largest double integral. The
-    Theta derivative is the slope of the not-a-knot cubic spline across
-    the window, hence the 5 points. ValidationError names ``rel_tol``
-    unless it is finite and > 0, and ``tau_points`` and its first bad node
-    unless they are finite and strictly increasing. NodeSingularityError
-    names the first window time where ``G''G - G'**2`` vanishes (below
-    1e-12 of the larger of ``G'**2`` and ``|G''G|`` over the window).
+    differ by more than ``_THETA_REL_TOL`` (1e-3, fixed) of its largest
+    double integral. The Theta derivative is the slope of the not-a-knot
+    cubic spline across the window, hence the 5 points. ValidationError
+    names ``tau_points`` and its first bad node unless they are finite and
+    strictly increasing. NodeSingularityError names the first window time
+    where ``G''G - G'**2`` vanishes (below 1e-12 of the larger of ``G'**2``
+    and ``|G''G|`` over the window).
     """
-    rel_tol = _checked_finite("rel_tol", rel_tol, "> 0")
     tau = _checked_grid(tau_points, "tau_points", min_nodes=5)
     _check_tau(prop, tau)
 
@@ -358,7 +356,7 @@ def exact_coefficients(
     gamma_xp = -0.5 * wdot / w
     omega_sq = (gd / g) * (wdot / w) - gdd / g
 
-    t_ff, t_fi, t_ii = theta = _theta_window(prop, tau, rel_tol)
+    t_ff, t_fi, t_ii = theta = _theta_window(prop, tau)
     td_ff, td_fi, td_ii = not_a_knot_slopes(tau, theta)
 
     l_ff = mass * gd / g

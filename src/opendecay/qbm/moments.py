@@ -81,8 +81,8 @@ def propagate_moments(
     m = osc.mass
 
     def rhs(t, y):
-        mx, mp, sxx, sxp, spp = y
         # Python floats: this arithmetic on NumPy scalars takes twice as long
+        mx, mp, sxx, sxp, spp = y.tolist()
         _, w2t, d_xx, d_xp, gt = weights(t).tolist()
         return np.array(
             [

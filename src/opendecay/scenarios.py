@@ -72,6 +72,21 @@ def _float_list(value) -> tuple:
     return tuple(float(s) for s in items)
 
 
+# The bath, oscillator and coefficient window shared by qbm_exact and
+# qbm_sweep, after each one's coupling key.
+_WINDOW_KEYS = {
+    "eta": (float, 0.2, ">= 0"),
+    "temperature": (float, 5.0, ">= 0"),
+    "cutoff": (float, 5.0, "> 0"),
+    "shape": (str, "exponential", None),
+    "mass": (float, 1.0, "> 0"),
+    "omega0": (float, 1.0, "> 0"),
+    "tau_min": (float, 0.9, "> 0"),
+    "tau_max": (float, 2.9, "> 0"),
+    "tau_points": (int, 41, 5),
+}
+
+
 SCHEMAS = {
     "spin_bloch": {
         "epsilon": (float, 1.0, ""),
@@ -125,32 +140,8 @@ SCHEMAS = {
         "tau_points": (int, 201, 1),
         "rtol": (float, 1e-10, "> 0"),
     },
-    "qbm_exact": {
-        "lam": (float, 0.2, "> 0"),
-        "eta": (float, 0.2, ">= 0"),
-        "temperature": (float, 5.0, ">= 0"),
-        "cutoff": (float, 5.0, "> 0"),
-        "shape": (str, "exponential", None),
-        "mass": (float, 1.0, "> 0"),
-        "omega0": (float, 1.0, "> 0"),
-        "tau_min": (float, 0.9, "> 0"),
-        "tau_max": (float, 2.9, "> 0"),
-        "tau_points": (int, 41, 5),
-        "rel_tol": (float, 1e-3, "> 0"),
-    },
-    "qbm_sweep": {
-        "lambda_list": (_float_list, REQUIRED, None),
-        "eta": (float, 0.2, ">= 0"),
-        "temperature": (float, 5.0, ">= 0"),
-        "cutoff": (float, 5.0, "> 0"),
-        "shape": (str, "exponential", None),
-        "mass": (float, 1.0, "> 0"),
-        "omega0": (float, 1.0, "> 0"),
-        "tau_min": (float, 0.9, "> 0"),
-        "tau_max": (float, 2.9, "> 0"),
-        "tau_points": (int, 41, 5),
-        "rel_tol": (float, 1e-3, "> 0"),
-    },
+    "qbm_exact": {"lam": (float, 0.2, "> 0"), **_WINDOW_KEYS},
+    "qbm_sweep": {"lambda_list": (_float_list, REQUIRED, None), **_WINDOW_KEYS},
     "bridge_check": {
         "epsilon": (float, 3.0, ""),
         "delta": (float, 4.0, ""),
@@ -488,7 +479,7 @@ def _run_qbm_exact(cfg):
     window = _coefficient_window(cfg)
     # checked before the solve, as qbm_sweep checks each entry
     prop = solve_propagator(bath, osc, CouplingScale(cfg["lam"]), cfg["tau_max"])
-    coeffs = exact_coefficients(prop, window, rel_tol=cfg["rel_tol"])
+    coeffs = exact_coefficients(prop, window)
     limit = limit_coefficients(bath, osc, window[:1])
     cols = {
         "tau": coeffs.tau.tolist(),
@@ -520,7 +511,7 @@ def _run_qbm_sweep(cfg):
 
     def deviations(lam):
         prop = solve_propagator(bath, osc, lam, cfg["tau_max"])
-        coeffs = exact_coefficients(prop, window, rel_tol=cfg["rel_tol"])
+        coeffs = exact_coefficients(prop, window)
         return (
             float(np.max(np.abs(coeffs.D_xx - d_xx_limit))),
             float(np.max(np.abs(coeffs.D_xp))),

@@ -260,8 +260,8 @@ def test_cli_invalid_spin_inputs_exit_2_promptly(argv, named, capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["qbm_exact", "--rel_tol", "nan"], "rel_tol"),
-    (["qbm_sweep", "--lambda_list", "0.4", "--rel_tol", "inf"], "rel_tol"),
+    (["qbm_limit", "--rtol", "0"], "rtol"),
+    (["spin_master", "--tol", "nan"], "tol"),
     (["qbm_limit", "--rtol", "inf"], "rtol"),
     (["spin_bloch", "--rtol", "-1"], "rtol"),
     (["spin_bloch", "--rtol", "nan"], "rtol"),
@@ -273,6 +273,17 @@ def test_cli_bad_tolerances_exit_2_naming_the_key(argv, named, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"opendecay: ValidationError: {named} must be finite and > 0")
+
+
+@pytest.mark.parametrize("argv, scenario", [
+    (["qbm_exact", "--rel_tol", "1e-3"], "qbm_exact"),
+    (["qbm_sweep", "--lambda_list", "0.4", "--rel_tol", "1e-3"], "qbm_sweep"),
+])
+def test_cli_theta_target_is_not_a_key(argv, scenario, capsys):
+    # the Theta Richardson target is fixed in qbm.coefficients; no key sets it
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f"unknown key(s) for scenario '{scenario}': rel_tol"), err
 
 
 @pytest.fixture
@@ -317,8 +328,8 @@ def _argv(scenario, key, value):
 
 def test_every_tolerance_key_is_under_the_property_test():
     assert sorted(_TOLERANCE_KEYS) == [
-        ("bridge_check", "rtol"), ("qbm_exact", "rel_tol"), ("qbm_limit", "rtol"),
-        ("qbm_sweep", "rel_tol"), ("spin_bloch", "rtol"), ("spin_master", "tol")]
+        ("bridge_check", "rtol"), ("qbm_limit", "rtol"), ("spin_bloch", "rtol"),
+        ("spin_master", "tol")]
     required = {key for schema in SCHEMAS.values()
                 for key, (_, default, _) in schema.items() if default is REQUIRED}
     assert required == set(_REQUIRED_VALUES)
@@ -408,8 +419,8 @@ def test_every_bound_is_checked_when_the_config_is_parsed(entry_value):
     (["spin_bloch", "--gamma_theta", "nan"], "gamma_theta"),
     (["qbm_exact", "--tau_min", "0"], "tau_min"),
     (["qbm_exact", "--lam", "0"], "lam"),
-    (["qbm_exact", "--rel_tol", "nan"], "rel_tol"),
-    (["qbm_sweep", "--lambda_list", "0.4", "--rel_tol", "nan"], "rel_tol"),
+    (["qbm_exact", "--tau_max", "nan"], "tau_max"),
+    (["qbm_sweep", "--lambda_list", "0.4", "--tau_min", "nan"], "tau_min"),
     (["qbm_exact", "--tau_points", "4"], "tau_points"),
     (["qbm_exact", "--tau_min", "2.9"], "tau_min"),
     (["bridge_check", "--seed", "-1"], "seed"),
@@ -554,6 +565,23 @@ def test_cli_exact_window_may_end_on_tau_max(capsys):
     assert rc == 0
     table = parse_csv(capsys.readouterr().out)
     assert table.columns["tau"][-1] == 0.86
+
+
+def test_one_entry_sweep_matches_qbm_exact_on_its_window(capsys):
+    # both scenarios read one window key table: a one-entry sweep is the
+    # qbm_exact window reduced to its deviations from the limit
+    window = ["--tau_min", "1.0", "--tau_max", "2.0", "--tau_points", "9"]
+    assert main(["qbm_exact", "--lam", "0.3", *window]) == 0
+    exact = parse_csv(capsys.readouterr().out)
+    assert main(["qbm_sweep", "--lambda_list", "0.3", *window]) == 0
+    sweep = parse_csv(capsys.readouterr().out)
+    d_xx_limit = float(exact.metadata["D_xx_limit"])
+    assert float(sweep.metadata["D_xx_limit"]) == d_xx_limit
+    cols = {key: np.array(value) for key, value in exact.columns.items()}
+    assert sweep.columns["lam"] == [0.3]
+    assert sweep.columns["dev_D_xx"] == [np.max(np.abs(cols["D_xx"] - d_xx_limit))]
+    assert sweep.columns["dev_D_xp"] == [np.max(np.abs(cols["D_xp"]))]
+    assert sweep.columns["dev_Gamma_xp"] == [np.max(np.abs(cols["Gamma_xp"]))]
 
 
 def test_cli_acceptance_failure_exits_3(tmp_path, monkeypatch, capsys):

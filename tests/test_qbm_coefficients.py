@@ -171,10 +171,10 @@ def test_theta_grid_refuses_beyond_its_node_budget(exp_prop, monkeypatch):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan"), float("inf")])
-def test_exact_coefficients_refuse_a_bad_rel_tol(exp_prop, rel_tol):
-    with pytest.raises(ValidationError, match=r"^rel_tol must be finite and > 0"):
-        exact_coefficients(exp_prop, np.linspace(0.9, 1.4, 6), rel_tol=rel_tol)
+def test_exact_coefficients_take_no_theta_target(exp_prop):
+    # the Richardson target is _THETA_REL_TOL, fixed in the module
+    with pytest.raises(TypeError, match="rel_tol"):
+        exact_coefficients(exp_prop, np.linspace(0.9, 1.4, 6), rel_tol=1e-3)
 
 
 def test_small_coupling_entries_approach_the_limit():
@@ -302,7 +302,7 @@ def test_window_theta_matches_the_per_time_route(bath, lam, tau_last):
     off_grid = np.array([0.5 * tau_last + 0.37 * fine, 0.7 * tau_last + 2.5 * fine,
                          tau_last - 0.5 * fine])
     tau = np.sort(np.concatenate([on_grid, off_grid, [tau_last]]))
-    window = np.array(_theta_window(prop, tau, 1e-3)).T
+    window = np.array(_theta_window(prop, tau)).T
     for ts, got in zip(tau, window):
         want = _per_time_theta(prop, ts)
         rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -315,10 +315,11 @@ def test_window_theta_matches_the_per_time_route(bath, lam, tau_last):
             assert rel < 1e-12, (ts, rel)
 
 
-def test_window_refusal_names_a_time(exp_prop):
+def test_window_refusal_names_a_time(exp_prop, monkeypatch):
+    monkeypatch.setattr(coefficients, "_THETA_REL_TOL", 1e-14)
     tau = np.linspace(0.9, 1.4, 6)
     with pytest.raises(AccuracyError, match=r"not converged at tau=") as err:
-        exact_coefficients(exp_prop, tau, rel_tol=1e-14)
+        exact_coefficients(exp_prop, tau)
     named = float(re.search(r"at tau=(\S+):", str(err.value)).group(1))
     assert np.min(np.abs(tau - named)) < 1e-5
 
@@ -395,7 +396,7 @@ def test_points_near_zero_take_a_grid_of_their_own(exp_prop, monkeypatch):
     # computed as a one-point window, so a tight tolerance holds as before
     monkeypatch.setattr(coefficients, "_THETA_REL_TOL", 1e-6)
     tau = np.array([0.004, 0.9, 1.0, 1.1, 1.2])
-    window = np.array(_theta_window(exp_prop, tau, 1e-6))
+    window = np.array(_theta_window(exp_prop, tau))
     assert tuple(window[:, 0]) == theta_coefficients(exp_prop, 0.004)
     assert tuple(window[:, -1]) == theta_coefficients(exp_prop, 1.2)
 
@@ -410,7 +411,7 @@ def test_hard_cutoff_coefficients_converge_onto_the_plateau():
     limit = limit_coefficients(bath, OSC, window)
     devs = []
     for lam in (0.1, 0.05):
-        coeffs = exact_coefficients(solve_propagator(bath, OSC, lam, 2.9), window, rel_tol=1e-3)
+        coeffs = exact_coefficients(solve_propagator(bath, OSC, lam, 2.9), window)
         devs.append(np.array([
             np.max(np.abs(coeffs.D_xx - limit.D_xx)),
             np.max(np.abs(coeffs.D_xp)),
