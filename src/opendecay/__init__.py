@@ -18,9 +18,7 @@ from .bloch import (
     decay_spectrum,
     find_classification_boundary,
     propagate_bloch,
-    propagator_matrix,
     rapid_generator,
-    scan_decay_regimes,
     weak_generator,
 )
 from .errors import (
@@ -107,9 +105,7 @@ __all__ = [
     "rapid_generator",
     "weak_generator",
     "propagate_bloch",
-    "propagator_matrix",
     "decay_spectrum",
-    "scan_decay_regimes",
     "find_classification_boundary",
     # lindblad
     "Liouvillian2",

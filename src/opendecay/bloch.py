@@ -43,9 +43,7 @@ __all__ = [
     "rapid_generator",
     "weak_generator",
     "propagate_bloch",
-    "propagator_matrix",
     "decay_spectrum",
-    "scan_decay_regimes",
     "find_classification_boundary",
     "TRIPLE_AT_ZERO",
 ]
@@ -127,17 +125,6 @@ def propagate_bloch(gen: BlochGenerator, triple0, tau_grid,
     return propagate_constant(gen.matrix, v0, tau_grid, method=method)
 
 
-def propagator_matrix(gen: BlochGenerator, tau_grid) -> np.ndarray:
-    """Full evolution matrices exp(L tau) on the grid, shape (n, 3, 3).
-
-    Propagated by the truncated Taylor route, exact to round-off; the matrix
-    exponential reference is ``propagate_bloch(..., method="expm")``.
-    ValidationError names ``tau_grid`` as :func:`propagate_bloch` does.
-    """
-    tau_grid = _checked_grid(tau_grid, "tau_grid")
-    return propagate_constant(gen.matrix, np.eye(3, dtype=complex), tau_grid)
-
-
 def decay_spectrum(gen: BlochGenerator) -> DecaySpectrum:
     """Eigenvalues, decay constants and oscillation classification.
 
@@ -157,17 +144,6 @@ def decay_spectrum(gen: BlochGenerator) -> DecaySpectrum:
         decay_constants=-eigs.real,
         classification=classification,
     )
-
-
-def scan_decay_regimes(spin: SpinBosonParams, gamma_grid):
-    """Decay spectra of the rapid generator over a grid of gamma_theta.
-
-    Returns a list of (gamma_theta, DecaySpectrum) in grid order.
-    """
-    out = []
-    for g in np.asarray(gamma_grid, dtype=float):
-        out.append((float(g), decay_spectrum(rapid_generator(spin, g))))
-    return out
 
 
 def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,

@@ -34,7 +34,7 @@ from . import _superop as so
 # ``integrate`` stays importable here: the benchmark's tracer test checks
 # that its reference in this module is rebound (bench/tests/test_bench.py)
 from ._integrate import integrate, propagate_constant  # noqa: F401
-from .bloch import TRIPLE_AT_ZERO, propagator_matrix, rapid_generator
+from .bloch import TRIPLE_AT_ZERO, rapid_generator
 from .errors import (
     ConventionMismatchError,
     IntegratorAccuracyError,
@@ -202,7 +202,8 @@ def bloch_density_bridge(spin: SpinBosonParams, gamma_theta: float, rho0,
     ``rho0`` is one state (a 2x2 matrix or :class:`DensityMatrix2`),
     giving a float, or a stack of shape (k, 2, 2), giving one deviation
     per state as a length-k array. The triple propagator is computed once
-    per call and the density route in one solve for all states. Both routes
+    per call (``propagate_constant`` of the rapid generator on the 3x3
+    identity) and the density route in one solve for all states. Both routes
     are exact to round-off, so ``rtol`` is only the refusal bound: a
     deviation beyond ``100 * rtol`` indicates inconsistent sign/phase
     conventions between the two generators rather than propagation error,
@@ -211,7 +212,8 @@ def bloch_density_bridge(spin: SpinBosonParams, gamma_theta: float, rho0,
     """
     rtol = _checked_finite("rtol", rtol, "> 0")
     states = propagate_density(spin_liouvillian(spin, gamma_theta), rho0, tau_grid)
-    props = propagator_matrix(rapid_generator(spin, gamma_theta), tau_grid)
+    props = propagate_constant(rapid_generator(spin, gamma_theta).matrix,
+                               np.eye(3, dtype=complex), tau_grid)
     # D_alpha(tau) = sum_b M[a,b] D_b(0), then tr[rho0 D_alpha(tau)]
     d_t = np.einsum("tab,bij->taij", props, np.stack(TRIPLE_AT_ZERO))
     expect = np.einsum("...ij,taji->t...a", states[0], d_t)

@@ -13,7 +13,6 @@ from .coefficients import (
     LambdaTheta,
     QBMCoefficients,
     exact_coefficients,
-    lambda_coefficients,
     lambda_theta,
     limit_coefficients,
     limit_lambda_theta,
@@ -49,7 +48,6 @@ __all__ = [
     "propagator_via_laplace",
     "LambdaTheta",
     "QBMCoefficients",
-    "lambda_coefficients",
     "theta_coefficients",
     "lambda_theta",
     "limit_lambda_theta",

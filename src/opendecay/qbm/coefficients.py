@@ -36,9 +36,9 @@ reduced evolution is Gaussian and fully described by
   and at every requested time the third level is the convergence check
   against that time's own scale. A time with fewer than 32 coarse
   panels below it gets a grid ending at itself, the grid a one-point
-  window has. ``lambda_coefficients``, ``theta_coefficients`` and
-  ``lambda_theta`` take one time or an increasing array of times, and
-  make this one pass for all of them;
+  window has. ``theta_coefficients`` and ``lambda_theta`` take one time
+  or an increasing array of times, and make this one pass for all of
+  them;
 
 * the master-equation coefficients, obtained from Lambda/Theta and
   their time derivatives.  With ``W = G'' G - G'**2`` (note
@@ -84,7 +84,6 @@ from .propagator import PropagatorFunction, _convolve
 __all__ = [
     "LambdaTheta",
     "QBMCoefficients",
-    "lambda_coefficients",
     "theta_coefficients",
     "lambda_theta",
     "limit_lambda_theta",
@@ -158,14 +157,6 @@ def _check_tau(prop: PropagatorFunction, tau):
         f"G({t[i]:g}) = {g[i]:.3e} is too close to a node of the "
         "propagator; the kernel coefficients diverge there"
     )
-
-
-def lambda_coefficients(prop: PropagatorFunction, tau):
-    """(L_ff, L_fi, L_if) at one time or an increasing array of times; raises near nodes of G."""
-    tau = _check_tau(prop, tau)
-    m = prop.osc.mass
-    g, gd, gdd = prop.g(tau), prop.g_dot(tau), prop.g_ddot(tau)
-    return m * gd / g, m * (gdd * g - gd * gd) / g, -m / g
 
 
 def _theta_grid_step(prop: PropagatorFunction) -> float:
@@ -286,8 +277,17 @@ def theta_coefficients(prop: PropagatorFunction, tau):
 
 
 def lambda_theta(prop: PropagatorFunction, tau) -> LambdaTheta:
-    """Both halves of the kernel at one time or an increasing array of times, in one Theta pass."""
-    return LambdaTheta(*lambda_coefficients(prop, tau), *theta_coefficients(prop, tau))
+    """Both halves of the kernel at one time or an increasing array of times, in one Theta pass.
+
+    :func:`theta_coefficients` checks ``tau`` and raises near nodes of G;
+    the phase entries L_ff, L_fi and L_if are then formed from G, G' and G''
+    at the same times.
+    """
+    theta = theta_coefficients(prop, tau)
+    tau = np.asarray(tau, dtype=float)
+    m = prop.osc.mass
+    g, gd, gdd = prop.g(tau), prop.g_dot(tau), prop.g_ddot(tau)
+    return LambdaTheta(m * gd / g, m * (gdd * g - gd * gd) / g, -m / g, *theta)
 
 
 def limit_lambda_theta(

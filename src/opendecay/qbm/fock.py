@@ -172,20 +172,22 @@ def truncated_basis_propagate(
 
     The generator parts are weighted by :func:`.moments.coefficient_weights`.
     A single-sample (constant) set weights them once into one generator,
-    propagated exactly to round-off, and does not read ``rtol``. A window
-    weights the stacked parts at each stage time of the adaptive steps,
-    taken at relative tolerance ``rtol``. Raises TruncationError when the
-    population of the top ladder state exceeds ``_BOUNDARY_TOL`` at any
-    output time, and ValidationError naming ``rho0`` unless it is a finite
-    square matrix of dimension >= 2, naming ``tau_grid`` and its first bad
-    node unless it is 1-d, finite and strictly increasing, and when a
-    window does not cover ``tau_grid``.
+    propagated exactly to round-off. A window weights the stacked parts at
+    each stage time of the adaptive steps, taken at relative tolerance
+    ``rtol``; ``rtol`` is checked for every set but read only for a window.
+    Raises TruncationError when the population of the top ladder state
+    exceeds ``_BOUNDARY_TOL`` at any output time, and ValidationError naming
+    ``rho0`` unless it is a finite square matrix of dimension >= 2, naming
+    ``tau_grid`` and its first bad node unless it is 1-d, finite and
+    strictly increasing, naming ``rtol`` unless it is finite and > 0, and
+    when a window does not cover ``tau_grid``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho0.shape[0] < 2:
         raise ValidationError("rho0 must be a square matrix of dimension >= 2")
     _checked_all_finite(rho0, "rho0")
     tau = _checked_grid(tau_grid, "tau_grid")
+    rtol = _checked_finite("rtol", rtol, "> 0")
     d = rho0.shape[0]
     offsets, parts = _generator_parts(*ladder_operators(d - 1, osc), osc.mass)
     weights = coefficient_weights(coeffs, tau)

@@ -27,7 +27,6 @@ from .bloch import (
     find_classification_boundary,
     propagate_bloch,
     rapid_generator,
-    scan_decay_regimes,
 )
 from .errors import AccuracyError, ConfigError, ValidationError
 from .lindblad import (
@@ -131,7 +130,6 @@ SCHEMAS = {
         "eta": (float, 0.1, ">= 0"),
         "temperature": (float, 2.0, ">= 0"),
         "cutoff": (float, 5.0, "> 0"),
-        "shape": (str, "exponential", None),
         "mass": (float, 1.0, "> 0"),
         "omega0": (float, 1.0, "> 0"),
         "x0": (float, 1.0, ""),
@@ -415,7 +413,8 @@ def _run_decay_scan(cfg):
         "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im",
         "oscillating",
     )}
-    for g, spec in scan_decay_regimes(spin, gammas):
+    for g in gammas.tolist():
+        spec = decay_spectrum(rapid_generator(spin, g))
         cols["gamma_theta"].append(g)
         for i, z in enumerate(spec.eigenvalues, 1):
             cols[f"eig{i}_re"].append(z.real)
@@ -444,7 +443,10 @@ def _qbm_setup(cfg):
 
 
 def _run_qbm_limit(cfg):
-    bath, osc = _qbm_setup(cfg)
+    # the limit reads eta, T and omega0 * eta * cutoff / pi, the same at
+    # either cutoff shape, so the bath takes the default one
+    bath = BathSpectrum(cfg["eta"], cfg["cutoff"], temperature=cfg["temperature"])
+    osc = OscillatorParams(cfg["mass"], cfg["omega0"])
     coeffs = limit_coefficients(bath, osc, [0.0])
     mw = osc.mass * osc.omega0
     state0 = GaussianState(cfg["x0"], cfg["p0"], 0.5 / mw, 0.5 * mw)

@@ -11,14 +11,13 @@ from opendecay.bloch import (
     decay_spectrum,
     find_classification_boundary,
     propagate_bloch,
-    propagator_matrix,
     rapid_generator,
-    scan_decay_regimes,
     weak_generator,
 )
-from opendecay._integrate import integrate
+from opendecay._integrate import integrate, propagate_constant
 from opendecay.errors import AccuracyError, StiffnessError, ValidationError
 from opendecay.model import BathSpectrum, make_spin_params
+from opendecay.scenarios import parse_config, run_scenario
 
 eps_st = st.floats(-4.0, 4.0)
 delta_st = st.floats(0.05, 4.0)
@@ -118,7 +117,7 @@ def test_integrator_refuses_past_its_step_budget(monkeypatch):
 
 def test_propagator_matrix_is_semigroup():
     gen = rapid_generator(make_spin_params(0.5, 1.5), 0.4)
-    props = propagator_matrix(gen, [0.0, 1.25, 2.5])
+    props = propagate_constant(gen.matrix, np.eye(3, dtype=complex), [0.0, 1.25, 2.5])
     assert np.allclose(props[0], np.eye(3), atol=1e-12)
     assert np.allclose(props[1] @ props[1], props[2], atol=1e-9)
 
@@ -168,11 +167,11 @@ def test_boundary_requires_bracketing():
 
 
 def test_scan_decay_regimes_order_and_content():
-    spin = make_spin_params(0.0, 1.0)
-    out = scan_decay_regimes(spin, [0.5, 2.5])
-    assert [g for g, _ in out] == [0.5, 2.5]
-    assert out[0][1].classification == "two_complex_one_real"
-    assert out[1][1].classification == "three_real"
+    # the decay_scan scenario at zero bias, one point on each side of the flip
+    overrides = [("gamma_min", "0.5"), ("gamma_max", "2.5"), ("points", "2")]
+    cols = run_scenario("decay_scan", parse_config("decay_scan", None, overrides)).columns
+    assert cols["gamma_theta"] == [0.5, 2.5]
+    assert cols["oscillating"] == [1, 0]
 
 
 def test_biased_system_oscillates_at_any_damping():

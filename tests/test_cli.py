@@ -286,6 +286,13 @@ def test_cli_theta_target_is_not_a_key(argv, scenario, capsys):
     assert err.rstrip().endswith(f"unknown key(s) for scenario '{scenario}': rel_tol"), err
 
 
+def test_cli_qbm_limit_takes_no_cutoff_shape(capsys):
+    # the rapid-decay limit is the same at either cutoff shape, so no key picks one
+    assert main(["qbm_limit", "--shape", "hard"]) == 1
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("unknown key(s) for scenario 'qbm_limit': shape"), err
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Names of the propagator solves and steppers the scenario runners call."""

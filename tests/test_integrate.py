@@ -9,7 +9,7 @@ import scipy.sparse
 
 from opendecay import _integrate
 from opendecay._integrate import integrate, propagate_constant
-from opendecay.bloch import propagate_bloch, propagator_matrix, rapid_generator
+from opendecay.bloch import propagate_bloch, rapid_generator
 from opendecay.errors import IntegratorAccuracyError, StiffnessError, ValidationError
 from opendecay.lindblad import bloch_density_bridge, propagate_density, spin_liouvillian
 from opendecay.model import GaussianState, OscillatorParams, make_spin_params
@@ -67,12 +67,7 @@ def test_liouvillian_on_a_matrix_of_columns_matches_the_general_route():
 
 def test_propagator_matrix_matches_the_general_route():
     gen = rapid_generator(make_spin_params(0.5, 1.5), 0.4)
-    tau = np.linspace(0.0, 5.0, 11)
-    props = propagator_matrix(gen, tau)
-    reference = propagate_constant(gen.matrix, np.eye(3, dtype=complex), tau, method="expm")
-    assert np.max(np.abs(props - reference)) <= 1e-13 * np.max(np.abs(reference))
-    general = _general_route(gen.matrix, np.eye(3, dtype=complex), tau)
-    assert np.max(np.abs(general - props)) <= 1e-8 * np.max(np.abs(props))
+    _assert_routes_agree(gen.matrix, np.eye(3, dtype=complex), np.linspace(0.0, 5.0, 11))
 
 
 def test_real_matrix_and_real_state_stay_real():
@@ -248,7 +243,6 @@ _RHO = np.diag([0.7, 0.3])
 _CALLERS = {
     "propagate_bloch": lambda grid: propagate_bloch(
         rapid_generator(_SPIN, 0.3), [1.0, 0.0, 0.0], grid),
-    "propagator_matrix": lambda grid: propagator_matrix(rapid_generator(_SPIN, 0.3), grid),
     "propagate_density": lambda grid: propagate_density(spin_liouvillian(_SPIN, 0.3), _RHO, grid),
     "bloch_density_bridge": lambda grid: bloch_density_bridge(_SPIN, 0.3, _RHO, grid),
     "propagate_moments": lambda grid: propagate_moments(

@@ -158,6 +158,8 @@ def test_gks_check_accepts_raw_matrix_and_rejects_nontrace():
     assert report.is_lindblad
     with pytest.raises(StructuralError):
         gks_check(np.eye(4))
+    with pytest.raises(StructuralError, match=r"^expected a 4x4 superoperator, got \(9, 9\)$"):
+        gks_check(np.eye(9))
 
 
 @settings(max_examples=25, deadline=None)
@@ -259,6 +261,21 @@ def test_non_cp_generator_is_refused_by_the_physicality_check():
     with pytest.raises(IntegratorAccuracyError,
                        match=f"negative eigenvalue .* at tau={tau} in state 1 "):
         propagate_density(bad, stack, np.linspace(0.0, 2.0, 9))
+
+
+def test_trace_leak_below_the_construction_check_is_refused_by_the_trace_check():
+    # a 1e-10 loss rate of the excited population is 3.5e-14 of this
+    # generator's scale, below the construction tolerance, but it leaks 5e-9
+    # of state 0's trace by tau = 50; the ground state keeps its trace
+    leak = np.zeros((4, 4), dtype=complex)
+    leak[0, 0] = -1e-10
+    liouv = Liouvillian2(hamiltonian_part=-1j * so.commutator_super(np.diag([1e3, -1e3])),
+                         dissipator_part=leak)
+    assert so.trace_dual_defect(liouv.matrix, 2) < lindblad._STRUCT_TOL
+    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    with pytest.raises(IntegratorAccuracyError,
+                       match=r"^trace defect 5\.00\de-09 at tau=50 in state 0 exceeds 1e-9$"):
+        propagate_density(liouv, stack, np.linspace(0.0, 50.0, 11))
 
 
 def test_bridge_refuses_mismatched_conventions(monkeypatch):

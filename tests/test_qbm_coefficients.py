@@ -19,7 +19,6 @@ from opendecay.qbm.coefficients import (
     LambdaTheta,
     QBMCoefficients,
     exact_coefficients,
-    lambda_coefficients,
     lambda_theta,
     limit_coefficients,
     limit_lambda_theta,
@@ -81,10 +80,10 @@ def test_limit_kernel_entries_guard_rails():
 def test_free_phase_entries_match_trigonometry(free_prop):
     # G = sin(tau) exactly, so Lambda collapses to the limit expressions
     for ts in (0.8, 1.6, 2.4):
-        l_ff, l_fi, l_if = lambda_coefficients(free_prop, ts)
-        assert l_ff == pytest.approx(1.0 / math.tan(ts), abs=1e-9)
-        assert l_fi == pytest.approx(-1.0 / math.sin(ts), abs=1e-9)
-        assert l_if == pytest.approx(-1.0 / math.sin(ts), abs=1e-9)
+        lt = lambda_theta(free_prop, ts)
+        assert lt.L_ff == pytest.approx(1.0 / math.tan(ts), abs=1e-9)
+        assert lt.L_fi == pytest.approx(-1.0 / math.sin(ts), abs=1e-9)
+        assert lt.L_if == pytest.approx(-1.0 / math.sin(ts), abs=1e-9)
 
 
 def test_free_decoherence_vanishes(free_prop):
@@ -95,18 +94,18 @@ def test_free_decoherence_vanishes(free_prop):
 
 def test_node_guard_near_propagator_zero(free_prop):
     with pytest.raises(NodeSingularityError):
-        lambda_coefficients(free_prop, math.pi)
+        lambda_theta(free_prop, math.pi)
     with pytest.raises(ValidationError):
-        lambda_coefficients(free_prop, 5.0)  # beyond solved window
+        lambda_theta(free_prop, 5.0)  # beyond solved window
     with pytest.raises(ValidationError):
-        lambda_coefficients(free_prop, 0.0)
+        lambda_theta(free_prop, 0.0)
 
 
 def test_window_check_names_the_first_offending_point(free_prop):
     # one pass over the window still reports the first bad point: the third
     # sits on the node of G = sin(tau) at pi, the last beyond tau_max = 4
     tau = np.array([2.0, 2.5, math.pi, 3.5, 5.0])
-    for call in (exact_coefficients, lambda_coefficients, theta_coefficients, lambda_theta):
+    for call in (exact_coefficients, theta_coefficients, lambda_theta):
         with pytest.raises(NodeSingularityError, match=r"^G\(3\.14159\) = "):
             call(free_prop, tau)
     with pytest.raises(ValidationError, match=r"^tau=5 outside"):
@@ -368,7 +367,7 @@ def test_an_array_call_equals_the_per_time_calls(exp_prop):
             assert rel < 1e-7, (ts, rel)
 
 
-@pytest.mark.parametrize("call", [lambda_coefficients, theta_coefficients, lambda_theta])
+@pytest.mark.parametrize("call", [theta_coefficients, lambda_theta])
 def test_a_float_call_is_a_one_element_array_call(exp_prop, call):
     def entries(result):
         return astuple(result) if isinstance(result, LambdaTheta) else result
@@ -380,7 +379,7 @@ def test_a_float_call_is_a_one_element_array_call(exp_prop, call):
     assert values == tuple(a[0] for a in arrays)
 
 
-@pytest.mark.parametrize("call", [lambda_coefficients, theta_coefficients, lambda_theta])
+@pytest.mark.parametrize("call", [theta_coefficients, lambda_theta])
 @pytest.mark.parametrize("tau, message", [
     ([0.9, np.nan, 1.2], r"^tau must be finite; node 1 is nan$"),
     ([0.9, 1.0, 1.0, 1.2], r"^tau must be strictly increasing; node 2 is 1\.0 after 1\.0$"),

@@ -326,6 +326,15 @@ def test_truncated_basis_refuses_a_non_finite_rho0_by_name(value):
         truncated_basis_propagate(_free_coeffs(), OSC, rho0, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("rtol", [0.0, -1.0, float("nan"), float("inf")])
+def test_truncated_basis_refuses_a_bad_rtol_by_name(rtol):
+    # a constant set takes no adaptive step and never reads rtol, but it is
+    # refused where it enters, as the moment route refuses it
+    rho0 = coherent_density(OSC, 0.5, 0.0, 40)
+    with pytest.raises(ValidationError, match=r"^rtol must be finite and > 0"):
+        truncated_basis_propagate(_free_coeffs(), OSC, rho0, [0.0, 0.5, 1.0], rtol=rtol)
+
+
 def test_limit_coefficients_plug_into_transport():
     bath_tau = np.linspace(0.0, 2.0, 5)
     from opendecay.model import BathSpectrum
