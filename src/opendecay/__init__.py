@@ -47,8 +47,6 @@ from .lindblad import (
 )
 from .model import (
     BathSpectrum,
-    CouplingScale,
-    DensityMatrix2,
     GaussianState,
     OscillatorParams,
     SpinBosonParams,
@@ -90,8 +88,6 @@ __all__ = [
     "make_spin_params",
     "OscillatorParams",
     "BathSpectrum",
-    "CouplingScale",
-    "DensityMatrix2",
     "GaussianState",
     "validate_density",
     # spectral

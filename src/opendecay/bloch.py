@@ -33,8 +33,14 @@ import numpy as np
 # ``integrate`` stays importable here: the benchmark's tracer test checks
 # that its reference in this module is rebound (bench/tests/test_bench.py)
 from ._integrate import integrate, propagate_constant  # noqa: F401
-from .errors import AccuracyError, ValidationError
-from .model import BathSpectrum, SpinBosonParams, _checked_finite, _checked_grid
+from .errors import AccuracyError
+from .model import (
+    BathSpectrum,
+    SpinBosonParams,
+    _checked_all_finite,
+    _checked_finite,
+    _checked_grid,
+)
 from .spectral import gamma_theta_weak
 
 __all__ = [
@@ -113,15 +119,14 @@ def propagate_bloch(gen: BlochGenerator, triple0, tau_grid,
     :func:`~opendecay._integrate.propagate_constant`, exact to round-off;
     ``method="expm"`` evaluates the matrix exponential at every node
     (the reference route). ValidationError names ``triple0`` unless its
-    entries are finite, and ``tau_grid`` and its first bad node unless it is 1-d,
-    finite and strictly increasing.
+    entries are finite, and ``tau_grid`` unless it is 1-d, finite and
+    strictly increasing; each message names the first bad node.
     """
     tau_grid = _checked_grid(tau_grid, "tau_grid")
     v0 = np.asarray(triple0, dtype=complex)
     if v0.shape != (3,):
         raise ValueError(f"triple0 must have shape (3,), got {v0.shape}")
-    if not np.isfinite(v0).all():
-        raise ValidationError(f"triple0 must be finite, got {v0}")
+    _checked_all_finite(v0, "triple0")
     return propagate_constant(gen.matrix, v0, tau_grid, method=method)
 
 
@@ -148,14 +153,17 @@ def decay_spectrum(gen: BlochGenerator) -> DecaySpectrum:
 
 def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,
                                  gamma_hi: float, tol: float) -> float:
-    """Bisect for the gamma_theta where the spectrum stops oscillating.
+    """Bisect for a gamma_theta where the oscillation classification flips.
 
-    Requires an oscillating spectrum at ``gamma_lo`` and a fully real one
-    at ``gamma_hi``; raises :class:`AccuracyError` otherwise, and
+    Requires the spectrum to oscillate at one end of the bracket and not
+    at the other, in either order: at a small bias it oscillates, stops
+    and oscillates again as gamma_theta grows. Raises
+    :class:`AccuracyError` when both ends classify alike, and
     :class:`ValidationError` naming ``gamma_lo`` or ``gamma_hi`` unless it
     is finite and >= 0, or ``tol`` unless it is finite and > 0. Bisection
     stops at a bracket of width ``tol`` or once the midpoint is no longer
     strictly inside it, so a ``tol`` below the float spacing ends there.
+    A bracket holding several flips yields one of them.
     """
     lo = _checked_finite("gamma_lo", gamma_lo, ">= 0")
     hi = _checked_finite("gamma_hi", gamma_hi, ">= 0")
@@ -167,7 +175,8 @@ def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,
             == "two_complex_one_real"
         )
 
-    if not oscillating(lo) or oscillating(hi):
+    at_lo = oscillating(lo)
+    if oscillating(hi) == at_lo:
         raise AccuracyError(
             "classification does not change over the supplied bracket "
             f"[{gamma_lo:g}, {gamma_hi:g}]"
@@ -176,7 +185,7 @@ def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if oscillating(mid):
+        if oscillating(mid) == at_lo:
             lo = mid
         else:
             hi = mid

@@ -40,7 +40,7 @@ from .errors import (
     IntegratorAccuracyError,
     StructuralError,
 )
-from .model import DensityMatrix2, SpinBosonParams, _checked_finite, _checked_grid
+from .model import SpinBosonParams, _checked_density, _checked_finite, _checked_grid
 
 __all__ = [
     "Liouvillian2",
@@ -110,28 +110,26 @@ def spin_liouvillian(spin: SpinBosonParams, gamma_theta: float) -> Liouvillian2:
 def propagate_density(liouv: Liouvillian2, rho0, tau_grid) -> np.ndarray:
     """Propagate one density matrix, or a stack of them in one solve.
 
-    Returns (n, 2, 2) for one 2x2 state (or :class:`DensityMatrix2`) and
-    (n, k, 2, 2) for a (k, 2, 2) stack; another shape raises ValueError.
-    Propagated by the truncated Taylor route, exact to round-off; the dense
-    reference is ``propagate_constant(liouv.matrix, ..., method="expm")``.
-    Each state is validated as a :class:`DensityMatrix2` (raising
-    :class:`ValidationError` when it is not a density matrix), and so is
-    ``tau_grid``, by name and first bad node, unless it is 1-d, finite and
+    Returns (n, 2, 2) for one 2x2 state and (n, k, 2, 2) for a (k, 2, 2)
+    stack; another shape raises ValueError. Propagated by the truncated
+    Taylor route, exact to round-off; the dense reference is
+    ``propagate_constant(liouv.matrix, ..., method="expm")``.
+    :class:`ValidationError` names ``rho0`` (``rho0 state i`` in a stack)
+    unless each state passes :func:`~opendecay.model.validate_density`,
+    and ``tau_grid`` and its first bad node unless it is 1-d, finite and
     strictly increasing. Every output state must stay within loose
     physicality bounds (trace defect below 1e-9, smallest eigenvalue
     above -1e-9) or :class:`IntegratorAccuracyError`, naming the tau and
     the state, is raised: the generator is then not a valid Lindblad
     generator (not completely positive or not trace preserving).
     """
-    if isinstance(rho0, DensityMatrix2):
-        rho0 = rho0.entries
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (2, 2) or rho0.size == 0:
         raise ValueError(
             f"rho0 must have shape (2, 2) or (k, 2, 2) with k >= 1, got {rho0.shape}"
         )
-    for rho in rho0.reshape(-1, 2, 2):
-        DensityMatrix2(rho)
+    for i, rho in enumerate(rho0.reshape(-1, 2, 2)):
+        _checked_density(rho, "rho0" if rho0.ndim == 2 else f"rho0 state {i}")
     tau_grid = _checked_grid(tau_grid, "tau_grid")
     # one state stays a 4-vector; a stack is a (4, k) block of columns
     flat = propagate_constant(liouv.matrix, rho0.reshape(rho0.shape[:-2] + (4,)).T,
@@ -199,12 +197,13 @@ def bloch_density_bridge(spin: SpinBosonParams, gamma_theta: float, rho0,
                          tau_grid, rtol: float = 1e-10):
     """Largest deviation between the triple route and the density route.
 
-    ``rho0`` is one state (a 2x2 matrix or :class:`DensityMatrix2`),
-    giving a float, or a stack of shape (k, 2, 2), giving one deviation
-    per state as a length-k array. The triple propagator is computed once
-    per call (``propagate_constant`` of the rapid generator on the 3x3
-    identity) and the density route in one solve for all states. Both routes
-    are exact to round-off, so ``rtol`` is only the refusal bound: a
+    ``rho0`` is one 2x2 state, giving a float, or a stack of shape
+    (k, 2, 2), giving one deviation per state as a length-k array; each
+    state is checked by :func:`propagate_density`, which names ``rho0``
+    or ``rho0 state i``. The triple propagator is computed once per call
+    (``propagate_constant`` of the rapid generator on the 3x3 identity)
+    and the density route in one solve for all states. Both routes are
+    exact to round-off, so ``rtol`` is only the refusal bound: a
     deviation beyond ``100 * rtol`` indicates inconsistent sign/phase
     conventions between the two generators rather than propagation error,
     and raises :class:`ConventionMismatchError`. ValidationError names

@@ -31,15 +31,13 @@ __all__ = [
     "SpinBosonParams",
     "OscillatorParams",
     "BathSpectrum",
-    "CouplingScale",
-    "DensityMatrix2",
     "GaussianState",
     "DensityDiagnostics",
     "make_spin_params",
     "validate_density",
 ]
 
-# Construction-time tolerances for density matrices.
+# Tolerances of validate_density's ok flag.
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_TOL = -1e-10
@@ -94,6 +92,39 @@ def _checked_grid(values, name, *, min_nodes=1, start=None) -> np.ndarray:
         i = int(stalls[0]) + 1
         raise ValidationError(f"{name} must {rule}; node {i} is {grid[i]} after {grid[i - 1]}")
     return grid
+
+
+def _checked_coupling(lam) -> float:
+    """The coupling scale ``lam`` as a float, restricted to 0 < lam <= 1.
+
+    The kernels scale with lam**2, so a ``lam`` whose square is below the
+    smallest normal float is refused too: lam**2 would reach them as 0 or
+    a subnormal. (``lam`` because ``lambda`` is reserved in Python.)
+    """
+    lam = float(lam)
+    if not (0.0 < lam <= 1.0):
+        raise ValidationError(f"coupling scale lam must satisfy 0 < lam <= 1, got {lam}")
+    if lam * lam < sys.float_info.min:
+        raise ValidationError(
+            f"coupling scale lam = {lam} is too small: lam**2 is below "
+            f"the smallest normal float {sys.float_info.min:g}"
+        )
+    return lam
+
+
+def _checked_density(rho, name) -> np.ndarray:
+    """``rho`` as a complex 2x2 array; ValidationError naming ``name`` unless
+    :func:`validate_density` finds it a density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    diag = validate_density(rho)
+    if not diag.ok:
+        raise ValidationError(
+            f"{name} is not a density matrix: "
+            f"hermiticity defect {diag.hermiticity_defect:.3e}, "
+            f"trace defect {diag.trace_defect:.3e}, "
+            f"min eigenvalue {diag.min_eigenvalue:.3e}"
+        )
+    return rho
 
 
 @dataclass(frozen=True)
@@ -181,29 +212,6 @@ class BathSpectrum:
 
 
 @dataclass(frozen=True)
-class CouplingScale:
-    """System-bath coupling scale lambda, restricted to 0 < lambda <= 1.
-
-    The kernels scale with lambda^2, so a ``lam`` whose square is below
-    the smallest normal float is refused too: lambda^2 would reach them
-    as 0 or a subnormal. (``lam`` because ``lambda`` is reserved in Python.)
-    """
-
-    lam: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lam <= 1.0):
-            raise ValidationError(
-                f"coupling scale lam must satisfy 0 < lam <= 1, got {self.lam}"
-            )
-        if self.lam * self.lam < sys.float_info.min:
-            raise ValidationError(
-                f"coupling scale lam = {self.lam} is too small: lam**2 is below "
-                f"the smallest normal float {sys.float_info.min:g}"
-            )
-
-
-@dataclass(frozen=True)
 class DensityDiagnostics:
     """Defect report for a candidate 2x2 density matrix."""
 
@@ -218,9 +226,11 @@ def validate_density(rho) -> DensityDiagnostics:
 
     Reports the largest entrywise deviation from Hermiticity, the trace
     defect ``|tr(rho) - 1|`` and the smallest eigenvalue of the
-    Hermitian part, all three NaN when an entry is not finite. Does not
-    raise; the ``ok`` flag applies the construction tolerances of
-    :class:`DensityMatrix2`.
+    Hermitian part, all three NaN when an entry is not finite. Raises
+    ValidationError only for a shape other than 2x2; the ``ok`` flag
+    applies this module's tolerances (1e-12 on Hermiticity and trace,
+    -1e-10 on the smallest eigenvalue), the ones ``propagate_density``
+    holds each state to.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
@@ -233,26 +243,6 @@ def validate_density(rho) -> DensityDiagnostics:
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     ok = herm <= _HERM_TOL and trace <= _TRACE_TOL and min_eig >= _EIG_TOL
     return DensityDiagnostics(herm, trace, min_eig, ok)
-
-
-@dataclass(frozen=True)
-class DensityMatrix2:
-    """Validated 2x2 density matrix (Hermitian, unit trace, positive)."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex)
-        diag = validate_density(entries)
-        if not diag.ok:
-            raise ValidationError(
-                "not a density matrix: "
-                f"hermiticity defect {diag.hermiticity_defect:.3e}, "
-                f"trace defect {diag.trace_defect:.3e}, "
-                f"min eigenvalue {diag.min_eigenvalue:.3e}"
-            )
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)

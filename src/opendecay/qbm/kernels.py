@@ -41,7 +41,7 @@ import scipy
 
 from .._quad import _leggauss, filon_sum, split_edges
 from ..errors import AccuracyError
-from ..model import BathSpectrum, CouplingScale, OscillatorParams
+from ..model import BathSpectrum, OscillatorParams, _checked_coupling
 
 __all__ = [
     "dissipation_kernel",
@@ -87,15 +87,9 @@ def trigamma_complex(z):
     return acc + series
 
 
-def _lam_value(lam) -> float:
-    if isinstance(lam, CouplingScale):
-        return lam.lam
-    return CouplingScale(float(lam)).lam
-
-
 def dissipation_kernel(tau, bath: BathSpectrum, osc: OscillatorParams, lam):
     """Odd memory kernel mu(tau); vanishes at tau = 0 and at eta = 0."""
-    lam = _lam_value(lam)
+    lam = _checked_coupling(lam)
     t = np.asarray(tau, dtype=float)
     k0 = osc.mass * osc.omega0 * bath.eta * lam**2 / (2.0 * math.pi)
     if bath.eta == 0.0:
@@ -123,7 +117,7 @@ def noise_kernel(tau, bath: BathSpectrum, osc: OscillatorParams, lam):
     two Filon passes over every time at once (module docstring), and
     AccuracyError names the time where they differ most if they disagree.
     """
-    lam = _lam_value(lam)
+    lam = _checked_coupling(lam)
     t = np.asarray(tau, dtype=float)
     theta = t / lam**2
     if bath.eta == 0.0:

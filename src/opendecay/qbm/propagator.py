@@ -70,11 +70,12 @@ from ..model import (
     BathSpectrum,
     OscillatorParams,
     _checked_all_finite,
+    _checked_coupling,
     _checked_finite,
     _checked_grid,
 )
 from ..spectral import renormalized_frequency_sq
-from .kernels import _lam_value, dissipation_kernel, mu_laplace
+from .kernels import dissipation_kernel, mu_laplace
 
 __all__ = [
     "PropagatorFunction",
@@ -578,7 +579,7 @@ def solve_propagator(
     ``_MAX_NODES`` nodes, and ValidationError when already the first
     halving would exceed it or ``tau_max`` is not finite and positive.
     """
-    lam = _lam_value(lam)
+    lam = _checked_coupling(lam)
     tau_max = _checked_finite("tau_max", tau_max, "> 0")
     n = max(16, math.ceil(_POINTS_PER_UNIT_PHASE * osc.omega0 * tau_max))
     if 2 * n > _MAX_NODES:
@@ -681,7 +682,7 @@ def propagator_via_laplace(
     strictly increasing from 0 over at least 5 nodes, and naming the limit
     if it ends past ``_MAX_TAU``.
     """
-    lam = _lam_value(lam)
+    lam = _checked_coupling(lam)
     tau = _checked_grid(tau_grid, "tau_grid", min_nodes=5, start=0.0)
     tau_max = float(tau[-1])
     if tau_max > _MAX_TAU:

@@ -28,7 +28,7 @@ from .bloch import (
     propagate_bloch,
     rapid_generator,
 )
-from .errors import AccuracyError, ConfigError, ValidationError
+from .errors import ConfigError, ValidationError
 from .lindblad import (
     bloch_density_bridge,
     propagate_density,
@@ -37,9 +37,9 @@ from .lindblad import (
 )
 from .model import (
     BathSpectrum,
-    CouplingScale,
     GaussianState,
     OscillatorParams,
+    _checked_coupling,
     _checked_finite,
     make_spin_params,
     validate_density,
@@ -424,15 +424,12 @@ def _run_decay_scan(cfg):
         )
     meta = {}
     if cols["oscillating"][0] != cols["oscillating"][-1]:
-        try:
-            meta["flip_gamma"] = find_classification_boundary(
-                spin,
-                cfg["gamma_min"],
-                cfg["gamma_max"],
-                tol=1e-9 * (cfg["gamma_max"] - cfg["gamma_min"]),
-            )
-        except AccuracyError:
-            pass
+        meta["flip_gamma"] = find_classification_boundary(
+            spin,
+            cfg["gamma_min"],
+            cfg["gamma_max"],
+            tol=1e-9 * (cfg["gamma_max"] - cfg["gamma_min"]),
+        )
     return ResultTable("decay_scan", cols, meta)
 
 
@@ -480,7 +477,7 @@ def _run_qbm_exact(cfg):
     bath, osc = _qbm_setup(cfg)
     window = _coefficient_window(cfg)
     # checked before the solve, as qbm_sweep checks each entry
-    prop = solve_propagator(bath, osc, CouplingScale(cfg["lam"]), cfg["tau_max"])
+    prop = solve_propagator(bath, osc, _checked_coupling(cfg["lam"]), cfg["tau_max"])
     coeffs = exact_coefficients(prop, window)
     limit = limit_coefficients(bath, osc, window[:1])
     cols = {
@@ -503,7 +500,7 @@ def _run_qbm_sweep(cfg):
     for i, lam in enumerate(lams):
         # every entry before the first solve, so a bad one costs none
         try:
-            CouplingScale(lam)
+            _checked_coupling(lam)
         except ValidationError as exc:
             raise ValidationError(f"lambda_list entry {i}: {exc}") from None
     bath, osc = _qbm_setup(cfg)

@@ -7,6 +7,7 @@ and wall time, regardless of pytest's capture settings.
 
 import pytest
 
+import opendecay.acceptance
 from opendecay.acceptance import CRITERIA, run_all
 
 
@@ -29,3 +30,15 @@ def test_criterion(results, index, name, capsys):
 
 def test_every_criterion_is_registered(results):
     assert sorted(results) == list(range(1, 11))
+
+
+def test_a_criterion_that_raises_is_reported_failed(monkeypatch):
+    # the exception becomes the detail line, and the run goes on
+    monkeypatch.setattr(opendecay.acceptance, "CRITERIA", (
+        (1, "raises", lambda: 1 / 0),
+        (2, "passes", lambda: (True, "ok")),
+    ))
+    first, second = run_all()
+    assert (first.index, first.passed) == (1, False)
+    assert first.detail == "raised ZeroDivisionError: division by zero"
+    assert (second.index, second.passed, second.detail) == (2, True, "ok")

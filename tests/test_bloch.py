@@ -158,6 +158,19 @@ def test_boundary_stops_where_the_bracket_stops_shrinking():
     assert boundary == pytest.approx(2.0, abs=1e-12)
 
 
+def test_boundary_finds_a_flip_back_to_oscillating():
+    # at bias 0.3 the spectrum oscillates again above gamma ~2.0012, so a
+    # bracket may start non-oscillating; either order of the ends is bisected
+    spin = make_spin_params(0.3, 1.0)
+    up = find_classification_boundary(spin, 1.95, 3.0, tol=1e-10)
+    assert up == pytest.approx(2.0011670, abs=1e-6)
+    down = find_classification_boundary(spin, 1.0, 1.95, tol=1e-10)
+    assert down == pytest.approx(1.8955, abs=1e-4)
+    for g, osc in ((up - 1e-8, 0), (up + 1e-8, 1), (down - 1e-8, 1), (down + 1e-8, 0)):
+        flag = decay_spectrum(rapid_generator(spin, g)).classification == "two_complex_one_real"
+        assert flag == osc
+
+
 def test_boundary_requires_bracketing():
     spin = make_spin_params(0.0, 1.0)
     with pytest.raises(AccuracyError):
@@ -192,5 +205,11 @@ def test_rejects_negative_gamma():
 @pytest.mark.parametrize("method", ["taylor", "expm"])
 def test_propagate_bloch_refuses_a_non_finite_triple(method):
     gen = rapid_generator(make_spin_params(1.0, 1.0), 0.5)
-    with pytest.raises(ValidationError, match="^triple0 must be finite"):
+    with pytest.raises(ValidationError, match=r"^triple0 must be finite; node 1 is \(?nan"):
         propagate_bloch(gen, [0.0, np.nan, 0.0], [0.0, 1.0], method=method)
+
+
+def test_propagate_bloch_refuses_a_triple_of_the_wrong_shape():
+    gen = rapid_generator(make_spin_params(1.0, 1.0), 0.5)
+    with pytest.raises(ValueError, match=r"^triple0 must have shape \(3,\), got \(2,\)$"):
+        propagate_bloch(gen, [0.0, 1.0], [0.0, 1.0])

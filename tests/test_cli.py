@@ -68,6 +68,8 @@ def test_missing_required_key():
 def test_float_list_parsing():
     cfg = parse_config("qbm_sweep", None, [("lambda_list", "0.2, 0.1,0.05")])
     assert cfg["lambda_list"] == (0.2, 0.1, 0.05)
+    with pytest.raises(ConfigError, match="^expected a comma-separated list of numbers$"):
+        parse_config("qbm_sweep", None, [("lambda_list", ",")])
 
 
 def test_config_file_problems(tmp_path):
@@ -82,6 +84,9 @@ def test_config_file_problems(tmp_path):
 def test_unknown_scenario():
     with pytest.raises(ConfigError):
         parse_config("not_a_scenario")
+    # a cfg built by hand, past parse_config, names the scenario too
+    with pytest.raises(ConfigError, match="^unknown scenario 'nope'$"):
+        run_scenario("nope", {})
 
 
 # ----------------------------------------------------------- table emission
@@ -164,6 +169,22 @@ def test_decay_scan_reports_the_flip():
     assert parse_csv(text).emit("csv") == text
 
 
+def test_decay_scan_reports_a_flip_back_to_oscillating(capsys):
+    # at a small bias the spectrum stops oscillating near gamma 1.8955 and
+    # oscillates again near 2.0012, so this scan starts non-oscillating
+    argv = ["decay_scan", "--epsilon", "0.3", "--delta", "1", "--gamma_min", "1.95",
+            "--gamma_max", "3", "--points", "12"]
+    assert main(argv) == 0
+    table = parse_csv(capsys.readouterr().out)
+    assert table.columns["oscillating"][0] == 0 and table.columns["oscillating"][-1] == 1
+    assert float(table.metadata["flip_gamma"]) == pytest.approx(2.0011670, abs=1e-6)
+
+
+def test_parse_csv_refuses_text_without_a_header():
+    with pytest.raises(ConfigError, match="^no header line found in CSV input$"):
+        parse_csv("# scenario=spin_bloch\n# version=0.1.0\n")
+
+
 def test_metadata_stamp(small_bloch_table):
     md = small_bloch_table.metadata
     assert md["cfg_tau_points"] == 9
@@ -214,6 +235,7 @@ def test_cli_unwritable_output_exits_1_naming_the_path(tmp_path, capsys):
     ["spin_bloch", "--config", "/nonexistent/path.cfg"],
     ["qbm_sweep"],                        # missing required lambda_list
     ["acceptance", "--criteria", "x,y"],
+    ["qbm_sweep", "--lambda_list", ","],  # a list with no number in it
 ])
 def test_cli_usage_problems_exit_1(argv, capsys):
     # the text cannot be read into the schema; values outside a key's
@@ -434,9 +456,11 @@ def test_every_bound_is_checked_when_the_config_is_parsed(entry_value):
     (["decay_scan", "--gamma_min", "0"], "gamma_min"),
     (["weak_compare", "--shape", "box"], "shape"),
     (["acceptance", "--criteria", "11"], "criteria"),
-    # lam**2 would underflow: refused by CouplingScale before the solve
+    # lam**2 would underflow: refused by the coupling check before the solve
     (["qbm_exact", "--lam", "1e-200"], "lam"),
     (["qbm_exact", "--shape", "hard", "--lam", "1e-200", "--tau_points", "5"], "lam"),
+    # above the coupling scale's bound of 1
+    (["qbm_exact", "--lam", "1.5"], "lam"),
 ])
 def test_cli_bad_values_exit_2_before_any_solve(argv, named, solves, capsys):
     assert main(argv) == 2
@@ -449,7 +473,7 @@ def test_cli_bad_values_exit_2_before_any_solve(argv, named, solves, capsys):
 @pytest.mark.parametrize("shape", ["exponential", "hard"])
 @pytest.mark.parametrize("lam", ["1.6e-154", "2e-154", "1e-150", "1e-80"])
 def test_cli_tiny_lam_exits_2_before_any_volterra_march(lam, shape, monkeypatch, capsys):
-    # lam**2 is a normal float, so CouplingScale accepts it, but the kernel
+    # lam**2 is a normal float, so the coupling check accepts it, but the kernel
     # moments overflow (exponential) or the sine integral has no finite
     # budget (hard): each is refused by name, without a RuntimeWarning (an
     # error in this suite), before the first march of the Volterra stepper

@@ -279,6 +279,17 @@ def test_every_stepping_route_refuses_a_bad_rtol(route, rtol):
         route(rtol)
 
 
+def test_general_route_on_one_node_returns_y0_without_calling_f():
+    def f(t, y):
+        raise AssertionError("f called on a grid with no step")
+
+    y0 = np.array([1.0, -2.0])
+    out = integrate(f, y0, [0.5])
+    assert out.shape == (1, 2) and np.array_equal(out[0], y0)
+    out[0, 0] = 7.0  # a copy: y0 is not written through
+    assert y0[0] == 1.0
+
+
 def test_general_route_refuses_a_complex_rhs_on_a_real_state():
     rhs = lambda t, y: 1j * y  # noqa: E731
     with pytest.raises(ValueError, match="complex128.*float64"):

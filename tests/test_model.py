@@ -11,11 +11,11 @@ from hypothesis import given, strategies as st
 from opendecay.errors import DegenerateSystemError, ValidationError
 from opendecay.model import (
     BathSpectrum,
-    CouplingScale,
-    DensityMatrix2,
     GaussianState,
     OscillatorParams,
     SpinBosonParams,
+    _checked_coupling,
+    _checked_density,
     _checked_finite,
     make_spin_params,
     validate_density,
@@ -105,17 +105,17 @@ def test_bath_accepts_zero_coupling_and_temperature():
 def test_coupling_scale_bounds(lam):
     # lam**2 below the smallest normal float would reach the kernels as 0
     # or a subnormal, so the refusal names lam where it enters
-    with pytest.raises(ValidationError, match="lam"):
-        CouplingScale(lam)
+    with pytest.raises(ValidationError, match="^coupling scale lam"):
+        _checked_coupling(lam)
 
 
 def test_coupling_scale_keeps_the_smallest_lam_with_a_normal_square():
     lam = math.sqrt(sys.float_info.min)
     while lam * lam < sys.float_info.min:
         lam = math.nextafter(lam, 1.0)
-    assert CouplingScale(lam).lam == lam
+    assert _checked_coupling(lam) == lam
     with pytest.raises(ValidationError, match=r"lam\*\*2 is below the smallest normal float"):
-        CouplingScale(math.nextafter(lam, 0.0))
+        _checked_coupling(math.nextafter(lam, 0.0))
 
 
 def test_oscillator_validation():
@@ -126,11 +126,8 @@ def test_oscillator_validation():
 
 
 def test_density_matrix_accepts_valid_state():
-    rho = DensityMatrix2(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
-    assert rho.entries[0, 0] == 0.6
-    # stored copy is frozen
-    with pytest.raises(ValueError):
-        rho.entries[0, 0] = 1.0
+    rho = _checked_density([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]], "rho")
+    assert rho.dtype == complex and rho[0, 0] == 0.6
 
 
 @pytest.mark.parametrize(
@@ -143,8 +140,13 @@ def test_density_matrix_accepts_valid_state():
     ],
 )
 def test_density_matrix_rejects(mat):
-    with pytest.raises(ValidationError):
-        DensityMatrix2(np.array(mat, dtype=complex))
+    with pytest.raises(ValidationError, match="^rho is not a density matrix: hermiticity defect"):
+        _checked_density(np.array(mat, dtype=complex), "rho")
+
+
+def test_validate_density_refuses_a_matrix_that_is_not_2x2():
+    with pytest.raises(ValidationError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
+        validate_density(np.eye(3))
 
 
 def test_validate_density_reports_defects_without_raising():
@@ -204,5 +206,5 @@ def test_a_non_finite_matrix_is_no_density_matrix_and_raises_no_warning(entry):
         warnings.simplefilter("error")
         diag = validate_density(mat)
         with pytest.raises(ValidationError, match="defect nan"):
-            DensityMatrix2(mat)
+            _checked_density(mat, "rho")
     assert not diag.ok and math.isnan(diag.min_eigenvalue)

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from opendecay._quad import filon_sum, integrate_to_tolerance, split_edges
 from opendecay.errors import AccuracyError, ValidationError
-from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
+from opendecay.model import BathSpectrum, OscillatorParams
 from opendecay.qbm import kernels
 from opendecay.qbm.kernels import (
     dissipation_kernel,
@@ -98,11 +98,8 @@ def test_noise_kernel_integral_is_thermal_scale():
     assert 2.0 * (near + far) == pytest.approx(want, rel=1e-6)
 
 
-def test_dissipation_kernel_accepts_coupling_scale_wrapper():
-    a = dissipation_kernel(0.2, EXP2, OSC, CouplingScale(LAM))
-    b = dissipation_kernel(0.2, EXP2, OSC, LAM)
-    assert a == b
-    with pytest.raises(ValidationError):
+def test_dissipation_kernel_refuses_a_lam_above_one():
+    with pytest.raises(ValidationError, match=r"^coupling scale lam must satisfy 0 < lam <= 1, got 1\.7$"):
         dissipation_kernel(0.2, EXP2, OSC, 1.7)
 
 

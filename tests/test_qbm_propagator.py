@@ -13,7 +13,7 @@ from scipy.special import sici, spherical_jn
 
 from opendecay._quad import _spherical_jn, filon_sum, panel_nodes
 from opendecay.errors import AccuracyError, InversionError, ValidationError
-from opendecay.model import BathSpectrum, CouplingScale, OscillatorParams
+from opendecay.model import BathSpectrum, OscillatorParams
 from opendecay.qbm import propagator
 from opendecay.qbm.coefficients import exact_coefficients
 from opendecay.qbm.kernels import dissipation_kernel, mu_laplace
@@ -579,12 +579,6 @@ def test_halving_names_the_node_budget_when_it_stops_there(monkeypatch):
     monkeypatch.setattr(propagator, "_REL_TOL", 1e-14)
     with pytest.raises(AccuracyError, match="_MAX_NODES=1000 at n=820: .* differ by"):
         solve_propagator(EXP, OSC, 0.4, 1.0)
-
-
-def test_coupling_scale_wrapper_is_equivalent():
-    a = solve_propagator(EXP, OSC, CouplingScale(0.4), 1.0)
-    b = solve_propagator(EXP, OSC, 0.4, 1.0)
-    assert np.array_equal(a.G, b.G)
 
 
 def test_solver_input_validation():
