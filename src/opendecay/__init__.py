@@ -38,7 +38,6 @@ from .errors import (
 )
 from .lindblad import (
     GKSReport,
-    Liouvillian2,
     bloch_density_bridge,
     gks_check,
     propagate_density,
@@ -104,7 +103,6 @@ __all__ = [
     "decay_spectrum",
     "find_classification_boundary",
     # lindblad
-    "Liouvillian2",
     "GKSReport",
     "spin_liouvillian",
     "propagate_density",

@@ -94,13 +94,13 @@ def _check_slope_shape(k, y):
 
 
 def _checked_state(y):
-    """``y``; ValidationError naming ``y0`` when it is 0-d or has no component."""
+    """``y``; ValidationError naming ``y0`` when it is 0-d, has no component or is not finite."""
     if y.ndim == 0 or y.size == 0:
         raise ValidationError(
             f"y0 must be an array of at least one dimension and one component, "
             f"got shape {y.shape}"
         )
-    return y
+    return _checked_all_finite(y, "y0")
 
 
 def integrate(f, y0, t_grid, rtol=1e-10):
@@ -108,11 +108,12 @@ def integrate(f, y0, t_grid, rtol=1e-10):
 
     Raises ValidationError unless ``rtol`` is finite and > 0, when
     ``t_grid`` is not a finite, strictly increasing 1-d grid (naming its
-    first bad node) or when ``y0`` is 0-d or empty, StiffnessError when the
-    step size underflows or after ``_MAX_STEPS`` attempted steps,
-    IntegratorAccuracyError when a step's error estimate is not finite (a
-    NaN or infinite state or ``f``), and ValueError when a value of ``f``
-    does not have ``y0``'s shape or its first is complex for a real ``y0``.
+    first bad node) or when ``y0`` is 0-d, empty or not finite (naming its
+    first non-finite entry), StiffnessError when the step size underflows
+    or after ``_MAX_STEPS`` attempted steps, IntegratorAccuracyError when
+    a step's error estimate is not finite (a NaN or infinite ``f``, or a
+    state that overflows), and ValueError when a value of ``f`` does not
+    have ``y0``'s shape or its first is complex for a real ``y0``.
     """
     y = _checked_state(np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy())
     rtol = _checked_finite("rtol", rtol, "> 0")
@@ -275,10 +276,10 @@ def propagate_constant(matrix, y0, t_grid, method="taylor"):
     whose columns are propagated together; a matrix that is not square or
     does not match ``y0``'s leading dimension raises ValueError, and an
     empty ``y0`` ValidationError. On either route ValidationError names
-    ``matrix`` (``matrix.data`` when sparse) unless its entries are finite,
-    and ``t_grid`` and its first bad node unless it is a finite, strictly
-    increasing 1-d grid. The Taylor route raises StiffnessError before any
-    product when its substeps would exceed ``_MAX_SUBSTEPS``, and
+    ``matrix`` (``matrix.data`` when sparse) and ``y0`` unless their entries
+    are finite, and ``t_grid`` and its first bad node unless it is a finite,
+    strictly increasing 1-d grid. The Taylor route raises StiffnessError
+    before any product when its substeps would exceed ``_MAX_SUBSTEPS``, and
     IntegratorAccuracyError naming the first node whose state is not finite.
     """
     # an ndarray is dense without asking scipy.sparse, which would load it

@@ -33,7 +33,7 @@ import numpy as np
 # ``integrate`` stays importable here: the benchmark's tracer test checks
 # that its reference in this module is rebound (bench/tests/test_bench.py)
 from ._integrate import integrate, propagate_constant  # noqa: F401
-from .errors import AccuracyError
+from .errors import AccuracyError, ValidationError
 from .model import (
     BathSpectrum,
     SpinBosonParams,
@@ -160,13 +160,18 @@ def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,
     and oscillates again as gamma_theta grows. Raises
     :class:`AccuracyError` when both ends classify alike, and
     :class:`ValidationError` naming ``gamma_lo`` or ``gamma_hi`` unless it
-    is finite and >= 0, or ``tol`` unless it is finite and > 0. Bisection
-    stops at a bracket of width ``tol`` or once the midpoint is no longer
-    strictly inside it, so a ``tol`` below the float spacing ends there.
+    is finite and >= 0 (``gamma_hi`` also when below ``gamma_lo``), or
+    ``tol`` unless it is finite and > 0. Bisection stops at a bracket of
+    width ``tol`` or once the midpoint is no longer strictly inside it, so
+    a ``tol`` below the float spacing ends there.
     A bracket holding several flips yields one of them.
     """
     lo = _checked_finite("gamma_lo", gamma_lo, ">= 0")
     hi = _checked_finite("gamma_hi", gamma_hi, ">= 0")
+    if hi < lo:
+        raise ValidationError(
+            f"gamma_hi = {hi:g} is below gamma_lo = {lo:g}: the bracket is reversed"
+        )
     tol = _checked_finite("tol", tol, "> 0")
 
     def oscillating(g: float) -> bool:

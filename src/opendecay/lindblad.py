@@ -8,7 +8,8 @@ In the energy eigenbasis the density matrix obeys
 with ``H = (omega0/2) diag(1,-1)`` and the unit-Pauli coupling ``S``;
 the dissipator is the double commutator ``-(gamma/4) [S, [S, rho]]``
 written out using ``S@S = 1``. Everything is vectorized row-major, so a
-sandwich ``A rho B`` becomes ``kron(A, B.T)``.
+sandwich ``A rho B`` becomes ``kron(A, B.T)``, and a Liouvillian is a
+plain complex 4x4 array.
 
 Because the triple generator of :mod:`opendecay.bloch` is the Heisenberg
 adjoint of this Liouvillian, expectation values can be formed on either
@@ -26,7 +27,7 @@ which gives the exact bridge relations checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +41,10 @@ from .errors import (
     IntegratorAccuracyError,
     StructuralError,
 )
-from .model import SpinBosonParams, _checked_density, _checked_finite, _checked_grid
+from .model import (SpinBosonParams, _checked_all_finite, _checked_density,
+                    _checked_finite, _checked_grid)
 
 __all__ = [
-    "Liouvillian2",
     "GKSReport",
     "spin_liouvillian",
     "propagate_density",
@@ -55,37 +56,24 @@ __all__ = [
 _STRUCT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Liouvillian2:
-    """Validated 4x4 Liouvillian of a qubit (row-major vectorization).
+def _checked_liouvillian(liouv) -> np.ndarray:
+    """``liouv`` as a complex 4x4 array, refused unless it is a qubit generator.
 
-    Built from its Hamiltonian and dissipator parts; ``matrix`` is their
-    sum. Construction checks that the matrix annihilates the trace
-    functional from the left and commutes with Hermitian conjugation.
+    StructuralError unless its shape is (4, 4), ValidationError naming
+    ``liouv`` and its first non-finite entry, and StructuralError when it
+    does not annihilate the trace functional from the left or does not
+    commute with Hermitian conjugation (either defect above ``_STRUCT_TOL``).
     """
-
-    hamiltonian_part: np.ndarray
-    dissipator_part: np.ndarray
-    matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        h = np.asarray(self.hamiltonian_part, dtype=complex)
-        d = np.asarray(self.dissipator_part, dtype=complex)
-        if h.shape != (4, 4) or d.shape != (4, 4):
-            raise StructuralError("Liouvillian parts must be 4x4")
-        m = h + d
-        if so.trace_dual_defect(m, 2) > _STRUCT_TOL:
-            raise StructuralError(
-                "Liouvillian does not preserve the trace "
-                f"(defect {so.trace_dual_defect(m, 2):.3e})"
-            )
-        if so.hermiticity_involution_defect(m, 2) > _STRUCT_TOL:
-            raise StructuralError(
-                "Liouvillian does not commute with Hermitian conjugation"
-            )
-        for name, a in (("matrix", m), ("hamiltonian_part", h), ("dissipator_part", d)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+    m = np.asarray(liouv, dtype=complex)
+    if m.shape != (4, 4):
+        raise StructuralError(f"liouv must be a 4x4 superoperator, got shape {m.shape}")
+    _checked_all_finite(m, "liouv")
+    defect = so.trace_dual_defect(m, 2)
+    if defect > _STRUCT_TOL:
+        raise StructuralError(f"liouv does not preserve the trace (defect {defect:.3e})")
+    if so.hermiticity_involution_defect(m, 2) > _STRUCT_TOL:
+        raise StructuralError("liouv does not commute with Hermitian conjugation")
+    return m
 
 
 @dataclass(frozen=True)
@@ -97,23 +85,26 @@ class GKSReport:
     is_lindblad: bool
 
 
-def spin_liouvillian(spin: SpinBosonParams, gamma_theta: float) -> Liouvillian2:
-    """Rapid-decay Liouvillian in the energy eigenbasis, gamma_theta >= 0."""
+def spin_liouvillian(spin: SpinBosonParams, gamma_theta: float) -> np.ndarray:
+    """Read-only 4x4 rapid-decay Liouvillian in the energy eigenbasis, gamma_theta >= 0."""
     gamma_theta = _checked_finite("gamma_theta", gamma_theta, ">= 0")
     h = spin.hamiltonian()
     s = spin.coupling_matrix().astype(complex)
     ham = -1j * so.commutator_super(h)
     diss = 0.5 * gamma_theta * (so.left_right(s, s) - np.eye(4))
-    return Liouvillian2(hamiltonian_part=ham, dissipator_part=diss)
+    liouv = ham + diss
+    liouv.setflags(write=False)
+    return liouv
 
 
-def propagate_density(liouv: Liouvillian2, rho0, tau_grid) -> np.ndarray:
+def propagate_density(liouv, rho0, tau_grid) -> np.ndarray:
     """Propagate one density matrix, or a stack of them in one solve.
 
-    Returns (n, 2, 2) for one 2x2 state and (n, k, 2, 2) for a (k, 2, 2)
-    stack; another shape raises ValueError. Propagated by the truncated
-    Taylor route, exact to round-off; the dense reference is
-    ``propagate_constant(liouv.matrix, ..., method="expm")``.
+    ``liouv`` is refused first, as :func:`gks_check` refuses it. Returns
+    (n, 2, 2) for one 2x2 state and (n, k, 2, 2) for a (k, 2, 2) stack;
+    another shape raises ValueError. Propagated by the truncated Taylor
+    route, exact to round-off; the dense reference is
+    ``propagate_constant(liouv, ..., method="expm")``.
     :class:`ValidationError` names ``rho0`` (``rho0 state i`` in a stack)
     unless each state passes :func:`~opendecay.model.validate_density`,
     and ``tau_grid`` and its first bad node unless it is 1-d, finite and
@@ -123,6 +114,7 @@ def propagate_density(liouv: Liouvillian2, rho0, tau_grid) -> np.ndarray:
     the state, is raised: the generator is then not a valid Lindblad
     generator (not completely positive or not trace preserving).
     """
+    liouv = _checked_liouvillian(liouv)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (2, 2) or rho0.size == 0:
         raise ValueError(
@@ -132,7 +124,7 @@ def propagate_density(liouv: Liouvillian2, rho0, tau_grid) -> np.ndarray:
         _checked_density(rho, "rho0" if rho0.ndim == 2 else f"rho0 state {i}")
     tau_grid = _checked_grid(tau_grid, "tau_grid")
     # one state stays a 4-vector; a stack is a (4, k) block of columns
-    flat = propagate_constant(liouv.matrix, rho0.reshape(rho0.shape[:-2] + (4,)).T,
+    flat = propagate_constant(liouv, rho0.reshape(rho0.shape[:-2] + (4,)).T,
                               tau_grid)
     states = np.swapaxes(flat, 1, -1).reshape((len(tau_grid),) + rho0.shape)
 
@@ -165,23 +157,16 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
 def gks_check(liouv) -> GKSReport:
     """Kossakowski (coefficient) matrix of the dissipative part.
 
-    Accepts a :class:`Liouvillian2` or a raw 4x4 superoperator matrix.
-    The expansion uses the unnormalized Pauli basis (sigma_x, sigma_y,
+    ``liouv`` is a 4x4 superoperator matrix. StructuralError refuses a
+    shape other than (4, 4) and a map that does not preserve the trace or
+    does not commute with Hermitian conjugation (no GKS form exists), and
+    ValidationError names ``liouv`` and its first non-finite entry. The
+    expansion uses the unnormalized Pauli basis (sigma_x, sigma_y,
     sigma_z); complete positivity of the generated semigroup is
     equivalent to the reported matrix being positive semidefinite
     (``min_eigenvalue >= -1e-12`` after scaling).
     """
-    if isinstance(liouv, Liouvillian2):
-        m = liouv.matrix
-    else:
-        m = np.asarray(liouv, dtype=complex)
-        if m.shape != (4, 4):
-            raise StructuralError(f"expected a 4x4 superoperator, got {m.shape}")
-        if so.trace_dual_defect(m, 2) > _STRUCT_TOL:
-            raise StructuralError(
-                "superoperator does not preserve the trace; no GKS form exists"
-            )
-    block_ortho, _ = so.gks_block(m, 2)
+    block_ortho, _ = so.gks_block(_checked_liouvillian(liouv), 2)
     # orthonormal basis is sigma/sqrt(2): rescale onto plain Paulis
     block = 0.5 * block_ortho
     min_eig = float(np.linalg.eigvalsh(block)[0])

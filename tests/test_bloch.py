@@ -148,6 +148,14 @@ def test_boundary_refuses_a_bad_bracket_end_by_name(lo, hi, name):
         find_classification_boundary(make_spin_params(0.0, 1.0), lo, hi, tol=1e-8)
 
 
+def test_boundary_refuses_a_reversed_bracket_by_name():
+    # with gamma_hi below gamma_lo the bisection loop would never run and
+    # the midpoint 1.75 would come back for a flip at 2
+    with pytest.raises(ValidationError,
+                       match=r"^gamma_hi = 0\.5 is below gamma_lo = 3: the bracket is reversed$"):
+        find_classification_boundary(make_spin_params(0.0, 1.0), 3.0, 0.5, 1e-9)
+
+
 def test_boundary_stops_where_the_bracket_stops_shrinking():
     # no bracket around the flip is 1e-300 wide; bisection ends when the
     # midpoint of two adjacent floats is one of them

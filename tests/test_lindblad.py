@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +20,6 @@ from opendecay.errors import (
     ValidationError,
 )
 from opendecay.lindblad import (
-    Liouvillian2,
     bloch_density_bridge,
     gks_check,
     propagate_density,
@@ -70,25 +71,55 @@ def test_choi_of_identity_channel_is_maximally_entangled():
 # --------------------------------------------------------------- liouvillian
 
 
+def _spin_parts(spin, gamma_theta):
+    """The Hamiltonian part -i[H, .] of the rapid-decay Liouvillian and its dissipator."""
+    ham = -1j * so.commutator_super(spin.hamiltonian())
+    return ham, spin_liouvillian(spin, gamma_theta) - ham
+
+
 def test_spin_liouvillian_structure_checks():
-    liouv = spin_liouvillian(make_spin_params(1.0, 2.0), 0.5)
-    assert so.trace_dual_defect(liouv.matrix, 2) < 1e-14
-    assert so.hermiticity_involution_defect(liouv.matrix, 2) < 1e-14
-    assert np.array_equal(liouv.matrix,
-                          liouv.hamiltonian_part + liouv.dissipator_part)
-    with pytest.raises(StructuralError, match="does not preserve the trace"):
-        Liouvillian2(
-            hamiltonian_part=liouv.hamiltonian_part,
-            dissipator_part=liouv.dissipator_part + 0.01 * np.eye(4),
-        )
-    # i[H, .] keeps the trace but maps Hermitian states to anti-Hermitian ones
-    with pytest.raises(StructuralError, match="Hermitian conjugation"):
-        Liouvillian2(
-            hamiltonian_part=1j * liouv.hamiltonian_part,
-            dissipator_part=liouv.dissipator_part,
-        )
-    with pytest.raises(StructuralError, match="must be 4x4"):
-        Liouvillian2(hamiltonian_part=np.eye(2), dissipator_part=np.eye(2))
+    spin = make_spin_params(1.0, 2.0)
+    liouv = spin_liouvillian(spin, 0.5)
+    assert liouv.shape == (4, 4) and liouv.dtype == complex
+    assert not liouv.flags.writeable
+    assert so.trace_dual_defect(liouv, 2) < 1e-14
+    assert so.hermiticity_involution_defect(liouv, 2) < 1e-14
+    ham, diss = _spin_parts(spin, 0.5)
+    for check in (gks_check, lambda m: propagate_density(m, 0.5 * np.eye(2), [0.0, 1.0])):
+        with pytest.raises(StructuralError, match="does not preserve the trace"):
+            check(ham + diss + 0.01 * np.eye(4))
+        # i[H, .] keeps the trace but maps Hermitian states to anti-Hermitian
+        # ones; its GKS block is the dissipator's, which alone reads as Lindblad
+        with pytest.raises(StructuralError,
+                           match="^liouv does not commute with Hermitian conjugation$"):
+            check(1j * ham + diss)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_liouvillian_is_refused_by_name(value, monkeypatch):
+    liouv = np.array(spin_liouvillian(make_spin_params(1.0, 2.0), 0.5))
+    liouv[1, 2] = value
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a non-finite liouv reached LAPACK")
+
+    # refused before any LAPACK call
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    pattern = rf"^liouv must be finite; entry \(1, 2\) is \(?{value}"
+    with pytest.raises(ValidationError, match=pattern):
+        gks_check(liouv)
+    with pytest.raises(ValidationError, match=pattern):
+        propagate_density(liouv, 0.5 * np.eye(2), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2), (4, 5), (9, 9), (2, 4, 4)])
+def test_a_liouvillian_of_another_shape_is_refused(shape):
+    pattern = rf"^liouv must be a 4x4 superoperator, got shape {re.escape(str(shape))}$"
+    with pytest.raises(StructuralError, match=pattern):
+        gks_check(np.zeros(shape))
+    with pytest.raises(StructuralError, match=pattern):
+        propagate_density(np.zeros(shape), 0.5 * np.eye(2), [0.0, 1.0])
 
 
 def test_spin_liouvillian_rejects_a_negative_or_non_finite_gamma():
@@ -112,14 +143,14 @@ def test_propagation_matches_the_expm_route():
     rho0 = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
     tau = np.linspace(0.0, 3.0, 7)
     taylor = propagate_density(liouv, rho0, tau)
-    exact = propagate_constant(liouv.matrix, so.vec(rho0), tau,
+    exact = propagate_constant(liouv, so.vec(rho0), tau,
                                method="expm").reshape(-1, 2, 2)
     assert np.max(np.abs(taylor - exact)) < 1e-13
 
 
 def _null_space(liouv):
     """The Liouvillian's null vectors as 2x2 matrices, by SVD."""
-    _, s, vh = np.linalg.svd(liouv.matrix)
+    _, s, vh = np.linalg.svd(liouv)
     return [v.conj().reshape(2, 2) for v, si in zip(vh, s) if si <= 1e-10 * s[0]]
 
 
@@ -154,12 +185,10 @@ def test_gks_matrix_of_spin_dissipator():
 
 def test_gks_check_accepts_raw_matrix_and_rejects_nontrace():
     liouv = spin_liouvillian(make_spin_params(1.0, 1.0), 0.4)
-    report = gks_check(np.asarray(liouv.matrix))
+    report = gks_check(liouv)
     assert report.is_lindblad
     with pytest.raises(StructuralError):
         gks_check(np.eye(4))
-    with pytest.raises(StructuralError, match=r"^expected a 4x4 superoperator, got \(9, 9\)$"):
-        gks_check(np.eye(9))
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,7 +200,7 @@ def test_gks_check_accepts_raw_matrix_and_rejects_nontrace():
 )
 def test_evolution_is_completely_positive(eps, delta, g, tau):
     liouv = spin_liouvillian(make_spin_params(eps, delta), g)
-    channel = scipy.linalg.expm(liouv.matrix * tau)
+    channel = scipy.linalg.expm(liouv * tau)
     choi = so.reshuffle(channel, 2)
     assert np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))) > -1e-10
 
@@ -205,7 +234,7 @@ def test_bridge_on_a_stack_agrees_with_the_per_state_calls():
     single = np.stack([propagate_density(liouv, rho, tau) for rho in states], axis=1)
     assert np.max(np.abs(stacked - single)) <= 1e-10
     # one state is the plain 4-vector solve, bit for bit
-    flat = propagate_constant(liouv.matrix, so.vec(states[0]), tau)
+    flat = propagate_constant(liouv, so.vec(states[0]), tau)
     assert np.array_equal(single[:, 0], flat.reshape(-1, 2, 2))
 
     devs = bloch_density_bridge(spin, 1.0, states, tau)
@@ -247,11 +276,8 @@ def test_constant_generator_routes_reject_bad_method():
 def test_non_cp_generator_is_refused_by_the_physicality_check():
     # flipping the dissipator's sign keeps trace and Hermiticity but not
     # complete positivity, so an excited state grows a negative eigenvalue
-    good = spin_liouvillian(make_spin_params(1.0, 1.0), 0.4)
-    bad = Liouvillian2(
-        hamiltonian_part=good.hamiltonian_part,
-        dissipator_part=-good.dissipator_part,
-    )
+    ham, diss = _spin_parts(make_spin_params(1.0, 1.0), 0.4)
+    bad = ham - diss
     excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(IntegratorAccuracyError, match="negative eigenvalue") as single:
         propagate_density(bad, excited, np.linspace(0.0, 2.0, 9))
@@ -264,15 +290,14 @@ def test_non_cp_generator_is_refused_by_the_physicality_check():
         propagate_density(bad, stack, np.linspace(0.0, 2.0, 9))
 
 
-def test_trace_leak_below_the_construction_check_is_refused_by_the_trace_check():
+def test_trace_leak_below_the_structural_check_is_refused_by_the_trace_check():
     # a 1e-10 loss rate of the excited population is 3.5e-14 of this
-    # generator's scale, below the construction tolerance, but it leaks 5e-9
+    # generator's scale, below the structural tolerance, but it leaks 5e-9
     # of state 0's trace by tau = 50; the ground state keeps its trace
     leak = np.zeros((4, 4), dtype=complex)
     leak[0, 0] = -1e-10
-    liouv = Liouvillian2(hamiltonian_part=-1j * so.commutator_super(np.diag([1e3, -1e3])),
-                         dissipator_part=leak)
-    assert so.trace_dual_defect(liouv.matrix, 2) < lindblad._STRUCT_TOL
+    liouv = -1j * so.commutator_super(np.diag([1e3, -1e3])) + leak
+    assert so.trace_dual_defect(liouv, 2) < lindblad._STRUCT_TOL
     stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
     with pytest.raises(IntegratorAccuracyError,
                        match=r"^trace defect 5\.00\de-09 at tau=50 in state 0 exceeds 1e-9$"):
