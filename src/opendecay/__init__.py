@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from . import qbm  # noqa: F401  (re-export the subpackage)
 from .acceptance import CriterionResult, run_all
 from .bloch import (
-    BlochGenerator,
     DecaySpectrum,
     decay_spectrum,
     find_classification_boundary,
@@ -95,7 +94,6 @@ __all__ = [
     "gamma_theta_weak",
     "renormalized_frequency_sq",
     # bloch
-    "BlochGenerator",
     "DecaySpectrum",
     "rapid_generator",
     "weak_generator",

@@ -69,8 +69,8 @@ def _criterion_1():
             temperature=rng.uniform(0.1, 5.0),
         )
         gen = weak_generator(spin, bath)
-        gamma_d = -gen.matrix[0, 0].real
-        gamma_r = -gen.matrix[1, 1].real
+        gamma_d = -gen[0, 0].real
+        gamma_r = -gen[1, 1].real
         worst = max(worst, abs(gamma_r / gamma_d - 2.0))
     return worst < 1e-12, f"max |gamma_R/gamma_D - 2| = {worst:.3e} (tol 1e-12)"
 

@@ -17,11 +17,15 @@ the generator is (writing ``e = eps_tilde``, ``d = delta_tilde``,
     [  e d g,                          -d^2 g,       e d g                  ]
     [  d^2 g / 2,                      e d g / 2,    -(d^2+2 e^2) g/2 - i omega0 ]
 
-whose eigenvalue real parts always sum to ``-2 gamma_theta``. The weak
-coupling counterpart is diagonal with dephasing rate
-``gamma_D = d^2 gamma_w / 2`` on the coherences and relaxation rate
-``gamma_R = d^2 gamma_w`` on the inversion (ratio exactly two), where
-``gamma_w`` is :func:`~opendecay.spectral.gamma_theta_weak`.
+whose eigenvalue real parts always sum to ``-2 gamma_theta`` (its real
+trace, since ``d^2 + e^2 = 1``). The weak coupling counterpart is
+diagonal with dephasing rate ``gamma_D = d^2 gamma_w / 2`` on the
+coherences and relaxation rate ``gamma_R = d^2 gamma_w`` on the
+inversion (ratio exactly two), where ``gamma_w`` is
+:func:`~opendecay.spectral.gamma_theta_weak`.
+
+Either generator is a plain read-only complex 3x3 array; the routes that
+take one pass it through one check of its shape and entries.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 # ``integrate`` stays importable here: the benchmark's tracer test checks
 # that its reference in this module is rebound (bench/tests/test_bench.py)
 from ._integrate import integrate, propagate_constant  # noqa: F401
-from .errors import AccuracyError, ValidationError
+from .errors import AccuracyError, StructuralError, ValidationError
 from .model import (
     BathSpectrum,
     SpinBosonParams,
@@ -44,7 +48,6 @@ from .model import (
 from .spectral import gamma_theta_weak
 
 __all__ = [
-    "BlochGenerator",
     "DecaySpectrum",
     "rapid_generator",
     "weak_generator",
@@ -62,12 +65,17 @@ TRIPLE_AT_ZERO = (
 )
 
 
-@dataclass(frozen=True)
-class BlochGenerator:
-    """3x3 generator for the eigenoperator triple."""
+def _checked_generator(gen) -> np.ndarray:
+    """``gen`` as a complex 3x3 array, refused before any LAPACK call.
 
-    matrix: np.ndarray
-    gamma_theta: float
+    StructuralError unless its shape is (3, 3), and ValidationError naming
+    ``gen`` and its first non-finite entry.
+    """
+    m = np.asarray(gen, dtype=complex)
+    if m.shape != (3, 3):
+        raise StructuralError(f"gen must be a 3x3 triple generator, got shape {m.shape}")
+    _checked_all_finite(m, "gen")
+    return m
 
 
 @dataclass(frozen=True)
@@ -75,14 +83,18 @@ class DecaySpectrum:
     """Eigenvalues of a Bloch generator, sorted by (Re, Im) ascending."""
 
     eigenvalues: np.ndarray
-    decay_constants: np.ndarray
     classification: str
 
 
-def rapid_generator(spin: SpinBosonParams, gamma_theta: float) -> BlochGenerator:
-    """Triple generator in the rapid-decay (flat-band) regime, gamma_theta >= 0."""
+def rapid_generator(spin: SpinBosonParams, gamma_theta: float) -> np.ndarray:
+    """Read-only 3x3 triple generator in the rapid-decay (flat-band) regime.
+
+    ValidationError names ``gamma_theta`` unless it is finite and >= 0,
+    and when it is so large that an entry of the generator overflows.
+    """
     e, d, w0 = spin.eps_tilde, spin.delta_tilde, spin.omega0
     g = _checked_finite("gamma_theta", gamma_theta, ">= 0")
+    # the entries are products of Python floats, which overflow to inf silently
     diag = -(d * d + 2.0 * e * e) * g / 2.0
     m = np.array(
         [
@@ -92,11 +104,14 @@ def rapid_generator(spin: SpinBosonParams, gamma_theta: float) -> BlochGenerator
         ],
         dtype=complex,
     )
-    return BlochGenerator(matrix=m, gamma_theta=g)
+    if not np.isfinite(m).all():
+        raise ValidationError(f"gamma_theta = {g:g} is too large: a generator entry overflows")
+    m.setflags(write=False)
+    return m
 
 
-def weak_generator(spin: SpinBosonParams, bath: BathSpectrum) -> BlochGenerator:
-    """Triple generator from the secular weak-coupling treatment."""
+def weak_generator(spin: SpinBosonParams, bath: BathSpectrum) -> np.ndarray:
+    """Read-only 3x3 triple generator from the secular weak-coupling treatment."""
     gw = gamma_theta_weak(spin, bath)
     d2 = spin.delta_tilde**2
     gamma_d = 0.5 * d2 * gw
@@ -108,13 +123,14 @@ def weak_generator(spin: SpinBosonParams, bath: BathSpectrum) -> BlochGenerator:
             -gamma_d - 1j * spin.omega0,
         ]
     )
-    return BlochGenerator(matrix=m, gamma_theta=gw)
+    m.setflags(write=False)
+    return m
 
 
-def propagate_bloch(gen: BlochGenerator, triple0, tau_grid,
-                    method: str = "taylor") -> np.ndarray:
+def propagate_bloch(gen, triple0, tau_grid, method: str = "taylor") -> np.ndarray:
     """Evolve a coefficient triple over ``tau_grid``.
 
+    ``gen`` is refused first, as :func:`decay_spectrum` refuses it.
     ``method="taylor"`` is the truncated Taylor propagator of
     :func:`~opendecay._integrate.propagate_constant`, exact to round-off;
     ``method="expm"`` evaluates the matrix exponential at every node
@@ -122,33 +138,38 @@ def propagate_bloch(gen: BlochGenerator, triple0, tau_grid,
     entries are finite, and ``tau_grid`` unless it is 1-d, finite and
     strictly increasing; each message names the first bad node.
     """
+    gen = _checked_generator(gen)
     tau_grid = _checked_grid(tau_grid, "tau_grid")
     v0 = np.asarray(triple0, dtype=complex)
     if v0.shape != (3,):
         raise ValueError(f"triple0 must have shape (3,), got {v0.shape}")
     _checked_all_finite(v0, "triple0")
-    return propagate_constant(gen.matrix, v0, tau_grid, method=method)
+    return propagate_constant(gen, v0, tau_grid, method=method)
 
 
-def decay_spectrum(gen: BlochGenerator) -> DecaySpectrum:
-    """Eigenvalues, decay constants and oscillation classification.
+def decay_spectrum(gen) -> DecaySpectrum:
+    """Eigenvalues and oscillation classification of a triple generator.
 
-    An eigenvalue counts as complex when ``|Im| > 1e-10 * gamma_theta``;
-    by the conjugation symmetry of the generator the complex ones come in
-    pairs, so the spectrum is labeled either ``"two_complex_one_real"``
-    or ``"three_real"``.
+    StructuralError refuses a shape other than (3, 3), and ValidationError
+    names ``gen`` and its first non-finite entry. An eigenvalue counts as
+    complex when ``|Im| > 1e-10 * gamma``, with the scale
+    ``gamma = |Re tr gen| / 2`` read from the generator itself: the
+    eigenvalue real parts sum to the real trace, which is
+    ``-2 gamma_theta`` for :func:`rapid_generator`. By the conjugation
+    symmetry of the generator the complex eigenvalues come in pairs, so
+    the spectrum is labeled either ``"two_complex_one_real"`` or
+    ``"three_real"``.
     """
-    eigs = np.linalg.eigvals(gen.matrix)
+    gen = _checked_generator(gen)
+    eigs = np.linalg.eigvals(gen)
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order]
-    threshold = 1e-10 * gen.gamma_theta
-    n_complex = int(np.sum(np.abs(eigs.imag) > threshold))
+    # halving each entry first is exact and keeps the sum finite where
+    # the trace of a finite rapid generator would overflow
+    gamma = abs(float(np.sum(0.5 * gen.diagonal().real)))
+    n_complex = int(np.sum(np.abs(eigs.imag) > 1e-10 * gamma))
     classification = "two_complex_one_real" if n_complex >= 2 else "three_real"
-    return DecaySpectrum(
-        eigenvalues=eigs,
-        decay_constants=-eigs.real,
-        classification=classification,
-    )
+    return DecaySpectrum(eigenvalues=eigs, classification=classification)
 
 
 def find_classification_boundary(spin: SpinBosonParams, gamma_lo: float,

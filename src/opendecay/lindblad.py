@@ -166,10 +166,11 @@ def gks_check(liouv) -> GKSReport:
     equivalent to the reported matrix being positive semidefinite
     (``min_eigenvalue >= -1e-12`` after scaling).
     """
-    block_ortho, _ = so.gks_block(_checked_liouvillian(liouv), 2)
-    # orthonormal basis is sigma/sqrt(2): rescale onto plain Paulis
+    block_ortho, min_eig_ortho = so.gks_block(_checked_liouvillian(liouv), 2)
+    # orthonormal basis is sigma/sqrt(2): rescale onto plain Paulis (halving
+    # is exact, so the eigenvalue scales with the block bit for bit)
     block = 0.5 * block_ortho
-    min_eig = float(np.linalg.eigvalsh(block)[0])
+    min_eig = 0.5 * min_eig_ortho
     scale = max(float(np.linalg.norm(block)), 1.0)
     return GKSReport(
         gks_matrix=block,
@@ -196,7 +197,7 @@ def bloch_density_bridge(spin: SpinBosonParams, gamma_theta: float, rho0,
     """
     rtol = _checked_finite("rtol", rtol, "> 0")
     states = propagate_density(spin_liouvillian(spin, gamma_theta), rho0, tau_grid)
-    props = propagate_constant(rapid_generator(spin, gamma_theta).matrix,
+    props = propagate_constant(rapid_generator(spin, gamma_theta),
                                np.eye(3, dtype=complex), tau_grid)
     # D_alpha(tau) = sum_b M[a,b] D_b(0), then tr[rho0 D_alpha(tau)]
     d_t = np.einsum("tab,bij->taij", props, np.stack(TRIPLE_AT_ZERO))

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ from opendecay.bloch import (
     weak_generator,
 )
 from opendecay._integrate import integrate, propagate_constant
-from opendecay.errors import AccuracyError, StiffnessError, ValidationError
+from opendecay.errors import AccuracyError, StiffnessError, StructuralError, ValidationError
 from opendecay.model import BathSpectrum, make_spin_params
 from opendecay.scenarios import parse_config, run_scenario
 
@@ -37,16 +38,16 @@ def test_triple_basis_at_zero():
 @given(eps_st, delta_st, gamma_st)
 def test_real_trace_is_minus_two_gamma(eps, delta, g):
     gen = rapid_generator(make_spin_params(eps, delta), g)
-    assert float(np.trace(gen.matrix).real) == pytest.approx(
+    assert float(np.trace(gen).real) == pytest.approx(
         -2.0 * g, abs=1e-12 * max(1.0, g)
     )
-    assert float(np.trace(gen.matrix).imag) == pytest.approx(0.0, abs=1e-12)
+    assert float(np.trace(gen).imag) == pytest.approx(0.0, abs=1e-12)
 
 
 @given(eps_st, delta_st, gamma_st)
 def test_conjugation_symmetry(eps, delta, g):
     # swapping raising <-> lowering and conjugating returns the generator
-    m = rapid_generator(make_spin_params(eps, delta), g).matrix
+    m = rapid_generator(make_spin_params(eps, delta), g)
     assert np.allclose(_J @ m.conj() @ _J, m, atol=1e-14)
 
 
@@ -55,7 +56,6 @@ def test_conjugation_symmetry(eps, delta, g):
 def test_spectrum_never_grows(eps, delta, g):
     spec = decay_spectrum(rapid_generator(make_spin_params(eps, delta), g))
     assert np.all(spec.eigenvalues.real <= 1e-10 * max(1.0, g))
-    assert np.allclose(spec.decay_constants, -spec.eigenvalues.real)
 
 
 @given(st.floats(0.05, 6.0), st.floats(0.25, 8.0))
@@ -75,7 +75,7 @@ def test_zero_bias_spectrum_closed_form(delta, g):
 
 def test_zero_tunneling_generator_is_diagonal():
     spin = make_spin_params(2.0, 0.0)
-    m = rapid_generator(spin, 0.7).matrix
+    m = rapid_generator(spin, 0.7)
     assert np.allclose(m, np.diag([-0.7 + 2.0j, 0.0, -0.7 - 2.0j]))
 
 
@@ -83,13 +83,13 @@ def test_weak_generator_rates():
     spin = make_spin_params(1.0, 1.0)
     bath = BathSpectrum(0.3, 5.0, "exponential", 2.0)
     gen = weak_generator(spin, bath)
-    gamma_d = -gen.matrix[0, 0].real
-    gamma_r = -gen.matrix[1, 1].real
+    gamma_d = -gen[0, 0].real
+    gamma_r = -gen[1, 1].real
     assert gamma_r == pytest.approx(2.0 * gamma_d, rel=1e-14)
     # delta_tilde^2 = 1/2 here
     assert gamma_r == pytest.approx(0.5 * 0.9417375717288882, rel=1e-12)
-    assert gen.matrix[0, 0].imag == pytest.approx(spin.omega0)
-    assert np.count_nonzero(gen.matrix - np.diag(np.diag(gen.matrix))) == 0
+    assert gen[0, 0].imag == pytest.approx(spin.omega0)
+    assert np.count_nonzero(gen - np.diag(np.diag(gen))) == 0
 
 
 def test_propagation_routes_agree():
@@ -117,7 +117,7 @@ def test_integrator_refuses_past_its_step_budget(monkeypatch):
 
 def test_propagator_matrix_is_semigroup():
     gen = rapid_generator(make_spin_params(0.5, 1.5), 0.4)
-    props = propagate_constant(gen.matrix, np.eye(3, dtype=complex), [0.0, 1.25, 2.5])
+    props = propagate_constant(gen, np.eye(3, dtype=complex), [0.0, 1.25, 2.5])
     assert np.allclose(props[0], np.eye(3), atol=1e-12)
     assert np.allclose(props[1] @ props[1], props[2], atol=1e-9)
 
@@ -204,8 +204,9 @@ def test_biased_system_oscillates_at_any_damping():
 
 
 def test_rejects_negative_gamma():
-    # ValidationError is a ValueError; NaN and inf are refused with it
-    for g in (-0.1, float("nan"), float("inf")):
+    # ValidationError is a ValueError; NaN and inf are refused with it, and
+    # 1.7e308, where the diagonal -(d^2 + 2 e^2) g / 2 overflows
+    for g in (-0.1, float("nan"), float("inf"), 1.7e308):
         with pytest.raises(ValidationError, match="gamma_theta"):
             rapid_generator(make_spin_params(1.0, 1.0), g)
 
@@ -221,3 +222,56 @@ def test_propagate_bloch_refuses_a_triple_of_the_wrong_shape():
     gen = rapid_generator(make_spin_params(1.0, 1.0), 0.5)
     with pytest.raises(ValueError, match=r"^triple0 must have shape \(3,\), got \(2,\)$"):
         propagate_bloch(gen, [0.0, 1.0], [0.0, 1.0])
+
+
+def test_generator_builders_return_read_only_3x3_arrays():
+    spin = make_spin_params(1.0, 1.0)
+    bath = BathSpectrum(0.3, 5.0, "exponential", 2.0)
+    for gen in (rapid_generator(spin, 0.5), weak_generator(spin, bath)):
+        assert isinstance(gen, np.ndarray)
+        assert gen.shape == (3, 3) and gen.dtype == complex
+        assert not gen.flags.writeable
+
+
+def _no_lapack(*args, **kwargs):
+    raise AssertionError("a refused generator reached LAPACK")
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 4), (4, 4), (2, 3, 3)])
+def test_a_generator_of_another_shape_is_refused(shape, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", _no_lapack)
+    pattern = rf"^gen must be a 3x3 triple generator, got shape {re.escape(str(shape))}$"
+    with pytest.raises(StructuralError, match=pattern):
+        decay_spectrum(np.zeros(shape))
+    for method in ("taylor", "expm"):
+        with pytest.raises(StructuralError, match=pattern):
+            propagate_bloch(np.zeros(shape), [1.0, 0.0, 0.0], [0.0, 1.0], method=method)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_generator_is_refused_by_name(value, monkeypatch):
+    gen = np.array(rapid_generator(make_spin_params(1.0, 2.0), 0.5))
+    gen[2, 1] = value
+    monkeypatch.setattr(np.linalg, "eigvals", _no_lapack)
+    pattern = rf"^gen must be finite; entry \(2, 1\) is \(?{value}"
+    with pytest.raises(ValidationError, match=pattern):
+        decay_spectrum(gen)
+    for method in ("taylor", "expm"):
+        with pytest.raises(ValidationError, match=pattern):
+            propagate_bloch(gen, [1.0, 0.0, 0.0], [0.0, 1.0], method=method)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_classification_near_the_zero_bias_flip_matches_the_stored_scale_rule(k, sign):
+    # the scale |Re tr gen| / 2 read from the entries alone (a nested list
+    # carries nothing else) classifies as the rule 1e-10 * gamma_theta,
+    # down to 1e-12 of the flip at 2 omega0
+    spin = make_spin_params(0.0, 1.0)
+    g = 2.0 * spin.omega0 * (1.0 + sign * 10.0 ** -k)
+    gen = rapid_generator(spin, g)
+    spec = decay_spectrum(gen)
+    n_complex = int(np.sum(np.abs(spec.eigenvalues.imag) > 1e-10 * g))
+    oracle = "two_complex_one_real" if n_complex >= 2 else "three_real"
+    assert spec.classification == oracle
+    assert decay_spectrum(gen.tolist()).classification == oracle

@@ -547,6 +547,17 @@ def test_cli_grid_and_scan_range_refusals_name_their_key(argv, code, named, solv
     assert err.startswith("opendecay: ValidationError: ") and f"{named} " in err
 
 
+def test_cli_decay_scan_refuses_a_gamma_theta_whose_generator_overflows(capsys):
+    # at 1.7e308 the diagonal of the rapid generator overflows to -inf, which
+    # LAPACK used to refuse with an uncaught LinAlgError (exit 1)
+    argv = ["decay_scan", "--epsilon", "1", "--delta", "0.001",
+            "--gamma_min", "1e300", "--gamma_max", "1.7e308", "--points", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("opendecay: ValidationError: gamma_theta = 1.7e+308 is too large: "
+                   "a generator entry overflows\n"), err
+
+
 def test_cli_single_node_grid_and_scan_are_accepted(capsys):
     assert main(["spin_bloch", "--tau_points", "1"]) == 0
     assert parse_csv(capsys.readouterr().out).columns["tau"] == [0.0]

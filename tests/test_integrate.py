@@ -55,7 +55,7 @@ def _assert_routes_agree(matrix, y0, tau):
 def test_triple_generator_matches_the_general_route(eps, delta, gamma):
     gen = rapid_generator(make_spin_params(eps, delta), gamma)
     c0 = np.array([0.3 + 0.1j, -0.2, 0.5j])
-    _assert_routes_agree(gen.matrix, c0, np.linspace(0.0, 6.0, 31))
+    _assert_routes_agree(gen, c0, np.linspace(0.0, 6.0, 31))
 
 
 def test_liouvillian_on_a_matrix_of_columns_matches_the_general_route():
@@ -67,7 +67,7 @@ def test_liouvillian_on_a_matrix_of_columns_matches_the_general_route():
 
 def test_propagator_matrix_matches_the_general_route():
     gen = rapid_generator(make_spin_params(0.5, 1.5), 0.4)
-    _assert_routes_agree(gen.matrix, np.eye(3, dtype=complex), np.linspace(0.0, 5.0, 11))
+    _assert_routes_agree(gen, np.eye(3, dtype=complex), np.linspace(0.0, 5.0, 11))
 
 
 def test_real_matrix_and_real_state_stay_real():

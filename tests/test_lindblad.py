@@ -9,7 +9,6 @@ from opendecay import _superop as so
 from opendecay import lindblad
 from opendecay._integrate import propagate_constant
 from opendecay.bloch import (
-    BlochGenerator,
     propagate_bloch,
     rapid_generator,
 )
@@ -267,7 +266,7 @@ def test_constant_generator_routes_reject_bad_method():
     tau = [0.0, 1.0]
     for propagate in (
         lambda: propagate_bloch(gen, [0.0, 1.0, 0.0], tau, method="euler"),
-        lambda: propagate_constant(gen.matrix, np.eye(3), tau, method="euler"),
+        lambda: propagate_constant(gen, np.eye(3), tau, method="euler"),
     ):
         with pytest.raises(ValueError, match="unknown method"):
             propagate()
@@ -306,8 +305,7 @@ def test_trace_leak_below_the_structural_check_is_refused_by_the_trace_check():
 
 def test_bridge_refuses_mismatched_conventions(monkeypatch):
     def conjugated(spin, gamma_theta):
-        gen = rapid_generator(spin, gamma_theta)
-        return BlochGenerator(matrix=gen.matrix.conj(), gamma_theta=gen.gamma_theta)
+        return rapid_generator(spin, gamma_theta).conj()
 
     monkeypatch.setattr(lindblad, "rapid_generator", conjugated)
     rho0 = np.array([[0.8, 0.1 + 0.2j], [0.1 - 0.2j, 0.2]])
