@@ -49,7 +49,6 @@ from .model import (
     OscillatorParams,
     SpinBosonParams,
     make_spin_params,
-    validate_density,
 )
 from .scenarios import (
     ResultTable,
@@ -87,7 +86,6 @@ __all__ = [
     "OscillatorParams",
     "BathSpectrum",
     "GaussianState",
-    "validate_density",
     # spectral
     "spectral_density",
     "gamma_theta",

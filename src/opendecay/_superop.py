@@ -9,6 +9,8 @@ orthonormal operator basis exposes the coefficient ("Kossakowski") matrix.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -86,9 +88,25 @@ def gks_block(liouv_matrix, d):
     return block, min_eig
 
 
+def binary_scaled(m):
+    """``(m * 2**-e, e)``, the power of two chosen so the largest entry lies in [0.5, 1).
+
+    Scaling by a power of two is exact, so a ratio of norms taken on the
+    scaled copy is the ratio on ``m`` to the bit, and no norm of it
+    overflows. A zero or non-finite ``m`` comes back as it is, with e = 0.
+    """
+    m = np.asarray(m)
+    peak = float(np.max(np.abs(m)))
+    if not 0.0 < peak < np.inf:
+        return m, 0
+    # beyond 2**1000 the inverse power would overflow; entries that small stay below 1
+    e = max(math.frexp(peak)[1], -1000)
+    return m * math.ldexp(1.0, -e), e
+
+
 def trace_dual_defect(liouv_matrix, d):
     """Norm of tr(L(X)) as a functional, relative to the matrix norm."""
-    m = np.asarray(liouv_matrix)
+    m, _ = binary_scaled(liouv_matrix)
     lhs = vec(np.eye(d)) @ m
     norm = np.linalg.norm(m)
     return float(np.linalg.norm(lhs) / norm) if norm > 0.0 else 0.0
@@ -96,7 +114,7 @@ def trace_dual_defect(liouv_matrix, d):
 
 def hermiticity_involution_defect(liouv_matrix, d):
     """How far L is from commuting with the adjoint involution X -> X^dagger."""
-    m = np.asarray(liouv_matrix, dtype=complex)
+    m, _ = binary_scaled(np.asarray(liouv_matrix, dtype=complex))
     perm = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):

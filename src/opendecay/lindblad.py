@@ -27,6 +27,7 @@ which gives the exact bridge relations checked by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ from .errors import (
     StructuralError,
 )
 from .model import (SpinBosonParams, _checked_all_finite, _checked_density,
-                    _checked_finite, _checked_grid)
+                    _checked_finite, _checked_grid, _density_defects)
 
 __all__ = [
     "GKSReport",
@@ -68,10 +69,11 @@ def _checked_liouvillian(liouv) -> np.ndarray:
     if m.shape != (4, 4):
         raise StructuralError(f"liouv must be a 4x4 superoperator, got shape {m.shape}")
     _checked_all_finite(m, "liouv")
+    # "not <=" refuses a NaN defect too
     defect = so.trace_dual_defect(m, 2)
-    if defect > _STRUCT_TOL:
+    if not defect <= _STRUCT_TOL:
         raise StructuralError(f"liouv does not preserve the trace (defect {defect:.3e})")
-    if so.hermiticity_involution_defect(m, 2) > _STRUCT_TOL:
+    if not so.hermiticity_involution_defect(m, 2) <= _STRUCT_TOL:
         raise StructuralError("liouv does not commute with Hermitian conjugation")
     return m
 
@@ -106,13 +108,15 @@ def propagate_density(liouv, rho0, tau_grid) -> np.ndarray:
     route, exact to round-off; the dense reference is
     ``propagate_constant(liouv, ..., method="expm")``.
     :class:`ValidationError` names ``rho0`` (``rho0 state i`` in a stack)
-    unless each state passes :func:`~opendecay.model.validate_density`,
-    and ``tau_grid`` and its first bad node unless it is 1-d, finite and
-    strictly increasing. Every output state must stay within loose
-    physicality bounds (trace defect below 1e-9, smallest eigenvalue
-    above -1e-9) or :class:`IntegratorAccuracyError`, naming the tau and
-    the state, is raised: the generator is then not a valid Lindblad
-    generator (not completely positive or not trace preserving).
+    and its first non-finite entry or its three defects unless each state
+    is a density matrix (Hermitian and of trace one to 1e-12, smallest
+    eigenvalue above -1e-10), and ``tau_grid`` and its first bad node
+    unless it is 1-d, finite and strictly increasing. Every output state
+    must stay within loose physicality bounds (trace defect below 1e-9,
+    smallest eigenvalue above -1e-9) or :class:`IntegratorAccuracyError`,
+    naming the tau and the state, is raised: the generator is then not a
+    valid Lindblad generator (not completely positive or not trace
+    preserving).
     """
     liouv = _checked_liouvillian(liouv)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -120,8 +124,7 @@ def propagate_density(liouv, rho0, tau_grid) -> np.ndarray:
         raise ValueError(
             f"rho0 must have shape (2, 2) or (k, 2, 2) with k >= 1, got {rho0.shape}"
         )
-    for i, rho in enumerate(rho0.reshape(-1, 2, 2)):
-        _checked_density(rho, "rho0" if rho0.ndim == 2 else f"rho0 state {i}")
+    _checked_density(rho0, "rho0")
     tau_grid = _checked_grid(tau_grid, "tau_grid")
     # one state stays a 4-vector; a stack is a (4, k) block of columns
     flat = propagate_constant(liouv, rho0.reshape(rho0.shape[:-2] + (4,)).T,
@@ -133,12 +136,10 @@ def propagate_density(liouv, rho0, tau_grid) -> np.ndarray:
         state = f" in state {at[1]}" if rho0.ndim == 3 else ""
         return defects[at], f"at tau={tau_grid[at[0]]:g}{state}"
 
-    traces = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    _, traces, lowest = _density_defects(states)
     if np.any(traces > 1e-9):
         worst, at = where(traces, np.argmax)
         raise IntegratorAccuracyError(f"trace defect {worst:.3e} {at} exceeds 1e-9")
-    herm = 0.5 * (states + np.conj(np.swapaxes(states, -2, -1)))
-    lowest = np.linalg.eigvalsh(herm)[..., 0]
     if np.any(lowest < -1e-9):
         worst, at = where(lowest, np.argmin)
         raise IntegratorAccuracyError(
@@ -171,11 +172,15 @@ def gks_check(liouv) -> GKSReport:
     # is exact, so the eigenvalue scales with the block bit for bit)
     block = 0.5 * block_ortho
     min_eig = 0.5 * min_eig_ortho
-    scale = max(float(np.linalg.norm(block)), 1.0)
+    # min_eig >= -1e-12 max(|block|, 1), all taken in units of 2**e, which
+    # is exact: the norm of a large block cannot overflow to an infinite scale
+    scaled, e = so.binary_scaled(block)
+    unit = math.ldexp(1.0, -e)
+    scale = max(float(np.linalg.norm(scaled)), unit)
     return GKSReport(
         gks_matrix=block,
         min_eigenvalue=min_eig,
-        is_lindblad=bool(min_eig >= -1e-12 * scale),
+        is_lindblad=bool(min_eig * unit >= -1e-12 * scale),
     )
 
 

@@ -13,7 +13,9 @@ Conventions used throughout the package:
 
   with ``eps_tilde = epsilon/omega0`` and ``delta_tilde = delta/omega0``
   (so ``S @ S = identity``);
-* density matrices are plain 2x2 complex arrays, trace one.
+* density matrices are plain 2x2 complex arrays, trace one, refused by
+  name where they enter unless Hermitian, of trace one and positive
+  semidefinite, each to a tolerance (``_checked_density``).
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ __all__ = [
     "OscillatorParams",
     "BathSpectrum",
     "GaussianState",
-    "DensityDiagnostics",
     "make_spin_params",
-    "validate_density",
 ]
 
-# Tolerances of validate_density's ok flag.
+# Tolerances of _checked_density, the ones propagate_density holds each
+# state to on entry.
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_TOL = -1e-10
@@ -112,17 +113,52 @@ def _checked_coupling(lam) -> float:
     return lam
 
 
-def _checked_density(rho, name) -> np.ndarray:
-    """``rho`` as a complex 2x2 array; ValidationError naming ``name`` unless
-    :func:`validate_density` finds it a density matrix."""
+def _density_defects(rho):
+    """``(hermiticity, trace, min_eigenvalue)`` defects of a 2x2 matrix or a (..., 2, 2) stack.
+
+    ``max|rho - rho^dagger|``, ``|tr(rho) - 1|`` and the smallest
+    eigenvalue of the Hermitian part ``(rho + rho^dagger)/2``, one value
+    per matrix. The entries must be finite; a sum of two that overflows
+    gives an infinite or NaN defect, without a warning.
+    """
     rho = np.asarray(rho, dtype=complex)
-    diag = validate_density(rho)
-    if not diag.ok:
+    adj = np.conj(np.swapaxes(rho, -2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.max(np.abs(rho - adj), axis=(-2, -1))
+        trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+        min_eig = np.linalg.eigvalsh(0.5 * (rho + adj))[..., 0]
+    return herm, trace, min_eig
+
+
+def _checked_density(rho, name) -> np.ndarray:
+    """``rho`` as a complex 2x2 array, or a (k, 2, 2) stack, each a density matrix.
+
+    ValidationError naming ``name`` (``name state i`` in a stack) for
+    another shape, for the first entry that is not finite, and for a
+    state outside the tolerances: Hermiticity and trace to 1e-12, the
+    smallest eigenvalue of the Hermitian part down to -1e-10.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (2, 2):
+        raise ValidationError(f"{name} must be a 2x2 matrix, got shape {rho.shape}")
+    states = rho.reshape(-1, 2, 2)
+
+    def label(i):
+        return name if rho.ndim == 2 else f"{name} state {i}"
+
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        _checked_all_finite(states[i], label(i))
+    herm, trace, min_eig = _density_defects(states)
+    bad = ~((herm <= _HERM_TOL) & (trace <= _TRACE_TOL) & (min_eig >= _EIG_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValidationError(
-            f"{name} is not a density matrix: "
-            f"hermiticity defect {diag.hermiticity_defect:.3e}, "
-            f"trace defect {diag.trace_defect:.3e}, "
-            f"min eigenvalue {diag.min_eigenvalue:.3e}"
+            f"{label(i)} is not a density matrix: "
+            f"hermiticity defect {herm[i]:.3e}, "
+            f"trace defect {trace[i]:.3e}, "
+            f"min eigenvalue {min_eig[i]:.3e}"
         )
     return rho
 
@@ -175,14 +211,20 @@ def make_spin_params(epsilon: float, delta: float) -> SpinBosonParams:
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Harmonic oscillator (bare frequency, before bath renormalization)."""
+    """Harmonic oscillator (bare frequency, before bath renormalization).
+
+    ``omega0`` must be finite and > 0, and so must ``omega0**2``, which
+    every qbm route forms.
+    """
 
     mass: float = 1.0
     omega0: float = 1.0
 
     def __post_init__(self):
         _checked_finite("mass", self.mass, "> 0")
-        _checked_finite("omega0", self.omega0, "> 0")
+        omega0 = _checked_finite("omega0", self.omega0, "> 0")
+        if math.isinf(omega0 * omega0):
+            raise ValidationError(f"omega0 = {omega0} is too large: omega0**2 overflows")
 
 
 _BATH_SHAPES = ("exponential", "hard")
@@ -209,40 +251,6 @@ class BathSpectrum:
                 f"shape must be one of {_BATH_SHAPES}, got {self.shape!r}"
             )
         _checked_finite("temperature", self.temperature, ">= 0")
-
-
-@dataclass(frozen=True)
-class DensityDiagnostics:
-    """Defect report for a candidate 2x2 density matrix."""
-
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
-    ok: bool
-
-
-def validate_density(rho) -> DensityDiagnostics:
-    """Measure how far ``rho`` is from a valid density matrix.
-
-    Reports the largest entrywise deviation from Hermiticity, the trace
-    defect ``|tr(rho) - 1|`` and the smallest eigenvalue of the
-    Hermitian part, all three NaN when an entry is not finite. Raises
-    ValidationError only for a shape other than 2x2; the ``ok`` flag
-    applies this module's tolerances (1e-12 on Hermiticity and trace,
-    -1e-10 on the smallest eigenvalue), the ones ``propagate_density``
-    holds each state to.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        return DensityDiagnostics(math.nan, math.nan, math.nan, False)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = float(abs(rho.trace() - 1.0))
-    sym = 0.5 * (rho + rho.conj().T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    ok = herm <= _HERM_TOL and trace <= _TRACE_TOL and min_eig >= _EIG_TOL
-    return DensityDiagnostics(herm, trace, min_eig, ok)
 
 
 @dataclass(frozen=True)

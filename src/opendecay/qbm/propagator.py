@@ -577,7 +577,9 @@ def solve_propagator(
     Raises AccuracyError when agreement is not reached within
     ``_MAX_REFINEMENTS`` extra halvings or before a halving would exceed
     ``_MAX_NODES`` nodes, and ValidationError when already the first
-    halving would exceed it or ``tau_max`` is not finite and positive.
+    halving would exceed it, when ``tau_max`` is not finite and positive,
+    or at once when a solved grid's G or G' is not finite (naming
+    ``lam``, ``eta``, ``tau_max`` and the first bad node).
     """
     lam = _checked_coupling(lam)
     tau_max = _checked_finite("tau_max", tau_max, "> 0")
@@ -588,7 +590,18 @@ def solve_propagator(
             f"needs {2 * n} nodes, beyond the budget _MAX_NODES={_MAX_NODES}"
         )
 
-    coarse = _volterra_solve(bath, osc, lam, tau_max, n)
+    def solved(n):
+        # a grid too fine for the kernel moments (h**3 underflows) or a bath
+        # strong enough to overflow the memory sums solves to NaN: refused
+        # by name at once, rather than compared through every halving
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            grid = _volterra_solve(bath, osc, lam, tau_max, n)
+        where = f"lam={lam:g}, eta={bath.eta:g}, tau_max={tau_max:g} on n={n} steps"
+        _checked_all_finite(grid[1], f"G at {where}")
+        _checked_all_finite(grid[2], f"G' at {where}")
+        return grid
+
+    coarse = solved(n)
     err = math.inf
     for _ in range(_MAX_REFINEMENTS + 1):
         if 2 * n > _MAX_NODES:
@@ -597,7 +610,7 @@ def solve_propagator(
                 f"{_MAX_NODES} at n={n}: successive solutions differ by "
                 f"{err:.3e} relative (target {_REL_TOL:g})"
             )
-        fine = _volterra_solve(bath, osc, lam, tau_max, 2 * n)
+        fine = solved(2 * n)
         scale_g = max(np.max(np.abs(fine[1])), 1e-300)
         scale_gd = max(np.max(np.abs(fine[2])), 1e-300)
         err = max(

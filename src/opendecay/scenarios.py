@@ -39,10 +39,11 @@ from .model import (
     BathSpectrum,
     GaussianState,
     OscillatorParams,
+    _checked_all_finite,
     _checked_coupling,
+    _checked_density,
     _checked_finite,
     make_spin_params,
-    validate_density,
 )
 from .qbm.coefficients import exact_coefficients, limit_coefficients
 from .qbm.moments import MOMENT_LABELS, propagate_moments
@@ -367,13 +368,10 @@ def _run_spin_master(cfg):
     liouv = spin_liouvillian(spin, cfg["gamma_theta"])
     tau = _time_grid(cfg)
     pe, coh = cfg["rho_ee"], cfg["coh_re"] + 1j * cfg["coh_im"]
-    rho0 = np.array([[pe, coh], [np.conj(coh), 1.0 - pe]], dtype=complex)
-    diag = validate_density(rho0)
-    if not diag.ok:
-        raise ValidationError(
-            f"initial state is not a density matrix: rho_ee = {pe}, coh_re = {cfg['coh_re']} "
-            f"and coh_im = {cfg['coh_im']} give min eigenvalue {diag.min_eigenvalue:.3e}"
-        )
+    rho0 = _checked_density(
+        [[pe, coh], [np.conj(coh), 1.0 - pe]],
+        f"initial state (rho_ee = {pe}, coh_re = {cfg['coh_re']}, coh_im = {cfg['coh_im']})",
+    )
     states = propagate_density(liouv, rho0, tau)
     purity = np.einsum("tij,tji->t", states, states).real
     cols = {
@@ -453,10 +451,14 @@ def _run_qbm_limit(cfg):
     for i, name in enumerate(MOMENT_LABELS):
         cols[name] = traj[:, i].tolist()
     wr_sq = float(coeffs.omegaR_sq[0])
-    energy = (
-        0.5 * (traj[:, 4] + traj[:, 1] ** 2) / osc.mass
-        + 0.5 * osc.mass * wr_sq * (traj[:, 2] + traj[:, 0] ** 2)
-    )
+    # finite moments can still square past the largest float: refused by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = (
+            0.5 * (traj[:, 4] + traj[:, 1] ** 2) / osc.mass
+            + 0.5 * osc.mass * wr_sq * (traj[:, 2] + traj[:, 0] ** 2)
+        )
+    _checked_all_finite(
+        energy, f"energy of x0 = {cfg['x0']}, p0 = {cfg['p0']} and mass = {osc.mass}")
     cols["energy"] = energy.tolist()
     meta = {
         "omegaR_sq": wr_sq,

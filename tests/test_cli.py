@@ -254,9 +254,47 @@ def test_cli_unknown_criterion_exits_2_naming_it(capsys):
 def test_cli_spin_master_rejects_a_non_density_initial_state(override, capsys):
     assert main(["spin_master", *override]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("opendecay: ValidationError: initial state is not a density matrix")
+    assert err.startswith("opendecay: ValidationError: initial state (rho_ee = ")
     assert err.count("density matrix") == 1
     assert all(key in err for key in ("rho_ee", "coh_re", "coh_im"))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["qbm_limit", "--omega0", "1e300"], "omega0 = 1e+300 is too large"),
+    (["qbm_limit", "--omega0", "2e154"], "omega0 = 2e+154 is too large"),
+    (["qbm_sweep", "--omega0", "1e300", "--lambda_list", "0.4", "--tau_points", "5"],
+     "omega0 = 1e+300 is too large"),
+    (["qbm_exact", "--omega0", "1e300", "--tau_min", "1e-300", "--tau_max", "1e-299",
+      "--tau_points", "5"], "omega0 = 1e+300 is too large"),
+    (["qbm_limit", "--x0", "1e300"], "energy of x0 = 1e+300, p0 = 0.0 and mass = 1.0"),
+    (["qbm_limit", "--p0", "1e300"], "energy of x0 = 1.0, p0 = 1e+300 and mass = 1.0"),
+    (["qbm_limit", "--mass", "1e300"], "energy of x0 = 1.0, p0 = 0.0 and mass = 1e+300"),
+])
+def test_cli_oscillator_inputs_that_overflow_exit_2_by_name(argv, named, capsys):
+    # omega0**2 of a Python float raised OverflowError (exit 1), and an
+    # energy that squares past the largest float was written as inf (exit 0)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: ValidationError: ") and named in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qbm_exact", "--tau_min", "1e-300", "--tau_max", "1e-299", "--tau_points", "5"],
+    ["qbm_exact", "--eta", "1e300", "--tau_points", "5"],
+])
+def test_cli_a_propagator_solve_that_is_not_finite_exits_2_by_name(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"opendecay: ValidationError: G at lam=0\.2, eta=\S+, tau_max=\S+ "
+                    r"on n=\d+ steps must be finite; node \d+ is nan", err), err
+
+
+@pytest.mark.parametrize("scenario", ["spin_master", "bridge_check"])
+def test_cli_a_huge_bias_is_refused_without_an_overflow_warning(scenario, capsys):
+    # the structural check's norms of the 1e300 Liouvillian no longer overflow
+    assert main([scenario, "--epsilon", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("opendecay: StiffnessError: ") and "Warning" not in err, err
 
 
 def test_cli_physics_failure_exits_2(capsys):

@@ -289,6 +289,28 @@ def test_non_cp_generator_is_refused_by_the_physicality_check():
         propagate_density(bad, stack, np.linspace(0.0, 2.0, 9))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e300])
+def test_a_trace_leak_is_refused_however_large_the_generator(scale):
+    # past ~1e154 the Frobenius norm of the raw matrix overflowed, and a
+    # defect of inf/inf = nan passed the structural check
+    leak = np.zeros((4, 4), dtype=complex)
+    leak[0, 0] = 0.5
+    liouv = scale * (spin_liouvillian(make_spin_params(1.0, 2.0), 0.8) + leak)
+    for check in (gks_check, lambda m: propagate_density(m, 0.5 * np.eye(2), [0.0, 1.0])):
+        with pytest.raises(StructuralError,
+                           match=r"^liouv does not preserve the trace \(defect 1\.493e-01\)$"):
+            check(liouv)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e300])
+def test_a_non_cp_generator_is_not_lindblad_however_large(scale):
+    # the sign-flipped dissipator: an overflowing GKS scale of inf accepted it
+    ham, diss = _spin_parts(make_spin_params(1.0, 1.0), 0.4)
+    report = gks_check(scale * (ham - diss))
+    assert not report.is_lindblad
+    assert report.min_eigenvalue == pytest.approx(-0.2 * scale)
+
+
 def test_trace_leak_below_the_structural_check_is_refused_by_the_trace_check():
     # a 1e-10 loss rate of the excited population is 3.5e-14 of this
     # generator's scale, below the structural tolerance, but it leaks 5e-9

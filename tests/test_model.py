@@ -17,8 +17,8 @@ from opendecay.model import (
     _checked_coupling,
     _checked_density,
     _checked_finite,
+    _density_defects,
     make_spin_params,
-    validate_density,
 )
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -123,6 +123,10 @@ def test_oscillator_validation():
         OscillatorParams(mass=-1.0)
     with pytest.raises(ValidationError):
         OscillatorParams(omega0=0.0)
+    # every qbm route forms omega0**2, which overflows above ~1.34e154
+    OscillatorParams(omega0=1.3e154)
+    with pytest.raises(ValidationError, match=r"^omega0 = 1\.35e\+154 is too large"):
+        OscillatorParams(omega0=1.35e154)
 
 
 def test_density_matrix_accepts_valid_state():
@@ -144,16 +148,19 @@ def test_density_matrix_rejects(mat):
         _checked_density(np.array(mat, dtype=complex), "rho")
 
 
-def test_validate_density_refuses_a_matrix_that_is_not_2x2():
-    with pytest.raises(ValidationError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
-        validate_density(np.eye(3))
+def test_the_density_check_refuses_a_matrix_that_is_not_2x2():
+    with pytest.raises(ValidationError, match=r"^rho must be a 2x2 matrix, got shape \(3, 3\)$"):
+        _checked_density(np.eye(3), "rho")
 
 
-def test_validate_density_reports_defects_without_raising():
-    diag = validate_density(np.array([[0.9, 0.0], [0.0, 0.4]]))
-    assert not diag.ok
-    assert diag.trace_defect == pytest.approx(0.3)
-    assert diag.hermiticity_defect == 0.0
+def test_the_density_check_reports_its_three_defects():
+    with pytest.raises(ValidationError) as refused:
+        _checked_density(np.array([[0.9, 0.0], [0.0, 0.4]]), "rho")
+    found = re.fullmatch(
+        r"rho is not a density matrix: hermiticity defect (\S+), "
+        r"trace defect (\S+), min eigenvalue (\S+)", str(refused.value))
+    herm, trace, min_eig = map(float, found.groups())
+    assert herm == 0.0 and trace == pytest.approx(0.3) and min_eig == 0.4
 
 
 def test_gaussian_state_moment_order():
@@ -204,7 +211,35 @@ def test_a_non_finite_matrix_is_no_density_matrix_and_raises_no_warning(entry):
     mat = np.array([[1.0, entry], [0.0, 0.0]], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        diag = validate_density(mat)
-        with pytest.raises(ValidationError, match="defect nan"):
+        with pytest.raises(ValidationError, match=r"^rho must be finite; entry \(0, 1\) is "):
             _checked_density(mat, "rho")
-    assert not diag.ok and math.isnan(diag.min_eigenvalue)
+        with pytest.raises(ValidationError, match=r"^rho state 2 must be finite; entry \(0, 1\) is "):
+            _checked_density(np.stack([0.5 * np.eye(2), np.diag([1.5, -0.5]), mat]), "rho")
+
+
+def _oracle_defects(rho):
+    """The three defects of one 2x2 state, one formula at a time."""
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    # numpy's absolute, not Python's abs: the two can differ in the last bit
+    trace = float(np.abs(rho.trace() - 1.0))
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    return herm, trace, min_eig
+
+
+def test_the_stacked_defects_equal_the_per_state_formulas_bit_for_bit():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+    states = a @ np.conj(np.swapaxes(a, -2, -1))
+    states /= np.trace(states, axis1=-2, axis2=-1).real[:, None, None]
+    defective = np.array([
+        [[0.6, 0.3], [0.2, 0.4]],                # not Hermitian
+        [[0.9, 0.0], [0.0, 0.4]],                # trace 1.3
+        [[0.5, 0.6], [0.6, 0.5]],                # eigenvalue -0.1
+        [[0.7, 0.2 - 0.5j], [0.1 + 0.5j, 0.5]],  # all three
+    ], dtype=complex)
+    for stack in (states, defective, rng.normal(size=(3, 2, 2)) + 0j):
+        expected = np.array([_oracle_defects(rho) for rho in stack]).T
+        got = np.array(_density_defects(stack))
+        assert got.shape == (3, len(stack))
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.array(_density_defects(stack[0])), expected[:, 0])

@@ -551,6 +551,23 @@ def test_one_solve_evaluates_the_kernel_once(monkeypatch):
     assert kernels == [pf.tau_grid.size - 1] == [solves[-1]]
 
 
+@pytest.mark.parametrize("bath, tau_max", [
+    (BathSpectrum(0.2, 5.0, temperature=5.0), 1e-299),  # h**3 underflows to 0
+    (BathSpectrum(1e300, 5.0, temperature=5.0), 2.9),   # the memory sums overflow
+])
+def test_a_solve_that_is_not_finite_is_refused_at_once(bath, tau_max, monkeypatch):
+    solves = []
+    volterra = propagator._volterra_solve
+    monkeypatch.setattr(propagator, "_volterra_solve",
+                        lambda *args: solves.append(args[-1]) or volterra(*args))
+    where = re.escape(f"lam=0.2, eta={bath.eta:g}, tau_max={tau_max:g}")
+    pattern = (rf"^G at {where} on n=\d+ steps "
+               r"must be finite; node \d+ is nan$")
+    with pytest.raises(ValidationError, match=pattern):
+        solve_propagator(bath, OSC, 0.2, tau_max)
+    assert len(solves) == 1
+
+
 def test_grid_ends_exactly_on_tau_max():
     # 0.86 / n * n rounds below 0.86 for some refinement levels n
     pf = solve_propagator(EXP, OSC, 0.4, 0.86)
